@@ -33,6 +33,9 @@ Amu::Amu(sim::Engine& engine, sim::NodeId node, coh::Directory& dir,
       tracer_(tracer) {
   assert(config_.cache_words >= 1);
   entries_.resize(config_.cache_words);
+  if (config_.histograms) {
+    stats_.queue_wait_hist = std::make_unique<sim::LogHistogram>();
+  }
 }
 
 void Amu::submit(AmoRequest req) {
@@ -48,8 +51,8 @@ void Amu::pump() {
   if (dispatching_ || queue_.empty()) return;
   dispatching_ = true;
   AmoRequest req = queue_.pop_front();
-  if (config_.histograms) {
-    stats_.queue_wait_hist.record(engine_.now() - req.enqueued_at);
+  if (stats_.queue_wait_hist) {
+    stats_.queue_wait_hist->record(engine_.now() - req.enqueued_at);
   }
 
   ++stats_.ops;
@@ -327,9 +330,9 @@ void Amu::register_stats(sim::StatsRegistry& reg,
   reg.add_counter(prefix + ".puts", &stats_.puts);
   reg.add_counter(prefix + ".puts_suppressed", &stats_.puts_suppressed);
   reg.add_accum(prefix + ".queue_depth", &stats_.queue_depth);
-  if (config_.histograms) {
+  if (stats_.queue_wait_hist) {
     // Conditional so default-mode registry dumps stay byte-identical.
-    reg.add_hist(prefix + ".queue_wait_hist", &stats_.queue_wait_hist);
+    reg.add_hist(prefix + ".queue_wait_hist", stats_.queue_wait_hist.get());
   }
 }
 

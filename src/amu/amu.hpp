@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "amu/amo_ops.hpp"
@@ -40,7 +41,8 @@ struct AmuConfig {
   sim::Cycle op_cycles = 8;       // 2 hub cycles @ 500 MHz = 8 CPU cycles
   bool eager_put_all = false;     // ablation: ignore test values
   /// Derived from stats.histograms by Machine (not a serialized knob):
-  /// record per-request queue wait into AmuStats::queue_wait_hist.
+  /// allocate AmuStats::queue_wait_hist and record per-request queue wait
+  /// into it.
   bool histograms = false;
 };
 
@@ -59,10 +61,9 @@ struct AmuStats {
   std::uint64_t agg_fires = 0;     // route thresholds crossed
   std::uint64_t agg_forwards = 0;  // combined fetch-adds sent up the tree
   std::uint64_t agg_releases = 0;  // release-wave actions at this AMU
-  /// Cycles each request waited in the dispatch queue (recorded and
-  /// registered only when AmuConfig::histograms). Last member: a cold
-  /// ~8 KB block behind the hot counters.
-  sim::LogHistogram queue_wait_hist;
+  /// Cycles each request waited in the dispatch queue. Held out of line
+  /// (~8 KB) and allocated only when AmuConfig::histograms.
+  std::unique_ptr<sim::LogHistogram> queue_wait_hist;
 };
 
 struct AmoRequest {

@@ -20,6 +20,9 @@ CacheCtrl::CacheCtrl(sim::Engine& engine, Wiring& wiring, Agents& agents,
       l1_(config.l1) {
   assert(config.l1.line_bytes == config.l2.line_bytes &&
          "L1 filter is kept inclusive at L2 line granularity");
+  if (config_.histograms) {
+    stats_.mshr_residency_hist = std::make_unique<sim::LogHistogram>();
+  }
 }
 
 // ----------------------------------------------------------- thread API
@@ -231,8 +234,8 @@ void CacheCtrl::notify_line(sim::Addr block) {
 void CacheCtrl::complete_mshr(sim::Addr block) {
   Mshr* m = mshr_.find(block);
   if (m == nullptr) return;
-  if (config_.histograms) {
-    stats_.mshr_residency_hist.record(engine_.now() - m->born);
+  if (stats_.mshr_residency_hist) {
+    stats_.mshr_residency_hist->record(engine_.now() - m->born);
   }
   ds::WaitPool<sim::Promise<std::uint64_t>>::Queue q = m->waiters;
   m->waiters = {};
@@ -403,10 +406,10 @@ void CacheCtrl::register_stats(sim::StatsRegistry& reg,
   reg.add_counter(prefix + ".word_updates", &stats_.word_updates);
   reg.add_counter(prefix + ".writebacks", &stats_.writebacks);
   l2_.register_stats(reg, prefix + ".l2");
-  if (config_.histograms) {
+  if (stats_.mshr_residency_hist) {
     // Conditional so default-mode registry dumps stay byte-identical.
     reg.add_hist(prefix + ".mshr_residency_hist",
-                 &stats_.mshr_residency_hist);
+                 stats_.mshr_residency_hist.get());
   }
 }
 

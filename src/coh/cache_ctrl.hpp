@@ -16,6 +16,7 @@
 #include <cassert>
 #include <coroutine>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "amu/amo_ops.hpp"
@@ -47,8 +48,8 @@ struct CacheCtrlConfig {
   /// default mode; with no timer they must wake through events.
   bool spin_wake_all = false;
   /// Derived from stats.histograms by Machine (not a serialized knob):
-  /// record MSHR residency (allocation to completion) into
-  /// CacheCtrlStats::mshr_residency_hist.
+  /// allocate CacheCtrlStats::mshr_residency_hist and record MSHR
+  /// residency (allocation to completion) into it.
   bool histograms = false;
 };
 
@@ -66,10 +67,11 @@ struct CacheCtrlStats {
   std::uint64_t invals = 0;
   std::uint64_t word_updates = 0;
   std::uint64_t writebacks = 0;
-  /// Cycles each MSHR stayed allocated (miss issue to completion),
-  /// recorded and registered only when CacheCtrlConfig::histograms. Last
-  /// member: a cold ~8 KB block behind the hot counters.
-  sim::LogHistogram mshr_residency_hist;
+  /// Cycles each MSHR stayed allocated (miss issue to completion). Held
+  /// out of line (~8 KB) and allocated only when
+  /// CacheCtrlConfig::histograms, so a default machine does not pay for
+  /// it per CPU.
+  std::unique_ptr<sim::LogHistogram> mshr_residency_hist;
 };
 
 class CacheCtrl final : public CacheIface {

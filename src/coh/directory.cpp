@@ -19,6 +19,9 @@ Directory::Directory(sim::Engine& engine, Wiring& wiring, Agents& agents,
       sizes_{backing.line_bytes()},
       tracer_(tracer) {
   assert(backing.words_per_line() <= mem::LineBuf::kMaxWords);
+  if (config_.histograms) {
+    stats_.occupancy_wait_hist = std::make_unique<sim::LogHistogram>();
+  }
 }
 
 // ------------------------------------------------------------ entry table
@@ -70,10 +73,10 @@ void Directory::deliver_put(const std::bitset<kMaxCpus>& targets,
 void Directory::occupy(sim::InlineFn fn, sim::Cycle cycles) {
   if (cycles == 0) cycles = config_.occupancy_cycles;
   const sim::Cycle start = std::max(engine_.now(), busy_until_);
-  if (config_.histograms) {
+  if (stats_.occupancy_wait_hist) {
     // Queueing delay behind the serial pipeline: the home hot-spot shows
     // up here first.
-    stats_.occupancy_wait_hist.record(start - engine_.now());
+    stats_.occupancy_wait_hist->record(start - engine_.now());
   }
   busy_until_ = start + cycles;
   engine_.schedule_at(busy_until_, std::move(fn));
@@ -784,10 +787,10 @@ void Directory::register_stats(sim::StatsRegistry& reg,
     reg.add_counter(prefix + ".watch_hits", &stats_.watch_hits);
     reg.add_counter(prefix + ".watch_wakes", &stats_.watch_wakes);
   }
-  if (config_.histograms) {
+  if (stats_.occupancy_wait_hist) {
     // Conditional for the same reason.
     reg.add_hist(prefix + ".occupancy_wait_hist",
-                 &stats_.occupancy_wait_hist);
+                 stats_.occupancy_wait_hist.get());
   }
 }
 

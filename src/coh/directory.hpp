@@ -55,8 +55,8 @@ struct DirConfig {
   /// inert so default-mode runs are untouched.
   bool word_watch = false;
   /// Derived from stats.histograms by Machine (not a serialized knob):
-  /// record how long each message waits for a free directory pipeline
-  /// slot into DirStats::occupancy_wait_hist.
+  /// allocate DirStats::occupancy_wait_hist and record into it how long
+  /// each message waits for a free directory pipeline slot.
   bool histograms = false;
 };
 
@@ -79,10 +79,9 @@ struct DirStats {
   std::uint64_t watch_regs = 0;   // registrations parked
   std::uint64_t watch_hits = 0;   // registrations answered immediately
   std::uint64_t watch_wakes = 0;  // parked watchers woken by a ping
-  /// Cycles each incoming message queued for a free pipeline slot
-  /// (recorded and registered only when DirConfig::histograms). Last
-  /// member: a cold ~8 KB block behind the hot counters.
-  sim::LogHistogram occupancy_wait_hist;
+  /// Cycles each incoming message queued for a free pipeline slot. Held
+  /// out of line (~8 KB) and allocated only when DirConfig::histograms.
+  std::unique_ptr<sim::LogHistogram> occupancy_wait_hist;
 };
 
 class Directory {

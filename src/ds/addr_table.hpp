@@ -39,8 +39,10 @@ class AddrTable {
  public:
   using Key = std::uint64_t;
 
-  explicit AddrTable(std::size_t initial_slots = 256) {
-    assert((initial_slots & (initial_slots - 1)) == 0);
+  /// Starts small: a machine holds several tables per CPU and per node,
+  /// most of which stay nearly empty, and the table doubles at 3/4 load.
+  explicit AddrTable(std::size_t initial_slots = 16) {
+    assert(initial_slots != 0 && (initial_slots & (initial_slots - 1)) == 0);
     slots_.resize(initial_slots);
   }
 

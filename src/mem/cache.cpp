@@ -27,6 +27,8 @@ Cache::Cache(const CacheGeometry& geometry)
   assert(geom_.line_bytes / 8 <= LineBuf::kMaxWords);
   assert(geom_.ways <= 8 && "way_init_ tracks ways in a one-byte mask");
   const auto lines = static_cast<std::size_t>(geom_.num_sets()) * geom_.ways;
+  // Keeps the allocation below from running a constructor over every way.
+  static_assert(std::is_trivially_default_constructible_v<Line>);
   lines_ = std::make_unique_for_overwrite<Line[]>(lines);
   words_ = std::make_unique_for_overwrite<std::uint64_t[]>(lines *
                                                            words_per_line_);

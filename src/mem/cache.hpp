@@ -11,6 +11,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "mem/line_buf.hpp"
@@ -47,11 +48,13 @@ class Cache {
   // Metadata only — 24 bytes, so a 4-way set's tags/state/LRU fit in
   // two cache lines of the host. Word payloads live in one flat
   // set-major block (`words_`), addressed by line index; see `words()`.
+  // No default member initializers, so `lines_` is allocated without
+  // writing it (see there).
   struct Line {
-    sim::Addr block = 0;  // line base address
-    LineState state = LineState::kInvalid;
-    bool pinned = false;  // protected from victim selection (active MSHR)
-    std::uint64_t lru = 0;
+    sim::Addr block;  // line base address
+    LineState state;
+    bool pinned;  // protected from victim selection (active MSHR)
+    std::uint64_t lru;
   };
 
   /// A line pushed out to make room. The payload rides in a fixed inline
@@ -132,14 +135,14 @@ class Cache {
   std::uint32_t line_shift_;  // log2(line_bytes)
   std::uint32_t set_mask_;    // num_sets - 1 (power-of-two set count)
   // Line metadata (sets * ways, set-major) and the parallel payload
-  // block, both deliberately *uninitialized* (make_unique_for_overwrite):
-  // a 256-cpu machine carries hundreds of MB of cache arrays, and
-  // zero-filling them up front dominates machine construction in sweeps
-  // that build one machine per (mechanism, cpu_count) cell. The only
-  // eagerly-zeroed state is `way_init_`, one byte per set: bit w says
-  // set's way w has been constructed. Untouched ways are misses by
-  // definition, and a way is default-constructed (then fully written)
-  // the first time `insert` seats a line in it.
+  // block, both uninitialized (make_unique_for_overwrite of trivially
+  // default-constructible types, so no constructor runs and the host
+  // pages are not touched): a 1024-cpu machine carries gigabytes of
+  // cache arrays, and writing them up front would dominate machine
+  // construction. The only eagerly-zeroed state is `way_init_`, one byte
+  // per set: bit w says set's way w has been seated. Unseated ways are
+  // misses by definition and are never read; a way is value-initialized
+  // (then fully written) the first time `insert` seats a line in it.
   std::unique_ptr<Line[]> lines_;
   std::unique_ptr<std::uint64_t[]> words_;
   std::vector<std::uint8_t> way_init_;  // per-set constructed-way bitmask

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "sim/engine.hpp"
@@ -18,14 +19,19 @@ struct DramConfig {
   sim::Cycle access_cycles = 60;    // paper Table 1: 60 CPU cycles
   sim::Cycle occupancy_cycles = 8;  // channel reservation per line access
   /// Derived from stats.histograms by Machine (not a serialized knob):
-  /// record per-access channel queueing into the wait histogram.
+  /// allocate the wait histogram and record per-access channel queueing
+  /// into it.
   bool histograms = false;
 };
 
 class Dram {
  public:
   Dram(sim::Engine& engine, const DramConfig& config)
-      : engine_(engine), config_(config) {}
+      : engine_(engine), config_(config) {
+    if (config_.histograms) {
+      wait_hist_ = std::make_unique<sim::LogHistogram>();
+    }
+  }
 
   /// Reserves the channels and returns the completion time of one line
   /// (or word) access starting now.
@@ -35,15 +41,12 @@ class Dram {
     const sim::Cycle done = start + config_.access_cycles;
     ++accesses_;
     wait_.add(start - engine_.now());
-    if (config_.histograms) wait_hist_.record(start - engine_.now());
+    if (wait_hist_) wait_hist_->record(start - engine_.now());
     return done;
   }
 
   [[nodiscard]] std::uint64_t accesses() const { return accesses_; }
   [[nodiscard]] const sim::Accum& queue_wait() const { return wait_; }
-  [[nodiscard]] const sim::LogHistogram& queue_wait_hist() const {
-    return wait_hist_;
-  }
 
   /// Registers the DRAM counters. Machine calls this only when
   /// stats.histograms is on — the "node<N>.dram" group is entirely new,
@@ -52,8 +55,8 @@ class Dram {
                       const std::string& prefix) const {
     reg.add_counter(prefix + ".accesses", &accesses_);
     reg.add_accum(prefix + ".queue_wait", &wait_);
-    if (config_.histograms) {
-      reg.add_hist(prefix + ".queue_wait_hist", &wait_hist_);
+    if (wait_hist_) {
+      reg.add_hist(prefix + ".queue_wait_hist", wait_hist_.get());
     }
   }
 
@@ -63,8 +66,8 @@ class Dram {
   sim::Cycle busy_until_ = 0;
   std::uint64_t accesses_ = 0;
   sim::Accum wait_;
-  // Cold ~8 KB block, last so the hot members share the leading lines.
-  sim::LogHistogram wait_hist_;
+  // ~8 KB, held out of line and allocated only when config_.histograms.
+  std::unique_ptr<sim::LogHistogram> wait_hist_;
 };
 
 }  // namespace amo::mem

@@ -22,17 +22,17 @@ struct Rec {
   std::uint32_t next_free = kNilIndex;
 };
 
-TEST(AddrTable, MatchesUnorderedMapOracle) {
-  AddrTable<Rec> table;
-  std::unordered_map<std::uint64_t, std::uint64_t> oracle;
-  std::mt19937_64 rng(0xA110CA7ABl);
+/// Runs `ops` random create / find / erase operations on line-aligned
+/// keys drawn from a window of `window` lines, checking the table against
+/// `oracle` after every step. The table and oracle carry over between
+/// calls, so a caller can hold a table small with a narrow window before
+/// widening it.
+void oracle_sweep(AddrTable<Rec>& table,
+                  std::unordered_map<std::uint64_t, std::uint64_t>& oracle,
+                  std::mt19937_64& rng, std::uint64_t window, int ops) {
+  auto random_key = [&] { return (rng() % window) * 128; };
 
-  // Line-aligned keys from a window small enough to guarantee frequent
-  // re-creation of previously erased keys (free-list reuse) and large
-  // enough to push the table through several growth doublings.
-  auto random_key = [&] { return (rng() % 4096) * 128; };
-
-  for (int op = 0; op < 200000; ++op) {
+  for (int op = 0; op < ops; ++op) {
     const std::uint64_t key = random_key();
     switch (rng() % 4) {
       case 0: {  // create-or-touch
@@ -51,7 +51,9 @@ TEST(AddrTable, MatchesUnorderedMapOracle) {
         Rec* r = table.find(key);
         auto it = oracle.find(key);
         ASSERT_EQ(r != nullptr, it != oracle.end());
-        if (r != nullptr) EXPECT_EQ(r->payload, it->second);
+        if (r != nullptr) {
+          EXPECT_EQ(r->payload, it->second);
+        }
         break;
       }
       case 2: {  // erase (entry reset first, per the contract)
@@ -66,7 +68,9 @@ TEST(AddrTable, MatchesUnorderedMapOracle) {
         const Rec* r = ct.find(k2);
         auto it = oracle.find(k2);
         ASSERT_EQ(r != nullptr, it != oracle.end());
-        if (r != nullptr) EXPECT_EQ(r->payload, it->second);
+        if (r != nullptr) {
+          EXPECT_EQ(r->payload, it->second);
+        }
         break;
       }
     }
@@ -79,6 +83,36 @@ TEST(AddrTable, MatchesUnorderedMapOracle) {
     EXPECT_EQ(r->payload, payload);
   }
 }
+
+TEST(AddrTable, MatchesUnorderedMapOracle) {
+  AddrTable<Rec> table;
+  std::unordered_map<std::uint64_t, std::uint64_t> oracle;
+  std::mt19937_64 rng(0xA110CA7ABl);
+  // A window small enough to guarantee frequent re-creation of
+  // previously erased keys (free-list reuse) and large enough to push
+  // the table through several growth doublings.
+  oracle_sweep(table, oracle, rng, 4096, 200000);
+}
+
+// Tables start tiny and grow on demand. Hold each one at a handful of
+// live keys first, so probes wrap and backward-shift deletion runs at
+// 2-, 4- and 8-slot masks, then widen the window to force every growth
+// step from there.
+class AddrTableSmallStart : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(AddrTableSmallStart, MatchesUnorderedMapOracle) {
+  AddrTable<Rec> table(GetParam());
+  std::unordered_map<std::uint64_t, std::uint64_t> oracle;
+  std::mt19937_64 rng(0x5EED0000 + GetParam());
+  for (const std::uint64_t window : {1, 2, 3, 5}) {
+    oracle_sweep(table, oracle, rng, window, 5000);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  oracle_sweep(table, oracle, rng, 4096, 100000);
+}
+
+INSTANTIATE_TEST_SUITE_P(InitialSlots, AddrTableSmallStart,
+                         ::testing::Values(1, 2, 16));
 
 TEST(AddrTable, EraseOfAbsentKeyIsNoop) {
   AddrTable<Rec> table;

@@ -2,9 +2,26 @@
 // peeks, deadlock detection, stats aggregation, and determinism.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <fstream>
 #include <stdexcept>
 
 #include "core/machine.hpp"
+
+// Footprint tests read resident size from /proc/self/statm, so they need
+// Linux, and they skip under ASan and TSan, whose shadow memory shows up
+// in that reading.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define AMO_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define AMO_TEST_SANITIZED 1
+#endif
+#endif
+#if defined(__linux__) && !defined(AMO_TEST_SANITIZED)
+#define AMO_TEST_READS_RSS 1
+#include <unistd.h>
+#endif
 
 namespace amo {
 namespace {
@@ -228,6 +245,38 @@ TEST(Machine, RegistryIndexesEverySubsystem) {
   EXPECT_EQ(m.registry().value("node0.amu.ops").as_uint() +
                 m.registry().value("node1.amu.ops").as_uint(),
             s.amu.ops);
+}
+
+#if defined(AMO_TEST_READS_RSS)
+/// Resident set size of this process in bytes, from /proc/self/statm.
+std::uint64_t resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::uint64_t size_pages = 0;
+  std::uint64_t resident_pages = 0;
+  statm >> size_pages >> resident_pages;
+  return resident_pages * static_cast<std::uint64_t>(sysconf(_SC_PAGESIZE));
+}
+#endif
+
+// Construction pays only for state a run touches: the per-CPU cache
+// arrays stay untouched (uninitialized) until a line is seated, protocol
+// tables start small, and subsystem histograms exist only when
+// stats.histograms is on. Checks a footprint, not a wall time, so the
+// host's speed does not matter.
+TEST(Machine, ConstructionFootprintScalesWithTouchedState) {
+#if !defined(AMO_TEST_READS_RSS)
+  GTEST_SKIP() << "needs /proc/self/statm without sanitizer shadow memory";
+#else
+  core::SystemConfig cfg;
+  cfg.num_cpus = 1024;
+  const std::uint64_t before = resident_bytes();
+  core::Machine m(cfg);
+  const std::uint64_t after = resident_bytes();
+  const std::uint64_t grown = after > before ? after - before : 0;
+  ASSERT_EQ(m.num_cpus(), 1024u);
+  EXPECT_LT(grown, std::uint64_t{64} << 20) << "grew " << (grown >> 20)
+                                            << " MB";
+#endif
 }
 
 }  // namespace

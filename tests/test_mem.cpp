@@ -2,6 +2,9 @@
 // set-associative cache, and the L1 tag filter.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstring>
+#include <new>
 #include <vector>
 
 #include "mem/backing.hpp"
@@ -159,6 +162,98 @@ TEST(Cache, ForEachLineVisitsValidOnly) {
     EXPECT_EQ(line.block, 0x2000u);
   });
   EXPECT_EQ(count, 1);
+}
+
+// The metadata and payload arrays are allocated uninitialized, so a
+// cache may sit on recycled heap blocks full of garbage; untouched ways
+// must still be misses and must never be read. Poison blocks of exactly
+// the two arrays' sizes with 0xA5 and free them right before
+// construction so the allocator is likely to hand them back. (ASan
+// quarantines freed blocks; there the cache gets fresh memory and the
+// test still holds.)
+TEST(Cache, PoisonedHeapReadsAsEmpty) {
+  const CacheGeometry g = tiny_cache();
+  const std::size_t lines = std::size_t{g.num_sets()} * g.ways;
+  const std::size_t meta_bytes = lines * sizeof(Cache::Line);
+  // In the poisoned metadata every way of set s names ghost(s), and its
+  // 0xA5 state byte is not kInvalid: a lookup that read an unseated way
+  // would hit.
+  auto ghost = [](std::uint32_t s) {
+    return 0xA5A5A5A5A5A50000ull + sim::Addr{s} * 0x80;
+  };
+  for (const std::size_t bytes : {meta_bytes, lines * g.line_bytes}) {
+    void* block = ::operator new(bytes);
+    // Volatile stores, so the compiler cannot drop the poison as dead
+    // stores before the delete.
+    auto* poison = static_cast<volatile unsigned char*>(block);
+    for (std::size_t i = 0; i < bytes; ++i) poison[i] = 0xA5;
+    if (bytes == meta_bytes) {
+      for (std::size_t i = 0; i < lines; ++i) {
+        *reinterpret_cast<volatile std::uint64_t*>(
+            poison + i * sizeof(Cache::Line) + offsetof(Cache::Line, block)) =
+            ghost(static_cast<std::uint32_t>(i / g.ways));
+      }
+    }
+    ::operator delete(block);
+  }
+  Cache c(g);
+
+  // Every lookup misses: the ghosts, and line-aligned addresses over
+  // each set.
+  std::uint64_t lookups = 0;
+  for (std::uint32_t s = 0; s < g.num_sets(); ++s) {
+    EXPECT_EQ(c.peek(ghost(s)), nullptr);
+    EXPECT_EQ(c.find(ghost(s)), nullptr);
+    ++lookups;
+  }
+  for (sim::Addr a = 0; a < 16 * 0x200; a += 0x80) {
+    EXPECT_EQ(c.peek(a), nullptr);
+    EXPECT_EQ(c.find(a), nullptr);
+    ++lookups;
+  }
+  EXPECT_EQ(c.stats().misses, lookups);
+  EXPECT_EQ(c.stats().hits, 0u);
+  int visited = 0;
+  c.for_each_line([&](const Cache::Line&) { ++visited; });
+  EXPECT_EQ(visited, 0);
+
+  // Fill every set: the first `ways` inserts per set find a free way.
+  // Set s holds blocks s*0x80 (tag 0) and s*0x80 + 0x200 (tag 1).
+  for (std::uint32_t s = 0; s < g.num_sets(); ++s) {
+    for (sim::Addr tag = 0; tag < g.ways; ++tag) {
+      const sim::Addr block = s * 0x80 + tag * 0x200;
+      EXPECT_FALSE(c.insert(block, LineState::kShared, words(block))
+                       .has_value());
+    }
+  }
+  c.for_each_line([&](const Cache::Line& line) {
+    ++visited;
+    EXPECT_EQ(line.state, LineState::kShared);
+    EXPECT_FALSE(line.pinned);
+    EXPECT_EQ(c.words(line)[0], line.block);
+  });
+  EXPECT_EQ(visited, static_cast<int>(lines));
+  EXPECT_EQ(c.stats().evictions, 0u);
+
+  // Touch tag 0 everywhere, so tag 1 is each set's LRU victim.
+  for (std::uint32_t s = 0; s < g.num_sets(); ++s) {
+    ASSERT_NE(c.find(s * 0x80), nullptr);
+  }
+  for (std::uint32_t s = 0; s < g.num_sets(); ++s) {
+    const sim::Addr block = s * 0x80 + 2 * 0x200;
+    auto victim = c.insert(block, LineState::kModified, words(block));
+    ASSERT_TRUE(victim.has_value());
+    EXPECT_EQ(victim->block, s * 0x80 + 0x200);
+    EXPECT_EQ(victim->state, LineState::kShared);
+    EXPECT_EQ(victim->data[0], victim->block);
+    EXPECT_NE(c.peek(s * 0x80), nullptr);
+    EXPECT_NE(c.peek(block), nullptr);
+  }
+  EXPECT_EQ(c.stats().evictions, g.num_sets());
+  EXPECT_EQ(c.stats().dirty_evictions, 0u);
+  for (std::uint32_t s = 0; s < g.num_sets(); ++s) {
+    EXPECT_EQ(c.peek(ghost(s)), nullptr);
+  }
 }
 
 TEST(TagCache, ProbeFillInvalidate) {
