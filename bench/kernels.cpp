@@ -10,7 +10,6 @@
 #include "bench/scenario.hpp"
 #include "core/machine.hpp"
 #include "sim/stats.hpp"
-#include "sim/timeout.hpp"
 #include "svc/service.hpp"
 #include "sync/barrier.hpp"
 #include "sync/lock.hpp"
@@ -62,13 +61,10 @@ CellResult run_fig1_cell(const core::SystemConfig& cfg, const CellParams& p) {
       if (mech == sync::Mechanism::kMao) {
         while (co_await t.uncached_load(var) != 3) co_await t.delay(400);
       } else {
-        while (co_await t.load(var) != 3) {
-          (void)co_await sim::with_timeout(
-              t.engine(), t.core().cache().line_event(var), 2000);
-        }
+        (void)co_await sync::spin_cached_until(
+            t, var, [](std::uint64_t v) { return v == 3; });
       }
-      done = std::max(done, t.now());  // engine.now() would include
-                                       // harmless leftover timers
+      done = std::max(done, t.now());
     });
   }
   m.run();
@@ -272,10 +268,8 @@ CellResult run_lock_algo_cell(const core::SystemConfig& cfg,
 
 // Spin-wait virtualization cost model: `active` cpus run central-barrier
 // episodes while every other cpu busy-waits on a flag that only flips
-// after the last episode. With the default fallback re-poll, every idle
-// waiter wakes a few times per episode, so host events per episode grow
-// with TOTAL cpus; with spin.recheck_cycles=0 (quiesce) parked waiters
-// are event-free and the per-episode cost tracks the ACTIVE set.
+// after the last episode. Parked waiters cost no events until the flag
+// flips, so host events per episode track the ACTIVE set, not the total.
 CellResult run_spin_cell(const core::SystemConfig& cfg, const CellParams& p) {
   core::Machine m(cfg);
   const std::uint32_t active =
@@ -295,11 +289,11 @@ CellResult run_spin_cell(const core::SystemConfig& cfg, const CellParams& p) {
         co_await barrier->wait(t);
         if (c == 0 && ep == 1) {
           t0 = t.now();
-          e0 = m.engine().real_events_executed();
+          e0 = m.engine().events_executed();
         }
         if (c == 0 && ep == episodes + 1) {
           t1 = t.now();
-          e1 = m.engine().real_events_executed();
+          e1 = m.engine().events_executed();
         }
       }
       if (c == 0) co_await t.store(done_flag, 1);
@@ -323,7 +317,6 @@ CellResult run_spin_cell(const core::SystemConfig& cfg, const CellParams& p) {
     rec["active"] = active;
     rec["mechanism"] = sync::to_string(p.mech);
     rec["episodes"] = episodes;
-    rec["quiesce"] = cfg.spin.recheck_cycles == 0;
     rec["cycles_per_episode"] = cycles_per_ep;
     rec["events_per_episode"] = events_per_ep;
     rec["registry"] = m.stats_json();

@@ -740,10 +740,9 @@ void print_extension_locks(const SweepSpec& s, std::span<const CellResult> r) {
 
 // --------------------------------------------------- microbench_spin
 // Spin-wait virtualization: an AMO central barrier among `active` cpus
-// with every remaining cpu busy-waiting. Each active count runs twice —
-// fallback re-poll (default) vs quiesce (spin.recheck_cycles=0) — so the
-// table shows host events per episode collapsing from O(total cpus) to
-// O(active cpus) while simulated cycles stay put.
+// with every remaining cpu busy-waiting. One cell per active count: host
+// events per episode track the active set, since parked waiters cost
+// nothing until the flag they wait on flips.
 SweepSpec build_microbench_spin(const CliOptions& opt) {
   const auto cpus = resolved_cpus(opt, {256}, {64});
   const std::uint32_t p = cpus.front();
@@ -759,17 +758,12 @@ SweepSpec build_microbench_spin(const CliOptions& opt) {
   s.meta["cpus"] = cpus_json({p});
   s.meta["actives"] = std::move(ja);
   for (std::uint32_t a : actives) {
-    for (const bool quiesce : {false, true}) {
-      Cell c = cell(p, {});
-      c.params.kernel = Kernel::kSpin;
-      c.params.mech = Mechanism::kAmo;
-      c.params.episodes = episodes;
-      c.params.active = a;
-      if (quiesce) {
-        c.set.push_back({"spin.recheck_cycles", sim::Json(std::uint64_t{0})});
-      }
-      s.cells.push_back(std::move(c));
-    }
+    Cell c = cell(p, {});
+    c.params.kernel = Kernel::kSpin;
+    c.params.mech = Mechanism::kAmo;
+    c.params.episodes = episodes;
+    c.params.active = a;
+    s.cells.push_back(std::move(c));
   }
   return s;
 }
@@ -782,22 +776,17 @@ void print_microbench_spin(const SweepSpec& s,
   }
   std::printf("\n== Microbench: spin-wait virtualization at P = %u "
               "(AMO central barrier + idle busy-waiters) ==\n", p);
-  std::printf("%-8s %18s %18s %18s %18s\n", "active", "events/ep (poll)",
-              "events/ep (quiet)", "cycles/ep (poll)", "cycles/ep (quiet)");
-  const std::size_t rows = r.size() / 2;
-  for (std::size_t i = 0; i < rows; ++i) {
-    const CellResult& poll = r[2 * i];
-    const CellResult& quiet = r[2 * i + 1];
+  std::printf("%-8s %12s %12s\n", "active", "events/ep", "cycles/ep");
+  for (std::size_t i = 0; i < r.size(); ++i) {
     std::uint32_t a = 0;
     if (const sim::Json* ja = s.meta.find("actives"); ja != nullptr) {
       a = static_cast<std::uint32_t>(ja->elements()[i].as_uint());
     }
-    std::printf("%-8u %18.0f %18.0f %18.0f %18.0f\n", a, poll.secondary,
-                quiet.secondary, poll.primary, quiet.primary);
+    std::printf("%-8u %12.0f %12.0f\n", a, r[i].secondary, r[i].primary);
   }
-  std::printf("\nexpected shape: quiesced events/episode track the active "
-              "set (near-flat in total P), polled events grow with every "
-              "parked cpu's fallback timer; cycles agree between modes.\n");
+  std::printf("\nexpected shape: events/episode track the active set "
+              "(near-flat in total P): parked waiters cost no events until "
+              "the flag flips.\n");
 }
 
 // --------------------------------------------------- microbench_pdes

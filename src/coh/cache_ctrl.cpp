@@ -1,5 +1,6 @@
 #include "coh/cache_ctrl.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -179,56 +180,25 @@ void CacheCtrl::handle_victim(const mem::Cache::Victim& victim) {
   // Shared victims are dropped silently (Origin-style); the directory's
   // sharer list goes stale and stray invalidations are simply acked.
 
-  // Losing the line is a lost-wakeup hole for a parked spinner (its next
-  // update arrives as a miss it will never issue). The fallback re-poll
-  // timer covers it in default mode; quiesce mode has no timer and must
-  // wake through the event.
-  if (config_.spin_wake_all) notify_line(victim.block);
-}
-
-sim::Future<std::uint64_t> CacheCtrl::line_event(sim::Addr addr) {
-  const sim::Addr block = l2_.line_base(addr);
-  sim::Promise<std::uint64_t> p(engine_);
-  waiter_pool_.push(line_waiters_.get_or_create(block).waiters, p);
-  return p.get_future();
-}
-
-std::coroutine_handle<> CacheCtrl::park_timeout(sim::Addr addr) {
-  SpinPark* s = parked_.find(l2_.line_base(addr));
-  if (s == nullptr || !s->h) return nullptr;
-  ++s->stale;
-  return std::exchange(s->h, nullptr);
+  // A parked spinner that loses its line would never hear of the next
+  // write (it arrives as a miss the spinner never sends): wake it now so
+  // it re-polls and re-fetches.
+  notify_line(victim.block);
 }
 
 void CacheCtrl::notify_line(sim::Addr block) {
-  LineWait* w = line_waiters_.find(block);
-  if (w != nullptr) {
-    // Detach the queue and release the entry before completing waiters:
-    // set_value only schedules zero-cycle events, but a completion
-    // callback could still re-register on this block, and it must land in
-    // a fresh entry rather than the drained queue.
-    ds::WaitPool<sim::Promise<std::uint64_t>>::Queue q = w->waiters;
-    w->waiters = {};
-    line_waiters_.erase(block);
-    while (!waiter_pool_.empty(q)) {
-      auto p = waiter_pool_.pop(q);
-      if (!p.completed()) p.set_value(0);
-    }
-  }
   SpinPark* s = parked_.find(block);
-  if (s == nullptr) return;
-  // Pads replay the stale-waiter flushes of the per-poll scheme: one
-  // zero-cycle no-op per fallback re-poll survived since the last event.
-  const std::uint32_t pads = std::exchange(s->stale, 0);
-  for (std::uint32_t i = 0; i < pads; ++i) engine_.schedule(0, [] {});
-  if (s->h) {
-    const auto h = std::exchange(s->h, nullptr);
-    // Two-event chain mirrors the old watch-resume -> out-resume pair, so
-    // the spinner re-enters at the same cycle and FIFO slot as before.
-    engine_.schedule(0, [this, h] {
-      engine_.schedule(0, [h] { h.resume(); });
-    });
-  }
+  if (s == nullptr || !s->h) return;
+  engine_.schedule(0, [h = std::exchange(s->h, nullptr)] { h.resume(); });
+}
+
+std::vector<sim::Addr> CacheCtrl::parked_lines() const {
+  std::vector<sim::Addr> lines;
+  parked_.for_each([&lines](sim::Addr block, const SpinPark& s) {
+    if (s.h) lines.push_back(block);
+  });
+  std::sort(lines.begin(), lines.end());
+  return lines;
 }
 
 void CacheCtrl::complete_mshr(sim::Addr block) {
@@ -378,9 +348,9 @@ void CacheCtrl::on_recall(sim::Addr block, bool exclusive,
 void CacheCtrl::on_word_update(sim::Addr addr, std::uint64_t value) {
   mem::Cache::Line* line = l2_.find(addr, /*touch=*/false);
   if (line == nullptr) {
-    // Stale sharer: drop; a reload re-fetches. Under quiesce the update
-    // must still wake a parked spinner (second lost-wakeup hole).
-    if (config_.spin_wake_all) notify_line(l2_.line_base(addr));
+    // Stale sharer (the S copy was dropped silently): nothing to update,
+    // but a parked spinner must still wake and re-fetch the new value.
+    notify_line(l2_.line_base(addr));
     return;
   }
   ++stats_.word_updates;

@@ -42,11 +42,6 @@ struct CacheCtrlConfig {
   /// Latency to service an external probe (recall / invalidation): tag
   /// lookup, state machine, and response queueing at the cache.
   sim::Cycle probe_resp_cycles = 40;
-  /// Quiesce mode (spin recheck disabled): also wake parked spinners on
-  /// line eviction and on word updates for absent lines. Those paths are
-  /// lost-wakeup holes that the fallback re-poll timer papers over in
-  /// default mode; with no timer they must wake through events.
-  bool spin_wake_all = false;
   /// Derived from stats.histograms by Machine (not a serialized knob):
   /// allocate CacheCtrlStats::mshr_residency_hist and record MSHR
   /// residency (allocation to completion) into it.
@@ -111,20 +106,11 @@ class CacheCtrl final : public CacheIface {
   void on_word_update(sim::Addr addr, std::uint64_t value) override;
 
   // ------------------------------------------------- spin-wait support
-  /// Future that completes at the next coherence event touching `addr`'s
-  /// line (data fill, invalidation, word update, local write). Spin loops
-  /// use it to sleep between polls without burning simulated or host
-  /// cycles; they must still re-poll on a fallback timer, since an event
-  /// can slip between the poll and the registration.
-  [[nodiscard]] sim::Future<std::uint64_t> line_event(sim::Addr addr);
-
   /// Parks the calling coroutine on `addr`'s line until the next
-  /// coherence event touching it. Unlike line_event, the registration is
-  /// persistent: a spin that re-polls K times on its fallback timer (see
-  /// park_timeout) re-arms the same entry instead of stacking K stale
-  /// waiters. Wake-up replays the exact zero-cycle event geometry of the
-  /// per-poll line_event scheme (`stale` pad events, then a two-event
-  /// resume chain), so default-mode runs stay byte-identical to it.
+  /// coherence event touching it: data fill, invalidation, word update
+  /// (also for a silently dropped copy), local write, or eviction. The
+  /// registration is persistent: a spin woken K times by events that do
+  /// not satisfy it re-arms the same entry instead of stacking K waiters.
   struct ParkAwaiter {
     CacheCtrl& ctrl;
     sim::Addr block;
@@ -139,29 +125,15 @@ class CacheCtrl final : public CacheIface {
   [[nodiscard]] ParkAwaiter park(sim::Addr addr) {
     return ParkAwaiter{*this, l2_.line_base(addr)};
   }
-  /// Fallback-timer path: detaches the parked handle (the spinner is
-  /// about to re-poll) and records one stale pad, mirroring the stale
-  /// waiter the old scheme would have left behind. Returns the handle to
-  /// resume, or null if nothing is parked.
-  std::coroutine_handle<> park_timeout(sim::Addr addr);
   /// Drops the park entry once the spin is satisfied (or torn down).
   void unpark(sim::Addr addr) { parked_.erase(l2_.line_base(addr)); }
 
-  /// Quiesce-mode accounting: folds `polls` elided fallback re-polls into
-  /// the counters they would have bumped (an L1-hit load is an L2 read).
-  void account_spin_polls(std::uint64_t polls) {
-    stats_.loads += polls;
-    l2_.stats().hits += polls;
-  }
-  /// Cost of one cached re-poll (L1 hit latency); quiesce accounting uses
-  /// it to reconstruct the fallback re-poll cadence.
-  [[nodiscard]] sim::Cycle poll_cycles() const { return config_.l1_cycles; }
-
   // -------------------------------------- waiter-leak introspection
   [[nodiscard]] std::size_t parked_entries() const { return parked_.size(); }
-  [[nodiscard]] std::size_t line_waiter_entries() const {
-    return line_waiters_.size();
-  }
+  /// Lines with a spinner currently suspended in park(), ascending.
+  /// Machine::run names them when the event queue drains with threads
+  /// still blocked.
+  [[nodiscard]] std::vector<sim::Addr> parked_lines() const;
 
   // ---------------------------------------------------- introspection
   [[nodiscard]] sim::CpuId cpu() const { return cpu_; }
@@ -179,9 +151,9 @@ class CacheCtrl final : public CacheIface {
   [[nodiscard]] bool link_armed() const { return link_valid_; }
 
  private:
-  // MSHRs and line-event waiter lists live in ds::AddrTable entries (the
-  // same open-addressing + slab-pooled container the directory uses for
-  // its line entries); their waiter FIFOs draw nodes from the shared
+  // MSHRs and parked spins live in ds::AddrTable entries (the same
+  // open-addressing + slab-pooled container the directory uses for its
+  // line entries); MSHR waiter FIFOs draw nodes from the shared
   // `waiter_pool_`, so a steady-state miss or spin-wait costs no heap
   // allocation.
   struct Mshr {
@@ -189,17 +161,11 @@ class CacheCtrl final : public CacheIface {
     sim::Cycle born = 0;  // allocation time, for the residency histogram
     std::uint32_t next_free = ds::kNilIndex;  // intrusive AddrTable link
   };
-  struct LineWait {
-    ds::WaitPool<sim::Promise<std::uint64_t>>::Queue waiters;
-    std::uint32_t next_free = ds::kNilIndex;
-  };
   // A parked spinner: one persistent entry per (line, controller), alive
-  // across fallback re-polls. `stale` counts timer-detached re-polls since
-  // the last line event — the pads owed at the next notify (they stand in
-  // for the stale waiters the per-poll scheme would have flushed).
+  // across wake-ups until the spin is satisfied. `h` is null while the
+  // spinner is awake and re-polling.
   struct SpinPark {
     std::coroutine_handle<> h;
-    std::uint32_t stale = 0;
     std::uint32_t next_free = ds::kNilIndex;
   };
 
@@ -233,7 +199,6 @@ class CacheCtrl final : public CacheIface {
   mem::Cache l2_;
   mem::TagCache l1_;
   ds::AddrTable<Mshr> mshr_;
-  ds::AddrTable<LineWait> line_waiters_;
   ds::AddrTable<SpinPark> parked_;
   ds::WaitPool<sim::Promise<std::uint64_t>> waiter_pool_;
 

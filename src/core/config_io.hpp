@@ -64,8 +64,6 @@ void visit_config_fields(Config& c, Visitor&& v) {
   v("am_server.invoke_cycles", c.am_server.invoke_cycles);
   v("am_server.handler_cycles", c.am_server.handler_cycles);
   v("am_timeout_cycles", c.am_timeout_cycles);
-  v("spin.recheck_cycles", c.spin.recheck_cycles);
-  v("spin.exact_accounting", c.spin.exact_accounting);
   v("spin.uncached_watch", c.spin.uncached_watch);
   v("spin.watch_repoll_cycles", c.spin.watch_repoll_cycles);
   v("spin.llsc_watch_after", c.spin.llsc_watch_after);

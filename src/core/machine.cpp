@@ -20,18 +20,14 @@ Machine::Machine(const SystemConfig& config)
   for (std::uint32_t d = 0; d < domains_.count(); ++d) {
     backings_.emplace_back(config_.line_bytes());
   }
-  // Spin quiescence touches two subsystems: the cache controller must
-  // close its lost-wakeup holes once the fallback re-poll timer is gone,
-  // and the directory must accept word-watch registrations when uncached
-  // or LL/SC spins park at the home node. Both stay inert by default.
-  const bool quiesce = config_.spin.recheck_cycles == 0;
+  // The directory accepts word-watch registrations only when uncached or
+  // LL/SC spins park at the home node; it stays inert by default.
   const bool watch = config_.spin.uncached_watch ||
                      config_.spin.llsc_watch_after != 0;
-  config_.cache.spin_wake_all = quiesce;
   config_.dir.word_watch = watch;
   // One observability knob fans out to every subsystem's derived flag
-  // (same pattern as quiesce/watch above): default-off keeps recording
-  // branches cold and registry dumps byte-identical.
+  // (same pattern as watch above): default-off keeps recording branches
+  // cold and registry dumps byte-identical.
   const bool hists = config_.stats.histograms;
   config_.cache.histograms = hists;
   config_.dir.histograms = hists;
@@ -151,8 +147,8 @@ Machine::Machine(const SystemConfig& config)
     cores_[c]->cache().register_stats(registry_,
                                       "cpu" + std::to_string(c) + ".cache");
   }
-  if (quiesce || watch) {
-    // Conditional so default-mode registry dumps stay byte-identical.
+  if (watch) {
+    // Conditional: a default machine pays for no per-CPU spin entries.
     for (sim::CpuId c = 0; c < config_.num_cpus; ++c) {
       ctxs_[c]->register_spin_stats(registry_,
                                     "cpu" + std::to_string(c) + ".spin");
@@ -216,6 +212,14 @@ void Machine::run() {
     std::ostringstream oss;
     oss << "Machine::run: event queue drained with " << pending_threads()
         << " thread(s) still blocked (deadlock)";
+    // A parked spin wakes only on a coherence event, so a missed wake
+    // shows up here: name each such waiter and the line it waits on.
+    for (sim::CpuId c = 0; c < config_.num_cpus; ++c) {
+      for (const sim::Addr line : cores_[c]->cache().parked_lines()) {
+        oss << "\n  cpu" << c << " parked on line 0x" << std::hex << line
+            << std::dec << " (home node " << coh::home_of(line) << ")";
+      }
+    }
     throw std::runtime_error(oss.str());
   }
 }

@@ -1,11 +1,10 @@
-// Spin-wait virtualization knobs (ROADMAP: "make waiting free").
+// Spin-wait model knobs.
 //
-// Default values reproduce the paper-parity behaviour exactly: cached
-// spins sleep on the cache controller's line events with a 2000-cycle
-// fallback re-poll, uncached (MAO-style) spins genuinely poll. The
-// quiesce settings trade those residual polls for directory/AMU wake
-// events plus synthesized accounting, making the simulated cost of
-// waiting proportional to the traffic that ends the wait.
+// Cached spins always park on the cache controller and wake on coherence
+// events (sync/spin.hpp); there is nothing to configure about them. The
+// knobs below change the *model* of the other spin kinds and are off by
+// default, which is paper-parity: uncached (MAO-style) spins genuinely
+// poll, and LL/SC or CAS retries re-fetch immediately.
 #pragma once
 
 #include <cstdint>
@@ -15,19 +14,6 @@
 namespace amo::core {
 
 struct SpinConfig {
-  /// Fallback re-poll period for event-driven cached spins. 0 = quiesce:
-  /// no fallback timer at all; wake-ups come purely from coherence events
-  /// (plus the eviction / absent-line update hooks in the cache
-  /// controller, and the directory word-watch for uncached spins).
-  sim::Cycle recheck_cycles = 2000;
-
-  /// When quiescing, synthesize the counters the elided fallback re-polls
-  /// would have produced (loads, L2 hits, event pushes/executes, and the
-  /// final pending-timer no-op that pins end-of-run time), so statistics
-  /// stay comparable with — and in collision-free runs byte-identical
-  /// to — non-quiesced runs.
-  bool exact_accounting = true;
-
   /// Route uncached (MAO-style) spin polls through the home directory's
   /// word-watch: register once with the last-seen value, wake on the next
   /// uncached/AMU write to the word. Polls elided between wakes are

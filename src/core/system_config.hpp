@@ -31,7 +31,7 @@ struct SystemConfig {
   amu::AmuConfig amu;           // AMU cache size, op latency, put policy
   cpu::AmServerConfig am_server;
   sim::Cycle am_timeout_cycles = 20000;
-  SpinConfig spin;        // spin-wait virtualization / quiescence knobs
+  SpinConfig spin;        // spin-wait model knobs (word-watch, LL/SC)
   HierConfig hier;        // hierarchy-aware synchronization knobs
   ServiceConfig service;  // sharded-service workload knobs
   StatsConfig stats;      // observability (latency histograms)

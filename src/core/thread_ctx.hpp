@@ -19,12 +19,12 @@
 
 namespace amo::core {
 
-/// Per-thread spin-virtualization counters. Registered into the stats
-/// registry only when a quiesce feature is enabled, so default-mode
-/// registry dumps are unchanged.
+/// Per-thread spin-wait counters. Registered into the stats registry only
+/// when a SpinConfig watch knob is on, so a default machine carries no
+/// per-CPU spin entries.
 struct SpinStats {
   std::uint64_t parked_wakes = 0;   // cached-spin event-driven wake-ups
-  std::uint64_t elided_polls = 0;   // polls quiescence never issued
+  std::uint64_t elided_polls = 0;   // uncached polls a word-watch skipped
   std::uint64_t watch_waits = 0;    // uncached word-watch registrations
 };
 

@@ -11,8 +11,9 @@
 // cache lines), stores entries in fixed slabs (stable addresses, recycled
 // through an intrusive free list), and never allocates in steady state.
 //
-// Determinism: iteration order is never exposed — only keyed lookup —
-// so replacing a map with this table cannot perturb event ordering.
+// Determinism: the hot path uses only keyed lookup, so replacing a map
+// with this table cannot perturb event ordering. The one walk, for_each,
+// serves diagnostics and visits entries in slot (hash) order.
 #pragma once
 
 #include <cassert>
@@ -121,6 +122,15 @@ class AddrTable {
   }
 
   [[nodiscard]] std::size_t size() const { return count_; }
+
+  /// Calls `fn(key, entry)` for every entry, in slot order: neither
+  /// insertion nor address order, so callers that print sort first.
+  template <typename Fn>
+  void for_each(Fn fn) const {
+    for (const Slot& s : slots_) {
+      if (s.idx != kNilIndex) fn(s.key, at(s.idx));
+    }
+  }
 
  private:
   struct Slot {

@@ -88,25 +88,12 @@ class Engine {
   /// window scheduler reads this across engines to pick the next window.
   [[nodiscard]] Cycle next_time() const { return queue_.next_time(); }
 
-  /// Total events ever scheduled (throughput metric). Includes events
-  /// synthesized by quiesce-mode accounting (see account_synthetic_events).
+  /// Total events ever scheduled (throughput metric).
   [[nodiscard]] std::uint64_t events_scheduled() const {
     return queue_.total_pushed();
   }
-  /// Total events executed by run()/step(), plus synthesized ones.
+  /// Total events executed by run()/step().
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
-
-  /// Folds `n` synthesized push/execute pairs into the event counters
-  /// without running anything. Quiesce-mode spin accounting uses this to
-  /// charge the events its elided fallback re-polls would have cost, so
-  /// throughput statistics stay comparable with non-quiesced runs.
-  void account_synthetic_events(std::uint64_t n) {
-    executed_ += n;
-    synthetic_ += n;
-    queue_.account_synthetic_pushes(n);
-  }
-  /// Synthesized (never actually executed) share of events_executed().
-  [[nodiscard]] std::uint64_t synthetic_events() const { return synthetic_; }
 
   // ---------------------------------------- leak introspection (tests)
   /// Events currently pending in the ladder queue.
@@ -116,11 +103,6 @@ class Engine {
   /// concurrently armed timers — growth under a steady workload is a leak.
   [[nodiscard]] std::size_t timer_cells_allocated() const {
     return timer_cells_.size();
-  }
-  /// Events genuinely popped and run — the host-cost metric quiescence
-  /// shrinks (microbench_spin reports this).
-  [[nodiscard]] std::uint64_t real_events_executed() const {
-    return executed_ - synthetic_;
   }
 
   /// Registers the engine's counters (and the queue's, under
@@ -172,7 +154,6 @@ class Engine {
 
   Cycle now_ = 0;
   std::uint64_t executed_ = 0;
-  std::uint64_t synthetic_ = 0;
   LogHistogram* dispatch_hist_ = nullptr;  // owned by Machine; may be null
   EventQueue queue_;
   std::vector<TimerCell> timer_cells_;

@@ -66,10 +66,6 @@ class EventQueue {
   /// Total number of events ever pushed (for throughput accounting).
   [[nodiscard]] std::uint64_t total_pushed() const { return seq_; }
 
-  /// Folds `n` synthesized pushes into the push counter without queueing
-  /// anything (quiesce-mode spin accounting; see Engine).
-  void account_synthetic_pushes(std::uint64_t n) { seq_ += n; }
-
   /// Registers queue-level counters into a stats registry.
   void register_stats(StatsRegistry& reg, const std::string& prefix) const;
 

@@ -1,20 +1,13 @@
 // Spin-wait helpers.
 //
-// Cached spinning is event-driven: between polls the waiter parks on the
-// cache controller's per-line spin slot (it wakes on invalidations, data
-// fills, word updates, and local writes), with a cancelable fallback
-// re-poll timer to cover events that slip between the poll and the
-// registration. The parked registration is persistent — a spin surviving
-// K fallback re-polls holds exactly one waiter, not K — and the fallback
-// timer is released the moment either side wins, so long waits accumulate
-// no garbage. This keeps simulation cost proportional to coherence
-// traffic — which is also what a real spinner costs the machine.
-//
-// Quiesce mode (SpinConfig::recheck_cycles == 0) removes the fallback
-// timer entirely: waiting costs zero events until the wake-up arrives,
-// and the polls that never ran are synthesized into the statistics (see
-// detail::account_cached_segment) so collision-free runs report the same
-// counters either way.
+// Cached spinning is event-driven: after a poll that does not satisfy the
+// wait, the spinner parks on the cache controller's per-line spin slot and
+// re-polls only when a coherence event touches the line (invalidation,
+// data fill, word update, local write, eviction). Waiting costs zero
+// events until that wave arrives, which is also what a tight spin loop on
+// a real machine costs: it hits in its own cache until the line changes.
+// The registration is persistent across wake-ups, so a spin woken K times
+// by non-satisfying events holds exactly one entry, not K.
 #pragma once
 
 #include <algorithm>
@@ -25,81 +18,19 @@
 
 namespace amo::sync {
 
-/// Default fallback re-poll period for event-driven cached spins (the
-/// SpinConfig default; kept for callers that pin the period explicitly).
-inline constexpr sim::Cycle kSpinRecheckCycles = 2000;
-
-/// Sentinel: resolve the re-poll period from the thread's SpinConfig.
-inline constexpr sim::Cycle kSpinUseConfig = ~sim::Cycle{0};
-
-namespace detail {
-
-/// Quiesce-mode accounting for one parked interval [parked_at, now):
-/// reconstructs the K fallback re-polls the default mode would have run
-/// (period = recheck + one L1-hit poll) and folds in the loads, L2 hits,
-/// and event pushes/executes they would have cost. One real no-op event
-/// is scheduled at the cycle the still-pending fallback timer would have
-/// fired, pinning end-of-run time to the default-mode value.
-inline void account_cached_segment(core::ThreadCtx& t, sim::Cycle parked_at,
-                                   sim::Cycle recheck_ref) {
-  const sim::Cycle poll = t.core().cache().poll_cycles();
-  const sim::Cycle period = recheck_ref + poll;
-  const sim::Cycle waited = t.now() - parked_at;
-  const std::uint64_t k =
-      waited > recheck_ref ? 1 + (waited - recheck_ref - 1) / period : 0;
-  t.core().cache().account_spin_polls(k);
-  t.spin_stats().elided_polls += k;
-  // Per elided re-poll: timer resume, load event, re-armed timer, and the
-  // wake pad it would have owed — 4 push/execute pairs.
-  t.engine().account_synthetic_events(4 * k);
-  t.engine().schedule_at(parked_at + k * period + recheck_ref, [] {});
-}
-
-}  // namespace detail
-
 /// Spins on a *cacheable* word until `done(value)`; returns the final
 /// value. The spinning itself is free of network traffic while the copy
 /// stays valid — exactly the conventional-barrier behaviour the paper
 /// analyses.
 template <typename DoneFn>
 sim::Task<std::uint64_t> spin_cached_until(core::ThreadCtx& t, sim::Addr addr,
-                                           DoneFn done,
-                                           sim::Cycle recheck =
-                                               kSpinUseConfig) {
-  if (recheck == kSpinUseConfig) recheck = t.spin().recheck_cycles;
+                                           DoneFn done) {
   std::uint64_t v = co_await t.load(addr);
   if (done(v)) co_return v;
   auto& cache = t.core().cache();
-  sim::Engine& engine = t.engine();
-  if (recheck == 0) {
-    // Quiesce: no fallback timer. Waiting is free; the wake must come
-    // from a coherence event (spin_wake_all closes the eviction and
-    // absent-line-update holes).
-    for (;;) {
-      const sim::Cycle parked_at = t.now();
-      co_await cache.park(addr);
-      ++t.spin_stats().parked_wakes;
-      if (t.spin().exact_accounting) {
-        detail::account_cached_segment(t, parked_at, kSpinRecheckCycles);
-      }
-      v = co_await t.load(addr);
-      if (done(v)) {
-        cache.unpark(addr);
-        co_return v;
-      }
-    }
-  }
   for (;;) {
-    // The fallback timer detaches the parked handle and re-polls; a line
-    // event cancels it (the queued slot fires as a tombstone no-op).
-    sim::Engine::TimerHandle timer =
-        engine.schedule_cancelable(recheck, [&cache, &engine, addr] {
-          if (auto h = cache.park_timeout(addr)) {
-            engine.schedule(0, [h] { h.resume(); });
-          }
-        });
     co_await cache.park(addr);
-    timer.cancel();
+    ++t.spin_stats().parked_wakes;
     v = co_await t.load(addr);
     if (done(v)) {
       cache.unpark(addr);
@@ -138,12 +69,10 @@ sim::Task<std::uint64_t> spin_uncached_until(core::ThreadCtx& t,
       const sim::Cycle parked_at = t.now();
       const std::optional<std::uint64_t> w = co_await sim::with_timeout(
           t.engine(), wake, t.spin().watch_repoll_cycles);
-      if (t.spin().exact_accounting) {
-        // Elided polls ≈ parked interval over the observed poll cadence
-        // (last round-trip plus the backoff the loop would have added).
-        const sim::Cycle cadence = std::max<sim::Cycle>(1, poll_cost + wait);
-        t.spin_stats().elided_polls += (t.now() - parked_at) / cadence;
-      }
+      // Elided polls ≈ parked interval over the observed poll cadence
+      // (last round-trip plus the backoff the loop would have added).
+      const sim::Cycle cadence = std::max<sim::Cycle>(1, poll_cost + wait);
+      t.spin_stats().elided_polls += (t.now() - parked_at) / cadence;
       if (w.has_value()) {
         // The wake carries the word's new value: decide on it directly
         // and re-arm without an intervening uncached poll.

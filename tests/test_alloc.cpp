@@ -149,26 +149,24 @@ TEST(AllocCount, AmoBarrierEpisodeSteadyStateIsAllocationFree) {
 }
 
 // The spin-virtualization layer's version of the same claim: a complete
-// cached-spin episode — park registration, fallback re-poll timers
-// arming, firing, and re-arming, detach/re-park, the final line-event
-// wake — stays allocation-free once the frame and timer-cell pools are
-// warm. Each episode survives ~16 fallback timeouts before release.
-TEST(AllocCount, CachedSpinEpisodeWithFallbackTimeoutsIsAllocationFree) {
+// cached-spin episode — park registration, a wake by a store that does
+// not satisfy the spin, re-park, and the final wake — stays
+// allocation-free once the frame pool is warm.
+TEST(AllocCount, CachedSpinEpisodeIsAllocationFree) {
   core::SystemConfig cfg;
   cfg.num_cpus = 2;
   core::Machine m(cfg);
   const sim::Addr flag = m.galloc().alloc_word_line(0);
   constexpr int kWarmup = 8;
   constexpr int kEpisodes = 24;
-  constexpr sim::Cycle kRecheck = 250;
-  constexpr sim::Cycle kHold = 4000;
+  constexpr sim::Cycle kHold = 2000;
   std::uint64_t before = 0;
   std::uint64_t after = 0;
   m.spawn(0, [&](core::ThreadCtx& t) -> sim::Task<void> {
     for (int ep = 1; ep <= kEpisodes; ++ep) {
-      const auto goal = static_cast<std::uint64_t>(ep);
+      const auto goal = static_cast<std::uint64_t>(2 * ep);
       co_await sync::spin_cached_until(
-          t, flag, [goal](std::uint64_t x) { return x >= goal; }, kRecheck);
+          t, flag, [goal](std::uint64_t x) { return x >= goal; });
       if (ep == kWarmup) before = g_news.load();
       if (ep == kEpisodes) after = g_news.load();
     }
@@ -176,7 +174,9 @@ TEST(AllocCount, CachedSpinEpisodeWithFallbackTimeoutsIsAllocationFree) {
   m.spawn(1, [&](core::ThreadCtx& t) -> sim::Task<void> {
     for (int ep = 1; ep <= kEpisodes; ++ep) {
       co_await t.compute(kHold);
-      co_await t.store(flag, static_cast<std::uint64_t>(ep));
+      co_await t.store(flag, static_cast<std::uint64_t>(2 * ep - 1));
+      co_await t.compute(kHold);
+      co_await t.store(flag, static_cast<std::uint64_t>(2 * ep));
     }
   });
   m.run();

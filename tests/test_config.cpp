@@ -57,15 +57,30 @@ TEST(ConfigIo, NestedAndDottedSpellingsCompose) {
   EXPECT_EQ(a.seed, 9u);
 }
 
+// Unknown keys (typos, and knobs that no longer exist) are rejected with
+// the offending key first and the nearest real field among the candidates.
 TEST(ConfigIo, UnknownKeyNamesFieldAndCandidates) {
-  core::SystemConfig cfg;
-  try {
-    core::apply_json(cfg, sim::Json::parse(R"({"dir.occupnacy": 1})"));
-    FAIL() << "expected ConfigError";
-  } catch (const core::ConfigError& e) {
-    const std::string msg = e.what();
-    EXPECT_EQ(msg.rfind("dir.occupnacy", 0), 0u) << msg;
-    EXPECT_NE(msg.find("dir.occupancy_cycles"), std::string::npos) << msg;
+  struct Case {
+    const char* key;
+    const char* candidate;
+  };
+  const Case cases[] = {
+      {"dir.occupnacy", "dir.occupancy_cycles"},
+      {"spin.recheck_cycles", "spin.watch_repoll_cycles"},
+      {"spin.exact_accounting", "spin.uncached_watch"},
+  };
+  for (const Case& c : cases) {
+    core::SystemConfig cfg;
+    sim::Json j = sim::Json::object();
+    j[c.key] = std::uint64_t{1};
+    try {
+      core::apply_json(cfg, j);
+      ADD_FAILURE() << "expected ConfigError for " << c.key;
+    } catch (const core::ConfigError& e) {
+      const std::string msg = e.what();
+      EXPECT_EQ(msg.rfind(c.key, 0), 0u) << msg;
+      EXPECT_NE(msg.find(c.candidate), std::string::npos) << msg;
+    }
   }
 }
 

@@ -124,14 +124,9 @@ TEST(Shapes, DelayedPutBeatsEagerAtScale) {
             bench::run_barrier(eager_cfg, params).cycles_per_barrier);
 }
 
-bench::CellResult spin_cell_at(std::uint32_t cpus, std::uint32_t active,
-                               bool quiesce) {
+bench::CellResult spin_cell_at(std::uint32_t cpus, std::uint32_t active) {
   core::SystemConfig cfg;
   cfg.num_cpus = cpus;
-  if (quiesce) {
-    cfg.spin.recheck_cycles = 0;
-    cfg.spin.exact_accounting = true;
-  }
   bench::CellParams p;
   p.kernel = bench::Kernel::kSpin;
   p.mech = Mechanism::kAmo;
@@ -143,36 +138,21 @@ bench::CellResult spin_cell_at(std::uint32_t cpus, std::uint32_t active,
 TEST(Shapes, MicrobenchSpinDoubleRunIdentity) {
   // The spin kernel is deterministic: two runs of the same cell agree in
   // every reported field (cycles, host events, traffic).
-  for (const bool quiesce : {false, true}) {
-    const bench::CellResult a = spin_cell_at(16, 4, quiesce);
-    const bench::CellResult b = spin_cell_at(16, 4, quiesce);
-    EXPECT_EQ(a.primary, b.primary) << "quiesce=" << quiesce;
-    EXPECT_EQ(a.secondary, b.secondary) << "quiesce=" << quiesce;
-    EXPECT_EQ(a.aux, b.aux) << "quiesce=" << quiesce;
-    EXPECT_EQ(a.traffic.packets, b.traffic.packets);
-    EXPECT_EQ(a.traffic.bytes, b.traffic.bytes);
-  }
-}
-
-TEST(Shapes, SpinQuiescenceCutsHostEventsNotCycles) {
-  // Quiesce mode with exact accounting changes what the HOST executes,
-  // never what the simulated machine does: per-episode cycles (primary)
-  // are identical, while real executed events per episode (secondary,
-  // and aux in total) drop because idle busy-waiters stop paying
-  // fallback re-poll events.
-  const bench::CellResult poll = spin_cell_at(32, 4, false);
-  const bench::CellResult quiet = spin_cell_at(32, 4, true);
-  EXPECT_EQ(poll.primary, quiet.primary);
-  EXPECT_LT(quiet.secondary, poll.secondary);
-  EXPECT_LT(quiet.aux, poll.aux);
+  const bench::CellResult a = spin_cell_at(16, 4);
+  const bench::CellResult b = spin_cell_at(16, 4);
+  EXPECT_EQ(a.primary, b.primary);
+  EXPECT_EQ(a.secondary, b.secondary);
+  EXPECT_EQ(a.aux, b.aux);
+  EXPECT_EQ(a.traffic.packets, b.traffic.packets);
+  EXPECT_EQ(a.traffic.bytes, b.traffic.bytes);
 }
 
 TEST(Shapes, SpinQuiesceEventsScaleWithActiveCores) {
   // The virtualization claim at shape level: host events per episode
   // grow with the number of ACTIVE cores, not with machine size — the
   // parked majority contributes (almost) nothing.
-  const std::uint64_t small = spin_cell_at(64, 4, true).aux;
-  const std::uint64_t large = spin_cell_at(64, 32, true).aux;
+  const std::uint64_t small = spin_cell_at(64, 4).aux;
+  const std::uint64_t large = spin_cell_at(64, 32).aux;
   EXPECT_LT(small * 2, large);
 }
 

@@ -3,16 +3,24 @@
 //
 // The bugs these pin down: with_timeout used to leak its timeout callback
 // (and the watcher coroutine frame) whenever the future completed first,
-// and a cached spin that survived K fallback re-polls used to stack K
-// stale waiters on the cache controller's line-event list. Every test
-// here measures pool/queue/table sizes across many repetitions, so a
-// reintroduced leak shows up as monotone growth rather than a one-off.
+// and a cached spin woken K times used to stack K stale waiters on the
+// cache controller. The leak tests measure pool/queue/table sizes across
+// many repetitions, so a reintroduced leak shows up as monotone growth
+// rather than a one-off.
+//
+// A parked cached spin has no timer: it wakes only on a coherence event.
+// The lost-wakeup tests drive the two paths where the line's next change
+// would otherwise never reach the spinner (eviction, and a word update
+// for a silently dropped copy); a missed wake there is a deadlock.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "core/machine.hpp"
 #include "sim/engine.hpp"
@@ -87,54 +95,54 @@ TEST(SpinLeaks, CompletionBeforeTimeoutReleasesTheTimer) {
 
 // --------------------------------------------- cached spin (machine)
 
-// A spin that survives K fallback re-polls holds exactly ONE parked
-// waiter for the whole stretch — not K stale line-event waiters.
+// A spin woken K times by stores that do not satisfy it holds exactly ONE
+// parked entry for the whole stretch — not K.
 TEST(SpinLeaks, SpinSurvivingRepollsHoldsExactlyOneWaiter) {
   core::SystemConfig cfg;
   cfg.num_cpus = 2;
   core::Machine m(cfg);
   const sim::Addr flag = m.galloc().alloc_word_line(0);
-  constexpr sim::Cycle kRecheck = 500;
-  constexpr sim::Cycle kRelease = 20000;  // ~40 fallback re-polls
+  constexpr std::uint64_t kStores = 40;
+  constexpr sim::Cycle kGap = 500;
+  constexpr sim::Cycle kRelease = kStores * kGap;
   std::size_t max_parked = 0;
-  std::size_t max_line_waiters = 0;
   std::size_t samples_parked = 0;
   std::size_t samples = 0;
-  // Sample the waiter tables while cpu 0 is mid-spin. The stride is
-  // coprime to the re-poll period so samples land all over the cadence.
+  std::uint64_t wakes = 0;
+  // Sample the park table while cpu 0 is mid-spin. The stride is coprime
+  // to the store period so samples land all over the cadence.
   for (sim::Cycle at = 2000; at < kRelease; at += 977) {
     m.engine().schedule_at(at, [&] {
       ++samples;
       const auto& cache = m.core(0).cache();
       max_parked = std::max(max_parked, cache.parked_entries());
-      max_line_waiters =
-          std::max(max_line_waiters, cache.line_waiter_entries());
       if (cache.parked_entries() == 1) ++samples_parked;
     });
   }
   m.spawn(0, [&](core::ThreadCtx& t) -> sim::Task<void> {
     const std::uint64_t v = co_await sync::spin_cached_until(
-        t, flag, [](std::uint64_t x) { return x != 0; }, kRecheck);
-    EXPECT_EQ(v, 1u);
+        t, flag, [](std::uint64_t x) { return x > kStores; });
+    EXPECT_EQ(v, kStores + 1);
+    wakes = t.spin_stats().parked_wakes;
   });
   m.spawn(1, [&](core::ThreadCtx& t) -> sim::Task<void> {
-    co_await t.compute(kRelease);
-    co_await t.store(flag, 1);
+    for (std::uint64_t i = 1; i <= kStores + 1; ++i) {
+      co_await t.compute(kGap);
+      co_await t.store(flag, i);
+    }
   });
   m.run();
   EXPECT_GE(samples, 18u);
-  EXPECT_EQ(max_parked, 1u) << "re-polls must re-arm the same entry";
+  EXPECT_EQ(wakes, kStores + 1) << "one wake per store to the line";
+  EXPECT_EQ(max_parked, 1u) << "wake-ups must re-arm the same entry";
   EXPECT_EQ(samples_parked, samples)
-      << "the persistent registration never lapses between re-polls";
-  EXPECT_EQ(max_line_waiters, 0u)
-      << "parked spins must not stack per-poll line-event waiters";
+      << "the persistent registration never lapses between wake-ups";
   EXPECT_EQ(m.core(0).cache().parked_entries(), 0u)
       << "a satisfied spin unparks its entry";
-  EXPECT_EQ(m.core(0).cache().line_waiter_entries(), 0u);
 }
 
-// Steady-state episodes of spin + fallback re-polls keep the frame pool,
-// the timer-cell pool, and the ladder queue at their high-water marks.
+// Steady-state spin episodes keep the frame pool, the timer-cell pool,
+// and the ladder queue at their high-water marks.
 TEST(SpinLeaks, CachedSpinEpisodesReachSteadyState) {
   core::SystemConfig cfg;
   cfg.num_cpus = 2;
@@ -142,15 +150,14 @@ TEST(SpinLeaks, CachedSpinEpisodesReachSteadyState) {
   const sim::Addr flag = m.galloc().alloc_word_line(0);
   constexpr int kWarmup = 8;
   constexpr int kEpisodes = 32;
-  constexpr sim::Cycle kRecheck = 250;
-  constexpr sim::Cycle kHold = 4000;  // ~16 re-polls per episode
+  constexpr sim::Cycle kHold = 4000;
   std::size_t slabs = 0, cells = 0;
   bool grew = false;
   m.spawn(0, [&](core::ThreadCtx& t) -> sim::Task<void> {
     for (int ep = 1; ep <= kEpisodes; ++ep) {
       const auto goal = static_cast<std::uint64_t>(ep);
       co_await sync::spin_cached_until(
-          t, flag, [goal](std::uint64_t x) { return x >= goal; }, kRecheck);
+          t, flag, [goal](std::uint64_t x) { return x >= goal; });
       if (ep == kWarmup) {
         slabs = sim::frame_pool_detail::slabs_held();
         cells = t.engine().timer_cells_allocated();
@@ -205,60 +212,111 @@ TEST(SpinLeaks, UncachedWatchHoldsOneDirectoryEntry) {
       << "the wake-up ping flushes and erases the watch entry";
 }
 
-// ------------------------------------- quiesce accounting (machine)
+// ------------------------------------------- lost wakeups (machine)
 
-sim::Json strip_spin_groups(const sim::Json& j) {
-  if (!j.is_object()) return j;
-  sim::Json out = sim::Json::object();
-  for (const auto& [k, v] : j.items()) {
-    if (k == "spin") continue;  // the only groups quiesce mode adds
-    out[k] = strip_spin_groups(v);
-  }
-  return out;
-}
-
-struct ParityRun {
-  sim::Cycle now;
-  std::uint64_t executed;
-  std::uint64_t scheduled;
-  std::string stats;  // registry snapshot minus the cpuN.spin groups
-};
-
-ParityRun run_amo_barrier(bool quiesce) {
+// One-set L2 (two ways, one-line L1): any two other lines evict the third.
+core::SystemConfig one_set_cache_cfg() {
   core::SystemConfig cfg;
-  cfg.num_cpus = 8;
-  if (quiesce) {
-    cfg.spin.recheck_cycles = 0;
-    cfg.spin.exact_accounting = true;
-  }
-  core::Machine m(cfg);
-  const std::unique_ptr<sync::Barrier> barrier =
-      sync::make_central_barrier(m, sync::Mechanism::kAmo, cfg.num_cpus);
-  constexpr int kEpisodes = 12;
-  for (sim::CpuId c = 0; c < cfg.num_cpus; ++c) {
-    m.spawn(c, [&, c](core::ThreadCtx& t) -> sim::Task<void> {
-      for (int ep = 1; ep <= kEpisodes; ++ep) {
-        co_await t.compute(1 + (c * 7 + static_cast<unsigned>(ep)) % 50);
-        co_await barrier->wait(t);
-      }
-    });
-  }
-  m.run();
-  return ParityRun{m.engine().now(), m.engine().events_executed(),
-                   m.engine().events_scheduled(),
-                   strip_spin_groups(m.stats_json()).dump()};
+  cfg.num_cpus = 2;
+  cfg.cache.l2 = mem::CacheGeometry{2 * 128, 2, 128};
+  cfg.cache.l1 = mem::CacheGeometry{128, 1, 128};
+  return cfg;
 }
 
-// Quiesce mode with exact accounting reproduces the default mode's
-// counters exactly — same end time, same (synthesized-inclusive) event
-// totals, same registry snapshot outside the added cpuN.spin groups.
-TEST(SpinLeaks, QuiesceExactAccountingMatchesDefaultMode) {
-  const ParityRun dflt = run_amo_barrier(false);
-  const ParityRun quiesce = run_amo_barrier(true);
-  EXPECT_EQ(dflt.now, quiesce.now);
-  EXPECT_EQ(dflt.executed, quiesce.executed);
-  EXPECT_EQ(dflt.scheduled, quiesce.scheduled);
-  EXPECT_EQ(dflt.stats, quiesce.stats);
+// Runs `m` and returns the deadlock message, or "" if it ran clean.
+std::string run_for_deadlock(core::Machine& m) {
+  try {
+    m.run();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// The spinner holds its flag clean-exclusive, so evicting it sends a PutE
+// and the home forgets cpu 0 entirely: the later store reaches no one.
+// Only the eviction wake makes the spinner re-fetch and re-register.
+TEST(SpinLeaks, EvictedParkedLineWakesSpinner) {
+  core::SystemConfig cfg = one_set_cache_cfg();
+  cfg.dir.grant_exclusive_clean = true;
+  core::Machine m(cfg);
+  const sim::Addr flag = m.galloc().alloc_word_line(0);
+  const sim::Addr b = m.galloc().alloc_word_line(0);
+  const sim::Addr c = m.galloc().alloc_word_line(0);
+  std::uint64_t seen = 0;
+  m.spawn(0, [&](core::ThreadCtx& t) -> sim::Task<void> {
+    seen = co_await sync::spin_cached_until(
+        t, flag, [](std::uint64_t x) { return x != 0; });
+  });
+  // A second context on cpu 0 fills two conflicting lines while the
+  // spinner is parked.
+  m.spawn(0, [&](core::ThreadCtx& t) -> sim::Task<void> {
+    co_await t.delay(2000);
+    (void)co_await t.load(b);
+    (void)co_await t.load(c);
+  });
+  m.spawn(1, [&](core::ThreadCtx& t) -> sim::Task<void> {
+    co_await t.compute(8000);
+    co_await t.store(flag, 1);
+  });
+  EXPECT_EQ(run_for_deadlock(m), "");
+  EXPECT_EQ(seen, 1u);
+  EXPECT_EQ(m.core(0).cache().parked_entries(), 0u);
+}
+
+// The spinner's S copy is dropped silently (Origin-style), so the home
+// still lists cpu 0 as a sharer and pushes the AMO's word update to a
+// cache that no longer holds the line. That update must still wake the
+// spinner. The spinner drops its own copy before parking: while it is
+// parked, an eviction would wake it through the other hook.
+TEST(SpinLeaks, WordUpdateForDroppedCopyWakesSpinner) {
+  core::SystemConfig cfg = one_set_cache_cfg();
+  cfg.dir.grant_exclusive_clean = false;
+  core::Machine m(cfg);
+  const sim::Addr flag = m.galloc().alloc_word_line(0);
+  const sim::Addr b = m.galloc().alloc_word_line(0);
+  const sim::Addr c = m.galloc().alloc_word_line(0);
+  std::uint64_t seen = 0;
+  m.spawn(0, [&](core::ThreadCtx& t) -> sim::Task<void> {
+    auto& cache = t.core().cache();
+    std::uint64_t v = co_await t.load(flag);
+    (void)co_await t.load(b);
+    (void)co_await t.load(c);
+    EXPECT_EQ(cache.l2().find(flag, /*touch=*/false), nullptr)
+        << "the S copy must be gone before the spinner parks";
+    while (v == 0) {
+      co_await cache.park(flag);
+      v = co_await t.load(flag);
+    }
+    cache.unpark(flag);
+    seen = v;
+  });
+  m.spawn(1, [&](core::ThreadCtx& t) -> sim::Task<void> {
+    co_await t.compute(8000);
+    (void)co_await t.amo_fetch_add(flag, 5);
+  });
+  EXPECT_EQ(run_for_deadlock(m), "");
+  EXPECT_EQ(seen, 5u);
+}
+
+// A spin on a flag nobody writes is a deadlock, and the error names the
+// parked CPU, the line, and the line's home node.
+TEST(SpinLeaks, DeadlockNamesParkedSpinners) {
+  core::SystemConfig cfg;
+  cfg.num_cpus = 4;
+  core::Machine m(cfg);
+  const sim::Addr flag = m.galloc().alloc_word_line(1);
+  m.spawn(2, [&](core::ThreadCtx& t) -> sim::Task<void> {
+    (void)co_await sync::spin_cached_until(
+        t, flag, [](std::uint64_t x) { return x != 0; });
+  });
+  const std::string msg = run_for_deadlock(m);
+  EXPECT_NE(msg.find("1 thread(s) still blocked"), std::string::npos) << msg;
+  std::ostringstream want;
+  want << "cpu2 parked on line 0x" << std::hex << flag << std::dec
+       << " (home node 1)";
+  EXPECT_NE(msg.find(want.str()), std::string::npos) << msg;
+  EXPECT_EQ(msg.find("cpu0"), std::string::npos) << msg;
 }
 
 }  // namespace
