@@ -7,11 +7,14 @@
 // executed at the destination, so no central message variant is needed and
 // responses can complete sim::Promise values directly.
 //
-// PDES sharding: every schedule goes to the engine of the node doing the
-// scheduling — staging/local events on `from`'s domain, post-arrival bus
-// hops on `to`'s — and the hub-local counters are kept per domain,
-// mutated only by the owning domain thread. One domain degenerates to the
-// pre-PDES behavior exactly.
+// A remote message is one event: links are reserved at send time for an
+// injection one bus crossing ahead, and the payload runs one bus crossing
+// after arrival — no staging or relay events, no re-boxed closures.
+//
+// PDES sharding: hub-local events go to `from`'s engine; remote payloads
+// reach `to`'s engine through the network (a mailbox when the domains
+// differ). The hub-local counters are kept per domain, mutated only by the
+// owning domain thread. One domain degenerates to the serial engine.
 #pragma once
 
 #include <cassert>
@@ -74,8 +77,10 @@ class Wiring {
 
   /// Delivers `fn` at node `to`, travelling from node `from`. Chooses the
   /// network or the hub-local path automatically. `fn` may hold move-only
-  /// captures; the local path moves it straight into the event queue.
-  /// Must be called from code executing on `from`'s domain.
+  /// captures; either path moves it straight into the destination's event
+  /// queue slot, so a remote message is exactly one event. The remote path
+  /// pays the CPU<->hub system-bus crossing on both ends (Table 1's 16B/8B
+  /// system bus). Must be called from code executing on `from`'s domain.
   void post(sim::NodeId from, sim::NodeId to, net::MsgClass cls,
             std::uint32_t bytes, sim::InlineFn fn) {
     if (from == to) {
@@ -85,26 +90,17 @@ class Wiring {
       engine_for(from).schedule(local_cycles_, std::move(fn));
       return;
     }
-    // Remote path pays the CPU<->hub system-bus crossing on both ends
-    // (Table 1's 16B/8B system bus). Injection is delayed, so network
-    // link reservations still happen in event-time order (FIFO holds).
-    // The wrapper closures carry an InlineFn (larger than the inline
-    // buffer), so each remote hop's staging event takes the boxed path —
-    // one allocation per crossing, same shape std::function had.
-    engine_for(from).schedule(bus_cycles_, [this, from, to, cls, bytes,
-                                            fn = std::move(fn)]() mutable {
-      network_.send(net::Packet{
-          from, to, cls, bytes,
-          [this, to, fn = std::move(fn)]() mutable {
-            engine_for(to).schedule(bus_cycles_, std::move(fn));
-          }});
-    });
+    network_.send(net::Packet{from, to, cls, bytes, std::move(fn)},
+                  bus_cycles_);
   }
 
   /// Word-update fan-out from `from` to a set of nodes (the AMO "put"
   /// wave). Uses hardware multicast when configured. `deliver` runs once
-  /// per target node; it is shared across local and remote deliveries via
-  /// one refcounted control block.
+  /// per target node, one event each; it is shared across local and
+  /// remote deliveries via one refcounted control block. Remote targets
+  /// take the same bus-delayed injection as post(): updates and data
+  /// replies MUST share one injection pipeline, or an update could
+  /// overtake an in-flight line fill and be dropped at the cache.
   void post_update(sim::NodeId from, std::span<const sim::NodeId> nodes,
                    std::uint32_t bytes,
                    sim::InlineFnT<sim::NodeId> deliver) {
@@ -120,22 +116,16 @@ class Wiring {
         engine_for(from).schedule(local_cycles_, [shared, n] { (*shared)(n); });
       }
     }
-    // Remote targets pay the same bus crossings as post(): updates and
-    // data replies MUST share one injection pipeline, or an update could
-    // overtake an in-flight line fill and be dropped at the cache. The
-    // caller's span is not stable across the injection delay, so the
-    // target list is snapshotted — into pool-backed storage, keeping
-    // steady-state put waves heap-free.
-    std::vector<sim::NodeId, sim::FramePoolAllocator<sim::NodeId>> remote(
-        nodes.begin(), nodes.end());
-    engine_for(from).schedule(bus_cycles_, [this, from, bytes, shared,
-                                            remote = std::move(remote)] {
-      network_.multicast(from, remote, net::MsgClass::kUpdate, bytes,
-                         [this, shared](sim::NodeId n) {
-                           engine_for(n).schedule(
-                               bus_cycles_, [shared, n] { (*shared)(n); });
-                         });
-    });
+    network_.multicast(from, nodes, net::MsgClass::kUpdate, bytes,
+                       [shared](sim::NodeId n) { (*shared)(n); },
+                       bus_cycles_);
+  }
+
+  /// Conservative PDES lookahead: a message posted at t runs on another
+  /// node no earlier than t + both bus crossings + the cheapest network
+  /// transit (domains partition whole nodes; hub-local posts stay put).
+  [[nodiscard]] sim::Cycle min_cross_latency() const {
+    return 2 * bus_cycles_ + network_.min_cross_latency();
   }
 
   /// Machine-wide hub-local totals. With one domain this is the live

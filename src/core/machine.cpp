@@ -201,11 +201,9 @@ void Machine::spawn(sim::CpuId c,
 }
 
 void Machine::run() {
-  // Conservative lookahead: no packet injected at t can reach another
-  // node before t + min_cross_latency (>= two cheapest links plus
-  // minimum-packet serialization). Domains partition whole nodes, so
-  // this bounds all cross-domain influence.
-  const sim::Cycle lookahead = network_->min_cross_latency();
+  // Conservative lookahead: nothing posted at t can touch another domain
+  // before t + Wiring::min_cross_latency().
+  const sim::Cycle lookahead = wiring_->min_cross_latency();
   assert(domains_.count() == 1 || lookahead > 0);
   domains_.run(lookahead);
   if (pending_threads() != 0) {

@@ -240,20 +240,22 @@ void Network::account(std::uint32_t d, MsgClass cls, std::uint32_t size_bytes,
   s.latency.add(latency);
 }
 
-void Network::send(Packet p) {
+void Network::send(Packet p, sim::Cycle bus_cycles) {
   assert(p.src != p.dst && "local traffic must bypass the network");
   assert(p.on_deliver && "packet without a delivery action");
   const std::uint32_t d = domains_.domain_of(p.src);
-  const sim::Cycle now = domains_.engine(d).now();
+  // Every sender pays the same bus delay, so reserving links now, for an
+  // injection time bus_cycles ahead, visits them in injection order.
+  const sim::Cycle inject = domains_.engine(d).now() + bus_cycles;
   RouteWalker walk(topo_, p.src, p.dst);
   const sim::Cycle arrival =
-      reserve_path(d, walk, p.size_bytes, now, /*dedup_links=*/false);
-  assert(arrival >= now && "delivery scheduled before injection");
-  const sim::Cycle latency = arrival - now;
+      reserve_path(d, walk, p.size_bytes, inject, /*dedup_links=*/false);
+  assert(arrival >= inject && "delivery scheduled before injection");
+  const sim::Cycle latency = arrival - inject;
   account(d, p.cls, p.size_bytes, latency, walk.hop_count());
   if (tracer_ && tracer_->enabled(sim::TraceCat::kNet) &&
       domains_.count() == 1) {
-    tracer_->log(now, sim::TraceCat::kNet, "net: %u -> %u %s %uB lat=%llu",
+    tracer_->log(inject, sim::TraceCat::kNet, "net: %u -> %u %s %uB lat=%llu",
                  p.src, p.dst, to_string(p.cls), p.size_bytes,
                  static_cast<unsigned long long>(latency));
   }
@@ -261,12 +263,14 @@ void Network::send(Packet p) {
   // cross-domain, into the mailbox envelope): no wrapper lambda, no
   // type-erasure re-boxing, zero heap for captures that fit the InlineFn
   // buffer.
-  domains_.deliver_at(p.src, p.dst, arrival, std::move(p.on_deliver));
+  domains_.deliver_at(p.src, p.dst, arrival + bus_cycles,
+                      std::move(p.on_deliver));
 }
 
 void Network::multicast(sim::NodeId src, std::span<const sim::NodeId> dsts,
                         MsgClass cls, std::uint32_t size_bytes,
-                        sim::InlineFnT<sim::NodeId> deliver) {
+                        sim::InlineFnT<sim::NodeId> deliver,
+                        sim::Cycle bus_cycles) {
   // One refcounted control block shares the (move-only, possibly
   // stateful) deliver closure across every destination's event; it draws
   // from the frame pool so steady-state update waves stay heap-free.
@@ -278,7 +282,8 @@ void Network::multicast(sim::NodeId src, std::span<const sim::NodeId> dsts,
     for (sim::NodeId dst : dsts) {
       if (dst == src) continue;
       send(Packet{src, dst, cls, size_bytes,
-                  [shared, dst] { (*shared)(dst); }});
+                  [shared, dst] { (*shared)(dst); }},
+           bus_cycles);
     }
     return;
   }
@@ -287,15 +292,16 @@ void Network::multicast(sim::NodeId src, std::span<const sim::NodeId> dsts,
   // bitmap allocation).
   const std::uint32_t d = domains_.domain_of(src);
   ++multicast_gen_[d];
-  const sim::Cycle now = domains_.engine(d).now();
+  const sim::Cycle inject = domains_.engine(d).now() + bus_cycles;
   for (sim::NodeId dst : dsts) {
     if (dst == src) continue;
     RouteWalker walk(topo_, src, dst);
     const sim::Cycle arrival =
-        reserve_path(d, walk, size_bytes, now, /*dedup_links=*/true);
-    assert(arrival >= now && "delivery scheduled before injection");
-    account(d, cls, size_bytes, arrival - now, walk.hop_count());
-    domains_.deliver_at(src, dst, arrival, [shared, dst] { (*shared)(dst); });
+        reserve_path(d, walk, size_bytes, inject, /*dedup_links=*/true);
+    assert(arrival >= inject && "delivery scheduled before injection");
+    account(d, cls, size_bytes, arrival - inject, walk.hop_count());
+    domains_.deliver_at(src, dst, arrival + bus_cycles,
+                        [shared, dst] { (*shared)(dst); });
   }
 }
 

@@ -100,9 +100,10 @@ class Network {
   Network(sim::Engine& engine, const NetConfig& config,
           sim::Tracer* tracer = nullptr);
 
-  /// Sends one packet; `p.on_deliver` runs at the destination's arrival
-  /// time. Precondition: p.src != p.dst (local traffic bypasses the net).
-  void send(Packet p);
+  /// Sends one packet, injected `bus_cycles` after now; `p.on_deliver`
+  /// runs `bus_cycles` after arrival (the CPU<->hub bus at each end; stats
+  /// see injection -> arrival only). Precondition: p.src != p.dst.
+  void send(Packet p, sim::Cycle bus_cycles = 0);
 
   /// Sends the same payload to many destinations. Without hardware
   /// multicast this is a serialized sequence of unicasts from `src`
@@ -111,10 +112,11 @@ class Network {
   /// `deliver` is invoked once per (remote) destination; it is shared
   /// across the wave through one refcounted control block, so move-only
   /// captures are fine and the wave costs one allocation, not one per
-  /// destination.
+  /// destination. `bus_cycles` is charged at both ends, as in send().
   void multicast(sim::NodeId src, std::span<const sim::NodeId> dsts,
                  MsgClass cls, std::uint32_t size_bytes,
-                 sim::InlineFnT<sim::NodeId> deliver);
+                 sim::InlineFnT<sim::NodeId> deliver,
+                 sim::Cycle bus_cycles = 0);
 
   /// Machine-wide fabric statistics. With one domain this is the live
   /// shard; with K > 1 the shards are merged on each call — only read it
@@ -147,10 +149,10 @@ class Network {
   /// the minimum packet size).
   [[nodiscard]] sim::Cycle serialization_cycles(std::uint32_t size_bytes) const;
 
-  /// Conservative PDES lookahead: the minimum time between injecting any
-  /// packet and its earliest possible arrival at a *different* node —
-  /// two cheapest-link traversals (hop_count >= 2) plus minimum-packet
-  /// serialization. Zero only for a single-node (linkless) topology.
+  /// Fabric part of the PDES lookahead (Wiring adds the bus): the minimum
+  /// time between injecting any packet and its earliest possible arrival
+  /// at a *different* node — two cheapest-link traversals (hop_count >= 2)
+  /// plus minimum-packet serialization. Zero only for a single node.
   [[nodiscard]] sim::Cycle min_cross_latency() const {
     return 2 * topo_.min_hop_latency() + serialization_cycles(0);
   }

@@ -4,11 +4,11 @@
 // ("domains"), each owning a private Engine/EventQueue. K == 1 is the
 // serial mode: one engine, one queue, byte-identical behavior to the
 // pre-PDES simulator. K > 1 drains all engines in lockstep safe windows:
-// every cross-domain message traverses >= 2 fat-tree links plus final
-// serialization, so an event sent at time t cannot affect another domain
-// before t + lookahead, where lookahead = 2 * min link latency + minimum
-// packet serialization. Each window [T, T + lookahead) is therefore safe
-// to run on all K domains concurrently; cross-domain sends are parked in
+// every cross-domain message crosses the bus at both ends, >= 2 fat-tree
+// links and a final serialization, so an event sent at time t cannot affect
+// another domain before t + lookahead (2 * bus + 2 * min link latency +
+// minimum packet serialization). Each window [T, T + lookahead) is safe to
+// run on all K domains concurrently; cross-domain sends are parked in
 // per-(src,dst) mailboxes and drained at the window boundary in
 // deterministic (src-domain ascending, push order) order, so a K-domain
 // run replays exactly.

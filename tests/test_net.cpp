@@ -5,6 +5,7 @@
 #include <set>
 #include <vector>
 
+#include "coh/wiring.hpp"
 #include "net/network.hpp"
 #include "net/topology.hpp"
 #include "sim/engine.hpp"
@@ -341,6 +342,85 @@ TEST(Network, MoveOnlyCaptureTravelsThroughMulticast) {
                 });
     e.run();
     EXPECT_EQ(got, dsts) << "hardware_multicast=" << hw;
+  }
+}
+
+// ------------------------------------------------------------------
+// Wiring: the coherence layer's message path. A remote message is one
+// engine event that runs the payload at send + bus + network + bus.
+
+// The default system's bus crossing and hub-local latency. A bus this
+// much longer than an update's serialization is what lets a mis-wired
+// update path overtake a data reply (race 2 below).
+constexpr sim::Cycle kBus = 50;
+constexpr sim::Cycle kLocal = 24;
+
+TEST(Wiring, RemotePostIsOneEventAtBothBusCrossingsPlusNetworkLatency) {
+  sim::Engine e;
+  Network n(e, small_net(4));
+  coh::Wiring w(e, n, /*cpus_per_node=*/1, kLocal, kBus);
+  constexpr sim::Cycle kSend = 7;
+  sim::Cycle ran = 0;
+  e.schedule(kSend, [&] {
+    w.post(0, 1, MsgClass::kRequest, 32, [&] { ran = e.now(); });
+  });
+  // The kick-off event plus exactly one event for the message.
+  EXPECT_EQ(e.run(), 2u);
+  // Uncontended 0 -> 1: 2 hops * 100 + 20 serialization.
+  EXPECT_EQ(ran, kSend + 2 * kBus + 220u);
+  // Network stats see injection -> arrival only, not the bus.
+  EXPECT_EQ(n.stats().latency.min(), 220u);
+  // 0 -> 1 is a cheapest path, so it meets the PDES lookahead exactly.
+  EXPECT_EQ(w.min_cross_latency(), 2 * kBus + n.min_cross_latency());
+  EXPECT_EQ(ran - kSend, w.min_cross_latency());
+}
+
+TEST(Wiring, PostUpdateIsOneEventPerTarget) {
+  for (bool hw : {false, true}) {
+    sim::Engine e;
+    NetConfig cfg = small_net(16);
+    cfg.hardware_multicast = hw;
+    Network n(e, cfg);
+    coh::Wiring w(e, n, /*cpus_per_node=*/1, kLocal, kBus);
+    std::vector<sim::NodeId> got;
+    const std::vector<sim::NodeId> remote{1, 2, 3, 9};
+    w.post_update(0, remote, 40, [&](sim::NodeId d) { got.push_back(d); });
+    EXPECT_EQ(e.run(), remote.size()) << "hardware_multicast=" << hw;
+    EXPECT_EQ(got, remote) << "hardware_multicast=" << hw;
+    // A local target is one hub-local event on top of the remote ones.
+    got.clear();
+    const std::vector<sim::NodeId> mixed{0, 5, 12};
+    w.post_update(0, mixed, 40, [&](sim::NodeId d) { got.push_back(d); });
+    EXPECT_EQ(e.run(), mixed.size()) << "hardware_multicast=" << hw;
+    EXPECT_EQ(got, mixed) << "hardware_multicast=" << hw;
+    EXPECT_EQ(w.local_stats().messages, 1u);
+    EXPECT_EQ(n.stats().packets, remote.size() + 2);
+  }
+}
+
+// DESIGN.md section 7, race 2: a word update must not overtake a data
+// reply that the same home sent the same node earlier in the same cycle,
+// or the update reaches the cache before the line and is dropped. Both
+// paths must take one bus-delayed injection pipeline.
+TEST(Wiring, DataReplyAndSameCycleUpdateArriveInIssueOrder) {
+  for (bool hw : {false, true}) {
+    sim::Engine e;
+    NetConfig cfg = small_net(8);
+    cfg.hardware_multicast = hw;
+    Network n(e, cfg);
+    coh::Wiring w(e, n, /*cpus_per_node=*/1, kLocal, kBus);
+    std::vector<int> order;
+    const std::vector<sim::NodeId> target{5};
+    e.schedule(3, [&] {
+      // A full line fill (128 B payload + header), then a small update.
+      w.post(0, 5, MsgClass::kResponse, 136, [&] { order.push_back(1); });
+      w.post_update(0, target, 40, [&](sim::NodeId) { order.push_back(2); });
+      w.post(0, 5, MsgClass::kResponse, 136, [&] { order.push_back(3); });
+      w.post_update(0, target, 40, [&](sim::NodeId) { order.push_back(4); });
+    });
+    e.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}))
+        << "hardware_multicast=" << hw;
   }
 }
 
