@@ -54,9 +54,8 @@ sim::InlineFn Directory::wait_pop(Entry& e) {
   return wait_pool_.pop(e.waiting);
 }
 
-void Directory::deliver_put(const std::bitset<kMaxCpus>& targets,
-                            sim::Addr addr, std::uint64_t value,
-                            sim::NodeId n) {
+void Directory::deliver_put(const SharerSnapshot& targets, sim::Addr addr,
+                            std::uint64_t value, sim::NodeId n) {
   // Runs at node n — under PDES possibly on a different domain thread
   // than this (home) directory. It touches only n's own caches plus the
   // immutable sharer snapshot carried in the closure, so the home
@@ -224,39 +223,32 @@ void Directory::word_put(sim::Addr addr, std::uint64_t value) {
     // sharer, or the exclusive owner (its M/E copy is patched in place).
     // The snapshot travels *by value* inside the delivery closure — under
     // PDES, deliveries execute on the target node's domain thread, so the
-    // wave must not reach back into home-directory state.
-    std::bitset<kMaxCpus> targets;
-    const auto total = static_cast<sim::CpuId>(agents_.caches.size());
-    if (e.st == State::kExclusive) {
-      targets.set(e.owner);
-    } else if (e.coarse) {
-      // Pointer overflow: the put wave must reach everyone. This is the
-      // interesting interaction: AMO's cheap word updates depend on the
-      // directory knowing its sharers (bench/ablation_dir_pointers).
-      for (sim::CpuId c = 0; c < total; ++c) targets.set(c);
-    } else {
-      targets = e.sharers;
-    }
+    // wave must not reach back into home-directory state. A coarse entry
+    // (pointer overflow) must reach everyone. This is the interesting
+    // interaction: AMO's cheap word updates depend on the directory
+    // knowing its sharers (bench/ablation_dir_pointers).
+    const auto total = static_cast<std::uint32_t>(agents_.caches.size());
+    SharerSnapshot targets =
+        e.st == State::kExclusive ? SharerSnapshot::single(e.owner)
+        : e.coarse                ? SharerSnapshot::all(total)
+                                  : SharerSnapshot(e.sharers.words());
 
-    // Target nodes, ascending (cpu ids ascend within a node, so scanning
-    // cpus in order yields nodes in order — the deterministic fan-out
+    // Target nodes, ascending (cpu ids ascend within a node, so walking
+    // set bits in order yields nodes in order — the deterministic fan-out
     // order the old sorted-vector path produced).
     put_nodes_.clear();
-    for (sim::CpuId c = 0; c < total; ++c) {
-      if (!targets.test(c)) continue;
+    SharerSet::for_each_in(targets.words(), [this](sim::CpuId c) {
       const sim::NodeId n = wiring_.node_of(c);
       if (put_nodes_.empty() || put_nodes_.back() != n) put_nodes_.push_back(n);
-    }
+    });
     if (put_nodes_.empty()) return;
     stats_.word_updates_sent += put_nodes_.size();
 
     const std::uint32_t bytes =
         config_.put_block_granularity ? sizes_.data() : sizes_.word();
-    // The bitset capture overflows the inline buffer, so the fan-out
-    // closure takes the frame-pooled boxed path — one pooled allocation
-    // per wave, shared across all target nodes by post_update.
     wiring_.post_update(node_, put_nodes_, bytes,
-                        [this, targets, addr, value](sim::NodeId n) {
+                        [this, targets = std::move(targets), addr,
+                         value](sim::NodeId n) {
                           deliver_put(targets, addr, value, n);
                         });
   });
@@ -332,19 +324,17 @@ void Directory::handle_getx(sim::CpuId r, sim::Addr block) {
       e.busy = true;
       e.st = State::kExclusive;
       e.owner = r;
-      e.sharers.reset();
+      e.sharers.clear();
       e.coarse = false;
       reply_data(r, block, /*exclusive=*/true);
       return;
     case State::kShared: {
       flush_amu(block);
-      auto targets = e.sharers;
-      targets.reset(r);
-      if (!e.coarse && targets.none()) {
+      if (!e.coarse && !e.sharers.any_except(r)) {
         e.busy = true;
         e.st = State::kExclusive;
         e.owner = r;
-        e.sharers.reset();
+        e.sharers.clear();
         reply_data(r, block, /*exclusive=*/true);
         return;
       }
@@ -388,12 +378,10 @@ void Directory::handle_upgrade(sim::CpuId r, sim::Addr block) {
     return;
   }
   flush_amu(block);
-  auto targets = e.sharers;
-  targets.reset(r);
-  if (!e.coarse && targets.none()) {
+  if (!e.coarse && !e.sharers.any_except(r)) {
     e.st = State::kExclusive;
     e.owner = r;
-    e.sharers.reset();
+    e.sharers.clear();
     wiring_.post(node_, wiring_.node_of(r), net::MsgClass::kResponse,
                  sizes_.ctrl(), [cache = agents_.caches[r], block] {
                    cache->on_upgrade_ack(block);
@@ -606,19 +594,24 @@ void Directory::send_invals(Entry& e, sim::Addr block, sim::CpuId except) {
   // Coarse entries (pointer overflow) have lost the exact sharer set:
   // invalidate every cpu. Caches without the line simply ack, which is
   // precisely the cost a limited-pointer directory pays.
-  const std::uint32_t total_cpus =
-      static_cast<std::uint32_t>(agents_.caches.size());
   std::uint32_t count = 0;
-  for (sim::CpuId c = 0; c < total_cpus; ++c) {
-    const bool target = e.coarse ? true : e.sharers.test(c);
-    if (!target || c == except) continue;
+  auto inval = [&](sim::CpuId c) {
+    if (c == except) return;
     ++count;
     ++stats_.invals_sent;
-    if (e.coarse && !e.sharers.test(c)) ++stats_.broadcast_invals;
     wiring_.post(node_, wiring_.node_of(c), net::MsgClass::kInval,
                  sizes_.ctrl(), [cache = agents_.caches[c], block] {
                    cache->on_inval(block);
                  });
+  };
+  if (e.coarse) {
+    const auto total = static_cast<sim::CpuId>(agents_.caches.size());
+    for (sim::CpuId c = 0; c < total; ++c) {
+      if (c != except && !e.sharers.test(c)) ++stats_.broadcast_invals;
+      inval(c);
+    }
+  } else {
+    e.sharers.for_each(inval);
   }
   assert(count > 0);
   e.txn.pending_acks = count;
@@ -664,7 +657,7 @@ void Directory::finish_txn(sim::Addr block) {
   // deferred queue. Ack-only completions release it here.
   switch (t.kind) {
     case Txn::Kind::kGetS: {
-      e.sharers.reset();
+      e.sharers.clear();
       e.coarse = false;
       if (t.owner_retained) e.sharers.set(t.recall_from);
       add_sharer(e, t.requestor);
@@ -681,7 +674,7 @@ void Directory::finish_txn(sim::Addr block) {
     }
     case Txn::Kind::kGetX:
     case Txn::Kind::kUpgrade: {
-      e.sharers.reset();
+      e.sharers.clear();
       e.coarse = false;
       e.owner = t.requestor;
       e.st = State::kExclusive;
@@ -702,11 +695,11 @@ void Directory::finish_txn(sim::Addr block) {
       break;
     }
     case Txn::Kind::kWordGet: {
-      e.sharers.reset();
+      e.sharers.clear();
       e.coarse = false;
       if (t.owner_retained) e.sharers.set(t.recall_from);
       e.owner = sim::kInvalidCpu;
-      e.st = e.sharers.any() ? State::kShared : State::kUncached;
+      e.st = e.sharers.none() ? State::kUncached : State::kShared;
       e.amu_sharer = true;
       const std::uint64_t value = backing_.read_word(t.word_addr);
       // Hold the block busy until the AMU has installed the word: a GetX

@@ -7,7 +7,6 @@
 // pipeline and is the source of home hot-spotting under contention.
 #pragma once
 
-#include <bitset>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -15,6 +14,7 @@
 
 #include "coh/agents.hpp"
 #include "coh/protocol.hpp"
+#include "coh/sharer_set.hpp"
 #include "coh/wiring.hpp"
 #include "ds/addr_table.hpp"
 #include "mem/backing.hpp"
@@ -184,11 +184,13 @@ class Directory {
   // is a FIFO of deferred requests parked behind a busy block, drawn from
   // the pooled `wait_pool_`, and `next_free` threads vacant entries into
   // the table's free list.
+  // The sharer set leads so the small fields below pack into one word
+  // after it instead of padding around it.
   struct Entry {
+    SharerSet sharers;
+    sim::CpuId owner = sim::kInvalidCpu;
     State st = State::kUncached;
     bool coarse = false;  // limited-pointer overflow: sharers unknown
-    std::bitset<kMaxCpus> sharers;
-    sim::CpuId owner = sim::kInvalidCpu;
     bool amu_sharer = false;
     bool busy = false;
     Txn txn;
@@ -230,7 +232,7 @@ class Directory {
   /// that node. The sharer snapshot travels by value in the fan-out
   /// closure (PDES: this runs on `n`'s domain thread, which must not
   /// touch home-directory state).
-  void deliver_put(const std::bitset<kMaxCpus>& targets, sim::Addr addr,
+  void deliver_put(const SharerSnapshot& targets, sim::Addr addr,
                    std::uint64_t value, sim::NodeId n);
 
   /// Serializes message processing through the directory pipeline.
@@ -289,7 +291,7 @@ class Directory {
   sim::Tracer* tracer_;
   sim::Cycle busy_until_ = 0;  // occupancy pipeline
 
-  // Entries are dominated by the kMaxCpus-wide sharer bitset (~600 bytes
+  // Entries are dominated by the kMaxCpus-wide SharerSet (~600 bytes
   // at 4096 CPUs); 64 per slab (the AddrTable default) keeps allocation
   // rare without pinning much idle memory per directory.
   ds::AddrTable<Entry> entries_;

@@ -26,10 +26,9 @@ namespace amo::coh {
 
 /// Upper bound on processors (paper max: 256; headroom for the PDES
 /// scaling smokes and the 1024–4096 CPU hierarchy sweeps beyond the
-/// paper's table). Directory entries embed a kMaxCpus-wide sharer
-/// bitset (512 B at 4096), and update waves carry it by value through
-/// pooled closures — raising this further mostly costs directory slab
-/// and frame-pool bytes.
+/// paper's table). Directory entries embed a kMaxCpus-wide SharerSet
+/// (512 B at 4096); update waves carry only its words in use, so raising
+/// this further mostly costs directory slab bytes.
 inline constexpr std::uint32_t kMaxCpus = 4096;
 
 /// Physical address layout: the top bits name the home node. The global

@@ -43,6 +43,11 @@ std::unique_ptr<Lock> make_ticket_lock(core::Machine& m, Mechanism mech,
 std::unique_ptr<Lock> make_array_lock(core::Machine& m, Mechanism mech,
                                       std::uint32_t slots);
 
+/// The slot `cpu`'s latest acquire of `lock` drew. `lock` must come
+/// straight from make_array_lock (histograms off, so it is unwrapped).
+/// For tests: every slot must lie in [0, slots).
+std::uint32_t array_lock_slot(const Lock& lock, sim::CpuId cpu);
+
 /// Mellor-Crummey & Scott's MCS queue lock (extension beyond the paper's
 /// evaluation): per-thread queue nodes, purely local spinning, swap/CAS
 /// through the chosen mechanism. AMO mode drives the handoff flags with

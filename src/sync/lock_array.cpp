@@ -38,8 +38,11 @@ class ArrayLock final : public Lock {
 
   sim::Task<void> acquire(core::ThreadCtx& t) override {
     if (sw_half_ > 0) co_await t.compute(sw_half_);
-    const std::uint64_t s =
-        (co_await fetch_add(mech_, t, sequencer_, 1)) % nslots_;
+    // Keep the co_await in its own statement: GCC 12 with
+    // -fsanitize=undefined miscompiles arithmetic applied directly to a
+    // co_await result (it yielded s == nslots_ here).
+    const std::uint64_t ticket = co_await fetch_add(mech_, t, sequencer_, 1);
+    const std::uint64_t s = ticket % nslots_;
     my_slot_[t.cpu()] = static_cast<std::uint32_t>(s);
     (void)co_await spin_cached_until(
         t, flags_[s], [](std::uint64_t v) { return v != 0; });
@@ -54,6 +57,9 @@ class ArrayLock final : public Lock {
   }
 
   [[nodiscard]] const char* name() const override { return name_.c_str(); }
+  [[nodiscard]] std::uint32_t slot_of(sim::CpuId cpu) const {
+    return my_slot_[cpu];
+  }
 
  private:
   sim::Task<void> write_flag(core::ThreadCtx& t, sim::Addr flag,
@@ -82,6 +88,12 @@ class ArrayLock final : public Lock {
 std::unique_ptr<Lock> make_array_lock(core::Machine& m, Mechanism mech,
                                       std::uint32_t slots) {
   return with_acquire_hist(m, std::make_unique<ArrayLock>(m, mech, slots));
+}
+
+std::uint32_t array_lock_slot(const Lock& lock, sim::CpuId cpu) {
+  const auto* array = dynamic_cast<const ArrayLock*>(&lock);
+  assert(array != nullptr && "not an unwrapped array lock");
+  return array->slot_of(cpu);
 }
 
 }  // namespace amo::sync

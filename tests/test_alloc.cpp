@@ -148,6 +148,44 @@ TEST(AllocCount, AmoBarrierEpisodeSteadyStateIsAllocationFree) {
       << "steady-state AMO barrier episodes must not touch the heap";
 }
 
+// The put wave at machine scale: spinners spread over a 1024-CPU machine
+// (CPU 1023 puts the sharer snapshot at 16 words = 128 B, well past the
+// 48-byte InlineFn buffer) take an AMO put wave per episode. The snapshot
+// and the wave's shared closure come from the frame pool, so steady-state
+// waves still never reach the global allocator.
+TEST(AllocCount, WideAmoPutWaveIsAllocationFree) {
+  core::SystemConfig cfg;
+  cfg.num_cpus = 1024;
+  core::Machine m(cfg);
+  const sim::Addr flag = m.galloc().alloc_word_line(0);
+  constexpr int kWarmup = 8;
+  constexpr int kEpisodes = 24;
+  std::uint64_t before = 0;
+  std::uint64_t after = 0;
+  for (sim::CpuId c : {1u, 300u, 700u, 1023u}) {
+    m.spawn(c, [&](core::ThreadCtx& t) -> sim::Task<void> {
+      for (int ep = 1; ep <= kEpisodes; ++ep) {
+        const auto goal = static_cast<std::uint64_t>(ep);
+        co_await sync::spin_cached_until(
+            t, flag, [goal](std::uint64_t x) { return x >= goal; });
+      }
+    });
+  }
+  m.spawn(0, [&](core::ThreadCtx& t) -> sim::Task<void> {
+    for (int ep = 1; ep <= kEpisodes; ++ep) {
+      co_await t.compute(2000);
+      (void)co_await t.amo_fetch_add(flag, 1);
+      if (ep == kWarmup) before = g_news.load();
+      if (ep == kEpisodes) after = g_news.load();
+    }
+  });
+  m.run();
+  EXPECT_EQ(m.peek_word(flag), static_cast<std::uint64_t>(kEpisodes));
+  EXPECT_GE(m.stats().dir.word_updates_sent, 4u * kEpisodes);
+  EXPECT_EQ(after - before, 0u)
+      << "steady-state 1024-CPU put waves must not touch the heap";
+}
+
 // The spin-virtualization layer's version of the same claim: a complete
 // cached-spin episode — park registration, a wake by a store that does
 // not satisfy the spin, re-park, and the final wake — stays

@@ -1,7 +1,7 @@
 // Synchronization-library correctness, parameterized over mechanism and
 // machine size: barrier safety (nobody passes episode k before everyone
 // arrives), lock mutual exclusion (no lost updates on an unprotected
-// read-modify-write), and ticket-lock FIFO order.
+// read-modify-write), ticket-lock FIFO order, and array-lock slot indices.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -166,6 +166,42 @@ TEST(TicketLockOrder, GrantsAreFifoByTicket) {
   // granted twice while another ticket holder waits. A full FIFO check
   // needs ticket numbers; at minimum the grant count must match.
   EXPECT_EQ(order.size(), 8u * 3u);
+}
+
+// Regression: with one slot per CPU the sequencer wraps on every round,
+// and GCC 12 under -fsanitize=undefined once computed `(co_await ...) %
+// nslots` as nslots. The lock is FIFO, so the k-th grant holds ticket k
+// and must sit in slot k % P.
+TEST(ArrayLockSlots, EveryAcquireDrawsSlotBelowSlotCount) {
+  for (const Mechanism mech :
+       {Mechanism::kLlSc, Mechanism::kAtomic, Mechanism::kActMsg,
+        Mechanism::kMao, Mechanism::kAmo}) {
+    for (const std::uint32_t cpus : {2u, 4u}) {
+      SCOPED_TRACE(mech_name(mech) + "_p" + std::to_string(cpus));
+      core::SystemConfig cfg;
+      cfg.num_cpus = cpus;
+      core::Machine m(cfg);
+      auto lock = sync::make_array_lock(m, mech, cpus);
+      std::uint32_t grants = 0;
+      int bad_slots = 0;
+      for (sim::CpuId c = 0; c < cpus; ++c) {
+        m.spawn(c, [&](core::ThreadCtx& t) -> sim::Task<void> {
+          for (int i = 0; i < 6; ++i) {
+            co_await t.compute(t.rng().below(200));
+            co_await lock->acquire(t);
+            const std::uint32_t slot = sync::array_lock_slot(*lock, t.cpu());
+            if (slot >= cpus || slot != grants % cpus) ++bad_slots;
+            ++grants;
+            co_await t.compute(30);
+            co_await lock->release(t);
+          }
+        });
+      }
+      m.run();
+      EXPECT_EQ(grants, cpus * 6);
+      EXPECT_EQ(bad_slots, 0);
+    }
+  }
 }
 
 }  // namespace
