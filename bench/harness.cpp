@@ -1,9 +1,6 @@
 #include "bench/harness.hpp"
 
 #include <algorithm>
-#include <sstream>
-
-#include "core/config_io.hpp"
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
@@ -11,202 +8,13 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
-#include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <thread>
 
+#include "core/config_io.hpp"
+
 namespace amo::bench {
-
-namespace {
-
-TrafficSnapshot snap(const net::Network& n) {
-  return TrafficSnapshot{n.stats().packets, n.stats().bytes};
-}
-
-sim::Json traffic_json(const TrafficSnapshot& t) {
-  sim::Json j = sim::Json::object();
-  j["packets"] = t.packets;
-  j["bytes"] = t.bytes;
-  return j;
-}
-
-// The machine knobs ablations sweep, so --json records are
-// self-describing even when a bench varies more than the CPU count.
-sim::Json config_json(const core::SystemConfig& cfg) {
-  sim::Json j = sim::Json::object();
-  j["num_cpus"] = cfg.num_cpus;
-  j["cpus_per_node"] = cfg.cpus_per_node;
-  j["hop_cycles"] = cfg.net.hop_cycles;
-  j["hardware_multicast"] = cfg.net.hardware_multicast;
-  j["amu_cache_words"] = cfg.amu.cache_words;
-  j["amu_eager_put_all"] = cfg.amu.eager_put_all;
-  j["seed"] = cfg.seed;
-  // Only when decomposed: serial records stay byte-identical to pre-PDES.
-  if (cfg.sim_threads > 1) j["sim_threads"] = cfg.sim_threads;
-  return j;
-}
-
-void record_barrier(const core::SystemConfig& cfg, const BarrierParams& params,
-                    const BarrierResult& r, const core::Machine& m) {
-  JsonReporter* rep = JsonReporter::current();
-  if (rep == nullptr || !rep->active()) return;
-  sim::Json rec = sim::Json::object();
-  rec["workload"] = "barrier";
-  rec["cpus"] = cfg.num_cpus;
-  rec["mechanism"] = sync::to_string(params.mech);
-  rec["barrier"] = params.kind == BarrierKind::kCentral ? "central" : "tree";
-  if (params.kind == BarrierKind::kTree) rec["fanout"] = params.fanout;
-  rec["episodes"] = params.episodes;
-  rec["cycles_per_barrier"] = r.cycles_per_barrier;
-  rec["cycles_per_proc"] = r.cycles_per_proc;
-  rec["traffic"] = traffic_json(r.traffic);
-  rec["config"] = config_json(cfg);
-  rec["registry"] = m.stats_json();
-  rep->add(std::move(rec));
-}
-
-void record_lock(const core::SystemConfig& cfg, const LockParams& params,
-                 const LockResult& r, const core::Machine& m) {
-  JsonReporter* rep = JsonReporter::current();
-  if (rep == nullptr || !rep->active()) return;
-  sim::Json rec = sim::Json::object();
-  rec["workload"] = "lock";
-  rec["cpus"] = cfg.num_cpus;
-  rec["mechanism"] = sync::to_string(params.mech);
-  rec["lock"] = params.array ? "array" : "ticket";
-  rec["iters"] = params.iters;
-  rec["cs_cycles"] = params.cs_cycles;
-  rec["total_cycles"] = r.total_cycles;
-  rec["cycles_per_acquire"] = r.cycles_per_acquire;
-  rec["traffic"] = traffic_json(r.traffic);
-  rec["config"] = config_json(cfg);
-  rec["registry"] = m.stats_json();
-  rep->add(std::move(rec));
-}
-
-}  // namespace
-
-BarrierResult run_barrier(const core::SystemConfig& cfg,
-                          const BarrierParams& params) {
-  core::Machine m(cfg);
-  std::unique_ptr<sync::Barrier> barrier =
-      params.kind == BarrierKind::kCentral
-          ? sync::make_central_barrier(m, params.mech, cfg.num_cpus)
-          : sync::make_tree_barrier(m, params.mech, cfg.num_cpus,
-                                    params.fanout);
-
-  // Thread 0 brackets the measured region: right after its warmup exit and
-  // right after its last measured exit. All threads are within one barrier
-  // of each other at those points.
-  sim::Cycle t_start = 0;
-  sim::Cycle t_end = 0;
-  TrafficSnapshot traffic_start{};
-  TrafficSnapshot traffic_end{};
-
-  // Under PDES (sim_threads > 1) a mid-run Network::stats() call would
-  // read other domains' live shards; brackets keep only thread 0's local
-  // clock and the traffic window falls back to the whole run.
-  const bool parallel = cfg.sim_threads > 1;
-  const int total = params.warmup_episodes + params.episodes;
-  for (sim::CpuId c = 0; c < cfg.num_cpus; ++c) {
-    m.spawn(c, [&, c](core::ThreadCtx& t) -> sim::Task<void> {
-      for (int ep = 0; ep < total; ++ep) {
-        if (params.max_skew > 0) {
-          co_await t.compute(t.rng().below(params.max_skew));
-        }
-        co_await barrier->wait(t);
-        if (c == 0 && ep == params.warmup_episodes - 1) {
-          t_start = t.now();
-          if (!parallel) traffic_start = snap(m.network());
-        }
-        if (c == 0 && ep == total - 1) {
-          t_end = t.now();
-          if (!parallel) traffic_end = snap(m.network());
-        }
-      }
-    });
-  }
-  m.run();
-  if (parallel) traffic_end = snap(m.network());  // whole-run traffic
-
-  BarrierResult r;
-  r.cycles_per_barrier =
-      static_cast<double>(t_end - t_start) / params.episodes;
-  r.cycles_per_proc = r.cycles_per_barrier / cfg.num_cpus;
-  r.traffic.packets = traffic_end.packets - traffic_start.packets;
-  r.traffic.bytes = traffic_end.bytes - traffic_start.bytes;
-  record_barrier(cfg, params, r, m);
-  return r;
-}
-
-LockResult run_lock(const core::SystemConfig& cfg, const LockParams& params) {
-  core::Machine m(cfg);
-  std::unique_ptr<sync::Lock> lock =
-      params.array ? sync::make_array_lock(m, params.mech, cfg.num_cpus)
-                   : sync::make_ticket_lock(m, params.mech);
-  // A barrier separates warmup from the measured region so the timing
-  // brackets are clean. It uses processor-side atomics regardless of the
-  // lock mechanism under test; its traffic is excluded via snapshots.
-  auto fence = sync::make_central_barrier(m, sync::Mechanism::kAtomic,
-                                          cfg.num_cpus);
-
-  sim::Cycle t_start = 0;
-  sim::Cycle t_end = 0;
-  TrafficSnapshot traffic_start{};
-  TrafficSnapshot traffic_end{};
-  std::uint32_t finished = 0;
-  // PDES-safe bookkeeping: the shared `finished` counter and mid-run
-  // traffic snapshots are serial-only; K > 1 keeps a per-cpu finish
-  // cycle (each element written by exactly one domain thread) and takes
-  // the whole run's traffic.
-  const bool parallel = cfg.sim_threads > 1;
-  std::vector<sim::Cycle> finish_at(parallel ? cfg.num_cpus : 0, 0);
-
-  for (sim::CpuId c = 0; c < cfg.num_cpus; ++c) {
-    m.spawn(c, [&, c](core::ThreadCtx& t) -> sim::Task<void> {
-      for (int i = 0; i < params.warmup_iters; ++i) {
-        co_await lock->acquire(t);
-        co_await t.compute(params.cs_cycles);
-        co_await lock->release(t);
-        co_await t.compute(t.rng().below(params.max_skew + 1));
-      }
-      co_await fence->wait(t);
-      if (c == 0) {
-        t_start = t.now();
-        if (!parallel) traffic_start = snap(m.network());
-      }
-      for (int i = 0; i < params.iters; ++i) {
-        co_await lock->acquire(t);
-        co_await t.compute(params.cs_cycles);
-        co_await lock->release(t);
-        if (params.max_skew > 0) {
-          co_await t.compute(t.rng().below(params.max_skew));
-        }
-      }
-      if (parallel) {
-        finish_at[c] = t.now();
-      } else if (++finished == cfg.num_cpus) {
-        // Last finisher closes the measured region.
-        t_end = t.now();
-        traffic_end = snap(m.network());
-      }
-    });
-  }
-  m.run();
-  if (parallel) {
-    t_end = *std::max_element(finish_at.begin(), finish_at.end());
-    traffic_end = snap(m.network());
-  }
-
-  LockResult r;
-  r.total_cycles = static_cast<double>(t_end - t_start);
-  r.cycles_per_acquire =
-      r.total_cycles / (static_cast<double>(cfg.num_cpus) * params.iters);
-  r.traffic.packets = traffic_end.packets - traffic_start.packets;
-  r.traffic.bytes = traffic_end.bytes - traffic_start.bytes;
-  record_lock(cfg, params, r, m);
-  return r;
-}
 
 core::SystemConfig base_config(const CliOptions& opt) {
   core::SystemConfig cfg;

@@ -1,6 +1,7 @@
-// Shared benchmark harness: builds a machine, runs the paper's barrier /
-// lock microbenchmarks over a chosen mechanism, and reports cycles and
-// traffic. Every tableN_*/figN_* binary is a thin sweep over this.
+// Benchmark plumbing shared by every workload: command-line parsing, the
+// base config, the --json reporter, the parallel sweep runner, and table
+// printing. The simulation kernels themselves live behind run_cell
+// (scenario.hpp).
 #pragma once
 
 #include <cstdint>
@@ -9,57 +10,11 @@
 #include <utility>
 #include <vector>
 
-#include "core/machine.hpp"
-#include "net/network.hpp"
+#include "core/system_config.hpp"
 #include "sim/inline_fn.hpp"
 #include "sim/json.hpp"
-#include "sync/barrier.hpp"
-#include "sync/lock.hpp"
-#include "sync/mechanism.hpp"
 
 namespace amo::bench {
-
-enum class BarrierKind : std::uint8_t { kCentral, kTree };
-
-struct BarrierParams {
-  sync::Mechanism mech = sync::Mechanism::kLlSc;
-  BarrierKind kind = BarrierKind::kCentral;
-  std::uint32_t fanout = 4;     // tree only
-  int warmup_episodes = 2;
-  int episodes = 8;
-  std::uint64_t max_skew = 200;  // random work before each episode
-};
-
-struct TrafficSnapshot {
-  std::uint64_t packets = 0;
-  std::uint64_t bytes = 0;
-};
-
-struct BarrierResult {
-  double cycles_per_barrier = 0;
-  double cycles_per_proc = 0;  // Figure 5/6 metric: barrier latency / P
-  TrafficSnapshot traffic;     // network traffic over measured episodes
-};
-
-BarrierResult run_barrier(const core::SystemConfig& cfg,
-                          const BarrierParams& params);
-
-struct LockParams {
-  sync::Mechanism mech = sync::Mechanism::kLlSc;
-  bool array = false;          // false: ticket lock
-  int warmup_iters = 1;
-  int iters = 6;               // acquisitions per processor
-  sim::Cycle cs_cycles = 50;   // critical-section work
-  std::uint64_t max_skew = 200;
-};
-
-struct LockResult {
-  double total_cycles = 0;       // measured-region wall time
-  double cycles_per_acquire = 0; // total / (P * iters)
-  TrafficSnapshot traffic;
-};
-
-LockResult run_lock(const core::SystemConfig& cfg, const LockParams& params);
 
 /// The paper's processor-count axis (Tables 2/4); Table 3 starts at 16.
 std::vector<std::uint32_t> paper_cpu_counts(std::uint32_t min_cpus = 4);
@@ -97,14 +52,14 @@ CliOptions parse_cli_or_exit(int argc, char** argv);
 /// document ({bench, schema_version, records: [...]}) on destruction.
 ///
 /// Constructing a reporter installs it as the process-wide sink that
-/// run_barrier()/run_lock() feed records into (each record carries the
+/// run_cell() feeds records into (the barrier and lock records carry the
 /// swept config, the measured results, traffic deltas, and a full
-/// StatsRegistry dump), so a bench main() only needs:
+/// StatsRegistry dump), so a driver only needs:
 ///
 ///   bench::JsonReporter rep(opt, "table2_barriers");
 ///
-/// Hand-rolled benches append their own records via current()->add().
-/// Inactive (no --json=path) reporters are no-ops.
+/// Other code appends its own records via current()->add(). Inactive (no
+/// --json=path) reporters are no-ops.
 ///
 /// Concurrency: add() is safe to call from SweepRunner worker threads.
 /// While a capture buffer is installed on the calling thread (see

@@ -1,10 +1,16 @@
-// The cell kernels: each Kernel value dispatches to one simulation body.
-// These are the hand-rolled workloads of the former fig/ablation/extension
-// binaries, now driven by CellParams instead of their own main().
+// The cell kernels behind run_cell. Every barrier and lock kernel goes
+// through one episode driver: a factory builds the sync object the cell
+// asks for, one loop runs barrier episodes or lock passages over it, and
+// one builder writes the --json record. The kernels differ only in what
+// they report. fig1, the pairwise flags and the service keep their own
+// thread programs.
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <memory>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "bench/scenario.hpp"
@@ -20,29 +26,395 @@ namespace amo::bench {
 
 namespace {
 
-CellResult run_barrier_cell(const core::SystemConfig& cfg,
-                            const CellParams& p) {
-  BarrierParams bp;
-  bp.mech = p.mech;
-  bp.kind = p.kind;
-  bp.fanout = p.fanout;
-  bp.warmup_episodes = p.warmup_episodes;
-  bp.episodes = p.episodes;
-  bp.max_skew = p.max_skew;
-  const BarrierResult r = run_barrier(cfg, bp);
-  return CellResult{r.cycles_per_barrier, r.cycles_per_proc, r.traffic, 0};
+TrafficSnapshot snap(const net::Network& n) {
+  return TrafficSnapshot{n.stats().packets, n.stats().bytes};
 }
 
-CellResult run_lock_cell(const core::SystemConfig& cfg, const CellParams& p) {
-  LockParams lp;
-  lp.mech = p.mech;
-  lp.array = p.array;
-  lp.warmup_iters = p.warmup_iters;
-  lp.iters = p.iters;
-  lp.cs_cycles = p.cs_cycles;
-  lp.max_skew = p.max_skew;
-  const LockResult r = run_lock(cfg, lp);
-  return CellResult{r.total_cycles, r.cycles_per_acquire, r.traffic, 0};
+double ms_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+// ------------------------------------------------------------- records
+
+// The machine knobs ablations sweep, so --json records are
+// self-describing even when a bench varies more than the CPU count.
+sim::Json config_json(const core::SystemConfig& cfg) {
+  sim::Json j = sim::Json::object();
+  j["num_cpus"] = cfg.num_cpus;
+  j["cpus_per_node"] = cfg.cpus_per_node;
+  j["hop_cycles"] = cfg.net.hop_cycles;
+  j["hardware_multicast"] = cfg.net.hardware_multicast;
+  j["amu_cache_words"] = cfg.amu.cache_words;
+  j["amu_eager_put_all"] = cfg.amu.eager_put_all;
+  j["seed"] = cfg.seed;
+  // Only when decomposed: serial records stay byte-identical to pre-PDES.
+  if (cfg.sim_threads > 1) j["sim_threads"] = cfg.sim_threads;
+  return j;
+}
+
+/// The fields a record shares with the others. A `head` field sits
+/// between cpus and mechanism; traffic, config and the registry dump close
+/// the record when given.
+struct RecordShape {
+  const char* workload;
+  std::uint32_t cpus;
+  sync::Mechanism mech;
+  std::optional<std::pair<const char*, std::uint64_t>> head;
+  const TrafficSnapshot* traffic = nullptr;
+  const core::SystemConfig* config = nullptr;
+  const core::Machine* registry = nullptr;
+};
+
+/// The record builder: writes `s` around the kernel's own fields, which
+/// `body` adds. A no-op unless a --json reporter is listening.
+template <typename Body>
+void emit(const RecordShape& s, Body body) {
+  JsonReporter* rep = JsonReporter::current();
+  if (rep == nullptr || !rep->active()) return;
+  sim::Json rec = sim::Json::object();
+  rec["workload"] = s.workload;
+  rec["cpus"] = s.cpus;
+  if (s.head) rec[s.head->first] = s.head->second;
+  rec["mechanism"] = sync::to_string(s.mech);
+  body(rec);
+  if (s.traffic != nullptr) {
+    rec["traffic"]["packets"] = s.traffic->packets;
+    rec["traffic"]["bytes"] = s.traffic->bytes;
+  }
+  if (s.config != nullptr) rec["config"] = config_json(*s.config);
+  if (s.registry != nullptr) rec["registry"] = s.registry->stats_json();
+  rep->add(std::move(rec));
+}
+
+// ----------------------------------------------------------- factories
+
+/// The barrier a cell asks for, over CPUs [0, n). kPdes and flat kHier
+/// always build the tree barrier; kBarrier and kSpin follow `kind`.
+std::unique_ptr<sync::Barrier> make_barrier(core::Machine& m,
+                                            const CellParams& p,
+                                            std::uint32_t n) {
+  const core::HierConfig& hier = m.config().hier;
+  if (p.kernel == Kernel::kBarrierStyle) {
+    switch (p.style) {
+      case BarrierStyle::kNaive:
+        return sync::make_naive_barrier(m, p.mech, n);
+      case BarrierStyle::kOptimized:
+        return sync::make_central_barrier(m, p.mech, n);
+      case BarrierStyle::kDissemination:
+        return sync::make_dissemination_barrier(m, p.mech, n);
+      case BarrierStyle::kMcsTree:
+        return sync::make_mcs_tree_barrier(m, p.mech, n);
+    }
+  }
+  if (p.kernel == Kernel::kHier && p.hier != HierBarrier::kFlatTree) {
+    // Software fan-in unless the config opts into AMU combining; the
+    // cluster_amu variant forces it regardless of the knob.
+    return sync::make_cluster_barrier(
+        m, p.mech, n, hier.levels,
+        p.hier == HierBarrier::kClusterAmu || hier.amu_aggregation);
+  }
+  if (p.kernel == Kernel::kHier || p.kernel == Kernel::kPdes ||
+      p.kind == BarrierKind::kTree) {
+    return sync::make_tree_barrier(m, p.mech, n, p.fanout);
+  }
+  return sync::make_central_barrier(m, p.mech, n);
+}
+
+/// The lock a cell asks for: kLock picks ticket or array by `array`, the
+/// other lock kernels name an algorithm.
+std::unique_ptr<sync::Lock> make_lock(core::Machine& m, const CellParams& p) {
+  const core::HierConfig& hier = m.config().hier;
+  const LockAlgo algo = p.kernel != Kernel::kLock ? p.algo
+                        : p.array                 ? LockAlgo::kArray
+                                                  : LockAlgo::kTicket;
+  switch (algo) {
+    case LockAlgo::kTas: return sync::make_tas_lock(m, p.mech);
+    case LockAlgo::kTicket: {
+      sync::TicketLockConfig cfg;
+      cfg.backoff = p.backoff;
+      return sync::make_ticket_lock(m, p.mech, cfg);
+    }
+    case LockAlgo::kArray:
+      return sync::make_array_lock(m, p.mech, m.num_cpus());
+    case LockAlgo::kMcs: return sync::make_mcs_lock(m, p.mech);
+    case LockAlgo::kCna:
+      return sync::make_cna_lock(m, p.mech, hier.levels, hier.cna_threshold);
+    case LockAlgo::kHmcs:
+      return sync::make_hmcs_lock(m, p.mech, hier.levels,
+                                  hier.hmcs_threshold);
+  }
+  return nullptr;
+}
+
+// ------------------------------------------------------------- driver
+
+/// The network traffic over a loop's measured region. Under PDES a
+/// mid-run Network::stats() call would read other domains' live shards,
+/// so the window then covers the whole run.
+struct TrafficWindow {
+  const net::Network& net;
+  bool whole_run;  // sim_threads > 1
+  TrafficSnapshot start{};
+  TrafficSnapshot end{};
+
+  void open() { if (!whole_run) start = snap(net); }
+  void close() { if (!whole_run) end = snap(net); }
+  /// The window's traffic; call once the run has drained.
+  TrafficSnapshot traffic() {
+    if (whole_run) end = snap(net);
+    return {end.packets - start.packets, end.bytes - start.bytes};
+  }
+};
+
+/// What the barrier-episode loop measured.
+struct Episodes {
+  std::uint32_t active = 0;     // CPUs that ran the barrier
+  sim::Cycle t0 = 0;            // thread 0, after its last warm-up exit
+  sim::Cycle t1 = 0;            // thread 0, after its last exit
+  std::uint64_t e0 = 0;         // domain-0 events executed at t0
+  std::uint64_t e1 = 0;         // ... and at t1
+  TrafficSnapshot traffic;      // network traffic between t0 and t1
+};
+
+/// The barrier-episode loop. The first `active` CPUs (all by default) run
+/// warm-up then measured episodes, each after a random skew. Thread 0
+/// brackets the measured region; every thread is within one barrier of
+/// it there. For kSpin the other CPUs park on a flag that thread 0 raises
+/// after its last episode.
+Episodes run_episodes(core::Machine& m, const CellParams& p) {
+  const std::uint32_t cpus = m.num_cpus();
+  Episodes r;
+  r.active = p.active == 0 ? cpus : std::min(p.active, cpus);
+  const std::unique_ptr<sync::Barrier> barrier = make_barrier(m, p, r.active);
+  const bool spin = p.kernel == Kernel::kSpin;
+  const sim::Addr done = spin ? m.galloc().alloc_word_line(0) : 0;
+  const int total = p.warmup_episodes + p.episodes;
+  TrafficWindow window{m.network(), m.config().sim_threads > 1};
+  for (sim::CpuId c = 0; c < r.active; ++c) {
+    m.spawn(c, [&, c](core::ThreadCtx& t) -> sim::Task<void> {
+      for (int ep = 0; ep < total; ++ep) {
+        if (p.max_skew > 0) co_await t.compute(t.rng().below(p.max_skew));
+        co_await barrier->wait(t);
+        if (c != 0) continue;
+        if (ep == p.warmup_episodes - 1) {
+          r.t0 = t.now();
+          r.e0 = m.engine().events_executed();
+          window.open();
+        }
+        if (ep == total - 1) {
+          r.t1 = t.now();
+          r.e1 = m.engine().events_executed();
+          window.close();
+        }
+      }
+      if (spin && c == 0) co_await t.store(done, 1);
+    });
+  }
+  for (sim::CpuId c = r.active; spin && c < cpus; ++c) {
+    m.spawn(c, [&](core::ThreadCtx& t) -> sim::Task<void> {
+      (void)co_await sync::spin_cached_until(
+          t, done, [](std::uint64_t v) { return v != 0; });
+    });
+  }
+  m.run();
+  r.traffic = window.traffic();
+  return r;
+}
+
+/// What the lock-passage loop measured.
+struct Passages {
+  sim::Cycle t_start = 0;  // thread 0 past the fence (0 without warm-up)
+  sim::Cycle t_end = 0;    // the last finisher's exit
+  sim::Cycle now = 0;      // domain 0's clock once the run drained
+  TrafficSnapshot traffic;  // network traffic between t_start and t_end
+};
+
+/// The lock-passage loop: CPU c runs `iters` passages (acquire, critical
+/// section, release, random skew) on lock c % locks. With `warmup` each
+/// CPU first runs warm-up passages, then meets the others at a fence that
+/// opens the measured region. The fence is a central barrier on
+/// processor-side atomics whatever the lock's mechanism; its traffic
+/// falls outside the window.
+Passages run_passages(core::Machine& m, const CellParams& p, bool warmup) {
+  const std::uint32_t cpus = m.num_cpus();
+  std::vector<std::unique_ptr<sync::Lock>> locks;
+  for (std::uint32_t l = 0; l < std::max(p.locks, 1u); ++l) {
+    locks.push_back(make_lock(m, p));
+  }
+  const std::unique_ptr<sync::Barrier> fence =
+      warmup ? sync::make_central_barrier(m, sync::Mechanism::kAtomic, cpus)
+             : nullptr;
+  // Each CPU writes only its own finish cycle (PDES-safe); the last
+  // finisher closes the window.
+  std::vector<sim::Cycle> finish_at(cpus, 0);
+  std::atomic<std::uint32_t> finished{0};
+  TrafficWindow window{m.network(), m.config().sim_threads > 1};
+  Passages r;
+  for (sim::CpuId c = 0; c < cpus; ++c) {
+    sync::Lock* lock = locks[c % locks.size()].get();
+    m.spawn(c, [&, c, lock](core::ThreadCtx& t) -> sim::Task<void> {
+      if (fence) {
+        for (int i = 0; i < p.warmup_iters; ++i) {
+          co_await lock->acquire(t);
+          co_await t.compute(p.cs_cycles);
+          co_await lock->release(t);
+          // Draws even at max_skew 0, unlike the measured passages.
+          co_await t.compute(t.rng().below(p.max_skew + 1));
+        }
+        co_await fence->wait(t);
+        if (c == 0) {
+          r.t_start = t.now();
+          window.open();
+        }
+      }
+      for (int i = 0; i < p.iters; ++i) {
+        co_await lock->acquire(t);
+        co_await t.compute(p.cs_cycles);
+        co_await lock->release(t);
+        if (p.max_skew > 0) co_await t.compute(t.rng().below(p.max_skew));
+      }
+      finish_at[c] = t.now();
+      if (++finished == cpus) window.close();
+    });
+  }
+  m.run();
+  r.t_end = *std::max_element(finish_at.begin(), finish_at.end());
+  r.now = m.engine().now();
+  r.traffic = window.traffic();
+  return r;
+}
+
+// ------------------------------------------------------------- kernels
+
+/// kBarrier, kBarrierStyle, kSpin, kPdes and kHier. kPdes and kHier time
+/// the whole cell on the host, machine construction and teardown
+/// included; host time lands only in the --json record and the PDES
+/// table's wall/speedup columns, never in identity-checked numbers.
+CellResult run_barrier_kernel(const core::SystemConfig& cfg,
+                              const CellParams& p) {
+  const auto wall_start = std::chrono::steady_clock::now();
+  auto m = std::make_unique<core::Machine>(cfg);
+  const Episodes e = run_episodes(*m, p);
+  CellResult r;
+  r.primary = static_cast<double>(e.t1 - e.t0) / p.episodes;
+  switch (p.kernel) {
+    case Kernel::kBarrier:
+      r.secondary = r.primary / cfg.num_cpus;
+      r.traffic = e.traffic;
+      emit({"barrier", cfg.num_cpus, p.mech, {}, &e.traffic, &cfg, m.get()},
+           [&](sim::Json& rec) {
+             rec["barrier"] = to_string(p.kind);
+             if (p.kind == BarrierKind::kTree) rec["fanout"] = p.fanout;
+             rec["episodes"] = p.episodes;
+             rec["cycles_per_barrier"] = r.primary;
+             rec["cycles_per_proc"] = r.secondary;
+           });
+      break;
+    case Kernel::kSpin:
+      // Parked waiters cost no events until the flag flips, so host
+      // events per episode track the active set, not the machine size.
+      r.aux = e.e1 - e.e0;
+      r.secondary = static_cast<double>(r.aux) / p.episodes;
+      emit({"microbench_spin", cfg.num_cpus, p.mech,
+            std::pair("active", e.active), nullptr, nullptr, m.get()},
+           [&](sim::Json& rec) {
+             rec["episodes"] = p.episodes;
+             rec["cycles_per_episode"] = r.primary;
+             rec["events_per_episode"] = r.secondary;
+           });
+      break;
+    case Kernel::kPdes: {
+      // Host-parallel scaling: simulated metrics are deterministic per
+      // sim_threads value; wall_ms and events_per_sec are host time.
+      r.aux = m->domains().total_events_executed();
+      const sim::Cycle total_cycles = m->domains().max_now();
+      m.reset();
+      r.secondary = ms_since(wall_start);
+      emit({"microbench_pdes", cfg.num_cpus, p.mech,
+            std::pair("sim_threads", cfg.sim_threads)},
+           [&](sim::Json& rec) {
+             rec["fanout"] = p.fanout;
+             rec["episodes"] = p.episodes;
+             rec["cycles_per_episode"] = r.primary;
+             rec["total_cycles"] = total_cycles;
+             rec["events"] = r.aux;
+             rec["wall_ms"] = r.secondary;
+             rec["events_per_sec"] =
+                 r.secondary > 0
+                     ? static_cast<double>(r.aux) * 1000.0 / r.secondary
+                     : 0.0;
+           });
+      break;
+    }
+    case Kernel::kHier: {
+      // Packets crossing the fat tree's root links, the resource the
+      // hierarchy exists to relieve. They are read once after the run
+      // (mid-run reads would race under PDES), so the per-episode figure
+      // averages the warm-up in; every variant pays the same warm-up.
+      r.aux = m->network().root_link_traversals();
+      r.secondary = static_cast<double>(r.aux) /
+                    (p.warmup_episodes + p.episodes);
+      r.traffic = snap(m->network());
+      const std::uint64_t events = m->domains().total_events_executed();
+      m.reset();
+      const double wall_ms = ms_since(wall_start);
+      emit({"microbench_hier", cfg.num_cpus, p.mech,
+            std::pair("sim_threads", cfg.sim_threads)},
+           [&](sim::Json& rec) {
+             rec["barrier"] = to_string(p.hier);
+             rec["levels"] = cfg.hier.levels;
+             rec["radix"] = cfg.net.radix;
+             rec["episodes"] = p.episodes;
+             rec["cycles_per_episode"] = r.primary;
+             rec["root_link_messages"] = r.aux;
+             rec["root_link_messages_per_episode"] = r.secondary;
+             rec["events"] = events;
+             rec["wall_ms"] = wall_ms;
+           });
+      break;
+    }
+    default: break;  // kBarrierStyle: cycles per episode only
+  }
+  return r;
+}
+
+/// kLock, kLockAlgo, kTicketBackoff and kMultiLock. Only kLock fences off
+/// a warm-up and reports the measured window; the others report the
+/// whole run.
+CellResult run_lock_kernel(const core::SystemConfig& cfg,
+                           const CellParams& p) {
+  core::Machine m(cfg);
+  const bool paper = p.kernel == Kernel::kLock;
+  const Passages s = run_passages(m, p, /*warmup=*/paper);
+  CellResult r;
+  if (paper) {
+    r.primary = static_cast<double>(s.t_end - s.t_start);
+    r.secondary =
+        r.primary / (static_cast<double>(cfg.num_cpus) * p.iters);
+    r.traffic = s.traffic;
+    emit({"lock", cfg.num_cpus, p.mech, {}, &s.traffic, &cfg, &m},
+         [&](sim::Json& rec) {
+           rec["lock"] = p.array ? "array" : "ticket";
+           rec["iters"] = p.iters;
+           rec["cs_cycles"] = p.cs_cycles;
+           rec["total_cycles"] = r.primary;
+           rec["cycles_per_acquire"] = r.secondary;
+         });
+    return r;
+  }
+  r.primary = static_cast<double>(s.now);
+  if (p.kernel == Kernel::kLockAlgo) {
+    const TrafficSnapshot whole = snap(m.network());
+    emit({"lock_algo", cfg.num_cpus, p.mech, {}, &whole, nullptr, &m},
+         [&](sim::Json& rec) {
+           rec["lock"] = to_string(p.algo);
+           rec["iters"] = p.iters;
+           rec["total_cycles"] = r.primary;
+         });
+  }
+  return r;
 }
 
 // The paper's Figure 1 scenario: a three-processor barrier, one processor
@@ -68,71 +440,15 @@ CellResult run_fig1_cell(const core::SystemConfig& cfg, const CellParams& p) {
     });
   }
   m.run();
-  if (JsonReporter* rep = JsonReporter::current();
-      rep != nullptr && rep->active()) {
-    sim::Json rec = sim::Json::object();
-    rec["workload"] = "fig1_episode";
-    rec["cpus"] = 3;
-    rec["mechanism"] = sync::to_string(mech);
-    rec["one_way_messages"] = m.stats().net.packets;
-    rec["cycles"] = done;
-    rec["registry"] = m.stats_json();
-    rep->add(std::move(rec));
-  }
+  const std::uint64_t packets = m.network().stats().packets;
+  emit({"fig1_episode", 3, mech, {}, nullptr, nullptr, &m},
+       [&](sim::Json& rec) {
+         rec["one_way_messages"] = packets;
+         rec["cycles"] = done;
+       });
   CellResult r;
   r.primary = static_cast<double>(done);
-  r.aux = m.stats().net.packets;
-  return r;
-}
-
-// K independent ticket locks all homed on node 0, each contended by a
-// disjoint processor group; past 2*K AMU cache words the AMU thrashes.
-CellResult run_multilock_cell(const core::SystemConfig& cfg,
-                              const CellParams& p) {
-  core::Machine m(cfg);
-  const int iters = p.iters;
-  // Each lock needs TWO AMU-resident words (sequencer + now_serving).
-  std::vector<std::unique_ptr<sync::Lock>> locks;
-  for (std::uint32_t l = 0; l < p.locks; ++l) {
-    locks.push_back(sync::make_ticket_lock(m, p.mech));
-  }
-  for (sim::CpuId c = 0; c < cfg.num_cpus; ++c) {
-    sync::Lock& lock = *locks[c % p.locks];
-    m.spawn(c, [&, iters](core::ThreadCtx& t) -> sim::Task<void> {
-      for (int it = 0; it < iters; ++it) {
-        co_await lock.acquire(t);
-        co_await t.compute(50);
-        co_await lock.release(t);
-        co_await t.compute(t.rng().below(200));
-      }
-    });
-  }
-  m.run();
-  CellResult r;
-  r.primary = static_cast<double>(m.engine().now());
-  return r;
-}
-
-CellResult run_ticket_backoff_cell(const core::SystemConfig& cfg,
-                                   const CellParams& p) {
-  core::Machine m(cfg);
-  const int iters = p.iters;
-  sync::TicketLockConfig lcfg;
-  lcfg.backoff = p.backoff;
-  auto lock = sync::make_ticket_lock(m, p.mech, lcfg);
-  for (sim::CpuId c = 0; c < cfg.num_cpus; ++c) {
-    m.spawn(c, [&, iters](core::ThreadCtx& t) -> sim::Task<void> {
-      for (int i2 = 0; i2 < iters; ++i2) {
-        co_await lock->acquire(t);
-        co_await t.compute(50);
-        co_await lock->release(t);
-        co_await t.compute(t.rng().below(200));
-      }
-    });
-  }
-  m.run();
-  CellResult r;
-  r.primary = static_cast<double>(m.engine().now());
+  r.aux = packets;
   return r;
 }
 
@@ -173,308 +489,10 @@ CellResult run_pairwise_flags_cell(const core::SystemConfig& cfg,
   m.run();
   CellResult res;
   res.primary = static_cast<double>(m.engine().now());
-  res.aux = m.stats().dir.word_updates_sent;
+  for (sim::NodeId n = 0; n < m.num_nodes(); ++n) {
+    res.aux += m.dir(n).stats().word_updates_sent;
+  }
   return res;
-}
-
-CellResult run_barrier_style_cell(const core::SystemConfig& cfg,
-                                  const CellParams& p) {
-  core::Machine m(cfg);
-  const int episodes = p.episodes;
-  std::unique_ptr<sync::Barrier> barrier;
-  switch (p.style) {
-    case BarrierStyle::kNaive:
-      barrier = sync::make_naive_barrier(m, p.mech, cfg.num_cpus);
-      break;
-    case BarrierStyle::kOptimized:
-      barrier = sync::make_central_barrier(m, p.mech, cfg.num_cpus);
-      break;
-    case BarrierStyle::kDissemination:
-      barrier = sync::make_dissemination_barrier(m, p.mech, cfg.num_cpus);
-      break;
-    case BarrierStyle::kMcsTree:
-      barrier = sync::make_mcs_tree_barrier(m, p.mech, cfg.num_cpus);
-      break;
-  }
-  sim::Cycle t0 = 0;
-  sim::Cycle t1 = 0;
-  for (sim::CpuId c = 0; c < cfg.num_cpus; ++c) {
-    m.spawn(c, [&, c, episodes](core::ThreadCtx& t) -> sim::Task<void> {
-      for (int ep = 0; ep < episodes + 2; ++ep) {
-        co_await t.compute(t.rng().below(200));
-        co_await barrier->wait(t);
-        if (c == 0 && ep == 1) t0 = t.now();
-        if (c == 0 && ep == episodes + 1) t1 = t.now();
-      }
-    });
-  }
-  m.run();
-  CellResult r;
-  r.primary = static_cast<double>(t1 - t0) / episodes;
-  return r;
-}
-
-CellResult run_lock_algo_cell(const core::SystemConfig& cfg,
-                              const CellParams& p) {
-  core::Machine m(cfg);
-  const int iters = p.iters;
-  std::unique_ptr<sync::Lock> lock;
-  switch (p.algo) {
-    case LockAlgo::kTas: lock = sync::make_tas_lock(m, p.mech); break;
-    case LockAlgo::kTicket: lock = sync::make_ticket_lock(m, p.mech); break;
-    case LockAlgo::kArray:
-      lock = sync::make_array_lock(m, p.mech, cfg.num_cpus);
-      break;
-    case LockAlgo::kMcs: lock = sync::make_mcs_lock(m, p.mech); break;
-    case LockAlgo::kCna:
-      lock = sync::make_cna_lock(m, p.mech, cfg.hier.levels,
-                                 cfg.hier.cna_threshold);
-      break;
-    case LockAlgo::kHmcs:
-      lock = sync::make_hmcs_lock(m, p.mech, cfg.hier.levels,
-                                  cfg.hier.hmcs_threshold);
-      break;
-  }
-  for (sim::CpuId c = 0; c < cfg.num_cpus; ++c) {
-    m.spawn(c, [&, iters](core::ThreadCtx& t) -> sim::Task<void> {
-      for (int i = 0; i < iters; ++i) {
-        co_await lock->acquire(t);
-        co_await t.compute(50);
-        co_await lock->release(t);
-        co_await t.compute(t.rng().below(200));
-      }
-    });
-  }
-  m.run();
-  const double total = static_cast<double>(m.engine().now());
-  if (JsonReporter* rep = JsonReporter::current();
-      rep != nullptr && rep->active()) {
-    sim::Json rec = sim::Json::object();
-    rec["workload"] = "lock_algo";
-    rec["cpus"] = cfg.num_cpus;
-    rec["mechanism"] = sync::to_string(p.mech);
-    rec["lock"] = to_string(p.algo);
-    rec["iters"] = iters;
-    rec["total_cycles"] = total;
-    rec["traffic"]["packets"] = m.network().stats().packets;
-    rec["traffic"]["bytes"] = m.network().stats().bytes;
-    rec["registry"] = m.stats_json();
-    rep->add(std::move(rec));
-  }
-  CellResult r;
-  r.primary = total;
-  return r;
-}
-
-// Spin-wait virtualization cost model: `active` cpus run central-barrier
-// episodes while every other cpu busy-waits on a flag that only flips
-// after the last episode. Parked waiters cost no events until the flag
-// flips, so host events per episode track the ACTIVE set, not the total.
-CellResult run_spin_cell(const core::SystemConfig& cfg, const CellParams& p) {
-  core::Machine m(cfg);
-  const std::uint32_t active =
-      p.active == 0 ? cfg.num_cpus : std::min(p.active, cfg.num_cpus);
-  const int episodes = p.episodes;
-  auto barrier = sync::make_central_barrier(m, p.mech, active);
-  const sim::Addr done_flag = m.galloc().alloc_word_line(0);
-
-  sim::Cycle t0 = 0;
-  sim::Cycle t1 = 0;
-  std::uint64_t e0 = 0;
-  std::uint64_t e1 = 0;
-  for (sim::CpuId c = 0; c < active; ++c) {
-    m.spawn(c, [&, c, episodes](core::ThreadCtx& t) -> sim::Task<void> {
-      for (int ep = 0; ep < episodes + 2; ++ep) {
-        if (p.max_skew != 0) co_await t.compute(t.rng().below(p.max_skew));
-        co_await barrier->wait(t);
-        if (c == 0 && ep == 1) {
-          t0 = t.now();
-          e0 = m.engine().events_executed();
-        }
-        if (c == 0 && ep == episodes + 1) {
-          t1 = t.now();
-          e1 = m.engine().events_executed();
-        }
-      }
-      if (c == 0) co_await t.store(done_flag, 1);
-    });
-  }
-  for (sim::CpuId c = active; c < cfg.num_cpus; ++c) {
-    m.spawn(c, [&](core::ThreadCtx& t) -> sim::Task<void> {
-      (void)co_await sync::spin_cached_until(
-          t, done_flag, [](std::uint64_t v) { return v != 0; });
-    });
-  }
-  m.run();
-
-  const double cycles_per_ep = static_cast<double>(t1 - t0) / episodes;
-  const double events_per_ep = static_cast<double>(e1 - e0) / episodes;
-  if (JsonReporter* rep = JsonReporter::current();
-      rep != nullptr && rep->active()) {
-    sim::Json rec = sim::Json::object();
-    rec["workload"] = "microbench_spin";
-    rec["cpus"] = cfg.num_cpus;
-    rec["active"] = active;
-    rec["mechanism"] = sync::to_string(p.mech);
-    rec["episodes"] = episodes;
-    rec["cycles_per_episode"] = cycles_per_ep;
-    rec["events_per_episode"] = events_per_ep;
-    rec["registry"] = m.stats_json();
-    rep->add(std::move(rec));
-  }
-  CellResult r;
-  r.primary = cycles_per_ep;
-  r.secondary = events_per_ep;
-  r.aux = e1 - e0;
-  return r;
-}
-
-// Host-parallel scaling probe: tree-barrier episodes (node-local leaf
-// groups spread barrier work across the PDES domains), timed in both
-// simulated cycles and host wall-clock. The simulated metrics (primary,
-// total_cycles, events) are deterministic per sim_threads value; wall_ms
-// and events_per_sec are host measurements and land only in the --json
-// record, never in identity-checked output.
-CellResult run_pdes_cell(const core::SystemConfig& cfg, const CellParams& p) {
-  const int episodes = p.episodes;
-  sim::Cycle t0 = 0;
-  sim::Cycle t1 = 0;
-  std::uint64_t events = 0;
-  sim::Cycle total_cycles = 0;
-
-  const auto wall_start = std::chrono::steady_clock::now();
-  {
-    core::Machine m(cfg);
-    auto barrier = sync::make_tree_barrier(m, p.mech, cfg.num_cpus, p.fanout);
-    for (sim::CpuId c = 0; c < cfg.num_cpus; ++c) {
-      m.spawn(c, [&, c, episodes](core::ThreadCtx& t) -> sim::Task<void> {
-        for (int ep = 0; ep < episodes + 2; ++ep) {
-          if (p.max_skew != 0) co_await t.compute(t.rng().below(p.max_skew));
-          co_await barrier->wait(t);
-          if (c == 0 && ep == 1) t0 = t.now();
-          if (c == 0 && ep == episodes + 1) t1 = t.now();
-        }
-      });
-    }
-    m.run();
-    events = m.domains().total_events_executed();
-    total_cycles = m.domains().max_now();
-  }
-  const auto wall_end = std::chrono::steady_clock::now();
-  const double wall_ms =
-      std::chrono::duration<double, std::milli>(wall_end - wall_start)
-          .count();
-
-  const double cycles_per_ep = static_cast<double>(t1 - t0) / episodes;
-  if (JsonReporter* rep = JsonReporter::current();
-      rep != nullptr && rep->active()) {
-    sim::Json rec = sim::Json::object();
-    rec["workload"] = "microbench_pdes";
-    rec["cpus"] = cfg.num_cpus;
-    rec["sim_threads"] = cfg.sim_threads;
-    rec["mechanism"] = sync::to_string(p.mech);
-    rec["fanout"] = p.fanout;
-    rec["episodes"] = episodes;
-    rec["cycles_per_episode"] = cycles_per_ep;
-    rec["total_cycles"] = total_cycles;
-    rec["events"] = events;
-    rec["wall_ms"] = wall_ms;
-    rec["events_per_sec"] =
-        wall_ms > 0 ? static_cast<double>(events) * 1000.0 / wall_ms : 0.0;
-    rep->add(std::move(rec));
-  }
-  CellResult r;
-  r.primary = cycles_per_ep;
-  r.secondary = wall_ms;
-  r.aux = events;
-  return r;
-}
-
-// Hierarchy-aware barrier probe: the flat fixed-fanout tree barrier vs
-// the cluster-hierarchical barrier (software fan-in or AMU aggregation),
-// measuring cycles per episode AND the packets crossing the fat tree's
-// ROOT links — the contended resource the hierarchy exists to relieve.
-// Root-link counts are read once after the run (mid-run snapshots would
-// race under sim_threads > 1), so the per-episode figure averages the
-// warmup episodes in; both variants pay the same warmup, so the gate's
-// ratio is unaffected. Wall-clock lands only in the --json record.
-CellResult run_hier_cell(const core::SystemConfig& cfg, const CellParams& p) {
-  const int episodes = p.episodes;
-  sim::Cycle t0 = 0;
-  sim::Cycle t1 = 0;
-  std::uint64_t root_links = 0;
-  std::uint64_t events = 0;
-  TrafficSnapshot traffic;
-
-  const auto wall_start = std::chrono::steady_clock::now();
-  {
-    core::Machine m(cfg);
-    std::unique_ptr<sync::Barrier> barrier;
-    switch (p.hier) {
-      case HierBarrier::kFlatTree:
-        barrier = sync::make_tree_barrier(m, p.mech, cfg.num_cpus, p.fanout);
-        break;
-      case HierBarrier::kCluster:
-        // Software fan-in unless the config opts into AMU combining;
-        // the cluster_amu variant forces it regardless of the knob.
-        barrier = sync::make_cluster_barrier(m, p.mech, cfg.num_cpus,
-                                             cfg.hier.levels,
-                                             cfg.hier.amu_aggregation);
-        break;
-      case HierBarrier::kClusterAmu:
-        barrier = sync::make_cluster_barrier(m, p.mech, cfg.num_cpus,
-                                             cfg.hier.levels,
-                                             /*amu_aggregation=*/true);
-        break;
-    }
-    for (sim::CpuId c = 0; c < cfg.num_cpus; ++c) {
-      m.spawn(c, [&, c, episodes](core::ThreadCtx& t) -> sim::Task<void> {
-        for (int ep = 0; ep < episodes + 2; ++ep) {
-          if (p.max_skew != 0) co_await t.compute(t.rng().below(p.max_skew));
-          co_await barrier->wait(t);
-          if (c == 0 && ep == 1) t0 = t.now();
-          if (c == 0 && ep == episodes + 1) t1 = t.now();
-        }
-      });
-    }
-    m.run();
-    root_links = m.network().root_link_traversals();
-    events = m.domains().total_events_executed();
-    traffic.packets = m.network().stats().packets;
-    traffic.bytes = m.network().stats().bytes;
-  }
-  const auto wall_end = std::chrono::steady_clock::now();
-  const double wall_ms =
-      std::chrono::duration<double, std::milli>(wall_end - wall_start)
-          .count();
-
-  const double cycles_per_ep = static_cast<double>(t1 - t0) / episodes;
-  const double root_per_ep =
-      static_cast<double>(root_links) / (episodes + 2);
-  if (JsonReporter* rep = JsonReporter::current();
-      rep != nullptr && rep->active()) {
-    sim::Json rec = sim::Json::object();
-    rec["workload"] = "microbench_hier";
-    rec["cpus"] = cfg.num_cpus;
-    rec["sim_threads"] = cfg.sim_threads;
-    rec["mechanism"] = sync::to_string(p.mech);
-    rec["barrier"] = to_string(p.hier);
-    rec["levels"] = cfg.hier.levels;
-    rec["radix"] = cfg.net.radix;
-    rec["episodes"] = episodes;
-    rec["cycles_per_episode"] = cycles_per_ep;
-    rec["root_link_messages"] = root_links;
-    rec["root_link_messages_per_episode"] = root_per_ep;
-    rec["events"] = events;
-    rec["wall_ms"] = wall_ms;
-    rep->add(std::move(rec));
-  }
-  CellResult r;
-  r.primary = cycles_per_ep;
-  r.secondary = root_per_ep;
-  r.traffic = traffic;
-  r.aux = root_links;
-  return r;
 }
 
 // Open-loop sharded-service scenario: every cpu runs an independent
@@ -517,32 +535,25 @@ CellResult run_service_cell(const core::SystemConfig& cfg_in,
   for (const sim::LogHistogram& h : lat) merged += h;
 
   const sim::Cycle total_cycles = m.domains().max_now();
-  if (JsonReporter* rep = JsonReporter::current();
-      rep != nullptr && rep->active()) {
-    sim::Json rec = sim::Json::object();
-    rec["workload"] = "service";
-    rec["cpus"] = cfg.num_cpus;
-    rec["sim_threads"] = cfg.sim_threads;
-    rec["mechanism"] = sync::to_string(p.mech);
-    rec["shards"] = service.num_shards();
-    rec["interarrival"] = mean_gap;
-    rec["requests"] = merged.count();
-    rec["latency"]["mean"] = merged.mean();
-    rec["latency"]["min"] = merged.min();
-    rec["latency"]["max"] = merged.max();
-    rec["latency"]["p50"] = merged.quantile(0.50);
-    rec["latency"]["p90"] = merged.quantile(0.90);
-    rec["latency"]["p99"] = merged.quantile(0.99);
-    rec["latency"]["p999"] = merged.quantile(0.999);
-    rec["cycles"] = total_cycles;
-    rec["registry"] = m.stats_json();
-    rep->add(std::move(rec));
-  }
+  emit({"service", cfg.num_cpus, p.mech,
+        std::pair("sim_threads", cfg.sim_threads), nullptr, nullptr, &m},
+       [&](sim::Json& rec) {
+         rec["shards"] = service.num_shards();
+         rec["interarrival"] = mean_gap;
+         rec["requests"] = merged.count();
+         rec["latency"]["mean"] = merged.mean();
+         rec["latency"]["min"] = merged.min();
+         rec["latency"]["max"] = merged.max();
+         rec["latency"]["p50"] = merged.quantile(0.50);
+         rec["latency"]["p90"] = merged.quantile(0.90);
+         rec["latency"]["p99"] = merged.quantile(0.99);
+         rec["latency"]["p999"] = merged.quantile(0.999);
+         rec["cycles"] = total_cycles;
+       });
   CellResult r;
   r.primary = static_cast<double>(merged.quantile(0.999));
   r.secondary = merged.mean();
-  r.traffic.packets = m.network().stats().packets;
-  r.traffic.bytes = m.network().stats().bytes;
+  r.traffic = snap(m.network());
   r.aux = merged.count();
   return r;
 }
@@ -551,17 +562,17 @@ CellResult run_service_cell(const core::SystemConfig& cfg_in,
 
 CellResult run_cell(const core::SystemConfig& cfg, const CellParams& params) {
   switch (params.kernel) {
-    case Kernel::kBarrier: return run_barrier_cell(cfg, params);
-    case Kernel::kLock: return run_lock_cell(cfg, params);
-    case Kernel::kLockAlgo: return run_lock_algo_cell(cfg, params);
-    case Kernel::kTicketBackoff: return run_ticket_backoff_cell(cfg, params);
+    case Kernel::kBarrier:
+    case Kernel::kBarrierStyle:
+    case Kernel::kSpin:
+    case Kernel::kPdes:
+    case Kernel::kHier: return run_barrier_kernel(cfg, params);
+    case Kernel::kLock:
+    case Kernel::kLockAlgo:
+    case Kernel::kTicketBackoff:
+    case Kernel::kMultiLock: return run_lock_kernel(cfg, params);
     case Kernel::kFig1Episode: return run_fig1_cell(cfg, params);
-    case Kernel::kMultiLock: return run_multilock_cell(cfg, params);
     case Kernel::kPairwiseFlags: return run_pairwise_flags_cell(cfg, params);
-    case Kernel::kBarrierStyle: return run_barrier_style_cell(cfg, params);
-    case Kernel::kSpin: return run_spin_cell(cfg, params);
-    case Kernel::kPdes: return run_pdes_cell(cfg, params);
-    case Kernel::kHier: return run_hier_cell(cfg, params);
     case Kernel::kService: return run_service_cell(cfg, params);
   }
   return {};

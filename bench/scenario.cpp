@@ -206,6 +206,7 @@ CellParams params_from_json(const sim::Json& j) {
 }  // namespace
 
 const char* to_string(Kernel k) { return enum_name(kKernelNames, k); }
+const char* to_string(BarrierKind k) { return enum_name(kKindNames, k); }
 const char* to_string(LockAlgo a) { return enum_name(kAlgoNames, a); }
 const char* to_string(BarrierStyle s) { return enum_name(kStyleNames, s); }
 const char* to_string(HierBarrier h) { return enum_name(kHierNames, h); }

@@ -14,15 +14,20 @@
 #include <vector>
 
 #include "bench/harness.hpp"
+#include "sync/lock.hpp"
+#include "sync/mechanism.hpp"
 
 namespace amo::bench {
 
-/// The simulation kernels a cell can run. kBarrier/kLock are the paper's
-/// main harness loops; the rest are the hand-rolled workloads of the
-/// figure/ablation benches, parameterized.
+/// The simulation kernels a cell can run. The barrier kernels (kBarrier,
+/// kBarrierStyle, kSpin, kPdes, kHier) share one episode loop and the
+/// lock kernels (kLock, kLockAlgo, kTicketBackoff, kMultiLock) one
+/// passage loop; they differ only in the sync object and what they
+/// report. kFig1Episode, kPairwiseFlags and kService run their own
+/// thread programs.
 enum class Kernel : std::uint8_t {
-  kBarrier,        // run_barrier: central/tree barrier episodes
-  kLock,           // run_lock: ticket/array lock acquire loop
+  kBarrier,        // the paper's central/tree barrier episodes
+  kLock,           // the paper's ticket/array lock passages, fenced warm-up
   kLockAlgo,       // extension: tas/ticket/array/mcs algorithm matrix
   kTicketBackoff,  // ticket lock with TicketBackoff policy, total cycles
   kFig1Episode,    // the paper's Fig. 1 three-processor episode
@@ -34,6 +39,8 @@ enum class Kernel : std::uint8_t {
   kHier,           // hierarchy-aware barriers: root-link traffic + cycles
   kService,        // open-loop sharded service: tail latency vs offered load
 };
+
+enum class BarrierKind : std::uint8_t { kCentral, kTree };
 
 enum class LockAlgo : std::uint8_t { kTas, kTicket, kArray, kMcs, kCna,
                                      kHmcs };
@@ -48,31 +55,33 @@ enum class BarrierStyle : std::uint8_t {
 };
 
 [[nodiscard]] const char* to_string(Kernel k);
+[[nodiscard]] const char* to_string(BarrierKind k);
 [[nodiscard]] const char* to_string(LockAlgo a);
 [[nodiscard]] const char* to_string(BarrierStyle s);
 [[nodiscard]] const char* to_string(HierBarrier h);
 
 /// Union of every kernel's parameters; each kernel reads its slice and
-/// ignores the rest. Defaults mirror BarrierParams/LockParams so a cell
-/// that says nothing behaves like the pre-registry binaries.
+/// ignores the rest.
 struct CellParams {
   Kernel kernel = Kernel::kBarrier;
   sync::Mechanism mech = sync::Mechanism::kLlSc;
-  // kBarrier
-  BarrierKind kind = BarrierKind::kCentral;
-  std::uint32_t fanout = 4;
+  // Barrier kernels: warm-up then measured episodes, each after a random
+  // skew in [0, max_skew)
+  BarrierKind kind = BarrierKind::kCentral;  // kBarrier, kSpin, kPdes
+  std::uint32_t fanout = 4;                  // tree barriers
   int warmup_episodes = 2;
   int episodes = 8;
-  std::uint64_t max_skew = 200;
-  // kLock
-  bool array = false;
+  std::uint64_t max_skew = 200;  // also the lock kernels' post-release skew
+  // Lock kernels: passages with a cs_cycles critical section; only kLock
+  // runs warm-up passages
+  bool array = false;  // kLock: array lock instead of ticket
   int warmup_iters = 1;
   int iters = 6;
   sim::Cycle cs_cycles = 50;
-  // kLockAlgo / kTicketBackoff
+  // The other lock kernels' algorithm; ticket locks take `backoff`
   LockAlgo algo = LockAlgo::kTicket;
   sync::TicketBackoff backoff = sync::TicketBackoff::kNone;
-  // kMultiLock
+  // Lock kernels: CPU c takes lock c % locks (kMultiLock sets it)
   std::uint32_t locks = 1;
   // kPairwiseFlags
   int rounds = 10;
@@ -85,6 +94,11 @@ struct CellParams {
   // kService: requests per CPU (offered load comes from the
   // service.interarrival_cycles config knob, set per cell)
   std::uint64_t requests = 65536;
+};
+
+struct TrafficSnapshot {
+  std::uint64_t packets = 0;
+  std::uint64_t bytes = 0;
 };
 
 /// What every kernel reports. Which fields are meaningful depends on the
@@ -115,8 +129,8 @@ struct SweepSpec {
   std::vector<Cell> cells;  // flat, in serial record order
 };
 
-/// Runs one cell's kernel on a fully-built config. Record emission (for
-/// --json) happens inside, exactly as the pre-registry binaries did it.
+/// Runs one cell's kernel on a fully-built config, emitting its --json
+/// record (if the kernel has one) to the installed JsonReporter.
 [[nodiscard]] CellResult run_cell(const core::SystemConfig& cfg,
                                   const CellParams& params);
 

@@ -50,7 +50,7 @@ RunResult run(sync::Mechanism mech) {
 
   RunResult r;
   r.cycles = m.engine().now();
-  r.net_packets = m.stats().net.packets;
+  r.net_packets = m.network().stats().packets;
   for (std::uint32_t b = 0; b < kBins; ++b) {
     r.bins.push_back(m.peek_word(bins[b]));
   }

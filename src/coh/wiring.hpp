@@ -128,18 +128,6 @@ class Wiring {
     return 2 * bus_cycles_ + network_.min_cross_latency();
   }
 
-  /// Machine-wide hub-local totals. With one domain this is the live
-  /// shard; with K > 1 the shards are merged on each call (quiescent
-  /// reads only).
-  [[nodiscard]] const LocalStats& local_stats() const {
-    if (local_.size() == 1) return local_[0];
-    merged_ = LocalStats{};
-    for (const LocalStats& s : local_) {
-      merged_.messages += s.messages;
-      merged_.bytes += s.bytes;
-    }
-    return merged_;
-  }
   /// Per-domain shard (stats registration).
   [[nodiscard]] const LocalStats& local_shard(std::uint32_t d) const {
     return local_[d];
@@ -153,7 +141,6 @@ class Wiring {
   sim::Cycle local_cycles_;
   sim::Cycle bus_cycles_;
   std::vector<LocalStats> local_;  // one shard per domain
-  mutable LocalStats merged_;      // local_stats() scratch for K > 1
 };
 
 }  // namespace amo::coh

@@ -1,7 +1,6 @@
 #include "core/machine.hpp"
 
 #include <cassert>
-#include <iomanip>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_map>
@@ -107,36 +106,33 @@ Machine::Machine(const SystemConfig& config)
   }
 
   // Index every subsystem's counters under hierarchical names. The
-  // registry only holds pointers; all pointees are owned by this Machine.
-  // Registration order is the snapshot order, so the serial (K == 1)
-  // branch must register in exactly the pre-PDES sequence.
-  if (domains_.count() == 1) {
-    domains_.engine(0).register_stats(registry_, "engine");
-  } else {
-    // Merged engine counters, same names/positions as the serial path.
-    registry_.add_fn("engine.events_executed",
-                     [this] { return domains_.total_events_executed(); });
-    registry_.add_fn("engine.now", [this] { return domains_.max_now(); });
-    registry_.add_fn("engine.queue.pushed",
-                     [this] { return domains_.total_events_scheduled(); });
-    registry_.add_fn("engine.queue.pending", [this] {
+  // registry only holds pointers and merge closures; all pointees are
+  // owned by this Machine. Per-domain shards are summed at snapshot time
+  // in ascending domain order, by the same closures for every K.
+  registry_.add_fn("engine.events_executed",
+                   [this] { return domains_.total_events_executed(); });
+  registry_.add_fn("engine.now", [this] { return domains_.max_now(); });
+  registry_.add_fn("engine.queue.pushed",
+                   [this] { return domains_.total_events_scheduled(); });
+  registry_.add_fn("engine.queue.pending", [this] {
+    std::uint64_t v = 0;
+    for (std::uint32_t d = 0; d < domains_.count(); ++d) {
+      v += domains_.engine(d).pending_events();
+    }
+    return v;
+  });
+  network_->register_stats(registry_, "net");
+  auto local_sum = [this](std::uint64_t coh::LocalStats::* field) {
+    return [this, field] {
       std::uint64_t v = 0;
       for (std::uint32_t d = 0; d < domains_.count(); ++d) {
-        v += domains_.engine(d).pending_events();
+        v += wiring_->local_shard(d).*field;
       }
       return v;
-    });
-  }
-  network_->register_stats(registry_, "net");
-  if (domains_.count() == 1) {
-    registry_.add_counter("local.messages", &wiring_->local_shard(0).messages);
-    registry_.add_counter("local.bytes", &wiring_->local_shard(0).bytes);
-  } else {
-    registry_.add_fn("local.messages",
-                     [this] { return wiring_->local_stats().messages; });
-    registry_.add_fn("local.bytes",
-                     [this] { return wiring_->local_stats().bytes; });
-  }
+    };
+  };
+  registry_.add_fn("local.messages", local_sum(&coh::LocalStats::messages));
+  registry_.add_fn("local.bytes", local_sum(&coh::LocalStats::bytes));
   for (sim::NodeId n = 0; n < nodes; ++n) {
     const std::string prefix = "node" + std::to_string(n);
     dirs_[n]->register_stats(registry_, prefix + ".dir");
@@ -224,94 +220,6 @@ void Machine::run() {
 
 mem::Backing& Machine::backing(sim::Addr addr) {
   return backings_[domains_.domain_of(coh::home_of(addr))];
-}
-
-MachineStats Machine::stats() const {
-  MachineStats s;
-  s.net = network_->stats();
-  s.local = wiring_->local_stats();
-  s.events = domains_.total_events_executed();
-  s.cycles = domains_.max_now();
-  for (const auto& d : dirs_) {
-    const coh::DirStats& ds = d->stats();
-    s.dir.gets += ds.gets;
-    s.dir.getx += ds.getx;
-    s.dir.upgrades += ds.upgrades;
-    s.dir.putbacks += ds.putbacks;
-    s.dir.invals_sent += ds.invals_sent;
-    s.dir.recalls_sent += ds.recalls_sent;
-    s.dir.word_gets += ds.word_gets;
-    s.dir.word_puts += ds.word_puts;
-    s.dir.word_updates_sent += ds.word_updates_sent;
-    s.dir.uncached_reads += ds.uncached_reads;
-    s.dir.uncached_writes += ds.uncached_writes;
-    s.dir.deferred += ds.deferred;
-  }
-  for (const auto& c : cores_) {
-    const coh::CacheCtrlStats& cs = c->cache().stats();
-    s.cache.loads += cs.loads;
-    s.cache.stores += cs.stores;
-    s.cache.ll += cs.ll;
-    s.cache.sc_success += cs.sc_success;
-    s.cache.sc_fail += cs.sc_fail;
-    s.cache.atomics += cs.atomics;
-    s.cache.miss_gets += cs.miss_gets;
-    s.cache.miss_getx += cs.miss_getx;
-    s.cache.miss_upgrade += cs.miss_upgrade;
-    s.cache.recalls += cs.recalls;
-    s.cache.invals += cs.invals;
-    s.cache.word_updates += cs.word_updates;
-    s.cache.writebacks += cs.writebacks;
-    const mem::CacheStats& l2 = c->cache().l2().stats();
-    s.l2.hits += l2.hits;
-    s.l2.misses += l2.misses;
-    s.l2.evictions += l2.evictions;
-    s.l2.dirty_evictions += l2.dirty_evictions;
-    s.l2.invals_received += l2.invals_received;
-    s.l2.word_updates += l2.word_updates;
-  }
-  for (const auto& a : amus_) {
-    const amu::AmuStats& as = a->stats();
-    s.amu.ops += as.ops;
-    s.amu.amo_ops += as.amo_ops;
-    s.amu.mao_ops += as.mao_ops;
-    s.amu.cache_hits += as.cache_hits;
-    s.amu.cache_misses += as.cache_misses;
-    s.amu.evictions += as.evictions;
-    s.amu.puts += as.puts;
-    s.amu.queue_depth += as.queue_depth;
-  }
-  for (const auto& sv : servers_) {
-    const cpu::AmServerStats& ss = sv->stats();
-    s.am.requests += ss.requests;
-    s.am.duplicates += ss.duplicates;
-    s.am.replays += ss.replays;
-    s.am.handled += ss.handled;
-  }
-  return s;
-}
-
-void MachineStats::print(std::ostream& os) const {
-  os << "cycles=" << cycles << " events=" << events << '\n'
-     << "net: packets=" << net.packets << " bytes=" << net.bytes
-     << " hops=" << net.hops << " avg_lat=" << std::fixed
-     << std::setprecision(1) << net.latency.mean() << '\n'
-     << "local: messages=" << local.messages << '\n'
-     << "dir: gets=" << dir.gets << " getx=" << dir.getx
-     << " upg=" << dir.upgrades << " inv=" << dir.invals_sent
-     << " recall=" << dir.recalls_sent << " wget=" << dir.word_gets
-     << " wput=" << dir.word_puts << " wupd=" << dir.word_updates_sent
-     << " defer=" << dir.deferred << '\n'
-     << "cache: ld=" << cache.loads << " st=" << cache.stores
-     << " ll=" << cache.ll << " sc+=" << cache.sc_success
-     << " sc-=" << cache.sc_fail << " atomic=" << cache.atomics
-     << " missS=" << cache.miss_gets << " missX=" << cache.miss_getx
-     << " upg=" << cache.miss_upgrade << '\n'
-     << "amu: ops=" << amu.ops << " (amo=" << amu.amo_ops
-     << " mao=" << amu.mao_ops << ") hit=" << amu.cache_hits
-     << " miss=" << amu.cache_misses << " puts=" << amu.puts << '\n'
-     << "am: req=" << am.requests << " dup=" << am.duplicates
-     << " handled=" << am.handled << '\n';
 }
 
 std::uint64_t Machine::peek_word(sim::Addr addr) const {

@@ -21,7 +21,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <ostream>
 #include <vector>
 
 #include "amu/amu.hpp"
@@ -44,21 +43,6 @@
 
 namespace amo::core {
 
-/// Aggregated machine-wide counters (summed over nodes / cpus).
-struct MachineStats {
-  net::NetStats net;
-  coh::LocalStats local;
-  coh::DirStats dir;
-  coh::CacheCtrlStats cache;
-  mem::CacheStats l2;
-  amu::AmuStats amu;
-  cpu::AmServerStats am;
-  std::uint64_t events = 0;
-  sim::Cycle cycles = 0;
-
-  void print(std::ostream& os) const;
-};
-
 class Machine {
  public:
   explicit Machine(const SystemConfig& config);
@@ -78,6 +62,7 @@ class Machine {
   [[nodiscard]] sim::Domains& domains() { return domains_; }
   [[nodiscard]] sim::Tracer& tracer() { return tracer_; }
   [[nodiscard]] net::Network& network() { return *network_; }
+  [[nodiscard]] const coh::Wiring& wiring() const { return *wiring_; }
   [[nodiscard]] GAlloc& galloc() { return *galloc_; }
   /// Backing-store shard holding `addr` (shards follow the domain
   /// decomposition so each is touched by one domain thread only).
@@ -103,12 +88,11 @@ class Machine {
     return pending_.load(std::memory_order_relaxed);
   }
 
-  /// Machine-wide aggregated statistics.
-  [[nodiscard]] MachineStats stats() const;
-
   /// The full-system stats registry: every subsystem's counters under
   /// hierarchical names ("engine.*", "net.*", "node<N>.{dir,amu,am}.*",
-  /// "cpu<C>.cache.*"). Populated once at construction.
+  /// "cpu<C>.cache.*"). Populated once at construction. This is the one
+  /// machine-wide aggregation: callers read totals here (or sum the
+  /// per-subsystem stats() structs themselves).
   [[nodiscard]] const sim::StatsRegistry& registry() const {
     return registry_;
   }

@@ -66,27 +66,10 @@ std::vector<sim::Cycle> seeded_latencies(const NetConfig& config,
 
 void Network::register_stats(sim::StatsRegistry& reg,
                              const std::string& prefix) const {
-  if (domains_.count() == 1) {
-    // Live pointers into the single shard: identical registration (and
-    // snapshot bytes) to the pre-PDES fabric.
-    const NetStats& s = shards_[0];
-    reg.add_counter(prefix + ".packets", &s.packets);
-    reg.add_counter(prefix + ".bytes", &s.bytes);
-    reg.add_counter(prefix + ".hops", &s.hops);
-    reg.add_accum(prefix + ".latency", &s.latency);
-    for (std::size_t i = 0; i < static_cast<std::size_t>(MsgClass::kCount);
-         ++i) {
-      const std::string cls = to_string(static_cast<MsgClass>(i));
-      reg.add_counter(prefix + ".packets_by_class." + cls,
-                      &s.packets_by_class[i]);
-      reg.add_counter(prefix + ".bytes_by_class." + cls,
-                      &s.bytes_by_class[i]);
-    }
-    register_hist_stats(reg, prefix);
-    return;
-  }
-  // Multi-domain: sum the shards at snapshot time (ascending domain
-  // order, so the merge — including the latency Accum — is deterministic).
+  // Snapshot-time merge closures, never live pointers: shards sum in
+  // ascending domain order (so the latency Accum merge is deterministic),
+  // and a reset_stats that re-sizes the histogram vectors cannot dangle
+  // them.
   auto sum = [this](std::uint64_t NetStats::* m) {
     return [this, m]() -> std::uint64_t {
       std::uint64_t v = 0;
@@ -116,15 +99,7 @@ void Network::register_stats(sim::StatsRegistry& reg,
       return v;
     });
   }
-  register_hist_stats(reg, prefix);
-}
-
-void Network::register_hist_stats(sim::StatsRegistry& reg,
-                                  const std::string& prefix) const {
   if (!config_.histograms) return;
-  // Snapshot-time merge closures for every K (never live pointers: a
-  // reset_stats re-sizing the shard vectors must not dangle the registry).
-  // Shards merge ascending, the same discipline as the latency Accum.
   for (std::size_t l = 0; l < topo_.levels(); ++l) {
     reg.add_hist_fn(prefix + ".link_latency_hist.l" + std::to_string(l),
                     [this, l](sim::LogHistogram& out) {

@@ -78,8 +78,7 @@ struct NetStats {
   /// Per-level link traversal latency (queueing + propagation), one
   /// histogram per tree level. Empty unless NetConfig::histograms; sized
   /// to topology levels by the Network ctor. Last: these are cold ~8 KB
-  /// blocks, kept off the counters' cache lines. (A vector keeps NetStats
-  /// copyable — MachineStats embeds a NetStats by value.)
+  /// blocks, kept off the counters' cache lines.
   std::vector<sim::LogHistogram> link_latency_hist;
 
   void reset() { *this = NetStats{}; }
@@ -125,9 +124,9 @@ class Network {
   void reset_stats();
 
   /// Registers fabric counters (totals, per-class breakdowns, latency
-  /// distribution) into a stats registry under `prefix`. Single-domain
-  /// fabrics register the live counters directly; multi-domain fabrics
-  /// register closures that sum the shards at snapshot time.
+  /// distribution, per-level link-latency histograms when enabled) into
+  /// a stats registry under `prefix`, as closures that sum the
+  /// per-domain shards at snapshot time.
   void register_stats(sim::StatsRegistry& reg, const std::string& prefix) const;
 
   [[nodiscard]] const Topology& topology() const { return topo_; }
@@ -168,11 +167,6 @@ class Network {
 
   void account(std::uint32_t d, MsgClass cls, std::uint32_t size_bytes,
                sim::Cycle latency, std::uint32_t hops);
-
-  // Appends the per-level link-latency histogram entries (no-op unless
-  // NetConfig::histograms), shared by the K == 1 and K > 1 paths.
-  void register_hist_stats(sim::StatsRegistry& reg,
-                           const std::string& prefix) const;
 
   std::unique_ptr<sim::Domains> owned_domains_;  // serial-ctor backing
   sim::Domains& domains_;

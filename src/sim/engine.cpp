@@ -45,13 +45,6 @@ void Engine::release_timer(std::uint32_t idx) {
   timer_free_ = idx;
 }
 
-void Engine::register_stats(StatsRegistry& reg,
-                            const std::string& prefix) const {
-  reg.add_counter(prefix + ".events_executed", &executed_);
-  reg.add_fn(prefix + ".now", [this] { return now_; });
-  queue_.register_stats(reg, prefix + ".queue");
-}
-
 bool Engine::step() {
   if (queue_.empty()) return false;
   EventQueue::Popped ev = queue_.pop();

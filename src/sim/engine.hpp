@@ -105,10 +105,6 @@ class Engine {
     return timer_cells_.size();
   }
 
-  /// Registers the engine's counters (and the queue's, under
-  /// `prefix + ".queue"`) into a stats registry.
-  void register_stats(StatsRegistry& reg, const std::string& prefix) const;
-
   /// Points event-dispatch-delay recording at `h` (cycles between an
   /// event's scheduling and its execution time, one sample per
   /// schedule()/schedule_at()). nullptr (the default) disables recording;

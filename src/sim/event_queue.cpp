@@ -408,11 +408,4 @@ void EventQueue::rebase(Cycle when) {
   if (full_spill) migrate_overflow();
 }
 
-void EventQueue::register_stats(StatsRegistry& reg,
-                                const std::string& prefix) const {
-  reg.add_counter(prefix + ".pushed", &seq_);
-  reg.add_fn(prefix + ".pending",
-             [this] { return static_cast<std::uint64_t>(size_); });
-}
-
 }  // namespace amo::sim

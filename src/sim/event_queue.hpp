@@ -66,9 +66,6 @@ class EventQueue {
   /// Total number of events ever pushed (for throughput accounting).
   [[nodiscard]] std::uint64_t total_pushed() const { return seq_; }
 
-  /// Registers queue-level counters into a stats registry.
-  void register_stats(StatsRegistry& reg, const std::string& prefix) const;
-
  private:
   /// Cycles covered by the bucket window. Must be a power of two. 1024
   /// covers every latency the machine model pays per event (hops ~100,

@@ -1,7 +1,5 @@
 #include "sim/stats.hpp"
 
-#include <iomanip>
-
 namespace amo::sim {
 
 std::uint64_t LogHistogram::quantile(double q) const {
@@ -29,15 +27,6 @@ LogHistogram& LogHistogram::operator+=(const LogHistogram& o) {
   min_ = std::min(min_, o.min_);
   max_ = std::max(max_, o.max_);
   return *this;
-}
-
-void StatTable::print(std::ostream& os) const {
-  std::size_t width = 0;
-  for (const auto& [label, value] : rows_) width = std::max(width, label.size());
-  for (const auto& [label, value] : rows_) {
-    os << "  " << std::left << std::setw(static_cast<int>(width) + 2) << label
-       << std::right << value << '\n';
-  }
 }
 
 }  // namespace amo::sim

@@ -14,10 +14,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <ostream>
-#include <string>
-#include <utility>
-#include <vector>
 
 namespace amo::sim {
 
@@ -150,23 +146,6 @@ class LogHistogram {
   std::uint64_t sum_ = 0;
   std::uint64_t min_ = std::numeric_limits<std::uint64_t>::max();
   std::uint64_t max_ = 0;
-};
-
-/// A named (label, value) table used when printing run summaries.
-class StatTable {
- public:
-  void add(std::string label, std::uint64_t value) {
-    rows_.emplace_back(std::move(label), value);
-  }
-  void print(std::ostream& os) const;
-
-  [[nodiscard]] const std::vector<std::pair<std::string, std::uint64_t>>&
-  rows() const {
-    return rows_;
-  }
-
- private:
-  std::vector<std::pair<std::string, std::uint64_t>> rows_;
 };
 
 }  // namespace amo::sim

@@ -376,7 +376,11 @@ TEST(DirPointers, CoarsePutWaveCostsMoreTrafficWhenSharingIsSparse) {
       }
     });
     m.run();
-    return m.stats().dir.word_updates_sent;
+    std::uint64_t updates = 0;
+    for (sim::NodeId n = 0; n < m.num_nodes(); ++n) {
+      updates += m.dir(n).stats().word_updates_sent;
+    }
+    return updates;
   };
   const std::uint64_t exact = updates_for(0);
   const std::uint64_t coarse = updates_for(1);

@@ -1,5 +1,6 @@
-// Benchmark-harness tests: CLI parsing and the microbenchmark runners'
-// basic sanity (they are the layer every reported number flows through).
+// Benchmark-harness tests: CLI parsing, the reporter and sweep runner, and
+// the barrier/lock cells' basic sanity (run_cell is the layer every
+// reported number flows through).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,10 +11,28 @@
 #include <string>
 
 #include "bench/harness.hpp"
+#include "bench/scenario.hpp"
 #include "core/config_io.hpp"
 
 namespace amo::bench {
 namespace {
+
+// Barrier cells report cycles per barrier as `primary` and cycles per
+// processor as `secondary`; lock cells report total cycles and cycles per
+// acquire.
+CellParams barrier_params(int episodes) {
+  CellParams params;
+  params.kernel = Kernel::kBarrier;
+  params.episodes = episodes;
+  return params;
+}
+
+CellParams lock_params(int iters) {
+  CellParams params;
+  params.kernel = Kernel::kLock;
+  params.iters = iters;
+  return params;
+}
 
 CliOptions parse(std::vector<const char*> argv) {
   argv.insert(argv.begin(), "bench");
@@ -175,22 +194,18 @@ TEST(PaperCpuCounts, MatchesPaperAxes) {
 TEST(Runner, BarrierResultIsConsistent) {
   core::SystemConfig cfg;
   cfg.num_cpus = 8;
-  BarrierParams params;
-  params.episodes = 4;
-  const BarrierResult r = run_barrier(cfg, params);
-  EXPECT_GT(r.cycles_per_barrier, 0.0);
-  EXPECT_DOUBLE_EQ(r.cycles_per_proc, r.cycles_per_barrier / 8.0);
+  const CellResult r = run_cell(cfg, barrier_params(4));
+  EXPECT_GT(r.primary, 0.0);
+  EXPECT_DOUBLE_EQ(r.secondary, r.primary / 8.0);
   EXPECT_GT(r.traffic.packets, 0u);
 }
 
 TEST(Runner, LockResultIsConsistent) {
   core::SystemConfig cfg;
   cfg.num_cpus = 8;
-  LockParams params;
-  params.iters = 3;
-  const LockResult r = run_lock(cfg, params);
-  EXPECT_GT(r.total_cycles, 0.0);
-  EXPECT_DOUBLE_EQ(r.cycles_per_acquire, r.total_cycles / (8.0 * 3.0));
+  const CellResult r = run_cell(cfg, lock_params(3));
+  EXPECT_GT(r.primary, 0.0);
+  EXPECT_DOUBLE_EQ(r.secondary, r.primary / (8.0 * 3.0));
 }
 
 TEST(Reporter, InactiveWithoutJsonPath) {
@@ -211,10 +226,9 @@ TEST(Reporter, RunBarrierFeedsRecordsWithRegistryDump) {
     JsonReporter rep(opt, "unit_barrier");
     core::SystemConfig cfg;
     cfg.num_cpus = 8;
-    BarrierParams params;
+    CellParams params = barrier_params(2);
     params.mech = sync::Mechanism::kAmo;
-    params.episodes = 2;
-    (void)run_barrier(cfg, params);
+    (void)run_cell(cfg, params);
 
     ASSERT_EQ(rep.records().size(), 1u);
     const sim::Json& rec = rep.records()[0];
@@ -251,9 +265,7 @@ TEST(Reporter, RunLockFeedsRecords) {
     JsonReporter rep(opt, "unit_lock");
     core::SystemConfig cfg;
     cfg.num_cpus = 4;
-    LockParams params;
-    params.iters = 2;
-    (void)run_lock(cfg, params);
+    (void)run_cell(cfg, lock_params(2));
     ASSERT_EQ(rep.records().size(), 1u);
     const sim::Json& rec = rep.records()[0];
     EXPECT_EQ(rec.at("workload").as_string(), "lock");
@@ -266,10 +278,8 @@ TEST(Reporter, RunLockFeedsRecords) {
 TEST(Runner, DeterministicAcrossCalls) {
   core::SystemConfig cfg;
   cfg.num_cpus = 8;
-  BarrierParams params;
-  params.episodes = 4;
-  EXPECT_DOUBLE_EQ(run_barrier(cfg, params).cycles_per_barrier,
-                   run_barrier(cfg, params).cycles_per_barrier);
+  EXPECT_DOUBLE_EQ(run_cell(cfg, barrier_params(4)).primary,
+                   run_cell(cfg, barrier_params(4)).primary);
 }
 
 TEST(Sweep, RunsEveryTaskOnceAndClears) {
@@ -326,10 +336,9 @@ TEST(Sweep, ParallelBarrierSweepMatchesSerialByteForByte) {
         sweep.add([p, m] {
           core::SystemConfig cfg;
           cfg.num_cpus = p;
-          BarrierParams params;
+          CellParams params = barrier_params(2);
           params.mech = m;
-          params.episodes = 2;
-          (void)run_barrier(cfg, params);
+          (void)run_cell(cfg, params);
         });
       }
     }

@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <fstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/machine.hpp"
 
@@ -144,25 +146,15 @@ TEST(Machine, StatsAggregateAcrossNodes) {
     });
   }
   m.run();
-  const core::MachineStats s = m.stats();
-  EXPECT_EQ(s.amu.amo_ops, 16u);  // both AMUs summed
-  EXPECT_GT(s.net.packets, 0u);
-  EXPECT_GT(s.events, 0u);
-  EXPECT_EQ(s.cycles, m.engine().now());
-}
-
-TEST(Machine, StatsPrintIsWellFormed) {
-  core::SystemConfig cfg;
-  cfg.num_cpus = 2;
-  core::Machine m(cfg);
-  m.spawn(0, [](core::ThreadCtx& t) -> sim::Task<void> {
-    co_await t.compute(1);
-  });
-  m.run();
-  std::ostringstream oss;
-  m.stats().print(oss);
-  EXPECT_NE(oss.str().find("cycles="), std::string::npos);
-  EXPECT_NE(oss.str().find("amu:"), std::string::npos);
+  const sim::StatsRegistry& reg = m.registry();
+  std::uint64_t amo_ops = 0;
+  for (sim::NodeId n = 0; n < m.num_nodes(); ++n) {
+    amo_ops += reg.value("node" + std::to_string(n) + ".amu.amo_ops").as_uint();
+  }
+  EXPECT_EQ(amo_ops, 16u);  // both AMUs summed
+  EXPECT_GT(reg.value("net.packets").as_uint(), 0u);
+  EXPECT_GT(reg.value("engine.events_executed").as_uint(), 0u);
+  EXPECT_EQ(reg.value("engine.now").as_uint(), m.engine().now());
 }
 
 TEST(Machine, DeterministicCycleCounts) {
@@ -199,8 +191,9 @@ TEST(Machine, SingleNodeMachineWorks) {
   }
   m.run();
   EXPECT_EQ(m.peek_word(a), 8u);
-  EXPECT_EQ(m.stats().net.packets, 0u);  // everything stayed on-hub
-  EXPECT_GT(m.stats().local.messages, 0u);
+  // Everything stayed on-hub.
+  EXPECT_EQ(m.registry().value("net.packets").as_uint(), 0u);
+  EXPECT_GT(m.registry().value("local.messages").as_uint(), 0u);
 }
 
 TEST(Machine, RegistryIndexesEverySubsystem) {
@@ -215,36 +208,87 @@ TEST(Machine, RegistryIndexesEverySubsystem) {
   }
   m.run();
 
-  // The registry view must agree with the aggregated MachineStats.
-  const core::MachineStats s = m.stats();
+  // The registry's machine-wide totals must agree with sums over the
+  // per-subsystem stats structs.
   const sim::Json snap = m.stats_json();
-  EXPECT_EQ(snap.find_path("net.packets")->as_uint(), s.net.packets);
-  EXPECT_EQ(snap.find_path("net.bytes")->as_uint(), s.net.bytes);
-  EXPECT_EQ(snap.find_path("local.messages")->as_uint(), s.local.messages);
-  EXPECT_EQ(snap.find_path("engine.events_executed")->as_uint(), s.events);
-  EXPECT_EQ(snap.find_path("engine.now")->as_uint(), s.cycles);
+  EXPECT_EQ(snap.find_path("net.packets")->as_uint(),
+            m.network().stats().packets);
+  EXPECT_EQ(snap.find_path("net.bytes")->as_uint(),
+            m.network().stats().bytes);
+  std::uint64_t local_messages = 0;
+  std::uint64_t local_bytes = 0;
+  for (std::uint32_t d = 0; d < m.domains().count(); ++d) {
+    local_messages += m.wiring().local_shard(d).messages;
+    local_bytes += m.wiring().local_shard(d).bytes;
+  }
+  EXPECT_EQ(snap.find_path("local.messages")->as_uint(), local_messages);
+  EXPECT_EQ(snap.find_path("local.bytes")->as_uint(), local_bytes);
+  EXPECT_GT(local_messages, 0u);
+  EXPECT_LT(local_messages, local_bytes);
+  EXPECT_EQ(snap.find_path("engine.events_executed")->as_uint(),
+            m.domains().total_events_executed());
+  EXPECT_EQ(snap.find_path("engine.now")->as_uint(), m.engine().now());
 
   std::uint64_t amu_ops = 0;
   std::uint64_t dir_word_gets = 0;
   std::uint64_t l2_hits = 0;
+  std::uint64_t subsystem_amu_ops = 0;
+  std::uint64_t subsystem_word_gets = 0;
+  std::uint64_t subsystem_l2_hits = 0;
   for (std::uint32_t n = 0; n < m.num_nodes(); ++n) {
     const std::string p = "node" + std::to_string(n);
     amu_ops += snap.find_path(p + ".amu.ops")->as_uint();
     dir_word_gets += snap.find_path(p + ".dir.word_gets")->as_uint();
+    subsystem_amu_ops += m.amu(n).stats().ops;
+    subsystem_word_gets += m.dir(n).stats().word_gets;
   }
   for (std::uint32_t c = 0; c < m.num_cpus(); ++c) {
     const std::string p = "cpu" + std::to_string(c) + ".cache.l2.hits";
     l2_hits += snap.find_path(p)->as_uint();
+    subsystem_l2_hits += m.core(c).cache().l2().stats().hits;
   }
-  EXPECT_EQ(amu_ops, s.amu.ops);
+  EXPECT_EQ(amu_ops, subsystem_amu_ops);
   EXPECT_GT(amu_ops, 0u);
-  EXPECT_EQ(dir_word_gets, s.dir.word_gets);
-  EXPECT_EQ(l2_hits, s.l2.hits);
+  EXPECT_EQ(dir_word_gets, subsystem_word_gets);
+  EXPECT_EQ(l2_hits, subsystem_l2_hits);
 
   // Per-entry lookup works through the registry, too.
   EXPECT_EQ(m.registry().value("node0.amu.ops").as_uint() +
                 m.registry().value("node1.amu.ops").as_uint(),
-            s.amu.ops);
+            subsystem_amu_ops);
+}
+
+/// Every leaf of a registry snapshot as a dotted path, in snapshot order.
+void leaf_paths(const sim::Json& j, const std::string& prefix,
+                std::vector<std::string>& out) {
+  if (!j.is_object()) {
+    out.push_back(prefix);
+    return;
+  }
+  for (const auto& [key, v] : j.items()) {
+    leaf_paths(v, prefix.empty() ? key : prefix + "." + key, out);
+  }
+}
+
+// One registration path for every domain count: a K=1 and a K=4 machine
+// index the same entries in the same order (only their values differ,
+// since K > 1 is a separately seeded model).
+TEST(Machine, RegistryNamesMatchAcrossDomainCounts) {
+  for (const bool hists : {false, true}) {
+    auto names = [hists](std::uint32_t sim_threads) {
+      core::SystemConfig cfg;
+      cfg.num_cpus = 16;
+      cfg.sim_threads = sim_threads;
+      cfg.stats.histograms = hists;
+      core::Machine m(cfg);
+      std::vector<std::string> out;
+      leaf_paths(m.stats_json(), "", out);
+      return out;
+    };
+    const std::vector<std::string> serial = names(1);
+    EXPECT_GT(serial.size(), 100u);
+    EXPECT_EQ(serial, names(4)) << "histograms=" << hists;
+  }
 }
 
 #if defined(AMO_TEST_READS_RSS)

@@ -41,7 +41,7 @@ TEST(Msi, PrivateReadThenWritePaysAnUpgrade) {
       co_await t.store(a, 1);
     });
     m.run();
-    return m.stats().cache.miss_upgrade;
+    return m.core(0).cache().stats().miss_upgrade;  // the only thread
   };
   EXPECT_EQ(upgrades_for(true), 0u);
   EXPECT_EQ(upgrades_for(false), 1u);

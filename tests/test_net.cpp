@@ -393,7 +393,7 @@ TEST(Wiring, PostUpdateIsOneEventPerTarget) {
     w.post_update(0, mixed, 40, [&](sim::NodeId d) { got.push_back(d); });
     EXPECT_EQ(e.run(), mixed.size()) << "hardware_multicast=" << hw;
     EXPECT_EQ(got, mixed) << "hardware_multicast=" << hw;
-    EXPECT_EQ(w.local_stats().messages, 1u);
+    EXPECT_EQ(w.local_shard(0).messages, 1u);
     EXPECT_EQ(n.stats().packets, remote.size() + 2);
   }
 }

@@ -148,7 +148,7 @@ TEST_P(Determinism, SameSeedSameCycles) {
       });
     }
     m.run();
-    return std::make_pair(m.engine().now(), m.stats().net.packets);
+    return std::make_pair(m.engine().now(), m.network().stats().packets);
   };
   const auto first = run();
   const auto second = run();

@@ -1,38 +1,44 @@
 // Shape-regression tests: the paper's qualitative results, pinned as
 // assertions so a future change that silently breaks a trend (not just a
 // value) fails CI. These run the real benchmark workloads at reduced
-// sizes through the bench harness.
+// sizes through run_cell, the one entry point every workload uses.
 #include <gtest/gtest.h>
 
-#include "bench/harness.hpp"
 #include "bench/scenario.hpp"
 
 namespace amo {
 namespace {
 
-using bench::BarrierParams;
-using bench::BarrierResult;
-using bench::LockParams;
+using bench::CellParams;
+using bench::CellResult;
+using bench::Kernel;
 using sync::Mechanism;
 
-BarrierResult barrier_at(std::uint32_t cpus, Mechanism mech) {
-  core::SystemConfig cfg;
-  cfg.num_cpus = cpus;
-  BarrierParams params;
+// Barrier cells report cycles per barrier as `primary` and cycles per
+// processor as `secondary`; lock cells report total cycles as `primary`.
+CellParams barrier_params(Mechanism mech) {
+  CellParams params;
+  params.kernel = Kernel::kBarrier;
   params.mech = mech;
   params.episodes = 6;
-  return bench::run_barrier(cfg, params);
+  return params;
+}
+
+CellResult barrier_at(std::uint32_t cpus, Mechanism mech) {
+  core::SystemConfig cfg;
+  cfg.num_cpus = cpus;
+  return bench::run_cell(cfg, barrier_params(mech));
 }
 
 TEST(Shapes, MechanismOrderingAtEverySize) {
   // AMO < MAO < Atomic and AMO < MAO < LL/SC in barrier latency (the
   // paper's Table 2 ordering), at every size we test.
   for (std::uint32_t p : {8u, 16u, 32u}) {
-    const double llsc = barrier_at(p, Mechanism::kLlSc).cycles_per_barrier;
+    const double llsc = barrier_at(p, Mechanism::kLlSc).primary;
     const double atomic =
-        barrier_at(p, Mechanism::kAtomic).cycles_per_barrier;
-    const double mao = barrier_at(p, Mechanism::kMao).cycles_per_barrier;
-    const double amo = barrier_at(p, Mechanism::kAmo).cycles_per_barrier;
+        barrier_at(p, Mechanism::kAtomic).primary;
+    const double mao = barrier_at(p, Mechanism::kMao).primary;
+    const double amo = barrier_at(p, Mechanism::kAmo).primary;
     EXPECT_LT(amo, mao) << "P=" << p;
     EXPECT_LT(mao, atomic) << "P=" << p;
     EXPECT_LT(atomic, llsc) << "P=" << p;
@@ -40,12 +46,12 @@ TEST(Shapes, MechanismOrderingAtEverySize) {
 }
 
 TEST(Shapes, AmoSpeedupGrowsWithScale) {
-  const double s8 = barrier_at(8, Mechanism::kLlSc).cycles_per_barrier /
-                    barrier_at(8, Mechanism::kAmo).cycles_per_barrier;
-  const double s32 = barrier_at(32, Mechanism::kLlSc).cycles_per_barrier /
-                     barrier_at(32, Mechanism::kAmo).cycles_per_barrier;
-  const double s64 = barrier_at(64, Mechanism::kLlSc).cycles_per_barrier /
-                     barrier_at(64, Mechanism::kAmo).cycles_per_barrier;
+  const double s8 = barrier_at(8, Mechanism::kLlSc).primary /
+                    barrier_at(8, Mechanism::kAmo).primary;
+  const double s32 = barrier_at(32, Mechanism::kLlSc).primary /
+                     barrier_at(32, Mechanism::kAmo).primary;
+  const double s64 = barrier_at(64, Mechanism::kLlSc).primary /
+                     barrier_at(64, Mechanism::kAmo).primary;
   EXPECT_GT(s32, s8);
   EXPECT_GT(s64, s32);
   EXPECT_GT(s64, 15.0);  // paper: 23.8 at 64; guard against collapse
@@ -54,10 +60,10 @@ TEST(Shapes, AmoSpeedupGrowsWithScale) {
 TEST(Shapes, Figure5Signatures) {
   // LL/SC cycles-per-processor RISES with P (superlinear total);
   // AMO cycles-per-processor FALLS (t = t_o + t_p*P).
-  const double llsc16 = barrier_at(16, Mechanism::kLlSc).cycles_per_proc;
-  const double llsc64 = barrier_at(64, Mechanism::kLlSc).cycles_per_proc;
-  const double amo16 = barrier_at(16, Mechanism::kAmo).cycles_per_proc;
-  const double amo64 = barrier_at(64, Mechanism::kAmo).cycles_per_proc;
+  const double llsc16 = barrier_at(16, Mechanism::kLlSc).secondary;
+  const double llsc64 = barrier_at(64, Mechanism::kLlSc).secondary;
+  const double amo16 = barrier_at(16, Mechanism::kAmo).secondary;
+  const double amo64 = barrier_at(64, Mechanism::kAmo).secondary;
   EXPECT_GT(llsc64, llsc16);
   EXPECT_LT(amo64, amo16);
 }
@@ -67,19 +73,18 @@ TEST(Shapes, TreesHelpConventionalNotAmo) {
   // not need them (at moderate sizes AMO-central beats AMO+tree).
   core::SystemConfig cfg;
   cfg.num_cpus = 32;
-  BarrierParams central;
-  central.episodes = 6;
-  BarrierParams tree = central;
+  CellParams central = barrier_params(Mechanism::kLlSc);
+  CellParams tree = central;
   tree.kind = bench::BarrierKind::kTree;
   tree.fanout = 8;
 
   central.mech = tree.mech = Mechanism::kLlSc;
-  EXPECT_LT(bench::run_barrier(cfg, tree).cycles_per_barrier,
-            bench::run_barrier(cfg, central).cycles_per_barrier);
+  EXPECT_LT(bench::run_cell(cfg, tree).primary,
+            bench::run_cell(cfg, central).primary);
 
   central.mech = tree.mech = Mechanism::kAmo;
-  EXPECT_LE(bench::run_barrier(cfg, central).cycles_per_barrier,
-            bench::run_barrier(cfg, tree).cycles_per_barrier);
+  EXPECT_LE(bench::run_cell(cfg, central).primary,
+            bench::run_cell(cfg, tree).primary);
 }
 
 TEST(Shapes, ArrayLockCrossover) {
@@ -88,11 +93,12 @@ TEST(Shapes, ArrayLockCrossover) {
   auto lock_cycles = [](std::uint32_t cpus, bool array) {
     core::SystemConfig cfg;
     cfg.num_cpus = cpus;
-    LockParams params;
+    CellParams params;
+    params.kernel = Kernel::kLock;
     params.mech = Mechanism::kLlSc;
     params.array = array;
     params.iters = 4;
-    return bench::run_lock(cfg, params).total_cycles;
+    return bench::run_cell(cfg, params).primary;
   };
   EXPECT_LT(lock_cycles(8, false), lock_cycles(8, true));    // ticket wins
   EXPECT_GT(lock_cycles(64, false), lock_cycles(64, true));  // array wins
@@ -102,10 +108,11 @@ TEST(Shapes, AmoLockTrafficIsLowest) {
   auto traffic = [](Mechanism mech) {
     core::SystemConfig cfg;
     cfg.num_cpus = 32;
-    LockParams params;
+    CellParams params;
+    params.kernel = Kernel::kLock;
     params.mech = mech;
     params.iters = 4;
-    return bench::run_lock(cfg, params).traffic.bytes;
+    return bench::run_cell(cfg, params).traffic.bytes;
   };
   const std::uint64_t llsc = traffic(Mechanism::kLlSc);
   const std::uint64_t amo = traffic(Mechanism::kAmo);
@@ -117,18 +124,16 @@ TEST(Shapes, DelayedPutBeatsEagerAtScale) {
   delayed_cfg.num_cpus = 32;
   core::SystemConfig eager_cfg = delayed_cfg;
   eager_cfg.amu.eager_put_all = true;
-  BarrierParams params;
-  params.mech = Mechanism::kAmo;
-  params.episodes = 6;
-  EXPECT_LT(bench::run_barrier(delayed_cfg, params).cycles_per_barrier,
-            bench::run_barrier(eager_cfg, params).cycles_per_barrier);
+  const CellParams params = barrier_params(Mechanism::kAmo);
+  EXPECT_LT(bench::run_cell(delayed_cfg, params).primary,
+            bench::run_cell(eager_cfg, params).primary);
 }
 
-bench::CellResult spin_cell_at(std::uint32_t cpus, std::uint32_t active) {
+CellResult spin_cell_at(std::uint32_t cpus, std::uint32_t active) {
   core::SystemConfig cfg;
   cfg.num_cpus = cpus;
-  bench::CellParams p;
-  p.kernel = bench::Kernel::kSpin;
+  CellParams p;
+  p.kernel = Kernel::kSpin;
   p.mech = Mechanism::kAmo;
   p.episodes = 4;
   p.active = active;
@@ -138,8 +143,8 @@ bench::CellResult spin_cell_at(std::uint32_t cpus, std::uint32_t active) {
 TEST(Shapes, MicrobenchSpinDoubleRunIdentity) {
   // The spin kernel is deterministic: two runs of the same cell agree in
   // every reported field (cycles, host events, traffic).
-  const bench::CellResult a = spin_cell_at(16, 4);
-  const bench::CellResult b = spin_cell_at(16, 4);
+  const CellResult a = spin_cell_at(16, 4);
+  const CellResult b = spin_cell_at(16, 4);
   EXPECT_EQ(a.primary, b.primary);
   EXPECT_EQ(a.secondary, b.secondary);
   EXPECT_EQ(a.aux, b.aux);
@@ -161,12 +166,10 @@ TEST(Shapes, AmoAdvantageGrowsWithHopLatency) {
     core::SystemConfig cfg;
     cfg.num_cpus = 32;
     cfg.net.hop_cycles = hop;
-    BarrierParams params;
-    params.episodes = 6;
-    params.mech = Mechanism::kLlSc;
-    const double base = bench::run_barrier(cfg, params).cycles_per_barrier;
+    CellParams params = barrier_params(Mechanism::kLlSc);
+    const double base = bench::run_cell(cfg, params).primary;
     params.mech = Mechanism::kAmo;
-    return base / bench::run_barrier(cfg, params).cycles_per_barrier;
+    return base / bench::run_cell(cfg, params).primary;
   };
   EXPECT_GT(speedup_at_hop(400), speedup_at_hop(50));
 }
