@@ -292,8 +292,9 @@ class Directory {
   sim::Cycle busy_until_ = 0;  // occupancy pipeline
 
   // Entries are dominated by the kMaxCpus-wide SharerSet (~600 bytes
-  // at 4096 CPUs); 64 per slab (the AddrTable default) keeps allocation
-  // rare without pinning much idle memory per directory.
+  // at 4096 CPUs). AddrTable's slabs grow 4, 8, 16, 32, then 64 entries,
+  // so a directory with a few live lines pins a few entries, and a busy
+  // one still allocates rarely.
   ds::AddrTable<Entry> entries_;
   ds::WaitPool<sim::InlineFn> wait_pool_;
 

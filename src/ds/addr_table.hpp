@@ -8,14 +8,17 @@
 // sit on the per-operation hot path. A node-based unordered_map costs an
 // allocation per insert and a pointer chase per probe; this table keeps
 // 12-byte key/index slots contiguous (probes stay in a couple of host
-// cache lines), stores entries in fixed slabs (stable addresses, recycled
+// cache lines), stores entries in slabs (stable addresses, recycled
 // through an intrusive free list), and never allocates in steady state.
+// Slabs grow geometrically, 4, 8, 16, 32 and then 64 entries each, so a
+// table that only ever holds a handful of entries pins a handful.
 //
 // Determinism: the hot path uses only keyed lookup, so replacing a map
 // with this table cannot perturb event ordering. The one walk, for_each,
 // serves diagnostics and visits entries in slot (hash) order.
 #pragma once
 
+#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -35,7 +38,7 @@ inline constexpr std::uint32_t kNilIndex = 0xffffffffu;
 /// `std::uint32_t next_free` member (the intrusive free-list link).
 /// Callers must reset an entry to its default state before `erase` — the
 /// pool hands reused entries out as-is.
-template <typename Entry, std::uint32_t kEntriesPerSlab = 64>
+template <typename Entry>
 class AddrTable {
  public:
   using Key = std::uint64_t;
@@ -75,8 +78,10 @@ class AddrTable {
       free_ = at(idx).next_free;
       at(idx).next_free = kNilIndex;
     } else {
-      if (alloced_ % kEntriesPerSlab == 0) {
-        slabs_.push_back(std::make_unique<Entry[]>(kEntriesPerSlab));
+      if (alloced_ == capacity_) {
+        const std::uint32_t n = slab_size(slabs_.size());
+        slabs_.push_back(std::make_unique<Entry[]>(n));
+        capacity_ += n;
       }
       idx = alloced_++;
     }
@@ -155,11 +160,27 @@ class AddrTable {
     return kNilIndex;
   }
 
+  // Slab k holds 4 << k entries up to kMaxSlab; the first kSmallSlabs
+  // slabs cover indices [0, kSmallEntries), the rest kMaxSlab each.
+  static constexpr std::uint32_t kMaxSlab = 64;
+  static constexpr std::uint32_t kSmallSlabs = 4;        // 4, 8, 16, 32
+  static constexpr std::uint32_t kSmallEntries = 4 * 15;  // their total
+
+  [[nodiscard]] static std::uint32_t slab_size(std::size_t k) {
+    return k < kSmallSlabs ? 4u << k : kMaxSlab;
+  }
+
   Entry& at(std::uint32_t idx) {
-    return slabs_[idx / kEntriesPerSlab][idx % kEntriesPerSlab];
+    return const_cast<Entry&>(std::as_const(*this).at(idx));
   }
   [[nodiscard]] const Entry& at(std::uint32_t idx) const {
-    return slabs_[idx / kEntriesPerSlab][idx % kEntriesPerSlab];
+    if (idx < kSmallEntries) {
+      // Small slab k starts at 4 * (2^k - 1).
+      const int k = std::bit_width(idx / 4 + 1) - 1;
+      return slabs_[k][idx - 4 * ((1u << k) - 1)];
+    }
+    const std::uint32_t rest = idx - kSmallEntries;
+    return slabs_[kSmallSlabs + rest / kMaxSlab][rest % kMaxSlab];
   }
 
   void grow() {
@@ -178,7 +199,8 @@ class AddrTable {
   std::size_t count_ = 0;
   std::vector<std::unique_ptr<Entry[]>> slabs_;
   std::uint32_t free_ = kNilIndex;  // head of the intrusive entry free list
-  std::uint32_t alloced_ = 0;
+  std::uint32_t alloced_ = 0;       // entries ever handed out
+  std::uint32_t capacity_ = 0;      // entries across all slabs
 };
 
 /// Pool of FIFO queue nodes shared by many queues: each queue is a

@@ -19,20 +19,14 @@ Cache::Cache(const CacheGeometry& geometry)
     : geom_(geometry),
       words_per_line_(geometry.line_bytes / 8),
       line_shift_(std::countr_zero(geometry.line_bytes)),
-      set_mask_(geometry.num_sets() - 1) {
+      set_mask_(geometry.num_sets() - 1),
+      sets_(geometry.ways, geometry.line_bytes / 8) {
   assert(geom_.size_bytes % (geom_.ways * geom_.line_bytes) == 0);
   assert((geom_.line_bytes & (geom_.line_bytes - 1)) == 0);
   assert(std::has_single_bit(geom_.num_sets()) &&
          "set count must be a power of two (indexed by mask)");
   assert(geom_.line_bytes / 8 <= LineBuf::kMaxWords);
-  assert(geom_.ways <= 8 && "way_init_ tracks ways in a one-byte mask");
-  const auto lines = static_cast<std::size_t>(geom_.num_sets()) * geom_.ways;
-  // Keeps the allocation below from running a constructor over every way.
-  static_assert(std::is_trivially_default_constructible_v<Line>);
-  lines_ = std::make_unique_for_overwrite<Line[]>(lines);
-  words_ = std::make_unique_for_overwrite<std::uint64_t[]>(lines *
-                                                           words_per_line_);
-  way_init_.resize(geom_.num_sets());
+  assert(geom_.ways <= 256 && "Line::way is one byte");
 }
 
 std::uint32_t Cache::set_index(sim::Addr block) const {
@@ -41,18 +35,16 @@ std::uint32_t Cache::set_index(sim::Addr block) const {
 
 Cache::Line* Cache::find(sim::Addr addr, bool touch) {
   const sim::Addr block = line_base(addr);
-  const std::uint32_t si = set_index(block);
-  const std::uint32_t mask = way_init_[si];
-  Line* base = lines_.get() + static_cast<std::size_t>(si) * geom_.ways;
-  for (std::uint32_t w = 0; w < geom_.ways; ++w) {
-    if ((mask & (1u << w)) == 0) continue;  // never constructed: a miss
-    Line& line = base[w];
-    if (line.state != LineState::kInvalid && line.block == block) {
-      if (touch) {
-        line.lru = ++lru_clock_;
-        ++stats_.hits;
+  if (Line* set = sets_.find(set_index(block))) {
+    for (std::uint32_t w = 0; w < geom_.ways; ++w) {
+      Line& line = set[w];
+      if (line.state != LineState::kInvalid && line.block == block) {
+        if (touch) {
+          line.lru = ++lru_clock_;
+          ++stats_.hits;
+        }
+        return &line;
       }
-      return &line;
     }
   }
   if (touch) ++stats_.misses;
@@ -70,29 +62,21 @@ std::optional<Cache::Victim> Cache::insert(
   assert(data.size() == geom_.line_bytes / 8);
   assert(peek(block) == nullptr && "line already present");
 
-  const std::uint32_t si = set_index(block);
-  std::uint8_t& mask = way_init_[si];
-  Line* base = lines_.get() + static_cast<std::size_t>(si) * geom_.ways;
+  Line* set = sets_.seat(set_index(block));
   Line* slot = nullptr;
   for (std::uint32_t w = 0; w < geom_.ways; ++w) {
-    const bool constructed = (mask & (1u << w)) != 0;
-    if (!constructed || base[w].state == LineState::kInvalid) {
-      if (!constructed) {
-        base[w] = Line{};
-        mask = static_cast<std::uint8_t>(mask | (1u << w));
-      }
-      slot = &base[w];
+    if (set[w].state == LineState::kInvalid) {
+      slot = &set[w];
       break;
     }
   }
   std::optional<Victim> victim;
   if (slot == nullptr) {
     // LRU among unpinned lines; pinned lines have an MSHR in flight and
-    // must stay resident until their transaction completes. Every way is
-    // constructed here: the set is full.
+    // must stay resident until their transaction completes.
     Line* lru = nullptr;
     for (std::uint32_t w = 0; w < geom_.ways; ++w) {
-      Line& line = base[w];
+      Line& line = set[w];
       if (line.pinned) continue;
       if (lru == nullptr || line.lru < lru->lru) lru = &line;
     }
@@ -105,8 +89,9 @@ std::optional<Cache::Victim> Cache::insert(
   slot->block = block;
   slot->state = state;
   slot->pinned = false;
+  slot->way = static_cast<std::uint8_t>(slot - set);
   slot->lru = ++lru_clock_;
-  std::copy(data.begin(), data.end(), line_words(*slot));
+  std::copy(data.begin(), data.end(), payload(*slot));
   return victim;
 }
 
@@ -122,25 +107,25 @@ std::optional<Cache::Victim> Cache::invalidate(sim::Addr addr) {
 
 std::uint64_t Cache::read_word(const Line& line, sim::Addr addr) const {
   assert(line.block == line_base(addr));
-  return words_[line_index(line) * words_per_line_ + word_index(addr)];
+  return payload(line)[word_index(addr)];
 }
 
 void Cache::write_word(Line& line, sim::Addr addr, std::uint64_t value) {
   assert(line.block == line_base(addr));
-  line_words(line)[word_index(addr)] = value;
+  payload(line)[word_index(addr)] = value;
 }
 
 void Cache::fill_words(const Line& line, std::span<const std::uint64_t> data) {
   assert(data.size() == words_per_line_);
-  std::copy(data.begin(), data.end(), line_words(line));
+  std::copy(data.begin(), data.end(), payload(line));
 }
 
 TagCache::TagCache(const CacheGeometry& geometry)
     : geom_(geometry),
       line_shift_(std::countr_zero(geometry.line_bytes)),
-      set_mask_(geometry.num_sets() - 1) {
+      set_mask_(geometry.num_sets() - 1),
+      sets_(geometry.ways, 0) {
   assert(std::has_single_bit(geom_.num_sets()));
-  tags_.resize(static_cast<std::size_t>(geom_.num_sets()) * geom_.ways);
 }
 
 std::uint32_t TagCache::set_index(sim::Addr block) const {
@@ -149,10 +134,10 @@ std::uint32_t TagCache::set_index(sim::Addr block) const {
 
 bool TagCache::probe(sim::Addr addr) {
   const sim::Addr block = line_base(addr);
-  const std::size_t base =
-      static_cast<std::size_t>(set_index(block)) * geom_.ways;
+  Tag* set = sets_.find(set_index(block));
+  if (set == nullptr) return false;
   for (std::uint32_t w = 0; w < geom_.ways; ++w) {
-    Tag& t = tags_[base + w];
+    Tag& t = set[w];
     if (t.valid && t.block == block) {
       t.lru = ++lru_clock_;
       return true;
@@ -163,11 +148,10 @@ bool TagCache::probe(sim::Addr addr) {
 
 void TagCache::fill(sim::Addr addr) {
   const sim::Addr block = line_base(addr);
-  const std::size_t base =
-      static_cast<std::size_t>(set_index(block)) * geom_.ways;
-  Tag* slot = &tags_[base];
+  Tag* set = sets_.seat(set_index(block));
+  Tag* slot = &set[0];
   for (std::uint32_t w = 0; w < geom_.ways; ++w) {
-    Tag& t = tags_[base + w];
+    Tag& t = set[w];
     if (t.valid && t.block == block) {
       t.lru = ++lru_clock_;
       return;
@@ -185,10 +169,10 @@ void TagCache::fill(sim::Addr addr) {
 
 void TagCache::invalidate(sim::Addr addr) {
   const sim::Addr block = line_base(addr);
-  const std::size_t base =
-      static_cast<std::size_t>(set_index(block)) * geom_.ways;
+  Tag* set = sets_.find(set_index(block));
+  if (set == nullptr) return;
   for (std::uint32_t w = 0; w < geom_.ways; ++w) {
-    Tag& t = tags_[base + w];
+    Tag& t = set[w];
     if (t.valid && t.block == block) t.valid = false;
   }
 }

@@ -3,12 +3,14 @@
 // This is a passive structure — the coherence protocol (coh::CacheCtrl)
 // decides *when* lines move; the cache only stores them. One instance per
 // core models the coherent L2; a tag-only variant (`TagCache`) models the
-// L1D timing filter.
+// L1D timing filter. Both model the full capacity but keep host storage
+// only for the sets a run has installed a line in (`SeatedSets`).
 #pragma once
 
 #include <cassert>
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <optional>
 #include <span>
 #include <type_traits>
@@ -43,19 +45,110 @@ struct CacheStats {
   std::uint64_t word_updates = 0;
 };
 
+/// Storage for a cache's seated sets, shared by `Cache` and `TagCache`:
+/// an open-addressing map (linear probing, grown at 3/4 load, starting
+/// at 8 slots) from set index to that set's record. A record holds, in
+/// one allocation, the set's `ways` Way values followed by `ways ×
+/// payload_words` words, all zero until written. A set is seated (its
+/// record allocated) the first time a line is installed in it; a lookup
+/// in an unseated set is a miss that allocates nothing. A barrier run
+/// touches one or two lines per CPU, so a machine's host memory follows
+/// the lines it uses, not the modelled capacity. Records never move and
+/// live as long as the table: callers hold Way pointers, and a warm
+/// cache installs lines without allocating.
+template <typename Way>
+class SeatedSets {
+  static_assert(sizeof(Way) % sizeof(std::uint64_t) == 0 &&
+                alignof(Way) <= alignof(std::uint64_t) &&
+                std::is_trivially_destructible_v<Way>);
+
+ public:
+  SeatedSets(std::uint32_t ways, std::size_t payload_words)
+      : ways_(ways),
+        record_words_(ways * (sizeof(Way) / sizeof(std::uint64_t) +
+                              payload_words)),
+        slots_(8) {}
+
+  /// The set's ways; null while the set is unseated.
+  [[nodiscard]] Way* find(std::uint32_t set) const {
+    const Slot& s = slots_[slot_of(set)];
+    return s.record == nullptr ? nullptr : ways_of(s);
+  }
+
+  /// The set's ways, seating the set (every way value-initialized) on
+  /// first use.
+  Way* seat(std::uint32_t set) {
+    Slot& s = slots_[slot_of(set)];
+    if (s.record != nullptr) return ways_of(s);
+    s.set = set;
+    s.record = std::make_unique<std::uint64_t[]>(record_words_);
+    Way* ways = reinterpret_cast<Way*>(s.record.get());
+    std::uninitialized_value_construct_n(ways, ways_);
+    if (++count_ * 4 >= slots_.size() * 3) grow();
+    return ways;
+  }
+
+  /// Calls `fn(ways)` for every seated set, in slot (not set) order.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    for (const Slot& s : slots_) {
+      if (s.record != nullptr) fn(static_cast<const Way*>(ways_of(s)));
+    }
+  }
+
+ private:
+  struct Slot {
+    std::unique_ptr<std::uint64_t[]> record;  // null = vacant slot
+    std::uint32_t set = 0;
+  };
+
+  [[nodiscard]] static std::size_t home(std::uint32_t set, std::size_t mask) {
+    // Fibonacci multiplicative hash, as in ds::AddrTable.
+    return static_cast<std::size_t>((set * 0x9E3779B97F4A7C15ull) >> 32) &
+           mask;
+  }
+  [[nodiscard]] static Way* ways_of(const Slot& s) {
+    return std::launder(reinterpret_cast<Way*>(s.record.get()));
+  }
+
+  /// The slot holding `set`, or the vacant slot where it would go.
+  [[nodiscard]] std::size_t slot_of(std::uint32_t set) const {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = home(set, mask);
+    while (slots_[i].record != nullptr && slots_[i].set != set) {
+      i = (i + 1) & mask;
+    }
+    return i;
+  }
+
+  void grow() {
+    std::vector<Slot> old = std::move(slots_);
+    slots_ = std::vector<Slot>(old.size() * 2);
+    for (Slot& s : old) {
+      if (s.record != nullptr) slots_[slot_of(s.set)] = std::move(s);
+    }
+  }
+
+  std::uint32_t ways_;
+  std::size_t record_words_;
+  std::vector<Slot> slots_;
+  std::size_t count_ = 0;
+};
+
 class Cache {
  public:
   // Metadata only — 24 bytes, so a 4-way set's tags/state/LRU fit in
-  // two cache lines of the host. Word payloads live in one flat
-  // set-major block (`words_`), addressed by line index; see `words()`.
-  // No default member initializers, so `lines_` is allocated without
-  // writing it (see there).
+  // two cache lines of the host. A seated set's record keeps its lines
+  // and, right after them, their word payloads (see `SeatedSets`), so a
+  // hit touches one host region; `way` locates the payload.
   struct Line {
     sim::Addr block;  // line base address
     LineState state;
-    bool pinned;  // protected from victim selection (active MSHR)
+    bool pinned;       // protected from victim selection (active MSHR)
+    std::uint8_t way;  // index within its set's record
     std::uint64_t lru;
   };
+  static_assert(sizeof(Line) == 24);
 
   /// A line pushed out to make room. The payload rides in a fixed inline
   /// buffer so eviction/writeback never heap-allocates.
@@ -93,12 +186,11 @@ class Cache {
                                         sim::Addr addr) const;
   void write_word(Line& line, sim::Addr addr, std::uint64_t value);
 
-  /// The line's word payload (words_per_line entries) in the flat
-  /// set-major data block. `line` must be a reference obtained from this
-  /// cache (find/peek) — the payload is located by line index.
+  /// The line's word payload (words_per_line entries). `line` must be a
+  /// reference obtained from this cache (find/peek): the payload sits
+  /// after its set's lines in the same record, found through `way`.
   [[nodiscard]] std::span<const std::uint64_t> words(const Line& line) const {
-    return {words_.get() + line_index(line) * words_per_line_,
-            words_per_line_};
+    return {payload(line), words_per_line_};
   }
   /// Overwrites the line's payload (e.g. a fill from a data response).
   void fill_words(const Line& line, std::span<const std::uint64_t> data);
@@ -109,43 +201,31 @@ class Cache {
   /// Registers hit/miss/eviction counters under `prefix`.
   void register_stats(sim::StatsRegistry& reg, const std::string& prefix) const;
 
-  /// Iterates all valid lines (coherence-invariant checks in tests).
+  /// Iterates all valid lines (coherence-invariant checks in tests), in
+  /// no particular order.
   template <typename Fn>
   void for_each_line(Fn&& fn) const {
-    for (std::uint32_t s = 0; s < geom_.num_sets(); ++s) {
+    sets_.for_each([&](const Line* set) {
       for (std::uint32_t w = 0; w < geom_.ways; ++w) {
-        if ((way_init_[s] & (1u << w)) == 0) continue;
-        const Line& line = lines_[static_cast<std::size_t>(s) * geom_.ways + w];
-        if (line.state != LineState::kInvalid) fn(line);
+        if (set[w].state != LineState::kInvalid) fn(set[w]);
       }
-    }
+    });
   }
 
  private:
   [[nodiscard]] std::uint32_t set_index(sim::Addr block) const;
-  [[nodiscard]] std::size_t line_index(const Line& line) const {
-    return static_cast<std::size_t>(&line - lines_.get());
-  }
-  [[nodiscard]] std::uint64_t* line_words(const Line& line) {
-    return words_.get() + line_index(line) * words_per_line_;
+  [[nodiscard]] std::uint64_t* payload(const Line& line) const {
+    // The record is ways × Line, then ways × words_per_line words.
+    Line* set = const_cast<Line*>(&line) - line.way;
+    return std::launder(reinterpret_cast<std::uint64_t*>(set + geom_.ways)) +
+           line.way * words_per_line_;
   }
 
   CacheGeometry geom_;
   std::size_t words_per_line_;
   std::uint32_t line_shift_;  // log2(line_bytes)
   std::uint32_t set_mask_;    // num_sets - 1 (power-of-two set count)
-  // Line metadata (sets * ways, set-major) and the parallel payload
-  // block, both uninitialized (make_unique_for_overwrite of trivially
-  // default-constructible types, so no constructor runs and the host
-  // pages are not touched): a 1024-cpu machine carries gigabytes of
-  // cache arrays, and writing them up front would dominate machine
-  // construction. The only eagerly-zeroed state is `way_init_`, one byte
-  // per set: bit w says set's way w has been seated. Unseated ways are
-  // misses by definition and are never read; a way is value-initialized
-  // (then fully written) the first time `insert` seats a line in it.
-  std::unique_ptr<Line[]> lines_;
-  std::unique_ptr<std::uint64_t[]> words_;
-  std::vector<std::uint8_t> way_init_;  // per-set constructed-way bitmask
+  SeatedSets<Line> sets_;
   std::uint64_t lru_clock_ = 0;
   CacheStats stats_;
 };
@@ -178,7 +258,7 @@ class TagCache {
   CacheGeometry geom_;
   std::uint32_t line_shift_;
   std::uint32_t set_mask_;
-  std::vector<Tag> tags_;
+  SeatedSets<Tag> sets_;  // tags only: no payload words
   std::uint64_t lru_clock_ = 0;
 };
 

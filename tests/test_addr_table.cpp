@@ -122,6 +122,56 @@ TEST(AddrTable, EraseOfAbsentKeyIsNoop) {
   EXPECT_EQ(table.find(128)->payload, 7u);
 }
 
+// Entry slabs grow 4, 8, 16, 32, then 64 entries, so fresh indices cross
+// slab boundaries at 4, 12, 28, 60, 124 and 188. A reference handed out
+// before a boundary must survive every later slab, and entries carved
+// from one slab sit side by side.
+TEST(AddrTable, EntriesStayPutAcrossSlabBoundaries) {
+  AddrTable<Rec> table;
+  constexpr std::uint32_t kEntries = 256;
+  std::vector<Rec*> refs;
+  for (std::uint32_t i = 0; i < kEntries; ++i) {
+    Rec& r = table.get_or_create(std::uint64_t{i} * 128);
+    r.payload = 1000 + i;
+    refs.push_back(&r);
+  }
+  for (std::uint32_t i = 0; i < kEntries; ++i) {
+    ASSERT_EQ(table.find(std::uint64_t{i} * 128), refs[i]) << "entry " << i;
+    EXPECT_EQ(refs[i]->payload, 1000u + i);
+  }
+  const std::uint32_t boundaries[] = {0, 4, 12, 28, 60, 124, 188, 252};
+  for (std::size_t k = 0; k + 1 < std::size(boundaries); ++k) {
+    for (std::uint32_t i = boundaries[k]; i + 1 < boundaries[k + 1]; ++i) {
+      EXPECT_EQ(refs[i + 1], refs[i] + 1) << "entries " << i << ", " << i + 1
+                                          << " share a slab";
+    }
+  }
+}
+
+// Erased entries go back on the free list and are handed out again,
+// most recently erased first, before any new slab is carved.
+TEST(AddrTable, EraseThenCreateReusesFreedEntries) {
+  AddrTable<Rec> table;
+  std::vector<Rec*> refs;
+  for (std::uint64_t k = 0; k < 4; ++k) {  // exactly the first slab
+    refs.push_back(&table.get_or_create(k * 128));
+  }
+  table.erase(1 * 128);
+  table.erase(2 * 128);
+  EXPECT_EQ(table.find(1 * 128), nullptr);
+  Rec& c = table.get_or_create(10 * 128);
+  Rec& d = table.get_or_create(11 * 128);
+  EXPECT_EQ(&c, refs[2]);
+  EXPECT_EQ(&d, refs[1]);
+  EXPECT_EQ(c.next_free, kNilIndex);
+  EXPECT_EQ(table.size(), 4u);
+  // The pool is empty again: the next entry comes from a new slab.
+  Rec& e = table.get_or_create(12 * 128);
+  for (Rec* r : refs) EXPECT_NE(&e, r);
+  EXPECT_EQ(table.find(0), refs[0]);
+  EXPECT_EQ(table.find(3 * 128), refs[3]);
+}
+
 TEST(WaitPool, ManyInterleavedQueuesStayFifo) {
   WaitPool<std::uint64_t> pool;
   constexpr int kQueues = 8;

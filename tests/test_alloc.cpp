@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "core/machine.hpp"
+#include "mem/cache.hpp"
 #include "net/network.hpp"
 #include "sim/engine.hpp"
 #include "sync/barrier.hpp"
@@ -224,6 +225,33 @@ TEST(AllocCount, CachedSpinEpisodeIsAllocationFree) {
   m.run();
   EXPECT_EQ(after - before, 0u)
       << "steady-state cached-spin episodes must not touch the heap";
+}
+
+// Caches keep storage only for seated sets: a lookup that misses, in a
+// set never used or in a seated one, must not seat anything.
+TEST(AllocCount, CacheMissesDoNotAllocate) {
+  const mem::CacheGeometry geom;  // the default 2 MB, 4-way L2
+  mem::Cache l2(geom);
+  mem::TagCache l1(mem::CacheGeometry{32 * 1024, 2, 128});
+  const std::vector<std::uint64_t> data(geom.line_bytes / 8, 1);
+  (void)l2.insert(0x1000, mem::LineState::kShared, data);
+  l1.fill(0x1000);
+  const sim::Addr set_stride =
+      sim::Addr{geom.num_sets()} * geom.line_bytes;  // same set as 0x1000
+  const std::uint64_t before = g_news.load();
+  for (sim::Addr a = 0x102000; a < 0x102000 + 64 * 128; a += 128) {
+    EXPECT_EQ(l2.find(a), nullptr);  // unseated sets
+    EXPECT_EQ(l2.peek(a), nullptr);
+    EXPECT_FALSE(l1.probe(a));
+    l1.invalidate(a);
+  }
+  EXPECT_EQ(l2.find(0x1000 + set_stride), nullptr);  // seated set
+  EXPECT_FALSE(l1.probe(0x1000 + 32 * 1024));
+  EXPECT_FALSE(l2.invalidate(0x1000 + set_stride).has_value());
+  const std::uint64_t after = g_news.load();
+  EXPECT_EQ(after - before, 0u) << "cache misses must not touch the heap";
+  EXPECT_NE(l2.find(0x1000), nullptr);
+  EXPECT_TRUE(l1.probe(0x1000));
 }
 
 TEST(AllocCount, EngineSteadyStateScheduleIsAllocationFree) {

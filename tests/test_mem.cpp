@@ -2,9 +2,11 @@
 // set-associative cache, and the L1 tag filter.
 #include <gtest/gtest.h>
 
-#include <cstddef>
-#include <cstring>
-#include <new>
+#include <algorithm>
+#include <optional>
+#include <random>
+#include <span>
+#include <tuple>
 #include <vector>
 
 #include "mem/backing.hpp"
@@ -164,95 +166,324 @@ TEST(Cache, ForEachLineVisitsValidOnly) {
   EXPECT_EQ(count, 1);
 }
 
-// The metadata and payload arrays are allocated uninitialized, so a
-// cache may sit on recycled heap blocks full of garbage; untouched ways
-// must still be misses and must never be read. Poison blocks of exactly
-// the two arrays' sizes with 0xA5 and free them right before
-// construction so the allocator is likely to hand them back. (ASan
-// quarantines freed blocks; there the cache gets fresh memory and the
-// test still holds.)
-TEST(Cache, PoisonedHeapReadsAsEmpty) {
-  const CacheGeometry g = tiny_cache();
-  const std::size_t lines = std::size_t{g.num_sets()} * g.ways;
-  const std::size_t meta_bytes = lines * sizeof(Cache::Line);
-  // In the poisoned metadata every way of set s names ghost(s), and its
-  // 0xA5 state byte is not kInvalid: a lookup that read an unseated way
-  // would hit.
-  auto ghost = [](std::uint32_t s) {
-    return 0xA5A5A5A5A5A50000ull + sim::Addr{s} * 0x80;
+// Dense reference models for the differential tests below: every way of
+// every set exists from the start, as in a textbook cache, and the
+// replacement rules are written out plainly. The caches under test keep
+// storage only for sets they have seated; on any op sequence they must
+// agree with these models on every observable result.
+struct RefCache {
+  struct Way {
+    sim::Addr block = 0;
+    LineState state = LineState::kInvalid;
+    bool pinned = false;
+    std::uint64_t lru = 0;
+    std::vector<std::uint64_t> data;
   };
-  for (const std::size_t bytes : {meta_bytes, lines * g.line_bytes}) {
-    void* block = ::operator new(bytes);
-    // Volatile stores, so the compiler cannot drop the poison as dead
-    // stores before the delete.
-    auto* poison = static_cast<volatile unsigned char*>(block);
-    for (std::size_t i = 0; i < bytes; ++i) poison[i] = 0xA5;
-    if (bytes == meta_bytes) {
-      for (std::size_t i = 0; i < lines; ++i) {
-        *reinterpret_cast<volatile std::uint64_t*>(
-            poison + i * sizeof(Cache::Line) + offsetof(Cache::Line, block)) =
-            ghost(static_cast<std::uint32_t>(i / g.ways));
+
+  explicit RefCache(const CacheGeometry& geom)
+      : g(geom), ways(std::size_t{geom.num_sets()} * geom.ways) {}
+
+  [[nodiscard]] std::span<Way> set_of(sim::Addr block) {
+    const std::size_t s = (block / g.line_bytes) % g.num_sets();
+    return {ways.data() + s * g.ways, g.ways};
+  }
+  Way* find(sim::Addr addr, bool touch) {
+    const sim::Addr block = addr & ~sim::Addr{g.line_bytes - 1};
+    for (Way& w : set_of(block)) {
+      if (w.state != LineState::kInvalid && w.block == block) {
+        if (touch) {
+          w.lru = ++clock;
+          ++stats.hits;
+        }
+        return &w;
       }
     }
-    ::operator delete(block);
+    if (touch) ++stats.misses;
+    return nullptr;
   }
-  Cache c(g);
+  // First free way, else the least recently used unpinned one.
+  std::optional<Cache::Victim> insert(sim::Addr block, LineState state,
+                                      const std::vector<std::uint64_t>& d) {
+    std::span<Way> set = set_of(block);
+    Way* slot = nullptr;
+    for (Way& w : set) {
+      if (w.state == LineState::kInvalid) {
+        slot = &w;
+        break;
+      }
+    }
+    std::optional<Cache::Victim> victim;
+    if (slot == nullptr) {
+      for (Way& w : set) {
+        if (!w.pinned && (slot == nullptr || w.lru < slot->lru)) slot = &w;
+      }
+      victim.emplace(Cache::Victim{slot->block, slot->state, LineBuf(slot->data)});
+      ++stats.evictions;
+      if (slot->state == LineState::kModified) ++stats.dirty_evictions;
+    }
+    *slot = Way{block, state, false, ++clock, d};
+    return victim;
+  }
+  std::optional<Cache::Victim> invalidate(sim::Addr addr) {
+    Way* w = find(addr, /*touch=*/false);
+    if (w == nullptr) return std::nullopt;
+    ++stats.invals_received;
+    Cache::Victim v{w->block, w->state, LineBuf(w->data)};
+    w->state = LineState::kInvalid;
+    w->pinned = false;
+    return v;
+  }
 
-  // Every lookup misses: the ghosts, and line-aligned addresses over
-  // each set.
-  std::uint64_t lookups = 0;
-  for (std::uint32_t s = 0; s < g.num_sets(); ++s) {
-    EXPECT_EQ(c.peek(ghost(s)), nullptr);
-    EXPECT_EQ(c.find(ghost(s)), nullptr);
-    ++lookups;
-  }
-  for (sim::Addr a = 0; a < 16 * 0x200; a += 0x80) {
-    EXPECT_EQ(c.peek(a), nullptr);
-    EXPECT_EQ(c.find(a), nullptr);
-    ++lookups;
-  }
-  EXPECT_EQ(c.stats().misses, lookups);
-  EXPECT_EQ(c.stats().hits, 0u);
-  int visited = 0;
-  c.for_each_line([&](const Cache::Line&) { ++visited; });
-  EXPECT_EQ(visited, 0);
+  CacheGeometry g;
+  std::vector<Way> ways;
+  std::uint64_t clock = 0;
+  CacheStats stats;
+};
 
-  // Fill every set: the first `ways` inserts per set find a free way.
-  // Set s holds blocks s*0x80 (tag 0) and s*0x80 + 0x200 (tag 1).
-  for (std::uint32_t s = 0; s < g.num_sets(); ++s) {
-    for (sim::Addr tag = 0; tag < g.ways; ++tag) {
-      const sim::Addr block = s * 0x80 + tag * 0x200;
-      EXPECT_FALSE(c.insert(block, LineState::kShared, words(block))
-                       .has_value());
+struct RefTagCache {
+  struct Tag {
+    sim::Addr block = 0;
+    bool valid = false;
+    std::uint64_t lru = 0;
+  };
+
+  explicit RefTagCache(const CacheGeometry& geom)
+      : g(geom), tags(std::size_t{geom.num_sets()} * geom.ways) {}
+
+  [[nodiscard]] std::span<Tag> set_of(sim::Addr block) {
+    const std::size_t s = (block / g.line_bytes) % g.num_sets();
+    return {tags.data() + s * g.ways, g.ways};
+  }
+  [[nodiscard]] sim::Addr base(sim::Addr a) const {
+    return a & ~sim::Addr{g.line_bytes - 1};
+  }
+  bool probe(sim::Addr addr) {
+    for (Tag& t : set_of(base(addr))) {
+      if (t.valid && t.block == base(addr)) {
+        t.lru = ++clock;
+        return true;
+      }
+    }
+    return false;
+  }
+  // A resident tag is touched; else the last invalid way is taken, else
+  // the least recently used one.
+  void fill(sim::Addr addr) {
+    if (probe(addr)) return;
+    std::span<Tag> set = set_of(base(addr));
+    Tag* slot = nullptr;
+    for (Tag& t : set) {
+      if (!t.valid) slot = &t;
+    }
+    if (slot == nullptr) {
+      for (Tag& t : set) {
+        if (slot == nullptr || t.lru < slot->lru) slot = &t;
+      }
+    }
+    *slot = Tag{base(addr), true, ++clock};
+  }
+  void invalidate(sim::Addr addr) {
+    for (Tag& t : set_of(base(addr))) {
+      if (t.valid && t.block == base(addr)) t.valid = false;
     }
   }
-  c.for_each_line([&](const Cache::Line& line) {
-    ++visited;
-    EXPECT_EQ(line.state, LineState::kShared);
-    EXPECT_FALSE(line.pinned);
-    EXPECT_EQ(c.words(line)[0], line.block);
-  });
-  EXPECT_EQ(visited, static_cast<int>(lines));
-  EXPECT_EQ(c.stats().evictions, 0u);
 
-  // Touch tag 0 everywhere, so tag 1 is each set's LRU victim.
-  for (std::uint32_t s = 0; s < g.num_sets(); ++s) {
-    ASSERT_NE(c.find(s * 0x80), nullptr);
+  CacheGeometry g;
+  std::vector<Tag> tags;
+  std::uint64_t clock = 0;
+};
+
+void expect_same_victim(const std::optional<Cache::Victim>& got,
+                        const std::optional<Cache::Victim>& want) {
+  ASSERT_EQ(got.has_value(), want.has_value());
+  if (!got) return;
+  EXPECT_EQ(got->block, want->block);
+  EXPECT_EQ(got->state, want->state);
+  ASSERT_EQ(got->data.size(), want->data.size());
+  for (std::uint32_t i = 0; i < got->data.size(); ++i) {
+    EXPECT_EQ(got->data[i], want->data[i]) << "word " << i;
   }
-  for (std::uint32_t s = 0; s < g.num_sets(); ++s) {
-    const sim::Addr block = s * 0x80 + 2 * 0x200;
-    auto victim = c.insert(block, LineState::kModified, words(block));
-    ASSERT_TRUE(victim.has_value());
-    EXPECT_EQ(victim->block, s * 0x80 + 0x200);
-    EXPECT_EQ(victim->state, LineState::kShared);
-    EXPECT_EQ(victim->data[0], victim->block);
-    EXPECT_NE(c.peek(s * 0x80), nullptr);
-    EXPECT_NE(c.peek(block), nullptr);
+}
+
+void expect_same_stats(const CacheStats& got, const CacheStats& want) {
+  EXPECT_EQ(got.hits, want.hits);
+  EXPECT_EQ(got.misses, want.misses);
+  EXPECT_EQ(got.evictions, want.evictions);
+  EXPECT_EQ(got.dirty_evictions, want.dirty_evictions);
+  EXPECT_EQ(got.invals_received, want.invals_received);
+}
+
+// Resident lines as {block, state, pinned, payload}, sorted by block.
+using LineImage =
+    std::tuple<sim::Addr, LineState, bool, std::vector<std::uint64_t>>;
+
+std::vector<LineImage> image_of(const Cache& c) {
+  std::vector<LineImage> out;
+  c.for_each_line([&](const Cache::Line& line) {
+    const auto w = c.words(line);
+    out.emplace_back(line.block, line.state, line.pinned,
+                     std::vector<std::uint64_t>(w.begin(), w.end()));
+  });
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+std::vector<LineImage> image_of(const RefCache& r) {
+  std::vector<LineImage> out;
+  for (const RefCache::Way& w : r.ways) {
+    if (w.state != LineState::kInvalid) {
+      out.emplace_back(w.block, w.state, w.pinned, w.data);
+    }
   }
-  EXPECT_EQ(c.stats().evictions, g.num_sets());
-  EXPECT_EQ(c.stats().dirty_evictions, 0u);
-  for (std::uint32_t s = 0; s < g.num_sets(); ++s) {
-    EXPECT_EQ(c.peek(ghost(s)), nullptr);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// Geometries small enough that random blocks collide in every set: 4
+// sets × 2 ways and 8 × 4 (128-byte lines), one fully associative set,
+// and 64 × 2 with 64-byte lines, whose seated-set table grows three times.
+const CacheGeometry kDiffGeometries[] = {
+    {4 * 2 * 128, 2, 128},
+    {8 * 4 * 128, 4, 128},
+    {1 * 4 * 128, 4, 128},
+    {64 * 2 * 64, 2, 64},
+};
+
+// Seeded random insert / find / peek / invalidate / write_word / pin /
+// unpin sequences against the dense model. A pin leaves at least one
+// unpinned way per set, so sets fill up to "every way but one pinned"
+// and the eviction must then take the one unpinned way.
+TEST(Cache, MatchesDenseReferenceOnRandomOps) {
+  constexpr LineState kStates[] = {LineState::kShared, LineState::kExclusive,
+                                   LineState::kModified};
+  for (const CacheGeometry& g : kDiffGeometries) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE(::testing::Message() << "sets=" << g.num_sets()
+                                        << " ways=" << g.ways
+                                        << " seed=" << seed);
+      Cache c(g);
+      RefCache ref(g);
+      std::mt19937_64 rng(seed);
+      const std::uint32_t wpl = g.line_bytes / 8;
+      // Three lines' worth of blocks per way: sets overflow often.
+      const std::uint64_t window = std::uint64_t{g.num_sets()} * g.ways * 3;
+      auto random_addr = [&] {
+        return (rng() % window) * g.line_bytes + (rng() % wpl) * 8;
+      };
+      int evictions_past_pins = 0;
+      for (int op = 0; op < 4000; ++op) {
+        const sim::Addr addr = random_addr();
+        const sim::Addr block = c.line_base(addr);
+        switch (rng() % 8) {
+          case 0:
+          case 1: {  // insert (only absent lines, per the contract)
+            if (ref.find(addr, false) != nullptr) break;
+            std::vector<std::uint64_t> data(wpl);
+            for (auto& w : data) w = rng();
+            const LineState st = kStates[rng() % 3];
+            std::size_t pinned = 0;
+            for (const auto& w : ref.set_of(block)) pinned += w.pinned;
+            auto want = ref.insert(block, st, data);
+            auto got = c.insert(block, st, data);
+            expect_same_victim(got, want);
+            if (want && pinned == g.ways - 1) ++evictions_past_pins;
+            break;
+          }
+          case 2: {  // find (touching)
+            RefCache::Way* want = ref.find(addr, true);
+            Cache::Line* got = c.find(addr);
+            ASSERT_EQ(got != nullptr, want != nullptr);
+            if (got != nullptr) {
+              EXPECT_EQ(c.read_word(*got, addr),
+                        want->data[c.word_index(addr)]);
+            }
+            break;
+          }
+          case 3: {  // peek
+            const RefCache::Way* want = ref.find(addr, false);
+            const Cache::Line* got = c.peek(addr);
+            ASSERT_EQ(got != nullptr, want != nullptr);
+            if (got != nullptr) {
+              EXPECT_EQ(got->block, want->block);
+              EXPECT_EQ(got->state, want->state);
+            }
+            break;
+          }
+          case 4:  // invalidate
+            expect_same_victim(c.invalidate(addr), ref.invalidate(addr));
+            break;
+          case 5: {  // write_word
+            RefCache::Way* want = ref.find(addr, false);
+            Cache::Line* got = c.find(addr, false);
+            ASSERT_EQ(got != nullptr, want != nullptr);
+            if (got == nullptr) break;
+            const std::uint64_t v = rng();
+            c.write_word(*got, addr, v);
+            want->data[c.word_index(addr)] = v;
+            break;
+          }
+          case 6: {  // pin, leaving one way of the set unpinned
+            RefCache::Way* want = ref.find(addr, false);
+            Cache::Line* got = c.find(addr, false);
+            ASSERT_EQ(got != nullptr, want != nullptr);
+            if (got == nullptr) break;
+            std::size_t pinned = 0;
+            for (const auto& w : ref.set_of(block)) pinned += w.pinned;
+            if (pinned + 1 >= g.ways) break;
+            got->pinned = want->pinned = true;
+            break;
+          }
+          case 7: {  // unpin
+            RefCache::Way* want = ref.find(addr, false);
+            Cache::Line* got = c.find(addr, false);
+            ASSERT_EQ(got != nullptr, want != nullptr);
+            if (got != nullptr) got->pinned = want->pinned = false;
+            break;
+          }
+        }
+        if (::testing::Test::HasFatalFailure()) return;
+        expect_same_stats(c.stats(), ref.stats);
+      }
+      EXPECT_EQ(image_of(c), image_of(ref));
+      EXPECT_GT(evictions_past_pins, 0);
+    }
+  }
+}
+
+TEST(TagCache, MatchesDenseReferenceOnRandomOps) {
+  for (const CacheGeometry& g : kDiffGeometries) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE(::testing::Message() << "sets=" << g.num_sets()
+                                        << " ways=" << g.ways
+                                        << " seed=" << seed);
+      TagCache t(g);
+      RefTagCache ref(g);
+      std::mt19937_64 rng(seed);
+      const std::uint64_t window = std::uint64_t{g.num_sets()} * g.ways * 3;
+      for (int op = 0; op < 4000; ++op) {
+        const sim::Addr addr =
+            (rng() % window) * g.line_bytes + (rng() % (g.line_bytes / 8)) * 8;
+        switch (rng() % 3) {
+          case 0:
+            ASSERT_EQ(t.probe(addr), ref.probe(addr)) << "op " << op;
+            break;
+          case 1:
+            t.fill(addr);
+            ref.fill(addr);
+            break;
+          case 2:
+            t.invalidate(addr);
+            ref.invalidate(addr);
+            break;
+        }
+      }
+      // Every block in the window probes the same way (probe touches
+      // LRU in both, identically).
+      for (std::uint64_t b = 0; b < window; ++b) {
+        ASSERT_EQ(t.probe(b * g.line_bytes), ref.probe(b * g.line_bytes))
+            << "block " << b;
+      }
+    }
   }
 }
 
