@@ -264,19 +264,4 @@ void SweepRunner::run() {
   tasks_.clear();
 }
 
-void print_header(const std::string& title, const std::string& col0,
-                  const std::vector<std::string>& cols) {
-  std::printf("\n== %s ==\n%-6s", title.c_str(), col0.c_str());
-  for (const auto& c : cols) std::printf(" %12s", c.c_str());
-  std::printf("\n");
-}
-
-void print_row(std::uint32_t cpus, const std::vector<double>& values,
-               int precision) {
-  std::printf("%-6u", cpus);
-  for (double v : values) std::printf(" %12.*f", precision, v);
-  std::printf("\n");
-  std::fflush(stdout);
-}
-
 }  // namespace amo::bench

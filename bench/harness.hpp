@@ -1,7 +1,6 @@
 // Benchmark plumbing shared by every workload: command-line parsing, the
-// base config, the --json reporter, the parallel sweep runner, and table
-// printing. The simulation kernels themselves live behind run_cell
-// (scenario.hpp).
+// base config, the --json reporter, and the parallel sweep runner. The
+// simulation kernels themselves live behind run_cell (scenario.hpp).
 #pragma once
 
 #include <cstdint>
@@ -132,11 +131,5 @@ class SweepRunner {
   unsigned threads_;
   std::vector<sim::InlineFn> tasks_;
 };
-
-/// Fixed-width table printing helpers.
-void print_header(const std::string& title, const std::string& col0,
-                  const std::vector<std::string>& cols);
-void print_row(std::uint32_t cpus, const std::vector<double>& values,
-               int precision = 2);
 
 }  // namespace amo::bench

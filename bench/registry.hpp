@@ -1,9 +1,11 @@
-// WorkloadRegistry: every former bench binary as a named entry that
-// builds a SweepSpec from the CLI options and formats the resulting
-// cells. The driver resolves names (current or legacy), `list` walks the
-// table, and scenario files reuse a workload's printer by naming it.
+// WorkloadRegistry: every workload as a named entry that builds a
+// SweepSpec from the CLI options and formats the resulting cells. Most
+// entries are TableSpecs (table.hpp); the rest keep their own printer.
+// The driver resolves names (current or legacy), `list` walks the table,
+// and scenario files reuse a workload's printer by naming it.
 #pragma once
 
+#include <functional>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -16,8 +18,10 @@ struct Workload {
   const char* name;         // registry name: "table2"
   const char* legacy_name;  // pre-registry binary / JSON doc: "table2_barriers"
   const char* description;  // one line for `amo_bench list`
-  SweepSpec (*build)(const CliOptions& opt);
-  void (*print)(const SweepSpec& spec, std::span<const CellResult> results);
+  std::function<SweepSpec(const CliOptions& opt)> build;
+  std::function<void(const SweepSpec& spec,
+                     std::span<const CellResult> results)>
+      print;
 };
 
 class WorkloadRegistry {
@@ -40,8 +44,7 @@ class WorkloadRegistry {
 /// Defined in workloads.cpp; registers the 24 built-in workloads.
 void register_builtin_workloads(WorkloadRegistry& reg);
 
-// The one place the per-main copies of CLI-default plumbing collapsed
-// into: every builder resolves its sweep axes through these.
+// Every builder resolves its sweep axes through these.
 /// --quick trims to `quick` (when the workload has a quick list),
 /// otherwise --cpus wins, otherwise the workload default.
 [[nodiscard]] std::vector<std::uint32_t> resolved_cpus(

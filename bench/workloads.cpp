@@ -1,43 +1,21 @@
-// The 24 built-in workloads (the 17 former bench binaries plus
-// microbench_spin, microbench_pdes, microbench_hier, the two hierarchy
-// ablations, and the open-loop service pair) as registry entries. Each
-// entry is a
-// builder (CLI options -> declarative SweepSpec) and a printer (cells ->
-// the exact table the old binary printed). Paper reference values live in
-// the printers' footers, where the old mains kept them.
+// The 24 built-in workloads as registry entries. The 14 whose output is
+// rows of CPU counts (or of one knob) by columns of variants are
+// TableSpecs, built and printed by table.cpp. The rest keep a builder
+// (CLI options -> declarative SweepSpec) and a printer of their own.
+// Paper reference cells are printed in the footers.
 #include <algorithm>
 #include <array>
 #include <cstdio>
-#include <limits>
 
-#include "bench/registry.hpp"
+#include "bench/table.hpp"
 
 namespace amo::bench {
 
 namespace {
 
 using sync::Mechanism;
-
-// The tables' column order (ActMsg before Atomic, as in the paper).
-const std::array<Mechanism, 5> kTableMechs = {
-    Mechanism::kLlSc, Mechanism::kActMsg, Mechanism::kAtomic,
-    Mechanism::kMao, Mechanism::kAmo};
-
-sim::Json cpus_json(const std::vector<std::uint32_t>& cpus) {
-  sim::Json a = sim::Json::array();
-  for (std::uint32_t c : cpus) a.push_back(c);
-  return a;
-}
-
-std::vector<std::uint32_t> meta_cpus(const SweepSpec& s) {
-  std::vector<std::uint32_t> out;
-  if (const sim::Json* a = s.meta.find("cpus"); a != nullptr) {
-    for (const sim::Json& v : a->elements()) {
-      out.push_back(static_cast<std::uint32_t>(v.as_uint()));
-    }
-  }
-  return out;
-}
+using enum sync::Mechanism;
+using enum Field;
 
 Cell cell(std::uint32_t cpus, CellParams params) {
   Cell c;
@@ -46,34 +24,22 @@ Cell cell(std::uint32_t cpus, CellParams params) {
   return c;
 }
 
-CellParams barrier_params(Mechanism m, int episodes,
-                          BarrierKind kind = BarrierKind::kCentral,
-                          std::uint32_t fanout = 4) {
-  CellParams p;
-  p.kernel = Kernel::kBarrier;
-  p.mech = m;
-  p.episodes = episodes;
-  p.kind = kind;
-  p.fanout = fanout;
-  return p;
+CellParams barrier(Mechanism m, BarrierKind kind = BarrierKind::kCentral) {
+  return {.kernel = Kernel::kBarrier, .mech = m, .kind = kind};
 }
 
-CellParams lock_params(Mechanism m, bool array, int iters) {
-  CellParams p;
-  p.kernel = Kernel::kLock;
-  p.mech = m;
-  p.array = array;
-  p.iters = iters;
-  return p;
+CellParams lock(Mechanism m, bool array = false) {
+  return {.kernel = Kernel::kLock, .mech = m, .array = array};
 }
 
-std::vector<std::uint32_t> tree_fanouts(std::uint32_t p,
-                                        bool inclusive = false) {
-  std::vector<std::uint32_t> out;
-  for (std::uint32_t f = 2; inclusive ? f <= p : f < p; f *= 2) {
-    out.push_back(f);
-  }
-  return out;
+/// A tree barrier at each fanout below P; the columns read the best.
+Variant tree(Mechanism m) {
+  return {barrier(m, BarrierKind::kTree), {}, /*per_fanout=*/true};
+}
+
+template <typename... E>
+std::vector<std::uint32_t> knobs(E... values) {
+  return {static_cast<std::uint32_t>(values)...};
 }
 
 // ------------------------------------------------------------- fig1
@@ -81,13 +47,11 @@ SweepSpec build_fig1(const CliOptions& opt) {
   (void)opt;
   SweepSpec s{"fig1", "fig1_message_count", {}, {}, {}};
   for (Mechanism m : sync::kAllMechanisms) {
-    Cell c;
-    c.set = {{"num_cpus", sim::Json(4u)},
-             {"cpus_per_node", sim::Json(1u)},   // one cpu per node
-             {"barrier_sw_overhead", sim::Json(0)}};  // protocol msgs only
-    c.params.kernel = Kernel::kFig1Episode;
-    c.params.mech = m;
-    s.cells.push_back(std::move(c));
+    s.cells.push_back(
+        {{{"num_cpus", sim::Json(4u)},
+          {"cpus_per_node", sim::Json(1u)},         // one cpu per node
+          {"barrier_sw_overhead", sim::Json(0)}},  // protocol msgs only
+         {.kernel = Kernel::kFig1Episode, .mech = m}});
   }
   return s;
 }
@@ -108,232 +72,96 @@ void print_fig1(const SweepSpec& s, std::span<const CellResult> r) {
       "plus the word-update wave that releases the spinners.\n");
 }
 
-// ---------------------------------------------------- table2 / fig5
-SweepSpec build_central_sweep(const CliOptions& opt, const char* name,
-                              const char* legacy) {
-  SweepSpec s{name, legacy, {}, {}, {}};
-  const std::vector<std::uint32_t> cpus =
-      resolved_cpus(opt, paper_cpu_counts(4), {4, 8, 16, 32});
-  const int episodes = resolved_episodes(opt);
-  s.meta["cpus"] = cpus_json(cpus);
-  for (std::uint32_t p : cpus) {
-    for (Mechanism m : kTableMechs) {
-      s.cells.push_back(cell(p, barrier_params(m, episodes)));
-    }
-  }
-  return s;
-}
+// ------------------------------------------- the paper's tables/figures
+const TableSpec kTable2{
+    .name = "table2", .legacy_name = "table2_barriers",
+    .description = "central barrier speedup over LL/SC, 4..256 CPUs (Table 2)",
+    .title = "Table 2: barrier speedup over LL/SC",
+    .cpus = paper_cpu_counts(4), .quick_cpus = {4, 8, 16, 32}, .episodes = 8,
+    .variants = {{barrier(kLlSc)}, {barrier(kActMsg)}, {barrier(kAtomic)},
+                 {barrier(kMao)}, {barrier(kAmo)}},
+    .columns = {{"LLSC(cyc)", {0}, 2}, {"ActMsg", {0, 1}, 2},
+                {"Atomic", {0, 2}, 2}, {"MAO", {0, 3}, 2}, {"AMO", {0, 4}, 2}},
+    .footer = "\npaper:  4: 0.95/1.15/1.21/2.10   32: 2.38/1.36/4.20/15.14"
+              "   256: 2.82/1.23/14.70/61.94\n"};
 
-SweepSpec build_table2(const CliOptions& opt) {
-  return build_central_sweep(opt, "table2", "table2_barriers");
-}
+const TableSpec kFig5{
+    .name = "fig5", .legacy_name = "fig5_barrier_cycles",
+    .description = "central barrier cycles-per-processor vs P (Fig. 5)",
+    .title = "Figure 5: barrier cycles-per-processor",
+    .cpus = paper_cpu_counts(4), .quick_cpus = {4, 8, 16, 32}, .episodes = 8,
+    .variants = kTable2.variants,
+    .columns = {{"LL/SC", {0, -1, kSecondary}, 1},
+                {"ActMsg", {1, -1, kSecondary}, 1},
+                {"Atomic", {2, -1, kSecondary}, 1},
+                {"MAO", {3, -1, kSecondary}, 1}, {"AMO", {4, -1, kSecondary}, 1}},
+    .footer = "\nexpected shape: LL/SC per-proc time rises with P (superlinear "
+              "total); AMO per-proc time is flat and slightly decreasing.\n"};
 
-void print_table2(const SweepSpec& s, std::span<const CellResult> r) {
-  const auto cpus = meta_cpus(s);
-  print_header("Table 2: barrier speedup over LL/SC", "CPUs",
-               {"LLSC(cyc)", "ActMsg", "Atomic", "MAO", "AMO"});
-  for (std::size_t i = 0; i < cpus.size(); ++i) {
-    std::vector<double> row{r[i * 5].primary};
-    for (std::size_t j = 1; j < 5; ++j) {
-      row.push_back(r[i * 5].primary / r[i * 5 + j].primary);
-    }
-    print_row(cpus[i], row);
-  }
-  std::printf(
-      "\npaper:  4: 0.95/1.15/1.21/2.10   32: 2.38/1.36/4.20/15.14"
-      "   256: 2.82/1.23/14.70/61.94\n");
-}
+// Per row: the central LL/SC baseline, every (mechanism, fanout) tree run,
+// then central AMO for the last column.
+const TableSpec kTable3{
+    .name = "table3", .legacy_name = "table3_tree_barriers",
+    .description = "two-level tree barriers, best fanout per point (Table 3)",
+    .title = "Table 3: tree barrier speedup over central LL/SC (best fanout)",
+    .cpus = paper_cpu_counts(16), .quick_cpus = {16, 32}, .episodes = 8,
+    .variants = {{barrier(kLlSc)}, tree(kLlSc), tree(kActMsg), tree(kAtomic),
+                 tree(kMao), tree(kAmo), {barrier(kAmo)}},
+    .columns = {{"LLSC+tree", {0, 1}, 2}, {"ActMsg+tree", {0, 2}, 2},
+                {"Atomic+tree", {0, 3}, 2}, {"MAO+tree", {0, 4}, 2},
+                {"AMO+tree", {0, 5}, 2}, {"AMO", {0, 6}, 2}},
+    .footer = "\npaper: 16: 1.70/2.41/2.25/2.60/2.59/9.11"
+              "   256: 8.38/14.72/11.22/20.37/22.62/61.94\n"};
 
-SweepSpec build_fig5(const CliOptions& opt) {
-  return build_central_sweep(opt, "fig5", "fig5_barrier_cycles");
-}
+const TableSpec kFig6{
+    .name = "fig6", .legacy_name = "fig6_tree_cycles",
+    .description = "tree barrier cycles-per-processor, best fanout (Fig. 6)",
+    .title = "Figure 6: tree barrier cycles-per-processor (best fanout)",
+    .cpus = paper_cpu_counts(16), .quick_cpus = {16, 32}, .episodes = 8,
+    .variants = {tree(kLlSc), tree(kActMsg), tree(kAtomic), tree(kMao),
+                 tree(kAmo)},
+    .columns = {{"LLSC+tree", {0, -1, kSecondary}, 1},
+                {"ActMsg+tree", {1, -1, kSecondary}, 1},
+                {"Atomic+tree", {2, -1, kSecondary}, 1},
+                {"MAO+tree", {3, -1, kSecondary}, 1},
+                {"AMO+tree", {4, -1, kSecondary}, 1}},
+    .footer = "\nexpected shape: per-processor time decreases with P for all "
+              "tree barriers (overhead amortized over more branches).\n"};
 
-void print_fig5(const SweepSpec& s, std::span<const CellResult> r) {
-  const auto cpus = meta_cpus(s);
-  print_header("Figure 5: barrier cycles-per-processor", "CPUs",
-               {"LL/SC", "ActMsg", "Atomic", "MAO", "AMO"});
-  for (std::size_t i = 0; i < cpus.size(); ++i) {
-    std::vector<double> row;
-    for (std::size_t j = 0; j < 5; ++j) row.push_back(r[i * 5 + j].secondary);
-    print_row(cpus[i], row, 1);
-  }
-  std::printf(
-      "\nexpected shape: LL/SC per-proc time rises with P (superlinear "
-      "total); AMO per-proc time is flat and slightly decreasing.\n");
-}
+// The LL/SC ticket baseline, then (mechanism, ticket/array) skipping the
+// baseline combination; LLSC.t is the baseline over itself.
+const TableSpec kTable4{
+    .name = "table4", .legacy_name = "table4_locks",
+    .description = "ticket/array lock speedups over LL/SC ticket (Table 4)",
+    .title = "Table 4: lock speedups over the LL/SC ticket lock",
+    .cpus = paper_cpu_counts(4), .quick_cpus = {4, 8, 16}, .iters = 6,
+    .variants = {{lock(kLlSc)}, {lock(kLlSc, true)}, {lock(kActMsg)},
+                 {lock(kActMsg, true)}, {lock(kAtomic)}, {lock(kAtomic, true)},
+                 {lock(kMao)}, {lock(kMao, true)}, {lock(kAmo)},
+                 {lock(kAmo, true)}},
+    .columns = {{"LLSC(cyc)", {0}, 2}, {"LLSC.t", {0, 0}, 2},
+                {"LLSC.a", {0, 1}, 2}, {"ActMsg.t", {0, 2}, 2},
+                {"ActMsg.a", {0, 3}, 2}, {"Atomic.t", {0, 4}, 2},
+                {"Atomic.a", {0, 5}, 2}, {"MAO.t", {0, 6}, 2},
+                {"MAO.a", {0, 7}, 2}, {"AMO.t", {0, 8}, 2}, {"AMO.a", {0, 9}, 2}},
+    .footer = "\npaper: 4: AMO 1.95/1.31   64: LLSC.a 1.42, AMO 4.90/5.45"
+              "   256: AMO 10.36/10.05\n"};
 
-// ---------------------------------------------------- table3 / fig6
-SweepSpec build_table3(const CliOptions& opt) {
-  SweepSpec s{"table3", "table3_tree_barriers", {}, {}, {}};
-  const std::vector<std::uint32_t> cpus =
-      resolved_cpus(opt, paper_cpu_counts(16), {16, 32});
-  const int episodes = resolved_episodes(opt);
-  s.meta["cpus"] = cpus_json(cpus);
-  // Per row (serial record order): the central LL/SC baseline, every
-  // (mechanism, fanout) tree run, then central AMO for the last column.
-  for (std::uint32_t p : cpus) {
-    s.cells.push_back(cell(p, barrier_params(Mechanism::kLlSc, episodes)));
-    for (Mechanism m : kTableMechs) {
-      for (std::uint32_t f : tree_fanouts(p)) {
-        s.cells.push_back(
-            cell(p, barrier_params(m, episodes, BarrierKind::kTree, f)));
-      }
-    }
-    s.cells.push_back(cell(p, barrier_params(Mechanism::kAmo, episodes)));
-  }
-  return s;
-}
-
-void print_table3(const SweepSpec& s, std::span<const CellResult> r) {
-  const auto cpus = meta_cpus(s);
-  print_header(
-      "Table 3: tree barrier speedup over central LL/SC (best fanout)",
-      "CPUs",
-      {"LLSC+tree", "ActMsg+tree", "Atomic+tree", "MAO+tree", "AMO+tree",
-       "AMO"});
-  std::size_t idx = 0;
-  for (std::uint32_t p : cpus) {
-    const double base = r[idx++].primary;
-    std::vector<double> row;
-    const std::size_t fanouts = tree_fanouts(p).size();
-    for (std::size_t j = 0; j < 5; ++j) {
-      double best = std::numeric_limits<double>::max();
-      for (std::size_t k = 0; k < fanouts; ++k) {
-        best = std::min(best, r[idx++].primary);
-      }
-      row.push_back(base / best);
-    }
-    row.push_back(base / r[idx++].primary);
-    print_row(p, row);
-  }
-  std::printf(
-      "\npaper: 16: 1.70/2.41/2.25/2.60/2.59/9.11"
-      "   256: 8.38/14.72/11.22/20.37/22.62/61.94\n");
-}
-
-SweepSpec build_fig6(const CliOptions& opt) {
-  SweepSpec s{"fig6", "fig6_tree_cycles", {}, {}, {}};
-  const std::vector<std::uint32_t> cpus =
-      resolved_cpus(opt, paper_cpu_counts(16), {16, 32});
-  const int episodes = resolved_episodes(opt);
-  s.meta["cpus"] = cpus_json(cpus);
-  for (std::uint32_t p : cpus) {
-    for (Mechanism m : kTableMechs) {
-      for (std::uint32_t f : tree_fanouts(p)) {
-        s.cells.push_back(
-            cell(p, barrier_params(m, episodes, BarrierKind::kTree, f)));
-      }
-    }
-  }
-  return s;
-}
-
-void print_fig6(const SweepSpec& s, std::span<const CellResult> r) {
-  const auto cpus = meta_cpus(s);
-  print_header(
-      "Figure 6: tree barrier cycles-per-processor (best fanout)", "CPUs",
-      {"LLSC+tree", "ActMsg+tree", "Atomic+tree", "MAO+tree", "AMO+tree"});
-  std::size_t idx = 0;
-  for (std::uint32_t p : cpus) {
-    std::vector<double> row;
-    const std::size_t fanouts = tree_fanouts(p).size();
-    for (std::size_t j = 0; j < 5; ++j) {
-      double best = std::numeric_limits<double>::max();
-      for (std::size_t k = 0; k < fanouts; ++k) {
-        best = std::min(best, r[idx++].secondary);
-      }
-      row.push_back(best);
-    }
-    print_row(p, row, 1);
-  }
-  std::printf(
-      "\nexpected shape: per-processor time decreases with P for all "
-      "tree barriers (overhead amortized over more branches).\n");
-}
-
-// ----------------------------------------------------- table4 / fig7
-// Variants in the serial run/record order: the LL/SC ticket baseline,
-// then (mechanism, ticket/array) skipping the baseline combination.
-std::vector<std::pair<Mechanism, bool>> table4_variants() {
-  std::vector<std::pair<Mechanism, bool>> variants;
-  variants.emplace_back(Mechanism::kLlSc, false);
-  for (Mechanism m : kTableMechs) {
-    for (bool array : {false, true}) {
-      if (m == Mechanism::kLlSc && !array) continue;
-      variants.emplace_back(m, array);
-    }
-  }
-  return variants;
-}
-
-SweepSpec build_table4(const CliOptions& opt) {
-  SweepSpec s{"table4", "table4_locks", {}, {}, {}};
-  const std::vector<std::uint32_t> cpus =
-      resolved_cpus(opt, paper_cpu_counts(4), {4, 8, 16});
-  const int iters = resolved_iters(opt);
-  s.meta["cpus"] = cpus_json(cpus);
-  for (std::uint32_t p : cpus) {
-    for (const auto& [m, array] : table4_variants()) {
-      s.cells.push_back(cell(p, lock_params(m, array, iters)));
-    }
-  }
-  return s;
-}
-
-void print_table4(const SweepSpec& s, std::span<const CellResult> r) {
-  const auto cpus = meta_cpus(s);
-  const std::size_t nv = table4_variants().size();
-  print_header(
-      "Table 4: lock speedups over the LL/SC ticket lock", "CPUs",
-      {"LLSC(cyc)", "LLSC.t", "LLSC.a", "ActMsg.t", "ActMsg.a", "Atomic.t",
-       "Atomic.a", "MAO.t", "MAO.a", "AMO.t", "AMO.a"});
-  for (std::size_t i = 0; i < cpus.size(); ++i) {
-    const double base = r[i * nv].primary;
-    std::vector<double> row{base, 1.0};  // base cycles, LLSC.t speedup
-    for (std::size_t j = 1; j < nv; ++j) {
-      row.push_back(base / r[i * nv + j].primary);
-    }
-    print_row(cpus[i], row);
-  }
-  std::printf(
-      "\npaper: 4: AMO 1.95/1.31   64: LLSC.a 1.42, AMO 4.90/5.45"
-      "   256: AMO 10.36/10.05\n");
-}
-
-SweepSpec build_fig7(const CliOptions& opt) {
-  SweepSpec s{"fig7", "fig7_lock_traffic", {}, {}, {}};
-  const std::vector<std::uint32_t> cpus =
-      resolved_cpus(opt, {128, 256}, {32});
-  const int iters = resolved_iters(opt);
-  s.meta["cpus"] = cpus_json(cpus);
-  // Slot 0 is a dedicated LL/SC baseline run (as in the serial version),
-  // then one run per plotted mechanism.
-  for (std::uint32_t p : cpus) {
-    s.cells.push_back(cell(p, lock_params(Mechanism::kLlSc, false, iters)));
-    for (Mechanism m : kTableMechs) {
-      s.cells.push_back(cell(p, lock_params(m, false, iters)));
-    }
-  }
-  return s;
-}
-
-void print_fig7(const SweepSpec& s, std::span<const CellResult> r) {
-  const auto cpus = meta_cpus(s);
-  print_header(
-      "Figure 7: ticket-lock network traffic (bytes, normalized to LL/SC)",
-      "CPUs", {"LL/SC", "ActMsg", "Atomic", "MAO", "AMO"});
-  for (std::size_t i = 0; i < cpus.size(); ++i) {
-    const double base = static_cast<double>(r[i * 6].traffic.bytes);
-    std::vector<double> row;
-    for (std::size_t j = 1; j < 6; ++j) {
-      row.push_back(static_cast<double>(r[i * 6 + j].traffic.bytes) / base);
-    }
-    print_row(cpus[i], row);
-  }
-  std::printf(
-      "\nexpected shape: AMO lowest by far; ActMsg highest (timeout "
-      "retransmissions under contention).\n");
-}
+// Variant 0 is a dedicated LL/SC baseline run, not printed; then one run
+// per plotted mechanism.
+const TableSpec kFig7{
+    .name = "fig7", .legacy_name = "fig7_lock_traffic",
+    .description = "ticket-lock network traffic normalized to LL/SC (Fig. 7)",
+    .title = "Figure 7: ticket-lock network traffic (bytes, normalized to "
+             "LL/SC)",
+    .cpus = {128, 256}, .quick_cpus = {32}, .iters = 6,
+    .variants = {{lock(kLlSc)}, {lock(kLlSc)}, {lock(kActMsg)},
+                 {lock(kAtomic)}, {lock(kMao)}, {lock(kAmo)}},
+    .columns = {{"LL/SC", {1, 0, kBytes}, 2}, {"ActMsg", {2, 0, kBytes}, 2},
+                {"Atomic", {3, 0, kBytes}, 2}, {"MAO", {4, 0, kBytes}, 2},
+                {"AMO", {5, 0, kBytes}, 2}},
+    .footer = "\nexpected shape: AMO lowest by far; ActMsg highest (timeout "
+              "retransmissions under contention).\n"};
 
 // ------------------------------------------------ ablation_amu_cache
 const std::array<std::uint32_t, 5> kLockCounts = {1, 2, 4, 8, 16};
@@ -343,15 +171,12 @@ SweepSpec build_amu_cache(const CliOptions& opt) {
   SweepSpec s{"ablation_amu_cache", "ablation_amu_cache", {}, {}, {}};
   const std::uint32_t p = resolved_cpus(opt, {32}).front();
   const int iters = resolved_iters(opt);
-  s.meta["cpus"] = cpus_json({p});
+  s.meta["cpus"] = json_array(std::vector{p});
   for (std::uint32_t nlocks : kLockCounts) {
     for (std::uint32_t words : kCacheWords) {
-      Cell c = cell(p, {});
+      Cell c = cell(p, {.kernel = Kernel::kMultiLock, .mech = kAmo,
+                        .iters = iters, .locks = nlocks});
       c.set.push_back({"amu.cache_words", sim::Json(words)});
-      c.params.kernel = Kernel::kMultiLock;
-      c.params.mech = Mechanism::kAmo;
-      c.params.locks = nlocks;
-      c.params.iters = iters;
       s.cells.push_back(std::move(c));
     }
   }
@@ -384,11 +209,12 @@ SweepSpec build_update_policy(const CliOptions& opt) {
   const std::vector<std::uint32_t> cpus =
       resolved_cpus(opt, {16, 64, 256}, {16, 32});
   const int episodes = resolved_episodes(opt);
-  s.meta["cpus"] = cpus_json(cpus);
+  s.meta["cpus"] = json_array(cpus);
   s.meta["episodes"] = episodes;
   for (std::uint32_t p : cpus) {
     for (int policy = 0; policy < 3; ++policy) {
-      Cell c = cell(p, barrier_params(Mechanism::kAmo, episodes));
+      Cell c = cell(p, {.kernel = Kernel::kBarrier, .mech = kAmo,
+                        .episodes = episodes});
       c.set.push_back({"amu.eager_put_all", sim::Json(policy >= 1)});
       c.set.push_back({"dir.put_block_granularity", sim::Json(policy == 2)});
       s.cells.push_back(std::move(c));
@@ -419,182 +245,142 @@ void print_update_policy(const SweepSpec& s, std::span<const CellResult> r) {
       "bytes further.\n");
 }
 
-// ----------------------------------------------- ablation_multicast
-SweepSpec build_multicast(const CliOptions& opt) {
-  SweepSpec s{"ablation_multicast", "ablation_multicast", {}, {}, {}};
-  const std::vector<std::uint32_t> cpus =
-      resolved_cpus(opt, {16, 64, 256}, {16, 32});
-  const int episodes = resolved_episodes(opt);
-  s.meta["cpus"] = cpus_json(cpus);
-  for (std::uint32_t p : cpus) {
-    for (int mc = 0; mc < 2; ++mc) {
-      Cell c = cell(p, barrier_params(Mechanism::kAmo, episodes));
-      c.set.push_back({"net.hardware_multicast", sim::Json(mc == 1)});
-      s.cells.push_back(std::move(c));
-    }
-  }
-  return s;
-}
+// ------------------------------------------------ table-shaped ablations
+const TableSpec kMulticast{
+    .name = "ablation_multicast", .legacy_name = "ablation_multicast",
+    .description = "hardware multicast for AMO word-update waves",
+    .title = "Ablation: hardware multicast for AMO updates",
+    .cpus = {16, 64, 256}, .quick_cpus = {16, 32}, .episodes = 8,
+    .variants = {{barrier(kAmo), {{"net.hardware_multicast", false}}},
+                 {barrier(kAmo), {{"net.hardware_multicast", true}}}},
+    .columns = {{"unicast(cyc)", {0}, 0, 14}, {"multicast(cyc)", {1}, 0, 14},
+                {"gain", {0, 1}, 2, 10, true}},
+    .footer = "\nexpected shape: gain grows with P (the serialized update "
+              "injection is the AMO barrier's only O(P) term).\n"};
 
-void print_multicast(const SweepSpec& s, std::span<const CellResult> r) {
-  const auto cpus = meta_cpus(s);
-  std::printf("\n== Ablation: hardware multicast for AMO updates ==\n");
-  std::printf("%-6s %14s %14s %10s\n", "CPUs", "unicast(cyc)",
-              "multicast(cyc)", "gain");
-  for (std::size_t i = 0; i < cpus.size(); ++i) {
-    std::printf("%-6u %14.0f %14.0f %9.2fx\n", cpus[i], r[i * 2].primary,
-                r[i * 2 + 1].primary, r[i * 2].primary / r[i * 2 + 1].primary);
-  }
-  std::printf("\nexpected shape: gain grows with P (the serialized update "
-              "injection is the AMO barrier's only O(P) term).\n");
-}
+const TableSpec kHopLatency{
+    .name = "ablation_hop_latency", .legacy_name = "ablation_hop_latency",
+    .description = "AMO advantage as network hops slow down",
+    .title = "Ablation: hop latency (P=%u central barriers)",
+    .cpus = {64}, .episodes = 8, .knob = Knob::kHopCycles,
+    .knobs = {25, 50, 100, 200, 400}, .key = "hop(cyc)", .key_width = 10,
+    .variants = {{barrier(kLlSc)}, {barrier(kAmo)}},
+    .columns = {{"LL/SC(cyc)", {0}, 0, 14}, {"AMO(cyc)", {1}, 0, 14},
+                {"speedup", {0, 1}, 2, 10, true}},
+    .footer = "\nexpected shape: AMO speedup grows with hop latency.\n"};
 
-// --------------------------------------------- ablation_hop_latency
-const std::array<sim::Cycle, 5> kHops = {25, 50, 100, 200, 400};
+// Fanout == P degenerates to a central barrier through the tree code.
+const TableSpec kTreeFanout{
+    .name = "ablation_tree_fanout", .legacy_name = "ablation_tree_fanout",
+    .description = "tree branching factor sweep per mechanism",
+    .title = "Ablation: tree fanout (P=%u, cycles per barrier)",
+    .cpus = {64}, .episodes = 8, .knob = Knob::kFanout, .key = "fanout",
+    .key_width = 8,
+    .variants = {{barrier(kLlSc, BarrierKind::kTree)},
+                 {barrier(kAtomic, BarrierKind::kTree)},
+                 {barrier(kAmo, BarrierKind::kTree)}},
+    .columns = {{"LL/SC", {0}}, {"Atomic", {1}}, {"AMO", {2}}},
+    .footer = "\nexpected shape: conventional mechanisms have a non-trivial "
+              "optimum fanout; AMO is flat-to-worse with deeper trees (it "
+              "does not need them).\n"};
 
-SweepSpec build_hop_latency(const CliOptions& opt) {
-  SweepSpec s{"ablation_hop_latency", "ablation_hop_latency", {}, {}, {}};
-  const std::uint32_t p = resolved_cpus(opt, {64}).front();
-  const int episodes = resolved_episodes(opt);
-  s.meta["cpus"] = cpus_json({p});
-  for (sim::Cycle hop : kHops) {
-    for (Mechanism m : {Mechanism::kLlSc, Mechanism::kAmo}) {
-      Cell c = cell(p, barrier_params(m, episodes));
-      c.set.push_back({"net.hop_cycles", sim::Json(hop)});
-      s.cells.push_back(std::move(c));
-    }
-  }
-  return s;
-}
-
-void print_hop_latency(const SweepSpec& s, std::span<const CellResult> r) {
-  std::printf("\n== Ablation: hop latency (P=%u central barriers) ==\n",
-              meta_cpus(s).front());
-  std::printf("%-10s %14s %14s %10s\n", "hop(cyc)", "LL/SC(cyc)", "AMO(cyc)",
-              "speedup");
-  for (std::size_t i = 0; i < kHops.size(); ++i) {
-    const double base = r[i * 2].primary;
-    const double amo = r[i * 2 + 1].primary;
-    std::printf("%-10llu %14.0f %14.0f %9.2fx\n",
-                static_cast<unsigned long long>(kHops[i]), base, amo,
-                base / amo);
-  }
-  std::printf("\nexpected shape: AMO speedup grows with hop latency.\n");
-}
-
-// --------------------------------------------- ablation_tree_fanout
-SweepSpec build_tree_fanout(const CliOptions& opt) {
-  SweepSpec s{"ablation_tree_fanout", "ablation_tree_fanout", {}, {}, {}};
-  const std::uint32_t p = resolved_cpus(opt, {64}).front();
-  const int episodes = resolved_episodes(opt);
-  s.meta["cpus"] = cpus_json({p});
-  // fanout == p degenerates to a central barrier through the tree code.
-  for (std::uint32_t f : tree_fanouts(p, /*inclusive=*/true)) {
-    for (Mechanism m :
-         {Mechanism::kLlSc, Mechanism::kAtomic, Mechanism::kAmo}) {
-      s.cells.push_back(
-          cell(p, barrier_params(m, episodes, BarrierKind::kTree, f)));
-    }
-  }
-  return s;
-}
-
-void print_tree_fanout(const SweepSpec& s, std::span<const CellResult> r) {
-  const std::uint32_t p = meta_cpus(s).front();
-  std::printf("\n== Ablation: tree fanout (P=%u, cycles per barrier) ==\n",
-              p);
-  std::printf("%-8s %12s %12s %12s\n", "fanout", "LL/SC", "Atomic", "AMO");
-  const auto fanouts = tree_fanouts(p, /*inclusive=*/true);
-  for (std::size_t i = 0; i < fanouts.size(); ++i) {
-    std::printf("%-8u", fanouts[i]);
-    for (std::size_t j = 0; j < 3; ++j) {
-      std::printf(" %12.0f", r[i * 3 + j].primary);
-    }
-    std::printf("\n");
-  }
-  std::printf(
-      "\nexpected shape: conventional mechanisms have a non-trivial "
-      "optimum fanout; AMO is flat-to-worse with deeper trees (it does "
-      "not need them).\n");
-}
-
-// ------------------------------------------------- ablation_backoff
-SweepSpec build_backoff(const CliOptions& opt) {
-  SweepSpec s{"ablation_backoff", "ablation_backoff", {}, {}, {}};
-  const std::vector<std::uint32_t> cpus = resolved_cpus(opt, {8, 32, 128});
-  const int iters = resolved_iters(opt);
-  s.meta["cpus"] = cpus_json(cpus);
-  for (std::uint32_t p : cpus) {
-    for (sync::TicketBackoff b :
-         {sync::TicketBackoff::kNone, sync::TicketBackoff::kProportional}) {
-      Cell c = cell(p, {});
-      c.params.kernel = Kernel::kTicketBackoff;
-      c.params.mech = Mechanism::kMao;
-      c.params.backoff = b;
-      c.params.iters = iters;
-      s.cells.push_back(std::move(c));
-    }
-  }
-  return s;
-}
-
-void print_backoff(const SweepSpec& s, std::span<const CellResult> r) {
-  const auto cpus = meta_cpus(s);
-  std::printf("\n== Ablation: MAO ticket-lock backoff ==\n");
-  std::printf("%-6s %16s %16s %10s\n", "CPUs", "none(cyc)",
-              "proportional(cyc)", "gain");
-  for (std::size_t i = 0; i < cpus.size(); ++i) {
-    std::printf("%-6u %16.0f %16.0f %9.2fx\n", cpus[i], r[i * 2].primary,
-                r[i * 2 + 1].primary, r[i * 2].primary / r[i * 2 + 1].primary);
-  }
-  std::printf("\nexpected shape: backoff helps increasingly with P (less "
+const TableSpec kBackoff{
+    .name = "ablation_backoff", .legacy_name = "ablation_backoff",
+    .description = "proportional backoff for MAO ticket locks",
+    .title = "Ablation: MAO ticket-lock backoff",
+    .cpus = {8, 32, 128}, .iters = 6,
+    .variants = {{{.kernel = Kernel::kTicketBackoff, .mech = kMao,
+                   .backoff = sync::TicketBackoff::kNone}},
+                 {{.kernel = Kernel::kTicketBackoff, .mech = kMao,
+                   .backoff = sync::TicketBackoff::kProportional}}},
+    .columns = {{"none(cyc)", {0}, 0, 16}, {"proportional(cyc)", {1}, 0, 16},
+                {"gain", {0, 1}, 2, 10, true}},
+    .footer = "\nexpected shape: backoff helps increasingly with P (less "
               "MC flooding), unlike on cache-coherent spinning where the "
-              "paper notes it is largely moot.\n");
-}
+              "paper notes it is largely moot.\n"};
 
-// ------------------------------------------------ ablation_protocol
-SweepSpec build_protocol(const CliOptions& opt) {
-  SweepSpec s{"ablation_protocol", "ablation_protocol", {}, {}, {}};
-  const std::vector<std::uint32_t> cpus =
-      resolved_cpus(opt, {16, 64, 256}, {16, 32});
-  const int episodes = resolved_episodes(opt);
-  s.meta["cpus"] = cpus_json(cpus);
-  // Per row: {llsc/4hop, amo/4hop, llsc/3hop, amo/3hop} in serial JSON
-  // record order (mode-major, mechanism-minor).
-  for (std::uint32_t p : cpus) {
-    for (int mode = 0; mode < 2; ++mode) {
-      for (Mechanism m : {Mechanism::kLlSc, Mechanism::kAmo}) {
-        Cell c = cell(p, barrier_params(m, episodes));
-        c.set.push_back({"dir.three_hop", sim::Json(mode == 1)});
-        s.cells.push_back(std::move(c));
-      }
-    }
-  }
-  return s;
-}
+// Variants in record order (protocol-major, mechanism-minor); the columns
+// print LL/SC first.
+const TableSpec kProtocol{
+    .name = "ablation_protocol", .legacy_name = "ablation_protocol",
+    .description = "home-centric 4-hop vs forwarding 3-hop directory",
+    .title = "Ablation: 4-hop vs 3-hop protocol (central barriers)",
+    .cpus = {16, 64, 256}, .quick_cpus = {16, 32}, .episodes = 8,
+    .variants = {{barrier(kLlSc), {{"dir.three_hop", false}}},
+                 {barrier(kAmo), {{"dir.three_hop", false}}},
+                 {barrier(kLlSc), {{"dir.three_hop", true}}},
+                 {barrier(kAmo), {{"dir.three_hop", true}}}},
+    .columns = {{"LLSC/4hop", {0}}, {"LLSC/3hop", {2}}, {"AMO/4hop", {1}},
+                {"AMO/3hop", {3}}, {"AMO spd 3h", {2, 3}, 2, 10, true}},
+    .footer = "\nexpected shape: AMO numbers are insensitive to the protocol "
+              "(AMOs rarely recall). For LL/SC, 3-hop cuts *isolated* "
+              "migration latency (see ThreeHop.CutsOwnershipMigrationLatency),"
+              " but under a hot-spot barrier our blocking fill-ack variant "
+              "slightly lengthens per-transaction block occupancy, so "
+              "throughput is a wash. Either way the paper's speedup story is "
+              "unchanged — which is why the home-centric default is a safe "
+              "substitution (DESIGN.md).\n"};
 
-void print_protocol(const SweepSpec& s, std::span<const CellResult> r) {
-  const auto cpus = meta_cpus(s);
-  std::printf("\n== Ablation: 4-hop vs 3-hop protocol (central barriers) ==\n");
-  std::printf("%-6s %12s %12s %12s %12s %10s\n", "CPUs", "LLSC/4hop",
-              "LLSC/3hop", "AMO/4hop", "AMO/3hop", "AMO spd 3h");
-  for (std::size_t i = 0; i < cpus.size(); ++i) {
-    const double llsc4 = r[i * 4].primary;
-    const double amo4 = r[i * 4 + 1].primary;
-    const double llsc3 = r[i * 4 + 2].primary;
-    const double amo3 = r[i * 4 + 3].primary;
-    std::printf("%-6u %12.0f %12.0f %12.0f %12.0f %9.2fx\n", cpus[i], llsc4,
-                llsc3, amo4, amo3, llsc3 / amo3);
-  }
-  std::printf(
-      "\nexpected shape: AMO numbers are insensitive to the protocol "
-      "(AMOs rarely recall). For LL/SC, 3-hop cuts *isolated* migration "
-      "latency (see ThreeHop.CutsOwnershipMigrationLatency), but under a "
-      "hot-spot barrier our blocking fill-ack variant slightly lengthens "
-      "per-transaction block occupancy, so throughput is a wash. Either "
-      "way the paper's speedup story is unchanged — which is why the "
-      "home-centric default is a safe substitution (DESIGN.md).\n");
-}
+const TableSpec kBarrierStyles{
+    .name = "ablation_barrier_styles",
+    .legacy_name = "ablation_barrier_styles",
+    .description = "naive/optimized/dissemination/mcs-tree codings",
+    .title = "Ablation: barrier codings (cycles per episode)",
+    .cpus = {16, 64}, .episodes = 8, .knob = Knob::kStyle,
+    .knobs = knobs(BarrierStyle::kNaive, BarrierStyle::kOptimized,
+                   BarrierStyle::kDissemination, BarrierStyle::kMcsTree),
+    .per_p = true, .key = "style", .key_width = 10,
+    .variants = {{{.kernel = Kernel::kBarrierStyle, .mech = kLlSc}},
+                 {{.kernel = Kernel::kBarrierStyle, .mech = kAtomic}},
+                 {{.kernel = Kernel::kBarrierStyle, .mech = kMao}},
+                 {{.kernel = Kernel::kBarrierStyle, .mech = kAmo}}},
+    .columns = {{"LL/SC", {0}}, {"Atomic", {1}}, {"MAO", {2}}, {"AMO", {3}}},
+    .footer = "\nexpected shape: optimized beats naive for conventional "
+              "mechanisms (the Fig. 3(b) trade); for AMO the two are within "
+              "noise — the naive coding is already right.\n"};
+
+// Lock algorithm rows by every mechanism, one sub-table per P.
+const std::vector<Variant> kAlgoVariants = {
+    {{.kernel = Kernel::kLockAlgo, .mech = kLlSc}},
+    {{.kernel = Kernel::kLockAlgo, .mech = kAtomic}},
+    {{.kernel = Kernel::kLockAlgo, .mech = kActMsg}},
+    {{.kernel = Kernel::kLockAlgo, .mech = kMao}},
+    {{.kernel = Kernel::kLockAlgo, .mech = kAmo}}};
+const std::vector<Column> kAlgoColumns = {{"LL/SC", {0}}, {"Atomic", {1}},
+                                          {"ActMsg", {2}}, {"MAO", {3}},
+                                          {"AMO", {4}}};
+
+const TableSpec kExtensionLocks{
+    .name = "extension_locks", .legacy_name = "extension_locks",
+    .description = "tas/ticket/array/mcs locks across every mechanism",
+    .title = "Extension: lock algorithms x mechanisms (total cycles, lower "
+             "is better)",
+    .cpus = {8, 32, 128}, .iters = 5, .knob = Knob::kAlgo,
+    .knobs = knobs(LockAlgo::kTas, LockAlgo::kTicket, LockAlgo::kArray,
+                   LockAlgo::kMcs),
+    .per_p = true, .key = "algo", .key_width = 8,
+    .variants = kAlgoVariants, .columns = kAlgoColumns,
+    .footer = "\nexpected shape: within a mechanism, mcs/array beat "
+              "tas/ticket at scale; within an algorithm, AMO wins; AMO "
+              "ticket rivals conventional MCS (the paper's simplicity "
+              "argument).\n"};
+
+// Queue locks with and without topology awareness: plain MCS vs the
+// CNA-style subtree-first MCS vs the HMCS hierarchy of queues
+// (thresholds from hier.*, defaults 64 and 8).
+const TableSpec kHierLocks{
+    .name = "ablation_hier_locks", .legacy_name = "ablation_hier_locks",
+    .description = "mcs vs cna vs hmcs queue locks across every mechanism",
+    .title = "Ablation: topology-aware queue locks (total cycles, lower is "
+             "better)",
+    .cpus = {32, 128}, .quick_cpus = {16}, .iters = 5, .knob = Knob::kAlgo,
+    .knobs = knobs(LockAlgo::kMcs, LockAlgo::kCna, LockAlgo::kHmcs),
+    .per_p = true, .key = "algo", .key_width = 8,
+    .variants = kAlgoVariants, .columns = kAlgoColumns,
+    .footer = "\nexpected shape: under multi-node contention cna/hmcs "
+              "beat plain mcs (handoffs stay inside a cluster until the "
+              "threshold), with the gap growing with node count; the "
+              "bounded thresholds keep worst-case fairness.\n"};
 
 // -------------------------------------------- ablation_dir_pointers
 const std::array<std::uint32_t, 3> kPointerLimits = {0, 8, 1};
@@ -603,14 +389,12 @@ SweepSpec build_dir_pointers(const CliOptions& opt) {
   SweepSpec s{"ablation_dir_pointers", "ablation_dir_pointers", {}, {}, {}};
   const std::vector<std::uint32_t> cpus = resolved_cpus(opt, {16, 64, 128});
   const int rounds = resolved_iters(opt, 10);
-  s.meta["cpus"] = cpus_json(cpus);
+  s.meta["cpus"] = json_array(cpus);
   for (std::uint32_t p : cpus) {
     for (std::uint32_t limit : kPointerLimits) {
-      Cell c = cell(p, {});
+      Cell c = cell(
+          p, {.kernel = Kernel::kPairwiseFlags, .mech = kAmo, .rounds = rounds});
       c.set.push_back({"dir.sharer_pointer_limit", sim::Json(limit)});
-      c.params.kernel = Kernel::kPairwiseFlags;
-      c.params.mech = Mechanism::kAmo;
-      c.params.rounds = rounds;
       s.cells.push_back(std::move(c));
     }
   }
@@ -639,105 +423,6 @@ void print_dir_pointers(const SweepSpec& s, std::span<const CellResult> r) {
       "fully-shared barrier variables the budget is irrelevant.\n");
 }
 
-// ----------------------------------------- ablation_barrier_styles
-const std::array<BarrierStyle, 4> kStyles = {
-    BarrierStyle::kNaive, BarrierStyle::kOptimized,
-    BarrierStyle::kDissemination, BarrierStyle::kMcsTree};
-const std::array<Mechanism, 4> kStyleMechs = {
-    Mechanism::kLlSc, Mechanism::kAtomic, Mechanism::kMao, Mechanism::kAmo};
-
-SweepSpec build_barrier_styles(const CliOptions& opt) {
-  SweepSpec s{"ablation_barrier_styles", "ablation_barrier_styles",
-              {}, {}, {}};
-  const std::vector<std::uint32_t> cpus = resolved_cpus(opt, {16, 64});
-  const int episodes = resolved_episodes(opt);
-  s.meta["cpus"] = cpus_json(cpus);
-  for (std::uint32_t p : cpus) {
-    for (BarrierStyle style : kStyles) {
-      for (Mechanism m : kStyleMechs) {
-        Cell c = cell(p, {});
-        c.params.kernel = Kernel::kBarrierStyle;
-        c.params.mech = m;
-        c.params.style = style;
-        c.params.episodes = episodes;
-        s.cells.push_back(std::move(c));
-      }
-    }
-  }
-  return s;
-}
-
-void print_barrier_styles(const SweepSpec& s, std::span<const CellResult> r) {
-  const auto cpus = meta_cpus(s);
-  const std::array<const char*, 4> styles = {"naive", "optimized", "dissem",
-                                             "mcs-tree"};
-  std::printf("\n== Ablation: barrier codings (cycles per episode) ==\n");
-  for (std::size_t i = 0; i < cpus.size(); ++i) {
-    std::printf("\nP = %u\n%-10s %12s %12s %12s %12s\n", cpus[i], "style",
-                "LL/SC", "Atomic", "MAO", "AMO");
-    for (std::size_t st = 0; st < styles.size(); ++st) {
-      std::printf("%-10s", styles[st]);
-      for (std::size_t j = 0; j < 4; ++j) {
-        std::printf(" %12.0f", r[(i * 4 + st) * 4 + j].primary);
-      }
-      std::printf("\n");
-    }
-  }
-  std::printf(
-      "\nexpected shape: optimized beats naive for conventional "
-      "mechanisms (the Fig. 3(b) trade); for AMO the two are within "
-      "noise — the naive coding is already right.\n");
-}
-
-// -------------------------------------------------- extension_locks
-const std::array<LockAlgo, 4> kAlgos = {LockAlgo::kTas, LockAlgo::kTicket,
-                                        LockAlgo::kArray, LockAlgo::kMcs};
-
-SweepSpec build_extension_locks(const CliOptions& opt) {
-  SweepSpec s{"extension_locks", "extension_locks", {}, {}, {}};
-  const std::vector<std::uint32_t> cpus = resolved_cpus(opt, {8, 32, 128});
-  const int iters = resolved_iters(opt, 5);
-  s.meta["cpus"] = cpus_json(cpus);
-  for (std::uint32_t p : cpus) {
-    for (LockAlgo algo : kAlgos) {
-      for (Mechanism m : sync::kAllMechanisms) {
-        Cell c = cell(p, {});
-        c.params.kernel = Kernel::kLockAlgo;
-        c.params.mech = m;
-        c.params.algo = algo;
-        c.params.iters = iters;
-        s.cells.push_back(std::move(c));
-      }
-    }
-  }
-  return s;
-}
-
-void print_extension_locks(const SweepSpec& s, std::span<const CellResult> r) {
-  const auto cpus = meta_cpus(s);
-  constexpr std::size_t kMechs = std::size(sync::kAllMechanisms);
-  std::printf("\n== Extension: lock algorithms x mechanisms "
-              "(total cycles, lower is better) ==\n");
-  for (std::size_t i = 0; i < cpus.size(); ++i) {
-    std::printf("\nP = %u\n%-8s", cpus[i], "algo");
-    for (Mechanism m : sync::kAllMechanisms) {
-      std::printf(" %12s", sync::to_string(m));
-    }
-    std::printf("\n");
-    for (std::size_t k = 0; k < kAlgos.size(); ++k) {
-      std::printf("%-8s", to_string(kAlgos[k]));
-      for (std::size_t j = 0; j < kMechs; ++j) {
-        std::printf(" %12.0f", r[(i * kAlgos.size() + k) * kMechs + j].primary);
-      }
-      std::printf("\n");
-    }
-  }
-  std::printf("\nexpected shape: within a mechanism, mcs/array beat "
-              "tas/ticket at scale; within an algorithm, AMO wins; AMO "
-              "ticket rivals conventional MCS (the paper's simplicity "
-              "argument).\n");
-}
-
 // --------------------------------------------------- microbench_spin
 // Spin-wait virtualization: an AMO central barrier among `active` cpus
 // with every remaining cpu busy-waiting. One cell per active count: host
@@ -753,17 +438,11 @@ SweepSpec build_microbench_spin(const CliOptions& opt) {
     actives.push_back(a);
   }
   actives.push_back(p);
-  sim::Json ja = sim::Json::array();
-  for (std::uint32_t a : actives) ja.push_back(a);
-  s.meta["cpus"] = cpus_json({p});
-  s.meta["actives"] = std::move(ja);
+  s.meta["cpus"] = json_array(std::vector{p});
+  s.meta["actives"] = json_array(actives);
   for (std::uint32_t a : actives) {
-    Cell c = cell(p, {});
-    c.params.kernel = Kernel::kSpin;
-    c.params.mech = Mechanism::kAmo;
-    c.params.episodes = episodes;
-    c.params.active = a;
-    s.cells.push_back(std::move(c));
+    s.cells.push_back(cell(p, {.kernel = Kernel::kSpin, .mech = kAmo,
+                               .episodes = episodes, .active = a}));
   }
   return s;
 }
@@ -804,17 +483,12 @@ SweepSpec build_microbench_pdes(const CliOptions& opt) {
   // 4096-CPU smoke runs one K per invocation to stay inside its budget).
   std::vector<std::uint32_t> threads = {1, 2, 4};
   if (opt.sim_threads != 0) threads = {opt.sim_threads};
-  sim::Json jt = sim::Json::array();
-  for (std::uint32_t k : threads) jt.push_back(k);
-  s.meta["cpus"] = cpus_json(cpus);
-  s.meta["sim_threads"] = std::move(jt);
+  s.meta["cpus"] = json_array(cpus);
+  s.meta["sim_threads"] = json_array(threads);
   for (std::uint32_t p : cpus) {
     for (std::uint32_t k : threads) {
-      Cell c = cell(p, {});
-      c.params.kernel = Kernel::kPdes;
-      c.params.mech = Mechanism::kAmo;
-      c.params.kind = BarrierKind::kTree;
-      c.params.episodes = episodes;
+      Cell c = cell(p, {.kernel = Kernel::kPdes, .mech = kAmo,
+                        .kind = BarrierKind::kTree, .episodes = episodes});
       c.set.push_back({"sim_threads", sim::Json(k)});
       s.cells.push_back(std::move(c));
     }
@@ -872,12 +546,8 @@ const std::array<HierBarrier, 3> kHierVariants = {
     HierBarrier::kFlatTree, HierBarrier::kCluster, HierBarrier::kClusterAmu};
 
 CellParams hier_params(HierBarrier variant, int episodes) {
-  CellParams p;
-  p.kernel = Kernel::kHier;
-  p.mech = Mechanism::kAmo;
-  p.hier = variant;
-  p.episodes = episodes;
-  return p;
+  return {.kernel = Kernel::kHier, .mech = kAmo, .episodes = episodes,
+          .hier = variant};
 }
 
 Cell hier_cell(std::uint32_t cpus, std::uint32_t levels, CellParams params) {
@@ -895,13 +565,11 @@ SweepSpec build_microbench_hier(const CliOptions& opt) {
   // count (64 cpus = 32 nodes is already height 2 at radix 8).
   const std::uint32_t levels = 2;
   SweepSpec s{"microbench_hier", "microbench_hier", {}, {}, {}};
-  s.meta["cpus"] = cpus_json(cpus);
+  s.meta["cpus"] = json_array(cpus);
   s.meta["levels"] = levels;
   std::vector<std::uint32_t> scale_ks;
   if (opt.sim_threads == 0) scale_ks = {2, 4};
-  sim::Json jk = sim::Json::array();
-  for (std::uint32_t k : scale_ks) jk.push_back(k);
-  s.meta["scale_ks"] = std::move(jk);
+  s.meta["scale_ks"] = json_array(scale_ks);
   for (std::uint32_t p : cpus) {
     for (HierBarrier v : kHierVariants) {
       s.cells.push_back(hier_cell(p, levels, hier_params(v, episodes)));
@@ -973,7 +641,7 @@ SweepSpec build_hier_depth(const CliOptions& opt) {
   SweepSpec s{"ablation_hier_depth", "ablation_hier_depth", {}, {}, {}};
   const std::uint32_t p = resolved_cpus(opt, {256}, {64}).front();
   const int episodes = resolved_episodes(opt, 4);
-  s.meta["cpus"] = cpus_json({p});
+  s.meta["cpus"] = json_array(std::vector{p});
   for (std::uint32_t radix : kHierRadixes) {
     {
       Cell c = cell(p, hier_params(HierBarrier::kFlatTree, episodes));
@@ -1018,60 +686,6 @@ void print_hier_depth(const SweepSpec& s, std::span<const CellResult> r) {
               "valid depth.\n");
 }
 
-// ------------------------------------------------ ablation_hier_locks
-// Queue locks with and without topology awareness, across mechanisms:
-// plain MCS vs the CNA-style subtree-first MCS vs the HMCS hierarchy of
-// queues (thresholds from hier.*, defaults 64 and 8).
-const std::array<LockAlgo, 3> kHierLockAlgos = {LockAlgo::kMcs,
-                                                LockAlgo::kCna,
-                                                LockAlgo::kHmcs};
-
-SweepSpec build_hier_locks(const CliOptions& opt) {
-  SweepSpec s{"ablation_hier_locks", "ablation_hier_locks", {}, {}, {}};
-  const std::vector<std::uint32_t> cpus = resolved_cpus(opt, {32, 128}, {16});
-  const int iters = resolved_iters(opt, 5);
-  s.meta["cpus"] = cpus_json(cpus);
-  for (std::uint32_t p : cpus) {
-    for (LockAlgo algo : kHierLockAlgos) {
-      for (Mechanism m : sync::kAllMechanisms) {
-        Cell c = cell(p, {});
-        c.params.kernel = Kernel::kLockAlgo;
-        c.params.mech = m;
-        c.params.algo = algo;
-        c.params.iters = iters;
-        s.cells.push_back(std::move(c));
-      }
-    }
-  }
-  return s;
-}
-
-void print_hier_locks(const SweepSpec& s, std::span<const CellResult> r) {
-  const auto cpus = meta_cpus(s);
-  constexpr std::size_t kMechs = std::size(sync::kAllMechanisms);
-  std::printf("\n== Ablation: topology-aware queue locks "
-              "(total cycles, lower is better) ==\n");
-  for (std::size_t i = 0; i < cpus.size(); ++i) {
-    std::printf("\nP = %u\n%-8s", cpus[i], "algo");
-    for (Mechanism m : sync::kAllMechanisms) {
-      std::printf(" %12s", sync::to_string(m));
-    }
-    std::printf("\n");
-    for (std::size_t k = 0; k < kHierLockAlgos.size(); ++k) {
-      std::printf("%-8s", to_string(kHierLockAlgos[k]));
-      for (std::size_t j = 0; j < kMechs; ++j) {
-        std::printf(" %12.0f",
-                    r[(i * kHierLockAlgos.size() + k) * kMechs + j].primary);
-      }
-      std::printf("\n");
-    }
-  }
-  std::printf("\nexpected shape: under multi-node contention cna/hmcs "
-              "beat plain mcs (handoffs stay inside a cluster until the "
-              "threshold), with the gap growing with node count; the "
-              "bounded thresholds keep worst-case fairness.\n");
-}
-
 // ----------------------------------------------- microbench_service
 // The "millions of users" scenario: an open-loop sharded key-value
 // service under Poisson arrivals, judged by tail latency. Each request
@@ -1092,10 +706,8 @@ const std::array<std::uint64_t, 3> kServiceLoads = {64000, 32000, 24000};
 
 Cell service_cell(std::uint32_t cpus, Mechanism mech, std::uint64_t load,
                   std::uint64_t requests) {
-  Cell c = cell(cpus, {});
-  c.params.kernel = Kernel::kService;
-  c.params.mech = mech;
-  c.params.requests = requests;
+  Cell c = cell(cpus, {.kernel = Kernel::kService, .mech = mech,
+                       .requests = requests});
   c.set.push_back({"service.interarrival_cycles", sim::Json(load)});
   return c;
 }
@@ -1111,10 +723,8 @@ SweepSpec build_microbench_service(const CliOptions& opt) {
   const auto cpus = resolved_cpus(opt, {16}, {16});
   const std::uint64_t requests = service_requests(opt);
   SweepSpec s{"microbench_service", "microbench_service", {}, {}, {}};
-  s.meta["cpus"] = cpus_json(cpus);
-  sim::Json jl = sim::Json::array();
-  for (std::uint64_t l : kServiceLoads) jl.push_back(l);
-  s.meta["loads"] = std::move(jl);
+  s.meta["cpus"] = json_array(cpus);
+  s.meta["loads"] = json_array(kServiceLoads);
   for (std::uint32_t p : cpus) {
     for (std::uint64_t load : kServiceLoads) {
       for (Mechanism mech : kServiceMechs) {
@@ -1174,10 +784,8 @@ SweepSpec build_service_load(const CliOptions& opt) {
       opt.iters > 0 ? static_cast<std::uint64_t>(opt.iters)
                     : (opt.quick ? 512 : 16384);
   SweepSpec s{"ablation_service_load", "ablation_service_load", {}, {}, {}};
-  s.meta["cpus"] = cpus_json(cpus);
-  sim::Json jl = sim::Json::array();
-  for (std::uint64_t l : kServiceLoadGrid) jl.push_back(l);
-  s.meta["loads"] = std::move(jl);
+  s.meta["cpus"] = json_array(cpus);
+  s.meta["loads"] = json_array(kServiceLoadGrid);
   for (std::uint32_t p : cpus) {
     for (std::uint64_t load : kServiceLoadGrid) {
       for (Mechanism mech : kServiceAblMechs) {
@@ -1224,54 +832,25 @@ void register_builtin_workloads(WorkloadRegistry& reg) {
   reg.add({"fig1", "fig1_message_count",
            "one-way message count for a 3-processor barrier (paper Fig. 1)",
            build_fig1, print_fig1});
-  reg.add({"table2", "table2_barriers",
-           "central barrier speedup over LL/SC, 4..256 CPUs (Table 2)",
-           build_table2, print_table2});
-  reg.add({"fig5", "fig5_barrier_cycles",
-           "central barrier cycles-per-processor vs P (Fig. 5)", build_fig5,
-           print_fig5});
-  reg.add({"table3", "table3_tree_barriers",
-           "two-level tree barriers, best fanout per point (Table 3)",
-           build_table3, print_table3});
-  reg.add({"fig6", "fig6_tree_cycles",
-           "tree barrier cycles-per-processor, best fanout (Fig. 6)",
-           build_fig6, print_fig6});
-  reg.add({"table4", "table4_locks",
-           "ticket/array lock speedups over LL/SC ticket (Table 4)",
-           build_table4, print_table4});
-  reg.add({"fig7", "fig7_lock_traffic",
-           "ticket-lock network traffic normalized to LL/SC (Fig. 7)",
-           build_fig7, print_fig7});
+  for (const TableSpec* t : {&kTable2, &kFig5, &kTable3, &kFig6, &kTable4,
+                             &kFig7}) {
+    reg.add(table_workload(*t));
+  }
   reg.add({"ablation_amu_cache", "ablation_amu_cache",
            "AMU cache size vs concurrent AMO locks", build_amu_cache,
            print_amu_cache});
   reg.add({"ablation_update_policy", "ablation_update_policy",
            "delayed vs eager vs block-update put policies", build_update_policy,
            print_update_policy});
-  reg.add({"ablation_multicast", "ablation_multicast",
-           "hardware multicast for AMO word-update waves", build_multicast,
-           print_multicast});
-  reg.add({"ablation_hop_latency", "ablation_hop_latency",
-           "AMO advantage as network hops slow down", build_hop_latency,
-           print_hop_latency});
-  reg.add({"ablation_tree_fanout", "ablation_tree_fanout",
-           "tree branching factor sweep per mechanism", build_tree_fanout,
-           print_tree_fanout});
-  reg.add({"ablation_backoff", "ablation_backoff",
-           "proportional backoff for MAO ticket locks", build_backoff,
-           print_backoff});
-  reg.add({"ablation_protocol", "ablation_protocol",
-           "home-centric 4-hop vs forwarding 3-hop directory",
-           build_protocol, print_protocol});
+  for (const TableSpec* t : {&kMulticast, &kHopLatency, &kTreeFanout,
+                             &kBackoff, &kProtocol}) {
+    reg.add(table_workload(*t));
+  }
   reg.add({"ablation_dir_pointers", "ablation_dir_pointers",
            "limited directory pointers under sparse sharing",
            build_dir_pointers, print_dir_pointers});
-  reg.add({"ablation_barrier_styles", "ablation_barrier_styles",
-           "naive/optimized/dissemination/mcs-tree codings",
-           build_barrier_styles, print_barrier_styles});
-  reg.add({"extension_locks", "extension_locks",
-           "tas/ticket/array/mcs locks across every mechanism",
-           build_extension_locks, print_extension_locks});
+  reg.add(table_workload(kBarrierStyles));
+  reg.add(table_workload(kExtensionLocks));
   reg.add({"microbench_spin", "microbench_spin",
            "spin-wait virtualization: events/episode vs active cpus",
            build_microbench_spin, print_microbench_spin});
@@ -1284,9 +863,7 @@ void register_builtin_workloads(WorkloadRegistry& reg) {
   reg.add({"ablation_hier_depth", "ablation_hier_depth",
            "router radix x folded hierarchy depth for aggregated barriers",
            build_hier_depth, print_hier_depth});
-  reg.add({"ablation_hier_locks", "ablation_hier_locks",
-           "mcs vs cna vs hmcs queue locks across every mechanism",
-           build_hier_locks, print_hier_locks});
+  reg.add(table_workload(kHierLocks));
   reg.add({"microbench_service", "microbench_service",
            "open-loop sharded service: p999 latency vs offered load",
            build_microbench_service, print_microbench_service});
