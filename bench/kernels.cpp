@@ -49,7 +49,7 @@ sim::Json config_json(const core::SystemConfig& cfg) {
   j["amu_cache_words"] = cfg.amu.cache_words;
   j["amu_eager_put_all"] = cfg.amu.eager_put_all;
   j["seed"] = cfg.seed;
-  // Only when decomposed: serial records stay byte-identical to pre-PDES.
+  // Only when decomposed: a serial record carries no sim_threads field.
   if (cfg.sim_threads > 1) j["sim_threads"] = cfg.sim_threads;
   return j;
 }

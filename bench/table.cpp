@@ -51,14 +51,30 @@ double field(const CellResult& c, Field f) {
 
 }  // namespace
 
-std::vector<std::uint32_t> meta_cpus(const SweepSpec& s) {
-  std::vector<std::uint32_t> out;
-  if (const sim::Json* a = s.meta.find("cpus"); a != nullptr) {
-    for (const sim::Json& v : a->elements()) {
-      out.push_back(static_cast<std::uint32_t>(v.as_uint()));
-    }
+std::vector<std::uint64_t> meta_uints(const SweepSpec& s,
+                                      const std::string& key) {
+  std::vector<std::uint64_t> out;
+  if (const sim::Json* a = s.meta.find(key); a != nullptr) {
+    for (const sim::Json& v : a->elements()) out.push_back(v.as_uint());
   }
   return out;
+}
+
+std::vector<std::uint32_t> meta_cpus(const SweepSpec& s) {
+  std::vector<std::uint32_t> out;
+  for (std::uint64_t p : meta_uints(s, "cpus")) {
+    out.push_back(static_cast<std::uint32_t>(p));
+  }
+  return out;
+}
+
+void check_cells(std::string_view workload, std::size_t need,
+                 std::size_t have) {
+  if (need != have) {
+    throw std::runtime_error(std::string(workload) + ": the table needs " +
+                             std::to_string(need) + " cells, the spec has " +
+                             std::to_string(have));
+  }
 }
 
 SweepSpec build_table(const TableSpec& t, const CliOptions& opt) {
@@ -103,12 +119,7 @@ void print_table(const TableSpec& t, const SweepSpec& s,
       need += rows_of(t, p).size() * group_size(v, p);
     }
   }
-  if (need != r.size()) {
-    throw std::runtime_error(std::string(t.name) +
-                             ": the table for meta.cpus needs " +
-                             std::to_string(need) + " cells, the spec has " +
-                             std::to_string(r.size()));
-  }
+  check_cells(t.name, need, r.size());
   const auto header = [&] {
     std::fprintf(out, "%-*s", t.key_width, t.key);
     for (const Column& col : t.columns) {

@@ -63,8 +63,13 @@ struct TableSpec {
 [[nodiscard]] SweepSpec build_table(const TableSpec& t,
                                     const CliOptions& opt);
 
-/// Throws std::runtime_error naming the workload and both counts unless
-/// `r` has exactly the cells the shape from `s.meta.cpus` needs.
+/// Throws std::runtime_error naming `workload` and both counts unless a
+/// table that needs `need` cells was given exactly that many. Every printer
+/// calls it before reading a cell.
+void check_cells(std::string_view workload, std::size_t need,
+                 std::size_t have);
+
+/// check_cells for the shape `s.meta.cpus` gives, then prints the table.
 void print_table(const TableSpec& t, const SweepSpec& s,
                  std::span<const CellResult> r, std::FILE* out = stdout);
 
@@ -78,6 +83,9 @@ template <typename R>
   return a;
 }
 
+/// The array `s.meta[key]` (empty when absent), and its "cpus" axis.
+[[nodiscard]] std::vector<std::uint64_t> meta_uints(const SweepSpec& s,
+                                                    const std::string& key);
 [[nodiscard]] std::vector<std::uint32_t> meta_cpus(const SweepSpec& s);
 
 }  // namespace amo::bench

@@ -184,8 +184,10 @@ SweepSpec build_amu_cache(const CliOptions& opt) {
 }
 
 void print_amu_cache(const SweepSpec& s, std::span<const CellResult> r) {
+  check_cells(s.workload, kLockCounts.size() * kCacheWords.size(), r.size());
+  const auto cpus = meta_cpus(s);
   std::printf("\n== Ablation: AMU cache size (P=%u, AMO ticket locks) ==\n",
-              meta_cpus(s).front());
+              cpus.empty() ? 0u : cpus.front());
   std::printf("rows: concurrent locks; cols: AMU cache words; cells: total "
               "cycles (lower is better)\n");
   std::printf("%-8s", "locks");
@@ -225,6 +227,7 @@ SweepSpec build_update_policy(const CliOptions& opt) {
 
 void print_update_policy(const SweepSpec& s, std::span<const CellResult> r) {
   const auto cpus = meta_cpus(s);
+  check_cells(s.workload, cpus.size() * 3, r.size());
   const int episodes = static_cast<int>(s.meta.at("episodes").as_uint());
   std::printf(
       "\n== Ablation: AMO update policy (barrier cycles | net KB/episode) "
@@ -403,6 +406,7 @@ SweepSpec build_dir_pointers(const CliOptions& opt) {
 
 void print_dir_pointers(const SweepSpec& s, std::span<const CellResult> r) {
   const auto cpus = meta_cpus(s);
+  check_cells(s.workload, cpus.size() * kPointerLimits.size(), r.size());
   std::printf("\n== Ablation: directory pointer capacity "
               "(pairwise AMO signalling, cycles | update msgs) ==\n");
   std::printf("%-6s %18s %18s %18s\n", "CPUs", "full", "8 pointers",
@@ -449,19 +453,16 @@ SweepSpec build_microbench_spin(const CliOptions& opt) {
 
 void print_microbench_spin(const SweepSpec& s,
                            std::span<const CellResult> r) {
-  std::uint32_t p = 0;
-  if (const sim::Json* a = s.meta.find("cpus"); a != nullptr) {
-    p = static_cast<std::uint32_t>(a->elements().front().as_uint());
-  }
+  const auto actives = meta_uints(s, "actives");
+  check_cells(s.workload, actives.size(), r.size());
+  const auto cpus = meta_cpus(s);
   std::printf("\n== Microbench: spin-wait virtualization at P = %u "
-              "(AMO central barrier + idle busy-waiters) ==\n", p);
+              "(AMO central barrier + idle busy-waiters) ==\n",
+              cpus.empty() ? 0u : cpus.front());
   std::printf("%-8s %12s %12s\n", "active", "events/ep", "cycles/ep");
   for (std::size_t i = 0; i < r.size(); ++i) {
-    std::uint32_t a = 0;
-    if (const sim::Json* ja = s.meta.find("actives"); ja != nullptr) {
-      a = static_cast<std::uint32_t>(ja->elements()[i].as_uint());
-    }
-    std::printf("%-8u %12.0f %12.0f\n", a, r[i].secondary, r[i].primary);
+    std::printf("%-8u %12.0f %12.0f\n", static_cast<std::uint32_t>(actives[i]),
+                r[i].secondary, r[i].primary);
   }
   std::printf("\nexpected shape: events/episode track the active set "
               "(near-flat in total P): parked waiters cost no events until "
@@ -505,24 +506,18 @@ void print_microbench_pdes(const SweepSpec& s,
   const auto cpus = meta_cpus(s);
   // The sim_threads axis comes from the spec, not a hardcoded list, so a
   // --sim-threads-pinned run prints exactly the cells it ran.
-  std::vector<std::uint32_t> threads;
-  if (const sim::Json* jt = s.meta.find("sim_threads"); jt != nullptr) {
-    for (const sim::Json& v : jt->elements()) {
-      threads.push_back(static_cast<std::uint32_t>(v.as_uint()));
-    }
-  } else {
-    threads = {1, 2, 4};
-  }
+  const auto threads = meta_uints(s, "sim_threads");
+  check_cells(s.workload, cpus.size() * threads.size(), r.size());
   std::size_t i = 0;
   for (std::uint32_t p : cpus) {
     double wall_first = 0;
-    for (std::uint32_t k : threads) {
-      if (i >= r.size()) return;
+    for (std::uint64_t k : threads) {
       const CellResult& c = r[i++];
       if (k == threads.front()) wall_first = c.secondary;
       const double speedup =
           c.secondary > 0 ? wall_first / c.secondary : 0.0;
-      std::printf("%-8u %-6u %16.0f %14llu %12.1f %9.2fx\n", p, k,
+      std::printf("%-8u %-6u %16.0f %14llu %12.1f %9.2fx\n", p,
+                  static_cast<unsigned>(k),
                   c.primary, static_cast<unsigned long long>(c.aux),
                   c.secondary, speedup);
     }
@@ -587,6 +582,9 @@ SweepSpec build_microbench_hier(const CliOptions& opt) {
 void print_microbench_hier(const SweepSpec& s,
                            std::span<const CellResult> r) {
   const auto cpus = meta_cpus(s);
+  const auto scale_ks = meta_uints(s, "scale_ks");
+  check_cells(s.workload, cpus.size() * kHierVariants.size() + scale_ks.size(),
+              r.size());
   std::printf("\n== Microbench: hierarchy-aware AMO barriers "
               "(cluster fan-in vs flat fanout-4 tree) ==\n");
   std::printf("%-8s %-12s %16s %14s %14s\n", "CPUs", "barrier",
@@ -595,7 +593,6 @@ void print_microbench_hier(const SweepSpec& s,
   for (std::uint32_t p : cpus) {
     double flat_root = 0;
     for (HierBarrier v : kHierVariants) {
-      if (i >= r.size()) return;
       const CellResult& c = r[i++];
       if (v == HierBarrier::kFlatTree) flat_root = c.secondary;
       const double cut = c.secondary > 0 ? flat_root / c.secondary : 0.0;
@@ -603,14 +600,13 @@ void print_microbench_hier(const SweepSpec& s,
                   c.primary, c.secondary, cut);
     }
   }
-  if (const sim::Json* jk = s.meta.find("scale_ks");
-      jk != nullptr && jk->size() > 0) {
-    std::printf("\ncluster_amu host scaling at P = %u:\n", cpus.back());
-    for (const sim::Json& v : jk->elements()) {
-      if (i >= r.size()) return;
+  if (!scale_ks.empty()) {
+    std::printf("\ncluster_amu host scaling at P = %u:\n",
+                cpus.empty() ? 0u : cpus.back());
+    for (std::uint64_t k : scale_ks) {
       const CellResult& c = r[i++];
       std::printf("  K=%llu: %16.0f cycles/episode\n",
-                  static_cast<unsigned long long>(v.as_uint()), c.primary);
+                  static_cast<unsigned long long>(k), c.primary);
     }
   }
   std::printf("\nexpected shape: both cluster variants cut root-link "
@@ -664,12 +660,14 @@ SweepSpec build_hier_depth(const CliOptions& opt) {
 }
 
 void print_hier_depth(const SweepSpec& s, std::span<const CellResult> r) {
+  const std::size_t cols = 1 + kHierDepths.size();
+  check_cells(s.workload, kHierRadixes.size() * cols, r.size());
+  const auto cpus = meta_cpus(s);
   std::printf("\n== Ablation: topology shape x hierarchy depth "
               "(P=%u AMO barriers, rootmsg/ep | cycles/ep) ==\n",
-              meta_cpus(s).front());
+              cpus.empty() ? 0u : cpus.front());
   std::printf("%-8s %18s %18s %18s %18s\n", "radix", "flat tree",
               "agg depth 1", "agg depth 2", "agg depth 3");
-  const std::size_t cols = 1 + kHierDepths.size();
   for (std::size_t i = 0; i < kHierRadixes.size(); ++i) {
     std::printf("%-8u", kHierRadixes[i]);
     for (std::size_t j = 0; j < cols; ++j) {
@@ -738,6 +736,9 @@ SweepSpec build_microbench_service(const CliOptions& opt) {
 void print_microbench_service(const SweepSpec& s,
                               std::span<const CellResult> r) {
   const auto cpus = meta_cpus(s);
+  const auto loads = meta_uints(s, "loads");
+  check_cells(s.workload, cpus.size() * loads.size() * kServiceMechs.size(),
+              r.size());
   std::printf("\n== Microbench: open-loop sharded service "
               "(p999 request latency, cycles) ==\n");
   std::size_t i = 0;
@@ -747,21 +748,17 @@ void print_microbench_service(const SweepSpec& s,
       std::printf(" %12s", sync::to_string(m));
     }
     std::printf(" %12s\n", "LL/SC / AMO");
-    if (const sim::Json* jl = s.meta.find("loads"); jl != nullptr) {
-      for (const sim::Json& v : jl->elements()) {
-        std::printf("%-14llu",
-                    static_cast<unsigned long long>(v.as_uint()));
-        double llsc = 0;
-        double amo = 0;
-        for (Mechanism m : kServiceMechs) {
-          if (i >= r.size()) return;
-          const CellResult& c = r[i++];
-          if (m == Mechanism::kLlSc) llsc = c.primary;
-          if (m == Mechanism::kAmo) amo = c.primary;
-          std::printf(" %12.0f", c.primary);
-        }
-        std::printf(" %11.2fx\n", amo > 0 ? llsc / amo : 0.0);
+    for (std::uint64_t load : loads) {
+      std::printf("%-14llu", static_cast<unsigned long long>(load));
+      double llsc = 0;
+      double amo = 0;
+      for (Mechanism m : kServiceMechs) {
+        const CellResult& c = r[i++];
+        if (m == Mechanism::kLlSc) llsc = c.primary;
+        if (m == Mechanism::kAmo) amo = c.primary;
+        std::printf(" %12.0f", c.primary);
       }
+      std::printf(" %11.2fx\n", amo > 0 ? llsc / amo : 0.0);
     }
   }
   std::printf("\nexpected shape: as interarrival shrinks (load rises), "
@@ -798,27 +795,26 @@ SweepSpec build_service_load(const CliOptions& opt) {
 
 void print_service_load(const SweepSpec& s, std::span<const CellResult> r) {
   const auto cpus = meta_cpus(s);
+  const auto loads = meta_uints(s, "loads");
+  check_cells(s.workload,
+              cpus.size() * loads.size() * kServiceAblMechs.size(), r.size());
   std::printf("\n== Ablation: offered load vs mechanism "
               "(open-loop service tail latency) ==\n");
   std::size_t i = 0;
   for (std::uint32_t p : cpus) {
     std::printf("\nP = %u\n%-14s %12s %12s %12s %12s\n", p, "interarrival",
                 "LL/SC p999", "AMO p999", "LL/SC mean", "AMO mean");
-    if (const sim::Json* jl = s.meta.find("loads"); jl != nullptr) {
-      for (const sim::Json& v : jl->elements()) {
-        if (i + 1 >= r.size() + 1) return;
-        double p999[2] = {0, 0};
-        double mean[2] = {0, 0};
-        for (std::size_t k = 0; k < kServiceAblMechs.size(); ++k) {
-          if (i >= r.size()) return;
-          p999[k] = r[i].primary;
-          mean[k] = r[i].secondary;
-          ++i;
-        }
-        std::printf("%-14llu %12.0f %12.0f %12.0f %12.0f\n",
-                    static_cast<unsigned long long>(v.as_uint()), p999[0],
-                    p999[1], mean[0], mean[1]);
+    for (std::uint64_t load : loads) {
+      double p999[2] = {0, 0};
+      double mean[2] = {0, 0};
+      for (std::size_t k = 0; k < kServiceAblMechs.size(); ++k) {
+        p999[k] = r[i].primary;
+        mean[k] = r[i].secondary;
+        ++i;
       }
+      std::printf("%-14llu %12.0f %12.0f %12.0f %12.0f\n",
+                  static_cast<unsigned long long>(load), p999[0], p999[1],
+                  mean[0], mean[1]);
     }
   }
   std::printf("\nexpected shape: a saturation knee — below it the two "

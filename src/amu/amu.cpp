@@ -22,15 +22,13 @@ const char* to_string(AmoOpcode op) {
 }
 
 Amu::Amu(sim::Engine& engine, sim::NodeId node, coh::Directory& dir,
-         mem::Backing& backing, mem::Dram& dram, const AmuConfig& config,
-         sim::Tracer* tracer)
+         mem::Backing& backing, mem::Dram& dram, const AmuConfig& config)
     : engine_(engine),
       node_(node),
       dir_(dir),
       backing_(backing),
       dram_(dram),
-      config_(config),
-      tracer_(tracer) {
+      config_(config) {
   assert(config_.cache_words >= 1);
   entries_.resize(config_.cache_words);
   if (config_.histograms) {
@@ -119,10 +117,6 @@ void Amu::execute(AmoRequest& req, Entry& entry) {
   const std::uint64_t result = apply(req.op, old, req.operand, req.operand2);
   entry.value = result;
   entry.dirty = true;
-  // Spin-quiescence hook: parked word-watchers (MAO spinners) wake on the
-  // op's result even when the put policy keeps the value AMU-resident.
-  if (result != old) dir_.watch_ping(req.addr, result);
-
   if (req.coherent) {
     // Delayed put when a test value is supplied; eager otherwise. Silent
     // operations (result == old, e.g. a failed TAS swap writing 1 over 1)
@@ -140,13 +134,6 @@ void Amu::execute(AmoRequest& req, Entry& entry) {
       dir_.word_put(req.addr, result);
       entry.dirty = false;  // memory + sharers now current
     }
-  }
-  if (tracer_ != nullptr && tracer_->enabled(sim::TraceCat::kAmu)) {
-    tracer_->log(engine_.now(), sim::TraceCat::kAmu,
-                 "amu%u: %s @%llx %llu -> %llu", node_, to_string(req.op),
-                 static_cast<unsigned long long>(req.addr),
-                 static_cast<unsigned long long>(old),
-                 static_cast<unsigned long long>(result));
   }
   if (!agg_routes_.empty() && req.coherent && result != old) {
     if (AggRoute* route = find_agg_route(req.addr);

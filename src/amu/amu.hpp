@@ -32,7 +32,6 @@
 #include "sim/inline_fn.hpp"
 #include "sim/stats.hpp"
 #include "sim/stats_registry.hpp"
-#include "sim/trace.hpp"
 
 namespace amo::amu {
 
@@ -83,8 +82,7 @@ struct AmoRequest {
 class Amu final : public coh::AmuIface {
  public:
   Amu(sim::Engine& engine, sim::NodeId node, coh::Directory& dir,
-      mem::Backing& backing, mem::Dram& dram, const AmuConfig& config,
-      sim::Tracer* tracer = nullptr);
+      mem::Backing& backing, mem::Dram& dram, const AmuConfig& config);
 
   /// Enqueues a request (arrival time at the hub). Replies, puts, and
   /// cache maintenance all happen as the queue drains in order.
@@ -179,7 +177,6 @@ class Amu final : public coh::AmuIface {
   mem::Backing& backing_;
   mem::Dram& dram_;
   AmuConfig config_;
-  sim::Tracer* tracer_;
 
   coh::Wiring* wiring_ = nullptr;          // aggregation transport
   const std::vector<Amu*>* peers_ = nullptr;

@@ -7,8 +7,7 @@
 namespace amo::coh {
 
 CacheCtrl::CacheCtrl(sim::Engine& engine, Wiring& wiring, Agents& agents,
-                     sim::CpuId cpu, const CacheCtrlConfig& config,
-                     sim::Tracer* tracer)
+                     sim::CpuId cpu, const CacheCtrlConfig& config)
     : engine_(engine),
       wiring_(wiring),
       agents_(agents),
@@ -16,7 +15,6 @@ CacheCtrl::CacheCtrl(sim::Engine& engine, Wiring& wiring, Agents& agents,
       node_(wiring.node_of(cpu)),
       config_(config),
       sizes_{config.l2.line_bytes},
-      tracer_(tracer),
       l2_(config.l2),
       l1_(config.l1) {
   assert(config.l1.line_bytes == config.l2.line_bytes &&

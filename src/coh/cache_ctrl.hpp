@@ -29,7 +29,6 @@
 #include "sim/future.hpp"
 #include "sim/stats_registry.hpp"
 #include "sim/task.hpp"
-#include "sim/trace.hpp"
 
 namespace amo::coh {
 
@@ -72,8 +71,7 @@ struct CacheCtrlStats {
 class CacheCtrl final : public CacheIface {
  public:
   CacheCtrl(sim::Engine& engine, Wiring& wiring, Agents& agents,
-            sim::CpuId cpu, const CacheCtrlConfig& config,
-            sim::Tracer* tracer = nullptr);
+            sim::CpuId cpu, const CacheCtrlConfig& config);
 
   // ------------------------------------------------- thread-facing API
   /// Coherent 8-byte load.
@@ -194,7 +192,6 @@ class CacheCtrl final : public CacheIface {
   sim::NodeId node_;
   CacheCtrlConfig config_;
   MsgSizes sizes_;
-  sim::Tracer* tracer_;
 
   mem::Cache l2_;
   mem::TagCache l1_;

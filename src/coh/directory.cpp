@@ -8,7 +8,7 @@ namespace amo::coh {
 
 Directory::Directory(sim::Engine& engine, Wiring& wiring, Agents& agents,
                      sim::NodeId node, mem::Backing& backing, mem::Dram& dram,
-                     const DirConfig& config, sim::Tracer* tracer)
+                     const DirConfig& config)
     : engine_(engine),
       wiring_(wiring),
       agents_(agents),
@@ -16,8 +16,7 @@ Directory::Directory(sim::Engine& engine, Wiring& wiring, Agents& agents,
       backing_(backing),
       dram_(dram),
       config_(config),
-      sizes_{backing.line_bytes()},
-      tracer_(tracer) {
+      sizes_{backing.line_bytes()} {
   assert(backing.words_per_line() <= mem::LineBuf::kMaxWords);
   if (config_.histograms) {
     stats_.occupancy_wait_hist = std::make_unique<sim::LogHistogram>();
@@ -102,7 +101,6 @@ void Directory::on_putm(sim::CpuId o, sim::Addr block,
                         std::span<const std::uint64_t> data) {
   ++stats_.putbacks;
   occupy([this, o, block, data = mem::LineBuf(data)] {
-    block_ping(block);
     Entry& e = entry(block);
     if (e.busy) {
       // A putback arriving at a busy block must be the crossing case: the
@@ -311,7 +309,6 @@ void Directory::handle_gets(sim::CpuId r, sim::Addr block) {
 }
 
 void Directory::handle_getx(sim::CpuId r, sim::Addr block) {
-  block_ping(block);
   Entry& e = entry(block);
   if (e.busy) {
     ++stats_.deferred;
@@ -361,7 +358,6 @@ void Directory::handle_getx(sim::CpuId r, sim::Addr block) {
 }
 
 void Directory::handle_upgrade(sim::CpuId r, sim::Addr block) {
-  block_ping(block);
   Entry& e = entry(block);
   if (e.busy) {
     ++stats_.deferred;
@@ -425,86 +421,6 @@ void Directory::handle_uncached_write(sim::CpuId r, sim::Addr addr,
     wiring_.post(node_, wiring_.node_of(r), net::MsgClass::kUncached,
                  sizes_.ctrl(), [ack] { ack.set_value(0); });
   });
-  watch_ping(addr, value);
-}
-
-void Directory::on_watch(sim::CpuId r, sim::Addr addr, std::uint64_t last_seen,
-                         sim::Promise<std::uint64_t> wake) {
-  assert(config_.word_watch && "word watch received while disabled");
-  // Default (control-message) occupancy, not the uncached-access slot: a
-  // registration arms the watch engine; it does not stream data through
-  // the memory channels the way an uncached poll does. That asymmetry is
-  // the point — parked waiters stop stealing MC bandwidth from the cpus
-  // making progress.
-  occupy([this, r, addr, last_seen, wake] {
-    handle_watch(r, addr, last_seen, /*block_watch=*/false, wake);
-  });
-}
-
-void Directory::on_block_watch(sim::CpuId r, sim::Addr block,
-                               sim::Promise<std::uint64_t> wake) {
-  assert(config_.word_watch && "block watch received while disabled");
-  occupy([this, r, block, wake] {
-    handle_watch(r, block, 0, /*block_watch=*/true, wake);
-  });
-}
-
-void Directory::handle_watch(sim::CpuId r, sim::Addr addr,
-                             std::uint64_t last_seen, bool block_watch,
-                             sim::Promise<std::uint64_t> wake) {
-  if (!block_watch) {
-    // The compare reads memory (or the AMU's copy) at the registration
-    // pipeline slot: if the word already moved past the spinner's last
-    // poll, answer now — a parked watcher would otherwise sleep through
-    // a wake that happened before it was registered.
-    const std::uint64_t cur = home_word(addr);
-    const sim::Cycle done = dram_.access();
-    if (cur != last_seen) {
-      ++stats_.watch_hits;
-      engine_.schedule_at(done, [this, r, cur, wake] {
-        send_watch_wake(r, cur, wake);
-      });
-      return;
-    }
-  }
-  ++stats_.watch_regs;
-  WatchEntry& e = watches_.get_or_create(addr);
-  watcher_pool_.push(e.q, Watcher{r, wake});
-}
-
-std::uint64_t Directory::home_word(sim::Addr addr) const {
-  const AmuIface* amu = agents_.amus[node_];
-  return (amu != nullptr && amu->holds_word(addr)) ? amu->peek_word(addr)
-                                                   : backing_.read_word(addr);
-}
-
-void Directory::watch_ping(sim::Addr addr, std::uint64_t value) {
-  if (!config_.word_watch || watches_.size() == 0) return;
-  flush_watches(addr, value);
-  const sim::Addr block = backing_.line_base(addr);
-  if (block != addr) flush_watches(block, value);
-}
-
-void Directory::block_ping(sim::Addr block) {
-  if (!config_.word_watch || watches_.size() == 0) return;
-  flush_watches(block, home_word(block));
-}
-
-void Directory::flush_watches(sim::Addr key, std::uint64_t value) {
-  WatchEntry* e = watches_.find(key);
-  if (e == nullptr) return;
-  while (!watcher_pool_.empty(e->q)) {
-    Watcher w = watcher_pool_.pop(e->q);
-    ++stats_.watch_wakes;
-    send_watch_wake(w.cpu, value, w.wake);
-  }
-  watches_.erase(key);
-}
-
-void Directory::send_watch_wake(sim::CpuId r, std::uint64_t value,
-                                sim::Promise<std::uint64_t> wake) {
-  wiring_.post(node_, wiring_.node_of(r), net::MsgClass::kUncached,
-               sizes_.ctrl(), [wake, value] { wake.set_value(value); });
 }
 
 void Directory::handle_word_get(sim::Addr addr,
@@ -774,14 +690,8 @@ void Directory::register_stats(sim::StatsRegistry& reg,
   reg.add_counter(prefix + ".uncached_reads", &stats_.uncached_reads);
   reg.add_counter(prefix + ".uncached_writes", &stats_.uncached_writes);
   reg.add_counter(prefix + ".deferred", &stats_.deferred);
-  if (config_.word_watch) {
-    // Conditional so default-mode registry dumps stay byte-identical.
-    reg.add_counter(prefix + ".watch_regs", &stats_.watch_regs);
-    reg.add_counter(prefix + ".watch_hits", &stats_.watch_hits);
-    reg.add_counter(prefix + ".watch_wakes", &stats_.watch_wakes);
-  }
   if (stats_.occupancy_wait_hist) {
-    // Conditional for the same reason.
+    // Conditional so default-mode registry dumps stay byte-identical.
     reg.add_hist(prefix + ".occupancy_wait_hist",
                  stats_.occupancy_wait_hist.get());
   }

@@ -23,7 +23,6 @@
 #include "sim/future.hpp"
 #include "sim/inline_fn.hpp"
 #include "sim/stats_registry.hpp"
-#include "sim/trace.hpp"
 
 namespace amo::coh {
 
@@ -49,11 +48,6 @@ struct DirConfig {
   /// uncached block. Disabling it models an MSI protocol, where every
   /// first write pays an upgrade round trip.
   bool grant_exclusive_clean = true;
-  /// Spin quiescence (SpinConfig::uncached_watch / llsc_watch_after):
-  /// accept word-watch registrations and ping them on writes. Off by
-  /// default — the watch table, its counters, and every ping check are
-  /// inert so default-mode runs are untouched.
-  bool word_watch = false;
   /// Derived from stats.histograms by Machine (not a serialized knob):
   /// allocate DirStats::occupancy_wait_hist and record into it how long
   /// each message waits for a free directory pipeline slot.
@@ -75,10 +69,6 @@ struct DirStats {
   std::uint64_t uncached_reads = 0;
   std::uint64_t uncached_writes = 0;
   std::uint64_t deferred = 0;  // requests queued behind a busy block
-  // Word-watch counters (registered only when DirConfig::word_watch).
-  std::uint64_t watch_regs = 0;   // registrations parked
-  std::uint64_t watch_hits = 0;   // registrations answered immediately
-  std::uint64_t watch_wakes = 0;  // parked watchers woken by a ping
   /// Cycles each incoming message queued for a free pipeline slot. Held
   /// out of line (~8 KB) and allocated only when DirConfig::histograms.
   std::unique_ptr<sim::LogHistogram> occupancy_wait_hist;
@@ -90,7 +80,7 @@ class Directory {
 
   Directory(sim::Engine& engine, Wiring& wiring, Agents& agents,
             sim::NodeId node, mem::Backing& backing, mem::Dram& dram,
-            const DirConfig& config, sim::Tracer* tracer = nullptr);
+            const DirConfig& config);
 
   // --- message entry points (arrival time; occupancy applied inside) ---
   void on_gets(sim::CpuId r, sim::Addr block);
@@ -115,25 +105,6 @@ class Directory {
   void on_uncached_write(sim::CpuId r, sim::Addr addr, std::uint64_t value,
                          sim::Promise<std::uint64_t> ack);
 
-  // --- spin-quiescence word watch (gated by DirConfig::word_watch) ---
-  /// Parks `r` until the word at `addr` changes away from `last_seen`.
-  /// The registration carries the spinner's last-seen value; if the
-  /// current home value already differs, the wake is sent immediately —
-  /// closing the race between the spinner's last poll and this message
-  /// landing. One-shot: every ping flushes all watchers on the word.
-  void on_watch(sim::CpuId r, sim::Addr addr, std::uint64_t last_seen,
-                sim::Promise<std::uint64_t> wake);
-  /// Parks `r` until the next home-side activity on `block` (GetX,
-  /// upgrade, putback, or a word write within it). No value compare —
-  /// LL/SC retry loops use this as a "something moved, worth retrying"
-  /// hint; the waiter's fallback re-poll guarantees liveness.
-  void on_block_watch(sim::CpuId r, sim::Addr block,
-                      sim::Promise<std::uint64_t> wake);
-  /// Wakes everything watching `addr` (and its enclosing block) with the
-  /// word's new value. Called by the AMU after executing an op, and
-  /// internally on uncached writes. No-op unless watches are armed.
-  void watch_ping(sim::Addr addr, std::uint64_t value);
-
   // --- fine-grained interface for the on-hub AMU ---
   /// Fetches the coherent value of a word; registers the AMU as a
   /// word-granular sharer. May recall an exclusive owner. `done` may hold
@@ -152,8 +123,6 @@ class Directory {
   [[nodiscard]] bool busy(sim::Addr block) const;
   [[nodiscard]] bool coarse(sim::Addr block) const;
   [[nodiscard]] const DirStats& stats() const { return stats_; }
-  /// Number of addresses with at least one parked watcher (tests).
-  [[nodiscard]] std::size_t watch_entries() const { return watches_.size(); }
 
   /// Registers this directory's counters under `prefix`.
   void register_stats(sim::StatsRegistry& reg, const std::string& prefix) const;
@@ -198,21 +167,6 @@ class Directory {
     std::uint32_t next_free = kNil;  // intrusive AddrTable free list
   };
 
-  /// One parked word/block watcher awaiting a wake message.
-  struct Watcher {
-    sim::CpuId cpu = sim::kInvalidCpu;
-    sim::Promise<std::uint64_t> wake;
-  };
-
-  /// Watch-table entry: FIFO of parked watchers keyed by word address
-  /// (word watches) or line base (block watches). A word watch on a
-  /// line-aligned address shares its key with block watches of that line;
-  /// the resulting cross-wakes are spurious-but-benign (watchers re-poll).
-  struct WatchEntry {
-    ds::WaitPool<Watcher>::Queue q;
-    std::uint32_t next_free = kNil;
-  };
-
   // --- entry table (ds::AddrTable wrappers) ---
   Entry& entry(sim::Addr block);
   [[nodiscard]] const Entry* peek_entry(sim::Addr block) const {
@@ -248,19 +202,6 @@ class Directory {
   void handle_uncached_write(sim::CpuId r, sim::Addr addr, std::uint64_t value,
                              sim::Promise<std::uint64_t> ack);
   void handle_word_get(sim::Addr addr, sim::InlineFnT<std::uint64_t> done);
-  void handle_watch(sim::CpuId r, sim::Addr addr, std::uint64_t last_seen,
-                    bool block_watch, sim::Promise<std::uint64_t> wake);
-
-  // --- word-watch helpers ---
-  /// The word's current home-side value (AMU copy wins over backing).
-  [[nodiscard]] std::uint64_t home_word(sim::Addr addr) const;
-  /// Pops and wakes every watcher parked on exactly `key`.
-  void flush_watches(sim::Addr key, std::uint64_t value);
-  /// Home-side activity on `block` (GetX / upgrade / putback): wake block
-  /// watchers so parked LL/SC retriers get a look.
-  void block_ping(sim::Addr block);
-  void send_watch_wake(sim::CpuId r, std::uint64_t value,
-                       sim::Promise<std::uint64_t> wake);
 
   /// Reads the line from backing store with AMU words merged in. Returns
   /// a fixed inline buffer (no allocation).
@@ -288,7 +229,6 @@ class Directory {
   mem::Dram& dram_;
   DirConfig config_;
   MsgSizes sizes_;
-  sim::Tracer* tracer_;
   sim::Cycle busy_until_ = 0;  // occupancy pipeline
 
   // Entries are dominated by the kMaxCpus-wide SharerSet (~600 bytes
@@ -299,10 +239,6 @@ class Directory {
   ds::WaitPool<sim::InlineFn> wait_pool_;
 
   std::vector<sim::NodeId> put_nodes_;  // scratch target list, reused per put
-
-  // Word-watch state (empty and untouched unless DirConfig::word_watch).
-  ds::AddrTable<WatchEntry> watches_;
-  ds::WaitPool<Watcher> watcher_pool_;
 
   DirStats stats_;
 };

@@ -1,4 +1,4 @@
-// Hierarchy-aware synchronization knobs (ROADMAP item 4).
+// Hierarchy-aware synchronization knobs.
 //
 // The fat tree already encodes locality; these knobs let the sync
 // library exploit it. `levels` selects how many physical tree levels the

@@ -12,21 +12,13 @@ Machine::Machine(const SystemConfig& config)
       domains_(config.sim_threads, config.num_nodes()),
       rng_(config.seed) {
   const std::uint32_t nodes = config_.num_nodes();
-  // Tracing interleaves per-domain logs nondeterministically; keep the
-  // tracer wired only for serial runs.
-  sim::Tracer* const tr = domains_.count() == 1 ? &tracer_ : nullptr;
   backings_.reserve(domains_.count());
   for (std::uint32_t d = 0; d < domains_.count(); ++d) {
     backings_.emplace_back(config_.line_bytes());
   }
-  // The directory accepts word-watch registrations only when uncached or
-  // LL/SC spins park at the home node; it stays inert by default.
-  const bool watch = config_.spin.uncached_watch ||
-                     config_.spin.llsc_watch_after != 0;
-  config_.dir.word_watch = watch;
-  // One observability knob fans out to every subsystem's derived flag
-  // (same pattern as watch above): default-off keeps recording branches
-  // cold and registry dumps byte-identical.
+  // One observability knob fans out to every subsystem's derived flag:
+  // default-off keeps recording branches cold and registry dumps
+  // byte-identical.
   const bool hists = config_.stats.histograms;
   config_.cache.histograms = hists;
   config_.dir.histograms = hists;
@@ -43,7 +35,7 @@ Machine::Machine(const SystemConfig& config)
   net_cfg.num_nodes = nodes;
   net_cfg.histograms = hists;
   // A single-node machine still needs a valid (degenerate) topology.
-  network_ = std::make_unique<net::Network>(domains_, net_cfg, tr);
+  network_ = std::make_unique<net::Network>(domains_, net_cfg);
   wiring_ = std::make_unique<coh::Wiring>(domains_, *network_,
                                           config_.cpus_per_node,
                                           config_.local_cycles,
@@ -63,7 +55,7 @@ Machine::Machine(const SystemConfig& config)
     drams_.push_back(std::make_unique<mem::Dram>(ne, config_.dram));
     dirs_.push_back(std::make_unique<coh::Directory>(
         ne, *wiring_, agents_, n, backings_[domains_.domain_of(n)],
-        *drams_[n], config_.dir, tr));
+        *drams_[n], config_.dir));
     agents_.dirs[n] = dirs_[n].get();
   }
 
@@ -75,10 +67,10 @@ Machine::Machine(const SystemConfig& config)
   for (sim::CpuId c = 0; c < config_.num_cpus; ++c) {
     sim::Engine& ce = domains_.engine_for_node(c / config_.cpus_per_node);
     cores_.push_back(std::make_unique<cpu::Core>(
-        ce, *wiring_, agents_, devices_, c, core_cfg, tr));
+        ce, *wiring_, agents_, devices_, c, core_cfg));
     agents_.caches[c] = &cores_[c]->cache();
     ctxs_.push_back(std::make_unique<ThreadCtx>(
-        *cores_[c], ce, rng_.split(), config_.spin,
+        *cores_[c], ce, rng_.split(),
         hists ? &sync_hists_[domains_.domain_of(c / config_.cpus_per_node)]
               : nullptr));
   }
@@ -89,7 +81,7 @@ Machine::Machine(const SystemConfig& config)
     sim::Engine& ne = domains_.engine_for_node(n);
     amus_.push_back(std::make_unique<amu::Amu>(
         ne, n, *dirs_[n], backings_[domains_.domain_of(n)], *drams_[n],
-        config_.amu, tr));
+        config_.amu));
     agents_.amus[n] = amus_[n].get();
     devices_.amus[n] = amus_[n].get();
     // Handlers run on the node's first core (the paper's home-processor
@@ -142,13 +134,6 @@ Machine::Machine(const SystemConfig& config)
   for (sim::CpuId c = 0; c < config_.num_cpus; ++c) {
     cores_[c]->cache().register_stats(registry_,
                                       "cpu" + std::to_string(c) + ".cache");
-  }
-  if (watch) {
-    // Conditional: a default machine pays for no per-CPU spin entries.
-    for (sim::CpuId c = 0; c < config_.num_cpus; ++c) {
-      ctxs_[c]->register_spin_stats(registry_,
-                                    "cpu" + std::to_string(c) + ".spin");
-    }
   }
   if (hists) {
     // Latency histograms, all conditional: default-mode dumps keep their

@@ -39,7 +39,6 @@
 #include "sim/engine.hpp"
 #include "sim/rng.hpp"
 #include "sim/stats_registry.hpp"
-#include "sim/trace.hpp"
 
 namespace amo::core {
 
@@ -55,12 +54,10 @@ class Machine {
     return config_.num_nodes();
   }
 
-  /// Domain 0's engine. With sim_threads == 1 (the default) this is THE
-  /// engine, exactly as before the PDES decomposition.
+  /// Domain 0's engine; with sim_threads == 1 (the default) the only one.
   [[nodiscard]] sim::Engine& engine() { return domains_.engine(0); }
   /// The domain decomposition (sim_threads engines over the home nodes).
   [[nodiscard]] sim::Domains& domains() { return domains_; }
-  [[nodiscard]] sim::Tracer& tracer() { return tracer_; }
   [[nodiscard]] net::Network& network() { return *network_; }
   [[nodiscard]] const coh::Wiring& wiring() const { return *wiring_; }
   [[nodiscard]] GAlloc& galloc() { return *galloc_; }
@@ -112,7 +109,6 @@ class Machine {
  private:
   SystemConfig config_;
   sim::Domains domains_;
-  sim::Tracer tracer_;
   // One backing shard per domain: addresses partition by home node, so
   // each shard's lazily-materialized line map is private to its domain
   // thread.

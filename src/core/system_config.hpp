@@ -11,7 +11,6 @@
 #include "coh/directory.hpp"
 #include "core/hier_config.hpp"
 #include "core/service_config.hpp"
-#include "core/spin_config.hpp"
 #include "core/stats_config.hpp"
 #include "cpu/am_server.hpp"
 #include "mem/dram.hpp"
@@ -31,7 +30,6 @@ struct SystemConfig {
   amu::AmuConfig amu;           // AMU cache size, op latency, put policy
   cpu::AmServerConfig am_server;
   sim::Cycle am_timeout_cycles = 20000;
-  SpinConfig spin;        // spin-wait model knobs (word-watch, LL/SC)
   HierConfig hier;        // hierarchy-aware synchronization knobs
   ServiceConfig service;  // sharded-service workload knobs
   StatsConfig stats;      // observability (latency histograms)
@@ -52,10 +50,9 @@ struct SystemConfig {
   std::uint64_t seed = 1;
 
   /// Host worker threads for one simulation run (conservative PDES over
-  /// home-node domains). 1 = the serial engine, byte-identical to the
-  /// pre-PDES simulator. K > 1 domain-decomposes the machine; results
-  /// are deterministic (double-run identical) but a separately-seeded
-  /// mode relative to K == 1 — see DESIGN.md §10.
+  /// home-node domains). 1 = the serial engine. K > 1 domain-decomposes
+  /// the machine; results are deterministic (double-run identical) but a
+  /// separately-seeded mode relative to K == 1 — see DESIGN.md §10.
   std::uint32_t sim_threads = 1;
 
   [[nodiscard]] std::uint32_t num_nodes() const {

@@ -8,36 +8,24 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 
-#include "core/spin_config.hpp"
 #include "core/stats_config.hpp"
 #include "cpu/core.hpp"
 #include "sim/rng.hpp"
-#include "sim/stats_registry.hpp"
 #include "sim/task.hpp"
 
 namespace amo::core {
 
-/// Per-thread spin-wait counters. Registered into the stats registry only
-/// when a SpinConfig watch knob is on, so a default machine carries no
-/// per-CPU spin entries.
+/// Per-thread spin-wait counters.
 struct SpinStats {
-  std::uint64_t parked_wakes = 0;   // cached-spin event-driven wake-ups
-  std::uint64_t elided_polls = 0;   // uncached polls a word-watch skipped
-  std::uint64_t watch_waits = 0;    // uncached word-watch registrations
+  std::uint64_t parked_wakes = 0;  // cached-spin event-driven wake-ups
 };
 
 class ThreadCtx {
  public:
   ThreadCtx(cpu::Core& core, sim::Engine& engine, sim::Rng rng,
-            const SpinConfig& spin = SpinConfig{},
             SyncHists* sync_hists = nullptr)
-      : core_(core),
-        engine_(engine),
-        rng_(rng),
-        spin_(spin),
-        sync_hists_(sync_hists) {}
+      : core_(core), engine_(engine), rng_(rng), sync_hists_(sync_hists) {}
 
   [[nodiscard]] sim::CpuId cpu() const { return core_.cpu(); }
   [[nodiscard]] sim::NodeId node() const { return core_.node(); }
@@ -51,15 +39,7 @@ class ThreadCtx {
   /// decorators write lock-acquire / barrier-episode latencies here.
   [[nodiscard]] SyncHists* sync_hists() { return sync_hists_; }
 
-  /// Spin-wait virtualization knobs (machine-wide; see SpinConfig).
-  [[nodiscard]] const SpinConfig& spin() const { return spin_; }
   [[nodiscard]] SpinStats& spin_stats() { return spin_stats_; }
-  void register_spin_stats(sim::StatsRegistry& reg,
-                           const std::string& prefix) const {
-    reg.add_counter(prefix + ".parked_wakes", &spin_stats_.parked_wakes);
-    reg.add_counter(prefix + ".elided_polls", &spin_stats_.elided_polls);
-    reg.add_counter(prefix + ".watch_waits", &spin_stats_.watch_waits);
-  }
 
   // ---- coherent memory ----
   sim::Task<std::uint64_t> load(sim::Addr a) { return core_.cache().load(a); }
@@ -145,7 +125,6 @@ class ThreadCtx {
   cpu::Core& core_;
   sim::Engine& engine_;
   sim::Rng rng_;
-  SpinConfig spin_;
   SpinStats spin_stats_;
   SyncHists* sync_hists_ = nullptr;
 };

@@ -8,8 +8,7 @@
 namespace amo::cpu {
 
 Core::Core(sim::Engine& engine, coh::Wiring& wiring, coh::Agents& agents,
-           NodeDevices& devices, sim::CpuId cpu, const CoreConfig& config,
-           sim::Tracer* tracer)
+           NodeDevices& devices, sim::CpuId cpu, const CoreConfig& config)
     : engine_(engine),
       wiring_(wiring),
       agents_(agents),
@@ -18,8 +17,7 @@ Core::Core(sim::Engine& engine, coh::Wiring& wiring, coh::Agents& agents,
       node_(wiring.node_of(cpu)),
       config_(config),
       sizes_{config.cache.l2.line_bytes},
-      tracer_(tracer),
-      cache_(engine, wiring, agents, cpu, config.cache, tracer) {}
+      cache_(engine, wiring, agents, cpu, config.cache) {}
 
 sim::Task<void> Core::compute(sim::Cycle cycles) {
   // Serial CPU-time reservation: later callers queue behind earlier ones.
@@ -100,32 +98,6 @@ sim::Task<void> Core::uncached_store(sim::Addr addr, std::uint64_t value) {
                  dir->on_uncached_write(cpu, addr, value, p);
                });
   (void)co_await p.get_future();
-}
-
-sim::Future<std::uint64_t> Core::uncached_watch(sim::Addr addr,
-                                                std::uint64_t last_seen) {
-  ++stats_.watch_regs;
-  const sim::NodeId home = coh::home_of(addr);
-  sim::Promise<std::uint64_t> p(engine_);
-  coh::Directory* dir = agents_.dirs[home];
-  wiring_.post(node_, home, net::MsgClass::kUncached, sizes_.ctrl(),
-               [dir, cpu = cpu_, addr, last_seen, p] {
-                 dir->on_watch(cpu, addr, last_seen, p);
-               });
-  return p.get_future();
-}
-
-sim::Future<std::uint64_t> Core::block_watch(sim::Addr addr) {
-  ++stats_.watch_regs;
-  const sim::NodeId home = coh::home_of(addr);
-  sim::Promise<std::uint64_t> p(engine_);
-  coh::Directory* dir = agents_.dirs[home];
-  const sim::Addr block = cache_.line_base(addr);
-  wiring_.post(node_, home, net::MsgClass::kUncached, sizes_.ctrl(),
-               [dir, cpu = cpu_, block, p] {
-                 dir->on_block_watch(cpu, block, p);
-               });
-  return p.get_future();
 }
 
 sim::Task<std::uint64_t> Core::am_rpc(amu::AmoOpcode op, sim::Addr addr,

@@ -22,7 +22,6 @@
 #include "coh/wiring.hpp"
 #include "cpu/am_server.hpp"
 #include "sim/task.hpp"
-#include "sim/trace.hpp"
 
 namespace amo::cpu {
 
@@ -39,7 +38,6 @@ struct CoreStats {
   std::uint64_t am_requests = 0;
   std::uint64_t am_retransmits = 0;
   std::uint64_t compute_cycles = 0;
-  std::uint64_t watch_regs = 0;  // word/block watch registrations sent
 };
 
 /// Registry of node devices the cores talk to (wired by core::Machine).
@@ -51,8 +49,7 @@ struct NodeDevices {
 class Core {
  public:
   Core(sim::Engine& engine, coh::Wiring& wiring, coh::Agents& agents,
-       NodeDevices& devices, sim::CpuId cpu, const CoreConfig& config,
-       sim::Tracer* tracer = nullptr);
+       NodeDevices& devices, sim::CpuId cpu, const CoreConfig& config);
 
   [[nodiscard]] sim::CpuId cpu() const { return cpu_; }
   [[nodiscard]] sim::NodeId node() const { return node_; }
@@ -82,17 +79,6 @@ class Core {
   sim::Task<std::uint64_t> uncached_load(sim::Addr addr);
   sim::Task<void> uncached_store(sim::Addr addr, std::uint64_t value);
 
-  /// Spin quiescence (DirConfig::word_watch): registers a one-shot watch
-  /// at the home directory; the future completes with the word's new
-  /// value on the first write that moves it off `last_seen` (immediately,
-  /// if it already has). Non-blocking — returns the future to await.
-  sim::Future<std::uint64_t> uncached_watch(sim::Addr addr,
-                                            std::uint64_t last_seen);
-  /// One-shot watch on home-side activity for `addr`'s block (LL/SC
-  /// retry quiescence). Completes on the next GetX/upgrade/putback or
-  /// word write at home; pair with a fallback timeout for liveness.
-  sim::Future<std::uint64_t> block_watch(sim::Addr addr);
-
   /// Active-message RPC to the home node of `addr`; the home processor
   /// executes `op` coherently. Timeout-driven retransmission with
   /// server-side dedup gives exactly-once semantics.
@@ -109,7 +95,6 @@ class Core {
   sim::NodeId node_;
   CoreConfig config_;
   coh::MsgSizes sizes_;
-  sim::Tracer* tracer_;
   coh::CacheCtrl cache_;
   sim::Cycle cpu_busy_until_ = 0;
   std::uint64_t am_seq_ = 0;

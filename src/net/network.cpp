@@ -112,12 +112,10 @@ void Network::register_stats(sim::StatsRegistry& reg,
   }
 }
 
-Network::Network(sim::Domains& domains, const NetConfig& config,
-                 sim::Tracer* tracer)
+Network::Network(sim::Domains& domains, const NetConfig& config)
     : domains_(domains),
       config_(config),
       topo_(config.num_nodes, config.radix),
-      tracer_(tracer),
       link_busy_until_(
           static_cast<std::size_t>(domains.count()) * topo_.num_links(), 0),
       charged_gen_(
@@ -133,13 +131,11 @@ Network::Network(sim::Domains& domains, const NetConfig& config,
   }
 }
 
-Network::Network(sim::Engine& engine, const NetConfig& config,
-                 sim::Tracer* tracer)
+Network::Network(sim::Engine& engine, const NetConfig& config)
     : owned_domains_(std::make_unique<sim::Domains>(engine, config.num_nodes)),
       domains_(*owned_domains_),
       config_(config),
       topo_(config.num_nodes, config.radix),
-      tracer_(tracer),
       link_busy_until_(topo_.num_links(), 0),
       charged_gen_(topo_.num_links(), 0),
       multicast_gen_(1, 0),
@@ -228,12 +224,6 @@ void Network::send(Packet p, sim::Cycle bus_cycles) {
   assert(arrival >= inject && "delivery scheduled before injection");
   const sim::Cycle latency = arrival - inject;
   account(d, p.cls, p.size_bytes, latency, walk.hop_count());
-  if (tracer_ && tracer_->enabled(sim::TraceCat::kNet) &&
-      domains_.count() == 1) {
-    tracer_->log(inject, sim::TraceCat::kNet, "net: %u -> %u %s %uB lat=%llu",
-                 p.src, p.dst, to_string(p.cls), p.size_bytes,
-                 static_cast<unsigned long long>(latency));
-  }
   // The delivery closure moves straight into the event-queue slot (or,
   // cross-domain, into the mailbox envelope): no wrapper lambda, no
   // type-erasure re-boxing, zero heap for captures that fit the InlineFn

@@ -17,12 +17,12 @@
 // the NetStats counters — is kept per source domain, mutated only by the
 // domain thread that injects the packet. Cross-domain deliveries route
 // through Domains::deliver_at (mailboxes). With K == 1 there is exactly one
-// shard and behavior is byte-identical to the pre-PDES fabric. Per-domain
-// link reservation means two domains can each believe they reserved the
-// same physical link for the same cycles — bandwidth contention is modelled
-// exactly within a domain and approximately across domains; that (plus
-// per-shard latency merge order) is why K > 1 runs are a separately-seeded
-// mode rather than bit-equal to K == 1 (see DESIGN.md §10).
+// shard. Per-domain link reservation means two domains can each believe
+// they reserved the same physical link for the same cycles — bandwidth
+// contention is modelled exactly within a domain and approximately across
+// domains; that (plus per-shard latency merge order) is why K > 1 runs are
+// a separately-seeded mode rather than bit-equal to K == 1 (see DESIGN.md
+// §10).
 #pragma once
 
 #include <array>
@@ -38,7 +38,6 @@
 #include "sim/inline_fn.hpp"
 #include "sim/stats.hpp"
 #include "sim/stats_registry.hpp"
-#include "sim/trace.hpp"
 
 namespace amo::net {
 
@@ -91,13 +90,11 @@ class Network {
  public:
   /// Fabric over a domain decomposition: per-domain link state and stats
   /// shards, cross-domain delivery through the Domains mailboxes.
-  Network(sim::Domains& domains, const NetConfig& config,
-          sim::Tracer* tracer = nullptr);
+  Network(sim::Domains& domains, const NetConfig& config);
 
   /// Serial convenience ctor (unit tests, microbenches): wraps `engine`
   /// in an internal single-domain view.
-  Network(sim::Engine& engine, const NetConfig& config,
-          sim::Tracer* tracer = nullptr);
+  Network(sim::Engine& engine, const NetConfig& config);
 
   /// Sends one packet, injected `bus_cycles` after now; `p.on_deliver`
   /// runs `bus_cycles` after arrival (the CPU<->hub bus at each end; stats
@@ -172,7 +169,6 @@ class Network {
   sim::Domains& domains_;
   NetConfig config_;
   Topology topo_;
-  sim::Tracer* tracer_;
   // Per-domain shards, laid out [domain * num_links + link] for the link
   // arrays. Only the owning domain thread touches its shard.
   std::vector<sim::Cycle> link_busy_until_;

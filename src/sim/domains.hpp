@@ -2,14 +2,13 @@
 //
 // A Domains object partitions a machine's nodes into K contiguous blocks
 // ("domains"), each owning a private Engine/EventQueue. K == 1 is the
-// serial mode: one engine, one queue, byte-identical behavior to the
-// pre-PDES simulator. K > 1 drains all engines in lockstep safe windows:
-// every cross-domain message crosses the bus at both ends, >= 2 fat-tree
-// links and a final serialization, so an event sent at time t cannot affect
-// another domain before t + lookahead (2 * bus + 2 * min link latency +
-// minimum packet serialization). Each window [T, T + lookahead) is safe to
-// run on all K domains concurrently; cross-domain sends are parked in
-// per-(src,dst) mailboxes and drained at the window boundary in
+// serial mode: one engine, one queue. K > 1 drains all engines in lockstep
+// safe windows: every cross-domain message crosses the bus at both ends,
+// >= 2 fat-tree links and a final serialization, so an event sent at time t
+// cannot affect another domain before t + lookahead (2 * bus + 2 * min link
+// latency + minimum packet serialization). Each window [T, T + lookahead)
+// is safe to run on all K domains concurrently; cross-domain sends are
+// parked in per-(src,dst) mailboxes and drained at the window boundary in
 // deterministic (src-domain ascending, push order) order, so a K-domain
 // run replays exactly.
 //
@@ -92,9 +91,9 @@ class Domains {
                   EventQueue::Callback fn);
 
   /// Drains every engine. K == 1 runs the single engine to completion on
-  /// the calling thread (identical to the pre-PDES Machine::run). K > 1
-  /// runs the lockstep window protocol on the process-wide domain thread
-  /// pool; `lookahead` must be > 0. Returns total events processed.
+  /// the calling thread. K > 1 runs the lockstep window protocol on the
+  /// process-wide domain thread pool; `lookahead` must be > 0. Returns
+  /// total events processed.
   std::uint64_t run(Cycle lookahead);
 
   /// True when every engine's queue is empty (and, between runs, every

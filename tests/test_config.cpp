@@ -66,8 +66,11 @@ TEST(ConfigIo, UnknownKeyNamesFieldAndCandidates) {
   };
   const Case cases[] = {
       {"dir.occupnacy", "dir.occupancy_cycles"},
-      {"spin.recheck_cycles", "spin.watch_repoll_cycles"},
-      {"spin.exact_accounting", "spin.uncached_watch"},
+      // No field is left under `spin.`, so the retired spin keys fall back
+      // to listing every field.
+      {"spin.uncached_watch", "num_cpus"},
+      {"spin.llsc_watch_after", "stats.histograms"},
+      {"spin.watch_repoll_cycles", "am_timeout_cycles"},
   };
   for (const Case& c : cases) {
     core::SystemConfig cfg;

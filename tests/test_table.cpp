@@ -1,12 +1,15 @@
 // The TableSpec builder and printer on synthetic cells: exact text for
-// each value rule, and no simulation runs.
+// each value rule, and no simulation runs. Also the cell-count check of
+// the workloads that keep their own printer.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "bench/harness.hpp"
 #include "bench/table.hpp"
 
 namespace amo::bench {
@@ -136,8 +139,7 @@ TEST(TablePrinter, CellCountMismatchThrowsNamingBothCounts) {
     FAIL() << "expected a throw";
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(),
-                 "shape: the table for meta.cpus needs 4 cells, the spec "
-                 "has 3");
+                 "shape: the table needs 4 cells, the spec has 3");
   }
   EXPECT_THROW(print(t, {4, 8, 16}, std::vector<CellResult>(4)),
                std::runtime_error);
@@ -170,6 +172,43 @@ TEST(TableBuilder, ExpandsRowsVariantsAndFanoutsInRecordOrder) {
     EXPECT_EQ(c.set.back().key, "net.hop_cycles");
     EXPECT_EQ(c.set.back().value.as_uint(), i < 4 ? 25u : 50u);
     EXPECT_EQ(c.set.size(), i % 4 == 0 ? 3u : 2u);
+  }
+}
+
+const Workload& workload(const char* name) {
+  const Workload* w = WorkloadRegistry::instance().find(name);
+  if (w == nullptr) throw std::logic_error(name);
+  return *w;
+}
+
+TEST(OwnPrinters, CellCountMismatchThrows) {
+  CliOptions opt;
+  opt.quick = true;
+  for (const char* name :
+       {"ablation_amu_cache", "ablation_update_policy", "ablation_dir_pointers",
+        "microbench_spin", "microbench_pdes", "microbench_hier",
+        "ablation_hier_depth", "microbench_service", "ablation_service_load"}) {
+    const Workload& w = workload(name);
+    const SweepSpec s = w.build(opt);
+    EXPECT_THROW(w.print(s, std::vector<CellResult>(s.cells.size() - 1)),
+                 std::runtime_error)
+        << name;
+  }
+}
+
+// The printers that title a table with one CPU count print 0 when the
+// spec's meta has none, instead of reading past an empty axis.
+TEST(OwnPrinters, EmptyCpuAxisPrintsZero) {
+  CliOptions opt;
+  opt.quick = true;
+  const std::pair<const char*, std::size_t> cases[] = {
+      {"ablation_amu_cache", 25}, {"ablation_hier_depth", 12},
+      {"microbench_hier", 2}};  // microbench_hier: its two scale_ks cells
+  for (const auto& [name, cells] : cases) {
+    const Workload& w = workload(name);
+    SweepSpec s = w.build(opt);
+    s.meta["cpus"] = sim::Json::array();
+    EXPECT_NO_THROW(w.print(s, std::vector<CellResult>(cells))) << name;
   }
 }
 
