@@ -69,6 +69,9 @@ void run_one(const bench::Workload& w, const bench::CliOptions& opt,
   const std::vector<bench::CellResult> results =
       bench::run_spec(spec, spec_base_config(o, spec), o.threads);
   w.print(spec, results);
+  // Written here, not by the destructor, so a failed write reaches the
+  // exit code.
+  reporter.write();
 }
 
 void run_spec_file(const std::string& path, const bench::CliOptions& opt,
@@ -100,6 +103,7 @@ void run_spec_file(const std::string& path, const bench::CliOptions& opt,
   } else {
     bench::print_generic(spec, results);
   }
+  reporter.write();
 }
 
 int run_driver(int argc, char** argv) {

@@ -32,7 +32,6 @@ core::SystemConfig base_config(const CliOptions& opt) {
     core::set_field(cfg, key, std::string_view(value));
   }
   if (opt.seed != 0) cfg.seed = opt.seed;
-  if (opt.sim_threads != 0) cfg.sim_threads = opt.sim_threads;
   core::validate(cfg);
   return cfg;
 }
@@ -116,9 +115,6 @@ CliOptions parse_cli(int argc, char** argv) {
       // Cap well above any sane machine; the point is rejecting garbage.
       opt.threads =
           static_cast<unsigned>(parse_positive(a + 10, "--threads", 4096));
-    } else if (std::strncmp(a, "--sim-threads=", 14) == 0) {
-      opt.sim_threads = static_cast<unsigned>(
-          parse_positive(a + 14, "--sim-threads", 4096));
     } else if (std::strncmp(a, "--seed=", 7) == 0) {
       opt.seed = parse_positive(a + 7, "--seed",
                                 std::numeric_limits<std::uint64_t>::max());
@@ -146,7 +142,7 @@ CliOptions parse_cli(int argc, char** argv) {
     } else if (std::strcmp(a, "--help") == 0) {
       std::printf(
           "options: --cpus=a,b,c  --episodes=N  --iters=N  --threads=N"
-          "  --sim-threads=K  --seed=N  --quick  --json=PATH"
+          "  --seed=N  --quick  --json=PATH"
           "  --config=FILE  --set KEY=VALUE\n");
       std::exit(0);
     } else {
@@ -211,7 +207,9 @@ void JsonReporter::write() {
   doc["bench"] = name_;
   // v2: LogHistogram entries (count/sum/min/max/mean/p50/p90/p99/p999
   // objects) may appear in registry dumps; all v1 fields are unchanged.
-  doc["schema_version"] = 2;
+  // v3: the deleted parallel engine's thread-count key left the
+  // microbench_hier and service records and the record config objects.
+  doc["schema_version"] = 3;
   doc["records"] = records_;
   std::ofstream out(path_, std::ios::trunc);
   if (!out) {

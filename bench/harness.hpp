@@ -25,7 +25,6 @@ struct CliOptions {
   int episodes = 0;  // 0 = keep default
   int iters = 0;
   unsigned threads = 1;    // sweep worker threads (1 = serial)
-  unsigned sim_threads = 0;  // PDES domains per run (0 = config default)
   std::uint64_t seed = 0;  // 0 = keep the config default
   bool quick = false;      // trimmed sweep for CI
   std::string json_path;   // empty = no machine-readable output
@@ -48,7 +47,8 @@ CliOptions parse_cli(int argc, char** argv);
 CliOptions parse_cli_or_exit(int argc, char** argv);
 
 /// Collects machine-readable benchmark records and writes them as one JSON
-/// document ({bench, schema_version, records: [...]}) on destruction.
+/// document ({bench, schema_version, records: [...]}) on write(), or on
+/// destruction if write() was never called.
 ///
 /// Constructing a reporter installs it as the process-wide sink that
 /// run_cell() feeds records into (the barrier and lock records carry the
@@ -63,8 +63,9 @@ CliOptions parse_cli_or_exit(int argc, char** argv);
 /// Concurrency: add() is safe to call from SweepRunner worker threads.
 /// While a capture buffer is installed on the calling thread (see
 /// begin_capture), records land there lock-free; otherwise add() appends
-/// to the shared array under a mutex. Writing still happens exactly once,
-/// on the owning thread, at destruction.
+/// to the shared array under a mutex. Writing happens exactly once, on the
+/// owning thread. Call write() to see its errors: the destructor can only
+/// print them.
 class JsonReporter {
  public:
   JsonReporter(const CliOptions& opt, std::string bench_name);

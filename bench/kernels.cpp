@@ -5,7 +5,6 @@
 // they report. fig1, the pairwise flags and the service keep their own
 // thread programs.
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <memory>
@@ -49,8 +48,6 @@ sim::Json config_json(const core::SystemConfig& cfg) {
   j["amu_cache_words"] = cfg.amu.cache_words;
   j["amu_eager_put_all"] = cfg.amu.eager_put_all;
   j["seed"] = cfg.seed;
-  // Only when decomposed: a serial record carries no sim_threads field.
-  if (cfg.sim_threads > 1) j["sim_threads"] = cfg.sim_threads;
   return j;
 }
 
@@ -90,8 +87,8 @@ void emit(const RecordShape& s, Body body) {
 
 // ----------------------------------------------------------- factories
 
-/// The barrier a cell asks for, over CPUs [0, n). kPdes and flat kHier
-/// always build the tree barrier; kBarrier and kSpin follow `kind`.
+/// The barrier a cell asks for, over CPUs [0, n). Flat kHier always
+/// builds the tree barrier; kBarrier and kSpin follow `kind`.
 std::unique_ptr<sync::Barrier> make_barrier(core::Machine& m,
                                             const CellParams& p,
                                             std::uint32_t n) {
@@ -115,8 +112,7 @@ std::unique_ptr<sync::Barrier> make_barrier(core::Machine& m,
         m, p.mech, n, hier.levels,
         p.hier == HierBarrier::kClusterAmu || hier.amu_aggregation);
   }
-  if (p.kernel == Kernel::kHier || p.kernel == Kernel::kPdes ||
-      p.kind == BarrierKind::kTree) {
+  if (p.kernel == Kernel::kHier || p.kind == BarrierKind::kTree) {
     return sync::make_tree_barrier(m, p.mech, n, p.fanout);
   }
   return sync::make_central_barrier(m, p.mech, n);
@@ -150,20 +146,15 @@ std::unique_ptr<sync::Lock> make_lock(core::Machine& m, const CellParams& p) {
 
 // ------------------------------------------------------------- driver
 
-/// The network traffic over a loop's measured region. Under PDES a
-/// mid-run Network::stats() call would read other domains' live shards,
-/// so the window then covers the whole run.
+/// The network traffic over a loop's measured region.
 struct TrafficWindow {
   const net::Network& net;
-  bool whole_run;  // sim_threads > 1
   TrafficSnapshot start{};
   TrafficSnapshot end{};
 
-  void open() { if (!whole_run) start = snap(net); }
-  void close() { if (!whole_run) end = snap(net); }
-  /// The window's traffic; call once the run has drained.
-  TrafficSnapshot traffic() {
-    if (whole_run) end = snap(net);
+  void open() { start = snap(net); }
+  void close() { end = snap(net); }
+  [[nodiscard]] TrafficSnapshot traffic() const {
     return {end.packets - start.packets, end.bytes - start.bytes};
   }
 };
@@ -173,7 +164,7 @@ struct Episodes {
   std::uint32_t active = 0;     // CPUs that ran the barrier
   sim::Cycle t0 = 0;            // thread 0, after its last warm-up exit
   sim::Cycle t1 = 0;            // thread 0, after its last exit
-  std::uint64_t e0 = 0;         // domain-0 events executed at t0
+  std::uint64_t e0 = 0;         // events executed at t0
   std::uint64_t e1 = 0;         // ... and at t1
   TrafficSnapshot traffic;      // network traffic between t0 and t1
 };
@@ -191,7 +182,7 @@ Episodes run_episodes(core::Machine& m, const CellParams& p) {
   const bool spin = p.kernel == Kernel::kSpin;
   const sim::Addr done = spin ? m.galloc().alloc_word_line(0) : 0;
   const int total = p.warmup_episodes + p.episodes;
-  TrafficWindow window{m.network(), m.config().sim_threads > 1};
+  TrafficWindow window{m.network()};
   for (sim::CpuId c = 0; c < r.active; ++c) {
     m.spawn(c, [&, c](core::ThreadCtx& t) -> sim::Task<void> {
       for (int ep = 0; ep < total; ++ep) {
@@ -227,7 +218,7 @@ Episodes run_episodes(core::Machine& m, const CellParams& p) {
 struct Passages {
   sim::Cycle t_start = 0;  // thread 0 past the fence (0 without warm-up)
   sim::Cycle t_end = 0;    // the last finisher's exit
-  sim::Cycle now = 0;      // domain 0's clock once the run drained
+  sim::Cycle now = 0;      // the clock once the run drained
   TrafficSnapshot traffic;  // network traffic between t_start and t_end
 };
 
@@ -246,11 +237,10 @@ Passages run_passages(core::Machine& m, const CellParams& p, bool warmup) {
   const std::unique_ptr<sync::Barrier> fence =
       warmup ? sync::make_central_barrier(m, sync::Mechanism::kAtomic, cpus)
              : nullptr;
-  // Each CPU writes only its own finish cycle (PDES-safe); the last
-  // finisher closes the window.
+  // The last finisher closes the window.
   std::vector<sim::Cycle> finish_at(cpus, 0);
-  std::atomic<std::uint32_t> finished{0};
-  TrafficWindow window{m.network(), m.config().sim_threads > 1};
+  std::uint32_t finished = 0;
+  TrafficWindow window{m.network()};
   Passages r;
   for (sim::CpuId c = 0; c < cpus; ++c) {
     sync::Lock* lock = locks[c % locks.size()].get();
@@ -288,10 +278,9 @@ Passages run_passages(core::Machine& m, const CellParams& p, bool warmup) {
 
 // ------------------------------------------------------------- kernels
 
-/// kBarrier, kBarrierStyle, kSpin, kPdes and kHier. kPdes and kHier time
-/// the whole cell on the host, machine construction and teardown
-/// included; host time lands only in the --json record and the PDES
-/// table's wall/speedup columns, never in identity-checked numbers.
+/// kBarrier, kBarrierStyle, kSpin and kHier. kHier times the whole cell
+/// on the host, machine construction and teardown included; host time
+/// lands only in the --json record, never in identity-checked numbers.
 CellResult run_barrier_kernel(const core::SystemConfig& cfg,
                               const CellParams& p) {
   const auto wall_start = std::chrono::steady_clock::now();
@@ -325,43 +314,19 @@ CellResult run_barrier_kernel(const core::SystemConfig& cfg,
              rec["events_per_episode"] = r.secondary;
            });
       break;
-    case Kernel::kPdes: {
-      // Host-parallel scaling: simulated metrics are deterministic per
-      // sim_threads value; wall_ms and events_per_sec are host time.
-      r.aux = m->domains().total_events_executed();
-      const sim::Cycle total_cycles = m->domains().max_now();
-      m.reset();
-      r.secondary = ms_since(wall_start);
-      emit({"microbench_pdes", cfg.num_cpus, p.mech,
-            std::pair("sim_threads", cfg.sim_threads)},
-           [&](sim::Json& rec) {
-             rec["fanout"] = p.fanout;
-             rec["episodes"] = p.episodes;
-             rec["cycles_per_episode"] = r.primary;
-             rec["total_cycles"] = total_cycles;
-             rec["events"] = r.aux;
-             rec["wall_ms"] = r.secondary;
-             rec["events_per_sec"] =
-                 r.secondary > 0
-                     ? static_cast<double>(r.aux) * 1000.0 / r.secondary
-                     : 0.0;
-           });
-      break;
-    }
     case Kernel::kHier: {
       // Packets crossing the fat tree's root links, the resource the
-      // hierarchy exists to relieve. They are read once after the run
-      // (mid-run reads would race under PDES), so the per-episode figure
-      // averages the warm-up in; every variant pays the same warm-up.
+      // hierarchy exists to relieve. They are read once after the run, so
+      // the per-episode figure averages the warm-up in; every variant pays
+      // the same warm-up.
       r.aux = m->network().root_link_traversals();
       r.secondary = static_cast<double>(r.aux) /
                     (p.warmup_episodes + p.episodes);
       r.traffic = snap(m->network());
-      const std::uint64_t events = m->domains().total_events_executed();
+      const std::uint64_t events = m->engine().events_executed();
       m.reset();
       const double wall_ms = ms_since(wall_start);
-      emit({"microbench_hier", cfg.num_cpus, p.mech,
-            std::pair("sim_threads", cfg.sim_threads)},
+      emit({"microbench_hier", cfg.num_cpus, p.mech, {}},
            [&](sim::Json& rec) {
              rec["barrier"] = to_string(p.hier);
              rec["levels"] = cfg.hier.levels;
@@ -500,9 +465,7 @@ CellResult run_pairwise_flags_cell(const core::SystemConfig& cfg,
 // pushes each request through the ShardedService. Latency is measured
 // from the *scheduled* arrival, so when the service can't keep up the
 // backlog is charged to the requests — the heavy-traffic regime where
-// LL/SC retry collapse shows as a p999 explosion. Latencies land in
-// per-domain LogHistogram shards merged in ascending domain order, so
-// the emitted quantiles are identical across --sim-threads.
+// LL/SC retry collapse shows as a p999 explosion.
 CellResult run_service_cell(const core::SystemConfig& cfg_in,
                             const CellParams& p) {
   core::SystemConfig cfg = cfg_in;
@@ -511,12 +474,10 @@ CellResult run_service_cell(const core::SystemConfig& cfg_in,
   svc::ShardedService service(m, p.mech);
   const std::uint64_t requests = p.requests;
   const sim::Cycle mean_gap = cfg.service.interarrival_cycles;
-  std::vector<sim::LogHistogram> lat(m.domains().count());
+  sim::LogHistogram lat;
   for (sim::CpuId c = 0; c < cfg.num_cpus; ++c) {
-    const std::uint32_t dom = m.domains().domain_of(c / cfg.cpus_per_node);
-    m.spawn(c, [&service, &lat, dom, requests,
+    m.spawn(c, [&service, &lat, requests,
                 mean_gap](core::ThreadCtx& t) -> sim::Task<void> {
-      sim::LogHistogram& h = lat[dom];
       sim::Cycle next = 0;
       for (std::uint64_t i = 0; i < requests; ++i) {
         const double gap =
@@ -526,35 +487,32 @@ CellResult run_service_cell(const core::SystemConfig& cfg_in,
         if (t.now() < next) co_await t.delay(next - t.now());
         const std::uint64_t key = t.rng().next() % service.key_space();
         co_await service.handle(t, key);
-        h.record(t.now() - next);
+        lat.record(t.now() - next);
       }
     });
   }
   m.run();
-  sim::LogHistogram merged;
-  for (const sim::LogHistogram& h : lat) merged += h;
 
-  const sim::Cycle total_cycles = m.domains().max_now();
-  emit({"service", cfg.num_cpus, p.mech,
-        std::pair("sim_threads", cfg.sim_threads), nullptr, nullptr, &m},
+  const sim::Cycle total_cycles = m.engine().now();
+  emit({"service", cfg.num_cpus, p.mech, {}, nullptr, nullptr, &m},
        [&](sim::Json& rec) {
          rec["shards"] = service.num_shards();
          rec["interarrival"] = mean_gap;
-         rec["requests"] = merged.count();
-         rec["latency"]["mean"] = merged.mean();
-         rec["latency"]["min"] = merged.min();
-         rec["latency"]["max"] = merged.max();
-         rec["latency"]["p50"] = merged.quantile(0.50);
-         rec["latency"]["p90"] = merged.quantile(0.90);
-         rec["latency"]["p99"] = merged.quantile(0.99);
-         rec["latency"]["p999"] = merged.quantile(0.999);
+         rec["requests"] = lat.count();
+         rec["latency"]["mean"] = lat.mean();
+         rec["latency"]["min"] = lat.min();
+         rec["latency"]["max"] = lat.max();
+         rec["latency"]["p50"] = lat.quantile(0.50);
+         rec["latency"]["p90"] = lat.quantile(0.90);
+         rec["latency"]["p99"] = lat.quantile(0.99);
+         rec["latency"]["p999"] = lat.quantile(0.999);
          rec["cycles"] = total_cycles;
        });
   CellResult r;
-  r.primary = static_cast<double>(merged.quantile(0.999));
-  r.secondary = merged.mean();
+  r.primary = static_cast<double>(lat.quantile(0.999));
+  r.secondary = lat.mean();
   r.traffic = snap(m.network());
-  r.aux = merged.count();
+  r.aux = lat.count();
   return r;
 }
 
@@ -565,7 +523,6 @@ CellResult run_cell(const core::SystemConfig& cfg, const CellParams& params) {
     case Kernel::kBarrier:
     case Kernel::kBarrierStyle:
     case Kernel::kSpin:
-    case Kernel::kPdes:
     case Kernel::kHier: return run_barrier_kernel(cfg, params);
     case Kernel::kLock:
     case Kernel::kLockAlgo:

@@ -25,7 +25,6 @@ constexpr EnumEntry<Kernel> kKernelNames[] = {
     {Kernel::kPairwiseFlags, "pairwise_flags"},
     {Kernel::kBarrierStyle, "barrier_style"},
     {Kernel::kSpin, "spin"},
-    {Kernel::kPdes, "pdes"},
     {Kernel::kHier, "hier"},
     {Kernel::kService, "service"},
 };

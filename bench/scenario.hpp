@@ -20,7 +20,7 @@
 namespace amo::bench {
 
 /// The simulation kernels a cell can run. The barrier kernels (kBarrier,
-/// kBarrierStyle, kSpin, kPdes, kHier) share one episode loop and the
+/// kBarrierStyle, kSpin, kHier) share one episode loop and the
 /// lock kernels (kLock, kLockAlgo, kTicketBackoff, kMultiLock) one
 /// passage loop; they differ only in the sync object and what they
 /// report. kFig1Episode, kPairwiseFlags and kService run their own
@@ -35,7 +35,6 @@ enum class Kernel : std::uint8_t {
   kPairwiseFlags,  // producer/consumer AMO flags (sparse sharing)
   kBarrierStyle,   // naive/optimized/dissemination/mcs-tree codings
   kSpin,           // spin-virtualization cost: barrier + idle busy-waiters
-  kPdes,           // host-parallel scaling probe: tree barrier + wall clock
   kHier,           // hierarchy-aware barriers: root-link traffic + cycles
   kService,        // open-loop sharded service: tail latency vs offered load
 };
@@ -67,7 +66,7 @@ struct CellParams {
   sync::Mechanism mech = sync::Mechanism::kLlSc;
   // Barrier kernels: warm-up then measured episodes, each after a random
   // skew in [0, max_skew)
-  BarrierKind kind = BarrierKind::kCentral;  // kBarrier, kSpin, kPdes
+  BarrierKind kind = BarrierKind::kCentral;  // kBarrier, kSpin
   std::uint32_t fanout = 4;                  // tree barriers
   int warmup_episodes = 2;
   int episodes = 8;

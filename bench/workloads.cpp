@@ -469,74 +469,13 @@ void print_microbench_spin(const SweepSpec& s,
               "the flag flips.\n");
 }
 
-// --------------------------------------------------- microbench_pdes
-// Host-parallel scaling: the same tree-barrier episode workload run at
-// sim_threads (PDES domains) K = 1, 2, 4 for each cpu count. Simulated
-// cycles are deterministic per K; wall-clock and events/s are host
-// measurements, reported for the BENCH_pdes artifact. K = 1 is the
-// serial engine; each K > 1 is its own deterministic mode, so cycles may
-// differ across columns (see DESIGN.md §10) but never across reruns.
-SweepSpec build_microbench_pdes(const CliOptions& opt) {
-  const auto cpus = resolved_cpus(opt, {64, 256}, {64});
-  const int episodes = resolved_episodes(opt, 8);
-  SweepSpec s{"microbench_pdes", "microbench_pdes", {}, {}, {}};
-  // --sim-threads pins the sweep to that single domain count (the CI
-  // 4096-CPU smoke runs one K per invocation to stay inside its budget).
-  std::vector<std::uint32_t> threads = {1, 2, 4};
-  if (opt.sim_threads != 0) threads = {opt.sim_threads};
-  s.meta["cpus"] = json_array(cpus);
-  s.meta["sim_threads"] = json_array(threads);
-  for (std::uint32_t p : cpus) {
-    for (std::uint32_t k : threads) {
-      Cell c = cell(p, {.kernel = Kernel::kPdes, .mech = kAmo,
-                        .kind = BarrierKind::kTree, .episodes = episodes});
-      c.set.push_back({"sim_threads", sim::Json(k)});
-      s.cells.push_back(std::move(c));
-    }
-  }
-  return s;
-}
-
-void print_microbench_pdes(const SweepSpec& s,
-                           std::span<const CellResult> r) {
-  std::printf("\n== Microbench: conservative PDES host scaling "
-              "(AMO tree barrier) ==\n");
-  std::printf("%-8s %-6s %16s %14s %12s %10s\n", "CPUs", "K",
-              "cycles/episode", "host events", "wall ms", "speedup");
-  const auto cpus = meta_cpus(s);
-  // The sim_threads axis comes from the spec, not a hardcoded list, so a
-  // --sim-threads-pinned run prints exactly the cells it ran.
-  const auto threads = meta_uints(s, "sim_threads");
-  check_cells(s.workload, cpus.size() * threads.size(), r.size());
-  std::size_t i = 0;
-  for (std::uint32_t p : cpus) {
-    double wall_first = 0;
-    for (std::uint64_t k : threads) {
-      const CellResult& c = r[i++];
-      if (k == threads.front()) wall_first = c.secondary;
-      const double speedup =
-          c.secondary > 0 ? wall_first / c.secondary : 0.0;
-      std::printf("%-8u %-6u %16.0f %14llu %12.1f %9.2fx\n", p,
-                  static_cast<unsigned>(k),
-                  c.primary, static_cast<unsigned long long>(c.aux),
-                  c.secondary, speedup);
-    }
-  }
-  std::printf("\nexpected shape: cycles/episode stable within a column "
-              "across reruns (deterministic per K); wall-clock speedup "
-              "approaches the domain count on a host with that many "
-              "cores.\n");
-}
-
 // --------------------------------------------------- microbench_hier
 // Hierarchy-aware barriers: for each cpu count, the flat fixed-fanout
 // AMO tree barrier (the PR-gate baseline) vs the cluster-hierarchical
 // barrier with software fan-in and with AMU aggregation. The headline
 // number is packets crossing the fat tree's ROOT links per episode —
 // aggregation turns O(P) root-bound arrivals into O(clusters) combined
-// fetch-adds. The largest cpu count also runs the aggregated variant at
-// sim_threads = 2 and 4 for the BENCH_hier scaling curve (skipped when
-// --sim-threads already pins the whole sweep to one K).
+// fetch-adds.
 const std::array<HierBarrier, 3> kHierVariants = {
     HierBarrier::kFlatTree, HierBarrier::kCluster, HierBarrier::kClusterAmu};
 
@@ -562,19 +501,10 @@ SweepSpec build_microbench_hier(const CliOptions& opt) {
   SweepSpec s{"microbench_hier", "microbench_hier", {}, {}, {}};
   s.meta["cpus"] = json_array(cpus);
   s.meta["levels"] = levels;
-  std::vector<std::uint32_t> scale_ks;
-  if (opt.sim_threads == 0) scale_ks = {2, 4};
-  s.meta["scale_ks"] = json_array(scale_ks);
   for (std::uint32_t p : cpus) {
     for (HierBarrier v : kHierVariants) {
       s.cells.push_back(hier_cell(p, levels, hier_params(v, episodes)));
     }
-  }
-  for (std::uint32_t k : scale_ks) {
-    Cell c = hier_cell(cpus.back(), levels,
-                       hier_params(HierBarrier::kClusterAmu, episodes));
-    c.set.push_back({"sim_threads", sim::Json(k)});
-    s.cells.push_back(std::move(c));
   }
   return s;
 }
@@ -582,9 +512,7 @@ SweepSpec build_microbench_hier(const CliOptions& opt) {
 void print_microbench_hier(const SweepSpec& s,
                            std::span<const CellResult> r) {
   const auto cpus = meta_cpus(s);
-  const auto scale_ks = meta_uints(s, "scale_ks");
-  check_cells(s.workload, cpus.size() * kHierVariants.size() + scale_ks.size(),
-              r.size());
+  check_cells(s.workload, cpus.size() * kHierVariants.size(), r.size());
   std::printf("\n== Microbench: hierarchy-aware AMO barriers "
               "(cluster fan-in vs flat fanout-4 tree) ==\n");
   std::printf("%-8s %-12s %16s %14s %14s\n", "CPUs", "barrier",
@@ -598,15 +526,6 @@ void print_microbench_hier(const SweepSpec& s,
       const double cut = c.secondary > 0 ? flat_root / c.secondary : 0.0;
       std::printf("%-8u %-12s %16.0f %14.1f %13.2fx\n", p, to_string(v),
                   c.primary, c.secondary, cut);
-    }
-  }
-  if (!scale_ks.empty()) {
-    std::printf("\ncluster_amu host scaling at P = %u:\n",
-                cpus.empty() ? 0u : cpus.back());
-    for (std::uint64_t k : scale_ks) {
-      const CellResult& c = r[i++];
-      std::printf("  K=%llu: %16.0f cycles/episode\n",
-                  static_cast<unsigned long long>(k), c.primary);
     }
   }
   std::printf("\nexpected shape: both cluster variants cut root-link "
@@ -850,9 +769,6 @@ void register_builtin_workloads(WorkloadRegistry& reg) {
   reg.add({"microbench_spin", "microbench_spin",
            "spin-wait virtualization: events/episode vs active cpus",
            build_microbench_spin, print_microbench_spin});
-  reg.add({"microbench_pdes", "microbench_pdes",
-           "host-parallel PDES scaling: wall-clock at sim_threads=1/2/4",
-           build_microbench_pdes, print_microbench_pdes});
   reg.add({"microbench_hier", "microbench_hier",
            "cluster-hierarchical barriers: root-link traffic vs flat tree",
            build_microbench_hier, print_microbench_hier});

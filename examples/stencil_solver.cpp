@@ -41,7 +41,7 @@ RunResult run(sync::Mechanism mech) {
     }
   }
   // Initial condition: a hot spike in the middle.
-  m.backing(grid[0][kCells / 2]).write_word(grid[0][kCells / 2], 1u << 20);
+  m.backing().write_word(grid[0][kCells / 2], 1u << 20);
 
   auto barrier = sync::make_central_barrier(m, mech, kCpus);
 

@@ -134,8 +134,8 @@ class Amu final : public coh::AmuIface {
   void add_agg_route(AggRoute route);
   void clear_agg_routes() { agg_routes_.clear(); }
 
-  /// Release-wave entry point; runs on this node's domain (posted by the
-  /// parent aggregator). Publishes the route's release word and forwards
+  /// Release-wave entry point; runs at this node (posted by the parent
+  /// aggregator). Publishes the route's release word and forwards
   /// to the route's children.
   void agg_release(sim::Addr counter, std::uint64_t episode);
 

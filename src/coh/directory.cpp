@@ -55,10 +55,10 @@ sim::InlineFn Directory::wait_pop(Entry& e) {
 
 void Directory::deliver_put(const SharerSnapshot& targets, sim::Addr addr,
                             std::uint64_t value, sim::NodeId n) {
-  // Runs at node n — under PDES possibly on a different domain thread
-  // than this (home) directory. It touches only n's own caches plus the
-  // immutable sharer snapshot carried in the closure, so the home
-  // directory's state is never written from a foreign domain.
+  // Runs at node n when the wave arrives. It touches only n's own caches
+  // plus the immutable sharer snapshot carried in the closure, so the
+  // recipients are the ones named at the home pipeline slot, not the
+  // sharers at arrival time.
   const std::uint32_t cpn = wiring_.cpus_per_node();
   const auto total = static_cast<sim::CpuId>(agents_.caches.size());
   const sim::CpuId begin = n * cpn;
@@ -219,9 +219,9 @@ void Directory::word_put(sim::Addr addr, std::uint64_t value) {
 
     // Snapshot the recipients at the directory pipeline slot: every
     // sharer, or the exclusive owner (its M/E copy is patched in place).
-    // The snapshot travels *by value* inside the delivery closure — under
-    // PDES, deliveries execute on the target node's domain thread, so the
-    // wave must not reach back into home-directory state. A coarse entry
+    // The snapshot travels *by value* inside the delivery closure, so a
+    // sharer that joins or leaves while the wave is in flight does not
+    // change who receives it. A coarse entry
     // (pointer overflow) must reach everyone. This is the interesting
     // interaction: AMO's cheap word updates depend on the directory
     // knowing its sharers (bench/ablation_dir_pointers).

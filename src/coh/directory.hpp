@@ -184,8 +184,7 @@ class Directory {
 
   /// Delivers one word-put at node `n`: patches every targeted cache on
   /// that node. The sharer snapshot travels by value in the fan-out
-  /// closure (PDES: this runs on `n`'s domain thread, which must not
-  /// touch home-directory state).
+  /// closure: the recipients are fixed at the home pipeline slot.
   void deliver_put(const SharerSnapshot& targets, sim::Addr addr,
                    std::uint64_t value, sim::NodeId n);
 

@@ -24,9 +24,9 @@
 
 namespace amo::coh {
 
-/// Upper bound on processors (paper max: 256; headroom for the PDES
-/// scaling smokes and the 1024–4096 CPU hierarchy sweeps beyond the
-/// paper's table). Directory entries embed a kMaxCpus-wide SharerSet
+/// Upper bound on processors (paper max: 256; headroom for the 4096-CPU
+/// smoke and the 1024–4096 CPU hierarchy sweeps beyond the paper's
+/// table). Directory entries embed a kMaxCpus-wide SharerSet
 /// (512 B at 4096); update waves carry only its words in use, so raising
 /// this further mostly costs directory slab bytes.
 inline constexpr std::uint32_t kMaxCpus = 4096;

@@ -97,9 +97,9 @@ class SharerSet {
 };
 
 /// An owned, immutable copy of a sharer set's words in use, held in a
-/// FramePool block. A put wave's delivery closure carries one by value:
-/// under PDES the deliveries run on the target nodes' domain threads,
-/// which must not read the home directory's live sharer set. Move-only.
+/// FramePool block. A put wave's delivery closure carries one by value,
+/// so the wave reaches the sharers named at the directory pipeline slot,
+/// not the live sharer set at arrival. Move-only.
 class SharerSnapshot {
  public:
   explicit SharerSnapshot(std::span<const std::uint64_t> words)

@@ -10,22 +10,14 @@
 // A remote message is one event: links are reserved at send time for an
 // injection one bus crossing ahead, and the payload runs one bus crossing
 // after arrival — no staging or relay events, no re-boxed closures.
-//
-// PDES sharding: hub-local events go to `from`'s engine; remote payloads
-// reach `to`'s engine through the network (a mailbox when the domains
-// differ). The hub-local counters are kept per domain, mutated only by the
-// owning domain thread. One domain degenerates to the serial engine.
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <utility>
-#include <vector>
 
 #include "net/network.hpp"
-#include "sim/domains.hpp"
 #include "sim/engine.hpp"
 #include "sim/frame_pool.hpp"
 #include "sim/inline_fn.hpp"
@@ -43,32 +35,17 @@ struct LocalStats {
 
 class Wiring {
  public:
-  Wiring(sim::Domains& domains, net::Network& network,
-         std::uint32_t cpus_per_node, sim::Cycle local_cycles,
-         sim::Cycle bus_cycles = 20)
-      : domains_(domains),
-        network_(network),
-        cpus_per_node_(cpus_per_node),
-        local_cycles_(local_cycles),
-        bus_cycles_(bus_cycles),
-        local_(domains.count()) {}
-
-  /// Serial convenience ctor (unit tests, microbenches): wires through
-  /// the network's own (single-domain) decomposition; `engine` must be
-  /// the engine that decomposition wraps.
+  /// `engine` runs hub-local deliveries; it must be the engine `network`
+  /// delivers on.
   Wiring(sim::Engine& engine, net::Network& network,
          std::uint32_t cpus_per_node, sim::Cycle local_cycles,
          sim::Cycle bus_cycles = 20)
-      : Wiring(network.domains(), network, cpus_per_node, local_cycles,
-               bus_cycles) {
-    assert(&domains_.engine(0) == &engine);
-    (void)engine;
-  }
+      : engine_(engine),
+        network_(network),
+        cpus_per_node_(cpus_per_node),
+        local_cycles_(local_cycles),
+        bus_cycles_(bus_cycles) {}
 
-  [[nodiscard]] sim::Domains& domains() { return domains_; }
-  [[nodiscard]] sim::Engine& engine_for(sim::NodeId node) {
-    return domains_.engine_for_node(node);
-  }
   [[nodiscard]] net::Network& network() { return network_; }
   [[nodiscard]] sim::NodeId node_of(sim::CpuId cpu) const {
     return cpu / cpus_per_node_;
@@ -80,14 +57,13 @@ class Wiring {
   /// captures; either path moves it straight into the destination's event
   /// queue slot, so a remote message is exactly one event. The remote path
   /// pays the CPU<->hub system-bus crossing on both ends (Table 1's 16B/8B
-  /// system bus). Must be called from code executing on `from`'s domain.
+  /// system bus).
   void post(sim::NodeId from, sim::NodeId to, net::MsgClass cls,
             std::uint32_t bytes, sim::InlineFn fn) {
     if (from == to) {
-      LocalStats& loc = local_[domains_.domain_of(from)];
-      ++loc.messages;
-      loc.bytes += bytes;
-      engine_for(from).schedule(local_cycles_, std::move(fn));
+      ++local_.messages;
+      local_.bytes += bytes;
+      engine_.schedule(local_cycles_, std::move(fn));
       return;
     }
     network_.send(net::Packet{from, to, cls, bytes, std::move(fn)},
@@ -110,10 +86,9 @@ class Wiring {
     // Local target (if any) is delivered at hub latency.
     for (sim::NodeId n : nodes) {
       if (n == from) {
-        LocalStats& loc = local_[domains_.domain_of(from)];
-        ++loc.messages;
-        loc.bytes += bytes;
-        engine_for(from).schedule(local_cycles_, [shared, n] { (*shared)(n); });
+        ++local_.messages;
+        local_.bytes += bytes;
+        engine_.schedule(local_cycles_, [shared, n] { (*shared)(n); });
       }
     }
     network_.multicast(from, nodes, net::MsgClass::kUpdate, bytes,
@@ -121,26 +96,17 @@ class Wiring {
                        bus_cycles_);
   }
 
-  /// Conservative PDES lookahead: a message posted at t runs on another
-  /// node no earlier than t + both bus crossings + the cheapest network
-  /// transit (domains partition whole nodes; hub-local posts stay put).
-  [[nodiscard]] sim::Cycle min_cross_latency() const {
-    return 2 * bus_cycles_ + network_.min_cross_latency();
-  }
-
-  /// Per-domain shard (stats registration).
-  [[nodiscard]] const LocalStats& local_shard(std::uint32_t d) const {
-    return local_[d];
-  }
+  /// Hub-local traffic counters.
+  [[nodiscard]] const LocalStats& local_stats() const { return local_; }
   [[nodiscard]] sim::Cycle local_cycles() const { return local_cycles_; }
 
  private:
-  sim::Domains& domains_;
+  sim::Engine& engine_;
   net::Network& network_;
   std::uint32_t cpus_per_node_;
   sim::Cycle local_cycles_;
   sim::Cycle bus_cycles_;
-  std::vector<LocalStats> local_;  // one shard per domain
+  LocalStats local_;
 };
 
 }  // namespace amo::coh

@@ -233,21 +233,6 @@ void validate(const SystemConfig& c) {
   if (c.dram.access_cycles == 0) {
     fail("dram.access_cycles", "DRAM access cannot be free");
   }
-  if (c.sim_threads == 0) {
-    fail("sim_threads", "need at least one simulation thread");
-  }
-  if (c.sim_threads > c.num_nodes()) {
-    fail("sim_threads",
-         "cannot exceed the node count (" + std::to_string(c.num_nodes()) +
-             " nodes at num_cpus=" + std::to_string(c.num_cpus) +
-             ", cpus_per_node=" + std::to_string(c.cpus_per_node) +
-             "): domains partition home nodes");
-  }
-  if (c.sim_threads > 1 && c.net.hop_cycles == 0) {
-    fail("net.hop_cycles",
-         "conservative PDES (sim_threads > 1) needs a non-zero hop "
-         "latency for lookahead");
-  }
   if (c.net.hop_cycles_per_level != 0 && c.net.hop_cycles == 0) {
     fail("net.hop_cycles_per_level",
          "per-level latency step needs a non-zero net.hop_cycles base "

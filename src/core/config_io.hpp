@@ -79,7 +79,6 @@ void visit_config_fields(Config& c, Visitor&& v) {
   v("barrier_sw_overhead", c.barrier_sw_overhead);
   v("lock_sw_overhead", c.lock_sw_overhead);
   v("seed", c.seed);
-  v("sim_threads", c.sim_threads);
 }
 
 /// Every knob as a nested JSON object ({"cache": {"l1": {...}}}).

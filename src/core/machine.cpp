@@ -1,6 +1,5 @@
 #include "core/machine.hpp"
 
-#include <cassert>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_map>
@@ -8,14 +7,8 @@
 namespace amo::core {
 
 Machine::Machine(const SystemConfig& config)
-    : config_(config),
-      domains_(config.sim_threads, config.num_nodes()),
-      rng_(config.seed) {
+    : config_(config), backing_(config.line_bytes()), rng_(config.seed) {
   const std::uint32_t nodes = config_.num_nodes();
-  backings_.reserve(domains_.count());
-  for (std::uint32_t d = 0; d < domains_.count(); ++d) {
-    backings_.emplace_back(config_.line_bytes());
-  }
   // One observability knob fans out to every subsystem's derived flag:
   // default-off keeps recording branches cold and registry dumps
   // byte-identical.
@@ -24,19 +17,13 @@ Machine::Machine(const SystemConfig& config)
   config_.dir.histograms = hists;
   config_.amu.histograms = hists;
   config_.dram.histograms = hists;
-  if (hists) {
-    engine_dispatch_hists_.resize(domains_.count());
-    sync_hists_.resize(domains_.count());
-    for (std::uint32_t d = 0; d < domains_.count(); ++d) {
-      domains_.engine(d).set_dispatch_hist(&engine_dispatch_hists_[d]);
-    }
-  }
+  if (hists) engine_.set_dispatch_hist(&engine_dispatch_hist_);
   net::NetConfig net_cfg = config_.net;
   net_cfg.num_nodes = nodes;
   net_cfg.histograms = hists;
   // A single-node machine still needs a valid (degenerate) topology.
-  network_ = std::make_unique<net::Network>(domains_, net_cfg);
-  wiring_ = std::make_unique<coh::Wiring>(domains_, *network_,
+  network_ = std::make_unique<net::Network>(engine_, net_cfg);
+  wiring_ = std::make_unique<coh::Wiring>(engine_, *network_,
                                           config_.cpus_per_node,
                                           config_.local_cycles,
                                           config_.bus_cycles);
@@ -51,11 +38,9 @@ Machine::Machine(const SystemConfig& config)
   drams_.reserve(nodes);
   dirs_.reserve(nodes);
   for (sim::NodeId n = 0; n < nodes; ++n) {
-    sim::Engine& ne = domains_.engine_for_node(n);
-    drams_.push_back(std::make_unique<mem::Dram>(ne, config_.dram));
+    drams_.push_back(std::make_unique<mem::Dram>(engine_, config_.dram));
     dirs_.push_back(std::make_unique<coh::Directory>(
-        ne, *wiring_, agents_, n, backings_[domains_.domain_of(n)],
-        *drams_[n], config_.dir));
+        engine_, *wiring_, agents_, n, backing_, *drams_[n], config_.dir));
     agents_.dirs[n] = dirs_[n].get();
   }
 
@@ -65,29 +50,24 @@ Machine::Machine(const SystemConfig& config)
   cores_.reserve(config_.num_cpus);
   ctxs_.reserve(config_.num_cpus);
   for (sim::CpuId c = 0; c < config_.num_cpus; ++c) {
-    sim::Engine& ce = domains_.engine_for_node(c / config_.cpus_per_node);
     cores_.push_back(std::make_unique<cpu::Core>(
-        ce, *wiring_, agents_, devices_, c, core_cfg));
+        engine_, *wiring_, agents_, devices_, c, core_cfg));
     agents_.caches[c] = &cores_[c]->cache();
     ctxs_.push_back(std::make_unique<ThreadCtx>(
-        *cores_[c], ce, rng_.split(),
-        hists ? &sync_hists_[domains_.domain_of(c / config_.cpus_per_node)]
-              : nullptr));
+        *cores_[c], engine_, rng_.split(), hists ? &sync_hists_ : nullptr));
   }
 
   amus_.reserve(nodes);
   servers_.reserve(nodes);
   for (sim::NodeId n = 0; n < nodes; ++n) {
-    sim::Engine& ne = domains_.engine_for_node(n);
     amus_.push_back(std::make_unique<amu::Amu>(
-        ne, n, *dirs_[n], backings_[domains_.domain_of(n)], *drams_[n],
-        config_.amu));
+        engine_, n, *dirs_[n], backing_, *drams_[n], config_.amu));
     agents_.amus[n] = amus_[n].get();
     devices_.amus[n] = amus_[n].get();
     // Handlers run on the node's first core (the paper's home-processor
     // interference model).
     servers_.push_back(std::make_unique<cpu::AmServer>(
-        ne, *wiring_, *cores_[n * config_.cpus_per_node],
+        engine_, *wiring_, *cores_[n * config_.cpus_per_node],
         config_.am_server));
     devices_.servers[n] = servers_[n].get();
   }
@@ -98,33 +78,18 @@ Machine::Machine(const SystemConfig& config)
   }
 
   // Index every subsystem's counters under hierarchical names. The
-  // registry only holds pointers and merge closures; all pointees are
-  // owned by this Machine. Per-domain shards are summed at snapshot time
-  // in ascending domain order, by the same closures for every K.
+  // registry only holds pointers and closures; all pointees are owned by
+  // this Machine.
   registry_.add_fn("engine.events_executed",
-                   [this] { return domains_.total_events_executed(); });
-  registry_.add_fn("engine.now", [this] { return domains_.max_now(); });
+                   [this] { return engine_.events_executed(); });
+  registry_.add_fn("engine.now", [this] { return engine_.now(); });
   registry_.add_fn("engine.queue.pushed",
-                   [this] { return domains_.total_events_scheduled(); });
-  registry_.add_fn("engine.queue.pending", [this] {
-    std::uint64_t v = 0;
-    for (std::uint32_t d = 0; d < domains_.count(); ++d) {
-      v += domains_.engine(d).pending_events();
-    }
-    return v;
-  });
+                   [this] { return engine_.events_scheduled(); });
+  registry_.add_fn("engine.queue.pending",
+                   [this] { return engine_.pending_events(); });
   network_->register_stats(registry_, "net");
-  auto local_sum = [this](std::uint64_t coh::LocalStats::* field) {
-    return [this, field] {
-      std::uint64_t v = 0;
-      for (std::uint32_t d = 0; d < domains_.count(); ++d) {
-        v += wiring_->local_shard(d).*field;
-      }
-      return v;
-    };
-  };
-  registry_.add_fn("local.messages", local_sum(&coh::LocalStats::messages));
-  registry_.add_fn("local.bytes", local_sum(&coh::LocalStats::bytes));
+  registry_.add_counter("local.messages", &wiring_->local_stats().messages);
+  registry_.add_counter("local.bytes", &wiring_->local_stats().bytes);
   for (sim::NodeId n = 0; n < nodes; ++n) {
     const std::string prefix = "node" + std::to_string(n);
     dirs_[n]->register_stats(registry_, prefix + ".dir");
@@ -137,31 +102,16 @@ Machine::Machine(const SystemConfig& config)
   }
   if (hists) {
     // Latency histograms, all conditional: default-mode dumps keep their
-    // exact bytes, and every merge walks shards in ascending domain
-    // order. (The net and per-node/per-cpu subsystem histograms above
-    // registered themselves behind their own derived flags.)
-    registry_.add_hist_fn("engine.dispatch_delay_hist",
-                          [this](sim::LogHistogram& out) {
-                            for (const auto& h : engine_dispatch_hists_) {
-                              out += h;
-                            }
-                          });
+    // exact bytes. (The net and per-node/per-cpu subsystem histograms
+    // above registered themselves behind their own derived flags.)
+    registry_.add_hist("engine.dispatch_delay_hist", &engine_dispatch_hist_);
     for (sim::NodeId n = 0; n < nodes; ++n) {
       drams_[n]->register_stats(registry_,
                                 "node" + std::to_string(n) + ".dram");
     }
-    registry_.add_hist_fn("sync.lock_acquire_hist",
-                          [this](sim::LogHistogram& out) {
-                            for (const auto& h : sync_hists_) {
-                              out += h.lock_acquire;
-                            }
-                          });
-    registry_.add_hist_fn("sync.barrier_episode_hist",
-                          [this](sim::LogHistogram& out) {
-                            for (const auto& h : sync_hists_) {
-                              out += h.barrier_episode;
-                            }
-                          });
+    registry_.add_hist("sync.lock_acquire_hist", &sync_hists_.lock_acquire);
+    registry_.add_hist("sync.barrier_episode_hist",
+                       &sync_hists_.barrier_episode);
   }
 }
 
@@ -173,20 +123,13 @@ void Machine::spawn(sim::CpuId c,
   // through the event queue for deterministic interleaving.
   bodies_.push_back(std::move(body));
   auto& stored = bodies_.back();
-  domains_.engine_for_node(c / config_.cpus_per_node)
-      .schedule(0, [this, c, &stored] {
-        sim::detach(stored(*ctxs_[c]), [this] {
-          pending_.fetch_sub(1, std::memory_order_relaxed);
-        });
-      });
+  engine_.schedule(0, [this, c, &stored] {
+    sim::detach(stored(*ctxs_[c]), [this] { --pending_; });
+  });
 }
 
 void Machine::run() {
-  // Conservative lookahead: nothing posted at t can touch another domain
-  // before t + Wiring::min_cross_latency().
-  const sim::Cycle lookahead = wiring_->min_cross_latency();
-  assert(domains_.count() == 1 || lookahead > 0);
-  domains_.run(lookahead);
+  engine_.run();
   if (pending_threads() != 0) {
     std::ostringstream oss;
     oss << "Machine::run: event queue drained with " << pending_threads()
@@ -201,10 +144,6 @@ void Machine::run() {
     }
     throw std::runtime_error(oss.str());
   }
-}
-
-mem::Backing& Machine::backing(sim::Addr addr) {
-  return backings_[domains_.domain_of(coh::home_of(addr))];
 }
 
 std::uint64_t Machine::peek_word(sim::Addr addr) const {
@@ -222,11 +161,11 @@ std::uint64_t Machine::peek_word(sim::Addr addr) const {
   const amu::Amu& a = *amus_[coh::home_of(addr)];
   if (a.holds_word(addr)) return a.peek_word(addr);
   // const_cast: Backing lazily materializes zero-filled lines.
-  return const_cast<Machine*>(this)->backing(addr).read_word(addr);
+  return const_cast<mem::Backing&>(backing_).read_word(addr);
 }
 
 void Machine::check_coherence() const {
-  if (!domains_.all_idle()) {
+  if (!engine_.idle()) {
     throw std::logic_error("check_coherence: engine not quiescent");
   }
   struct Copy {

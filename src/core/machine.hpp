@@ -16,7 +16,6 @@
 //   m.run();
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -35,7 +34,6 @@
 #include "mem/backing.hpp"
 #include "mem/dram.hpp"
 #include "net/network.hpp"
-#include "sim/domains.hpp"
 #include "sim/engine.hpp"
 #include "sim/rng.hpp"
 #include "sim/stats_registry.hpp"
@@ -54,16 +52,24 @@ class Machine {
     return config_.num_nodes();
   }
 
-  /// Domain 0's engine; with sim_threads == 1 (the default) the only one.
-  [[nodiscard]] sim::Engine& engine() { return domains_.engine(0); }
-  /// The domain decomposition (sim_threads engines over the home nodes).
-  [[nodiscard]] sim::Domains& domains() { return domains_; }
+  [[nodiscard]] sim::Engine& engine() { return engine_; }
   [[nodiscard]] net::Network& network() { return *network_; }
   [[nodiscard]] const coh::Wiring& wiring() const { return *wiring_; }
   [[nodiscard]] GAlloc& galloc() { return *galloc_; }
-  /// Backing-store shard holding `addr` (shards follow the domain
-  /// decomposition so each is touched by one domain thread only).
-  [[nodiscard]] mem::Backing& backing(sim::Addr addr);
+  [[nodiscard]] mem::Backing& backing() { return backing_; }
+
+  /// Compatibility view for perfbench/driver.cpp, which still reads the
+  /// engine through the accessor names of the deleted multi-engine
+  /// decomposition. Removed by the next benchmark change, which switches
+  /// the driver to engine().
+  struct EngineView {
+    const sim::Engine& engine;
+    [[nodiscard]] sim::Cycle max_now() const { return engine.now(); }
+    [[nodiscard]] std::uint64_t total_events_executed() const {
+      return engine.events_executed();
+    }
+  };
+  [[nodiscard]] EngineView domains() const { return {engine_}; }
 
   [[nodiscard]] cpu::Core& core(sim::CpuId c) { return *cores_[c]; }
   [[nodiscard]] coh::Directory& dir(sim::NodeId n) { return *dirs_[n]; }
@@ -81,9 +87,7 @@ class Machine {
   void run();
 
   /// Number of threads spawned and not yet finished.
-  [[nodiscard]] std::uint32_t pending_threads() const {
-    return pending_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint32_t pending_threads() const { return pending_; }
 
   /// The full-system stats registry: every subsystem's counters under
   /// hierarchical names ("engine.*", "net.*", "node<N>.{dir,amu,am}.*",
@@ -108,11 +112,8 @@ class Machine {
 
  private:
   SystemConfig config_;
-  sim::Domains domains_;
-  // One backing shard per domain: addresses partition by home node, so
-  // each shard's lazily-materialized line map is private to its domain
-  // thread.
-  std::vector<mem::Backing> backings_;
+  sim::Engine engine_;
+  mem::Backing backing_;
   std::unique_ptr<net::Network> network_;
   std::unique_ptr<coh::Wiring> wiring_;
   coh::Agents agents_;
@@ -126,19 +127,16 @@ class Machine {
   std::vector<std::unique_ptr<cpu::Core>> cores_;
   std::vector<std::unique_ptr<cpu::AmServer>> servers_;
   std::vector<std::unique_ptr<ThreadCtx>> ctxs_;
-  // Per-domain histogram shards (empty unless stats.histograms): each
-  // domain thread records into its own element only; the registry merges
-  // them in ascending domain order at snapshot time. Sized once in the
-  // ctor — engines and ThreadCtxs hold pointers into them.
-  std::vector<sim::LogHistogram> engine_dispatch_hists_;
-  std::vector<SyncHists> sync_hists_;
+  // Recorded into only when stats.histograms is on: the engine and every
+  // ThreadCtx then hold pointers to them.
+  sim::LogHistogram engine_dispatch_hist_;
+  SyncHists sync_hists_;
   sim::StatsRegistry registry_;
 
   // deque: spawn keeps a reference to the stored functor until the thread
   // starts, so the container must not relocate elements.
   std::deque<std::function<sim::Task<void>(ThreadCtx&)>> bodies_;
-  // atomic: thread-completion decrements run on domain worker threads.
-  std::atomic<std::uint32_t> pending_{0};
+  std::uint32_t pending_ = 0;
 };
 
 }  // namespace amo::core

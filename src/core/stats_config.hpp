@@ -1,4 +1,4 @@
-// Observability knobs and the per-domain histogram shard bundle.
+// Observability knobs and the sync-library histogram bundle.
 //
 // `stats.histograms` is default-off so every pre-existing snapshot stays
 // byte-identical; turning it on threads LogHistogram recording through
@@ -19,10 +19,8 @@ struct StatsConfig {
   bool histograms = false;
 };
 
-/// One domain's sync-library latency shard. Machine owns one per PDES
-/// domain (when stats.histograms is on); each ThreadCtx points at its
-/// domain's shard, and the registry merges them in ascending domain
-/// order — the same discipline as the per-domain Accum merges.
+/// The sync library's latency histograms. Machine owns one bundle; when
+/// stats.histograms is on, every ThreadCtx points at it.
 struct SyncHists {
   sim::LogHistogram lock_acquire;     // acquire() call to return, cycles
   sim::LogHistogram barrier_episode;  // wait() call to return, cycles

@@ -49,12 +49,6 @@ struct SystemConfig {
 
   std::uint64_t seed = 1;
 
-  /// Host worker threads for one simulation run (conservative PDES over
-  /// home-node domains). 1 = the serial engine. K > 1 domain-decomposes
-  /// the machine; results are deterministic (double-run identical) but a
-  /// separately-seeded mode relative to K == 1 — see DESIGN.md §10.
-  std::uint32_t sim_threads = 1;
-
   [[nodiscard]] std::uint32_t num_nodes() const {
     return (num_cpus + cpus_per_node - 1) / cpus_per_node;
   }

@@ -34,8 +34,8 @@ class ThreadCtx {
   [[nodiscard]] sim::Rng& rng() { return rng_; }
   [[nodiscard]] sim::Cycle now() const { return engine_.now(); }
 
-  /// This thread's domain's sync-latency histogram shard, or nullptr
-  /// when stats.histograms is off. The sync library's recording
+  /// The machine's sync-latency histograms, or nullptr when
+  /// stats.histograms is off. The sync library's recording
   /// decorators write lock-acquire / barrier-episode latencies here.
   [[nodiscard]] SyncHists* sync_hists() { return sync_hists_; }
 

@@ -25,29 +25,6 @@ const char* to_string(MsgClass c) {
   return "?";
 }
 
-NetStats& NetStats::operator+=(const NetStats& o) {
-  packets += o.packets;
-  bytes += o.bytes;
-  hops += o.hops;
-  for (std::size_t i = 0; i < packets_by_class.size(); ++i) {
-    packets_by_class[i] += o.packets_by_class[i];
-    bytes_by_class[i] += o.bytes_by_class[i];
-  }
-  latency += o.latency;
-  for (std::size_t i = 0; i < link_traversals_by_level.size(); ++i) {
-    link_traversals_by_level[i] += o.link_traversals_by_level[i];
-  }
-  if (!o.link_latency_hist.empty()) {
-    if (link_latency_hist.size() < o.link_latency_hist.size()) {
-      link_latency_hist.resize(o.link_latency_hist.size());
-    }
-    for (std::size_t i = 0; i < o.link_latency_hist.size(); ++i) {
-      link_latency_hist[i] += o.link_latency_hist[i];
-    }
-  }
-  return *this;
-}
-
 namespace {
 
 // Per-level latency table from the two scalar knobs: uniform hop_cycles
@@ -66,99 +43,42 @@ std::vector<sim::Cycle> seeded_latencies(const NetConfig& config,
 
 void Network::register_stats(sim::StatsRegistry& reg,
                              const std::string& prefix) const {
-  // Snapshot-time merge closures, never live pointers: shards sum in
-  // ascending domain order (so the latency Accum merge is deterministic),
-  // and a reset_stats that re-sizes the histogram vectors cannot dangle
-  // them.
-  auto sum = [this](std::uint64_t NetStats::* m) {
-    return [this, m]() -> std::uint64_t {
-      std::uint64_t v = 0;
-      for (const NetStats& s : shards_) v += s.*m;
-      return v;
-    };
-  };
-  reg.add_fn(prefix + ".packets", sum(&NetStats::packets));
-  reg.add_fn(prefix + ".bytes", sum(&NetStats::bytes));
-  reg.add_fn(prefix + ".hops", sum(&NetStats::hops));
-  reg.add_accum_fn(prefix + ".latency", [this] {
-    sim::Accum a;
-    for (const NetStats& s : shards_) a += s.latency;
-    return a;
-  });
+  reg.add_counter(prefix + ".packets", &stats_.packets);
+  reg.add_counter(prefix + ".bytes", &stats_.bytes);
+  reg.add_counter(prefix + ".hops", &stats_.hops);
+  reg.add_accum(prefix + ".latency", &stats_.latency);
   for (std::size_t i = 0; i < static_cast<std::size_t>(MsgClass::kCount);
        ++i) {
     const std::string cls = to_string(static_cast<MsgClass>(i));
-    reg.add_fn(prefix + ".packets_by_class." + cls, [this, i] {
-      std::uint64_t v = 0;
-      for (const NetStats& s : shards_) v += s.packets_by_class[i];
-      return v;
-    });
-    reg.add_fn(prefix + ".bytes_by_class." + cls, [this, i] {
-      std::uint64_t v = 0;
-      for (const NetStats& s : shards_) v += s.bytes_by_class[i];
-      return v;
-    });
+    reg.add_counter(prefix + ".packets_by_class." + cls,
+                    &stats_.packets_by_class[i]);
+    reg.add_counter(prefix + ".bytes_by_class." + cls,
+                    &stats_.bytes_by_class[i]);
   }
-  if (!config_.histograms) return;
-  for (std::size_t l = 0; l < topo_.levels(); ++l) {
-    reg.add_hist_fn(prefix + ".link_latency_hist.l" + std::to_string(l),
-                    [this, l](sim::LogHistogram& out) {
-                      for (const NetStats& s : shards_) {
-                        if (l < s.link_latency_hist.size()) {
-                          out += s.link_latency_hist[l];
-                        }
-                      }
-                    });
-  }
-}
-
-Network::Network(sim::Domains& domains, const NetConfig& config)
-    : domains_(domains),
-      config_(config),
-      topo_(config.num_nodes, config.radix),
-      link_busy_until_(
-          static_cast<std::size_t>(domains.count()) * topo_.num_links(), 0),
-      charged_gen_(
-          static_cast<std::size_t>(domains.count()) * topo_.num_links(), 0),
-      multicast_gen_(domains.count(), 0),
-      shards_(domains.count()) {
-  assert(domains.num_nodes() >= config.num_nodes);
-  // Seed per-level latencies from the hop_cycles (+ optional per-level
-  // step) knobs; callers may overwrite with a non-uniform table afterwards.
-  topo_.set_link_latencies(seeded_latencies(config, topo_));
-  if (config_.histograms) {
-    for (NetStats& s : shards_) s.link_latency_hist.resize(topo_.levels());
+  for (std::size_t l = 0; l < stats_.link_latency_hist.size(); ++l) {
+    reg.add_hist(prefix + ".link_latency_hist.l" + std::to_string(l),
+                 &stats_.link_latency_hist[l]);
   }
 }
 
 Network::Network(sim::Engine& engine, const NetConfig& config)
-    : owned_domains_(std::make_unique<sim::Domains>(engine, config.num_nodes)),
-      domains_(*owned_domains_),
+    : engine_(engine),
       config_(config),
       topo_(config.num_nodes, config.radix),
       link_busy_until_(topo_.num_links(), 0),
-      charged_gen_(topo_.num_links(), 0),
-      multicast_gen_(1, 0),
-      shards_(1) {
+      charged_gen_(topo_.num_links(), 0) {
+  // Seed per-level latencies from the hop_cycles (+ optional per-level
+  // step) knobs; callers may overwrite with a non-uniform table afterwards.
   topo_.set_link_latencies(seeded_latencies(config, topo_));
-  if (config_.histograms) {
-    for (NetStats& s : shards_) s.link_latency_hist.resize(topo_.levels());
-  }
-}
-
-const NetStats& Network::stats() const {
-  if (shards_.size() == 1) return shards_[0];
-  merged_.reset();
-  for (const NetStats& s : shards_) merged_ += s;
-  return merged_;
+  if (config_.histograms) stats_.link_latency_hist.resize(topo_.levels());
 }
 
 void Network::reset_stats() {
-  for (NetStats& s : shards_) {
-    const std::size_t levels = s.link_latency_hist.size();
-    s.reset();
-    s.link_latency_hist.resize(levels);
-  }
+  // Zero in place: the registry holds pointers into the histograms.
+  std::vector<sim::LogHistogram> hists = std::move(stats_.link_latency_hist);
+  for (sim::LogHistogram& h : hists) h = sim::LogHistogram{};
+  stats_ = NetStats{};
+  stats_.link_latency_hist = std::move(hists);
 }
 
 sim::Cycle Network::serialization_cycles(std::uint32_t size_bytes) const {
@@ -168,22 +88,20 @@ sim::Cycle Network::serialization_cycles(std::uint32_t size_bytes) const {
          config_.link_cycles_per_16b;
 }
 
-sim::Cycle Network::reserve_path(std::uint32_t d, RouteWalker& walk,
-                                 std::uint32_t size_bytes, sim::Cycle now,
-                                 bool dedup_links) {
+sim::Cycle Network::reserve_path(RouteWalker& walk, std::uint32_t size_bytes,
+                                 sim::Cycle now, bool dedup_links) {
   const sim::Cycle ser = serialization_cycles(size_bytes);
-  const std::size_t base = static_cast<std::size_t>(d) * topo_.num_links();
-  NetStats& st = shards_[d];
+  NetStats& st = stats_;
   const bool hist = !st.link_latency_hist.empty();
   sim::Cycle t = now;
   LinkRef link;
   while (walk.next(link)) {
-    const std::size_t idx = base + topo_.link_index(link);
+    const std::size_t idx = topo_.link_index(link);
     ++st.link_traversals_by_level[link.level];
     bool charge = true;
     if (dedup_links) {
-      charge = charged_gen_[idx] != multicast_gen_[d];
-      charged_gen_[idx] = multicast_gen_[d];
+      charge = charged_gen_[idx] != multicast_gen_;
+      charged_gen_[idx] = multicast_gen_;
     }
     sim::Cycle depart = t;
     if (charge) {
@@ -199,10 +117,10 @@ sim::Cycle Network::reserve_path(std::uint32_t d, RouteWalker& walk,
   return t + ser;  // full packet received at destination
 }
 
-void Network::account(std::uint32_t d, MsgClass cls, std::uint32_t size_bytes,
+void Network::account(MsgClass cls, std::uint32_t size_bytes,
                       sim::Cycle latency, std::uint32_t hops) {
   const std::uint32_t bytes = std::max(size_bytes, config_.min_packet_bytes);
-  NetStats& s = shards_[d];
+  NetStats& s = stats_;
   ++s.packets;
   s.bytes += bytes;
   s.hops += hops;
@@ -214,22 +132,19 @@ void Network::account(std::uint32_t d, MsgClass cls, std::uint32_t size_bytes,
 void Network::send(Packet p, sim::Cycle bus_cycles) {
   assert(p.src != p.dst && "local traffic must bypass the network");
   assert(p.on_deliver && "packet without a delivery action");
-  const std::uint32_t d = domains_.domain_of(p.src);
   // Every sender pays the same bus delay, so reserving links now, for an
   // injection time bus_cycles ahead, visits them in injection order.
-  const sim::Cycle inject = domains_.engine(d).now() + bus_cycles;
+  const sim::Cycle inject = engine_.now() + bus_cycles;
   RouteWalker walk(topo_, p.src, p.dst);
   const sim::Cycle arrival =
-      reserve_path(d, walk, p.size_bytes, inject, /*dedup_links=*/false);
+      reserve_path(walk, p.size_bytes, inject, /*dedup_links=*/false);
   assert(arrival >= inject && "delivery scheduled before injection");
   const sim::Cycle latency = arrival - inject;
-  account(d, p.cls, p.size_bytes, latency, walk.hop_count());
-  // The delivery closure moves straight into the event-queue slot (or,
-  // cross-domain, into the mailbox envelope): no wrapper lambda, no
-  // type-erasure re-boxing, zero heap for captures that fit the InlineFn
-  // buffer.
-  domains_.deliver_at(p.src, p.dst, arrival + bus_cycles,
-                      std::move(p.on_deliver));
+  account(p.cls, p.size_bytes, latency, walk.hop_count());
+  // The delivery closure moves straight into the event-queue slot: no
+  // wrapper lambda, no type-erasure re-boxing, zero heap for captures
+  // that fit the InlineFn buffer.
+  engine_.schedule_at(arrival + bus_cycles, std::move(p.on_deliver));
 }
 
 void Network::multicast(sim::NodeId src, std::span<const sim::NodeId> dsts,
@@ -255,17 +170,16 @@ void Network::multicast(sim::NodeId src, std::span<const sim::NodeId> dsts,
   // Hardware multicast: replicate in the routers; each tree link carries
   // the packet once per wave (generation-stamped dedup, no scratch
   // bitmap allocation).
-  const std::uint32_t d = domains_.domain_of(src);
-  ++multicast_gen_[d];
-  const sim::Cycle inject = domains_.engine(d).now() + bus_cycles;
+  ++multicast_gen_;
+  const sim::Cycle inject = engine_.now() + bus_cycles;
   for (sim::NodeId dst : dsts) {
     if (dst == src) continue;
     RouteWalker walk(topo_, src, dst);
     const sim::Cycle arrival =
-        reserve_path(d, walk, size_bytes, inject, /*dedup_links=*/true);
+        reserve_path(walk, size_bytes, inject, /*dedup_links=*/true);
     assert(arrival >= inject && "delivery scheduled before injection");
-    account(d, cls, size_bytes, arrival - inject, walk.hop_count());
-    domains_.deliver_at(src, dst, arrival + bus_cycles,
+    account(cls, size_bytes, arrival - inject, walk.hop_count());
+    engine_.schedule_at(arrival + bus_cycles,
                         [shared, dst] { (*shared)(dst); });
   }
 }

@@ -11,29 +11,15 @@
 // busy-until values only grow, packets between the same (src, dst) pair are
 // delivered in send order — the coherence layer relies on this FIFO
 // property.
-//
-// PDES sharding: under a K-domain decomposition (sim::Domains) every piece
-// of fabric state — link busy-until arrays, multicast dedup generations,
-// the NetStats counters — is kept per source domain, mutated only by the
-// domain thread that injects the packet. Cross-domain deliveries route
-// through Domains::deliver_at (mailboxes). With K == 1 there is exactly one
-// shard. Per-domain link reservation means two domains can each believe
-// they reserved the same physical link for the same cycles — bandwidth
-// contention is modelled exactly within a domain and approximately across
-// domains; that (plus per-shard latency merge order) is why K > 1 runs are
-// a separately-seeded mode rather than bit-equal to K == 1 (see DESIGN.md
-// §10).
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "net/message.hpp"
 #include "net/topology.hpp"
-#include "sim/domains.hpp"
 #include "sim/engine.hpp"
 #include "sim/inline_fn.hpp"
 #include "sim/stats.hpp"
@@ -80,20 +66,11 @@ struct NetStats {
   /// blocks, kept off the counters' cache lines.
   std::vector<sim::LogHistogram> link_latency_hist;
 
-  void reset() { *this = NetStats{}; }
-
-  /// Folds another shard in (multi-domain end-of-run merge).
-  NetStats& operator+=(const NetStats& o);
 };
 
 class Network {
  public:
-  /// Fabric over a domain decomposition: per-domain link state and stats
-  /// shards, cross-domain delivery through the Domains mailboxes.
-  Network(sim::Domains& domains, const NetConfig& config);
-
-  /// Serial convenience ctor (unit tests, microbenches): wraps `engine`
-  /// in an internal single-domain view.
+  /// Fabric over `config.num_nodes` nodes; deliveries run on `engine`.
   Network(sim::Engine& engine, const NetConfig& config);
 
   /// Sends one packet, injected `bus_cycles` after now; `p.on_deliver`
@@ -114,68 +91,47 @@ class Network {
                  sim::InlineFnT<sim::NodeId> deliver,
                  sim::Cycle bus_cycles = 0);
 
-  /// Machine-wide fabric statistics. With one domain this is the live
-  /// shard; with K > 1 the shards are merged on each call — only read it
-  /// while the machine is quiescent (not mid-run from inside events).
-  [[nodiscard]] const NetStats& stats() const;
+  /// Fabric-wide statistics.
+  [[nodiscard]] const NetStats& stats() const { return stats_; }
   void reset_stats();
 
   /// Registers fabric counters (totals, per-class breakdowns, latency
   /// distribution, per-level link-latency histograms when enabled) into
-  /// a stats registry under `prefix`, as closures that sum the
-  /// per-domain shards at snapshot time.
+  /// a stats registry under `prefix`.
   void register_stats(sim::StatsRegistry& reg, const std::string& prefix) const;
 
   [[nodiscard]] const Topology& topology() const { return topo_; }
   [[nodiscard]] const NetConfig& config() const { return config_; }
-  [[nodiscard]] sim::Domains& domains() { return domains_; }
 
-  /// Total traversals of the topmost (root) links, both directions,
-  /// summed over shards. 0 for topologies with no links. Same quiescence
-  /// caveat as stats().
+  /// Total traversals of the topmost (root) links, both directions. 0 for
+  /// topologies with no links.
   [[nodiscard]] std::uint64_t root_link_traversals() const {
     if (topo_.levels() == 0) return 0;
-    std::uint64_t v = 0;
-    for (const NetStats& s : shards_)
-      v += s.link_traversals_by_level[topo_.levels() - 1];
-    return v;
+    return stats_.link_traversals_by_level[topo_.levels() - 1];
   }
 
   /// Serialization delay for a packet of `size_bytes` (after clamping to
   /// the minimum packet size).
   [[nodiscard]] sim::Cycle serialization_cycles(std::uint32_t size_bytes) const;
 
-  /// Fabric part of the PDES lookahead (Wiring adds the bus): the minimum
-  /// time between injecting any packet and its earliest possible arrival
-  /// at a *different* node — two cheapest-link traversals (hop_count >= 2)
-  /// plus minimum-packet serialization. Zero only for a single node.
-  [[nodiscard]] sim::Cycle min_cross_latency() const {
-    return 2 * topo_.min_hop_latency() + serialization_cycles(0);
-  }
-
  private:
-  // Drains `walk`, reserving every link on its path in domain `d`'s
-  // shard, and returns the delivery time. When `dedup_links` is set
-  // (hardware multicast), links already stamped with the current wave
-  // generation are traversed without being charged again.
-  sim::Cycle reserve_path(std::uint32_t d, RouteWalker& walk,
-                          std::uint32_t size_bytes, sim::Cycle now,
-                          bool dedup_links);
+  // Drains `walk`, reserving every link on its path, and returns the
+  // delivery time. When `dedup_links` is set (hardware multicast), links
+  // already stamped with the current wave generation are traversed
+  // without being charged again.
+  sim::Cycle reserve_path(RouteWalker& walk, std::uint32_t size_bytes,
+                          sim::Cycle now, bool dedup_links);
 
-  void account(std::uint32_t d, MsgClass cls, std::uint32_t size_bytes,
-               sim::Cycle latency, std::uint32_t hops);
+  void account(MsgClass cls, std::uint32_t size_bytes, sim::Cycle latency,
+               std::uint32_t hops);
 
-  std::unique_ptr<sim::Domains> owned_domains_;  // serial-ctor backing
-  sim::Domains& domains_;
+  sim::Engine& engine_;
   NetConfig config_;
   Topology topo_;
-  // Per-domain shards, laid out [domain * num_links + link] for the link
-  // arrays. Only the owning domain thread touches its shard.
-  std::vector<sim::Cycle> link_busy_until_;
-  std::vector<std::uint64_t> charged_gen_;
-  std::vector<std::uint64_t> multicast_gen_;
-  std::vector<NetStats> shards_;
-  mutable NetStats merged_;  // stats() scratch for K > 1
+  std::vector<sim::Cycle> link_busy_until_;  // by Topology::link_index
+  std::vector<std::uint64_t> charged_gen_;   // multicast wave stamp per link
+  std::uint64_t multicast_gen_ = 0;
+  NetStats stats_;
 };
 
 }  // namespace amo::net

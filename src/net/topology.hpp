@@ -181,17 +181,6 @@ class Topology {
     return first + radix_ <= below ? radix_ : below - first;
   }
 
-  /// The cheapest single link traversal anywhere in the tree. Any packet
-  /// between distinct nodes crosses hop_count() >= 2 links, so this is
-  /// the building block of the conservative PDES lookahead: a message
-  /// sent at t cannot reach another node before t + 2 * min_hop_latency()
-  /// (plus serialization). Single-node systems (no links) return 0.
-  [[nodiscard]] sim::Cycle min_hop_latency() const {
-    sim::Cycle m = 0;
-    for (sim::Cycle c : link_latency_) m = (m == 0 || c < m) ? c : m;
-    return m;
-  }
-
  private:
   // Level of the lowest common ancestor *router* of a and b (>= 1).
   [[nodiscard]] std::uint32_t common_level(sim::NodeId a, sim::NodeId b) const;

@@ -84,10 +84,6 @@ class Engine {
   /// True when no events are pending.
   [[nodiscard]] bool idle() const { return queue_.empty(); }
 
-  /// Time of the earliest pending event. Precondition: !idle(). The PDES
-  /// window scheduler reads this across engines to pick the next window.
-  [[nodiscard]] Cycle next_time() const { return queue_.next_time(); }
-
   /// Total events ever scheduled (throughput metric).
   [[nodiscard]] std::uint64_t events_scheduled() const {
     return queue_.total_pushed();
@@ -108,7 +104,7 @@ class Engine {
   /// Points event-dispatch-delay recording at `h` (cycles between an
   /// event's scheduling and its execution time, one sample per
   /// schedule()/schedule_at()). nullptr (the default) disables recording;
-  /// Machine wires a per-domain shard here when stats.histograms is on.
+  /// Machine wires its histogram here when stats.histograms is on.
   void set_dispatch_hist(LogHistogram* h) { dispatch_hist_ = h; }
 
   /// Awaitable that suspends the calling coroutine for `cycles`.

@@ -30,7 +30,7 @@ class Rng {
   /// Standard-exponential variate (mean 1) by inverse CDF over the same
   /// seeded stream; scale by a mean interarrival time for Poisson
   /// arrivals. Consumes exactly one next() draw, so sequences stay
-  /// reproducible across --threads and --sim-threads.
+  /// reproducible across --threads.
   double exponential();
 
   /// Creates an independent child stream (for per-thread randomness).

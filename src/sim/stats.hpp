@@ -5,7 +5,7 @@
 // on the hot path); `Accum` summarizes distributions (latencies, queue
 // depths) as count/sum/min/max/mean/variance; `LogHistogram` adds tail
 // quantiles (p50/p90/p99/p999) at a bounded relative error, with an exact
-// associative merge so per-domain shards combine deterministically.
+// associative merge.
 #pragma once
 
 #include <algorithm>
@@ -80,9 +80,8 @@ class Accum {
 /// most value / 2^kSubBits: quantile estimates carry a bounded relative
 /// error of 1/16 (6.25%). Values below kSubBuckets are exact. The struct
 /// is fixed-size (no allocation on record, ever) and the merge is an
-/// element-wise count addition — exact and associative, so per-domain
-/// shards can be combined in any grouping as long as the final order is
-/// deterministic (sim::Domains merges ascending, like Accum).
+/// element-wise count addition — exact and associative, so partial
+/// histograms combine in any grouping to the same result.
 class LogHistogram {
  public:
   static constexpr std::uint32_t kSubBits = 4;

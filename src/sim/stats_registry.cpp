@@ -66,16 +66,6 @@ Json StatsRegistry::read(const Entry& e) {
       fn(out);
       return Json(out);
     }
-    Json operator()(InlineFnT<Accum&>& fn) const {
-      Accum out;
-      fn(out);
-      return accum_json(out);
-    }
-    Json operator()(InlineFnT<LogHistogram&>& fn) const {
-      LogHistogram out;
-      fn(out);
-      return hist_json(out);
-    }
   };
   return std::visit(Reader{}, e.source);
 }

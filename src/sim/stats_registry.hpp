@@ -9,10 +9,9 @@
 // output and CI regression gating.
 //
 // Entries are typed handles, not type-erased Json closures: a plain
-// counter, an Accum, a LogHistogram, or an InlineFnT-held merge closure
-// producing one of those (multi-domain runs use the closures to combine
-// per-domain shards in ascending order). InlineFnT keeps the registry on
-// the same allocation discipline as the event queue — no std::function.
+// counter, an Accum, a LogHistogram, or an InlineFnT-held closure for a
+// derived counter. InlineFnT keeps the registry on the same allocation
+// discipline as the event queue — no std::function.
 //
 // Registered pointers are read, never written; the pointed-to objects must
 // outlive the registry (core::Machine owns both sides).
@@ -50,27 +49,9 @@ class StatsRegistry {
   /// count/sum/min/max/mean/stddev fields.
   void add_accum(const std::string& name, const Accum* accum);
 
-  /// Registers a distribution computed at snapshot time (same JSON shape
-  /// as add_accum). Multi-domain runs use this to merge per-domain
-  /// accumulator shards into one machine-wide distribution.
-  template <typename F>
-  void add_accum_fn(const std::string& name, F fn) {
-    add(name, Source(std::in_place_type<InlineFnT<Accum&>>,
-                     [fn = std::move(fn)](Accum& out) mutable { out = fn(); }));
-  }
-
   /// Registers a histogram; it snapshots as an object with
   /// count/sum/min/max/mean plus p50/p90/p99/p999 quantile estimates.
   void add_hist(const std::string& name, const LogHistogram* hist);
-
-  /// Registers a histogram computed at snapshot time (same JSON shape as
-  /// add_hist): `fn` receives an empty LogHistogram and merges the
-  /// per-domain shards into it, ascending.
-  template <typename F>
-  void add_hist_fn(const std::string& name, F fn) {
-    add(name, Source(std::in_place_type<InlineFnT<LogHistogram&>>,
-                     std::move(fn)));
-  }
 
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
 
@@ -85,8 +66,7 @@ class StatsRegistry {
  private:
   using Source =
       std::variant<const std::uint64_t*, const Accum*, const LogHistogram*,
-                   InlineFnT<std::uint64_t&>, InlineFnT<Accum&>,
-                   InlineFnT<LogHistogram&>>;
+                   InlineFnT<std::uint64_t&>>;
 
   struct Entry {
     std::string name;

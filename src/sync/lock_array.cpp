@@ -33,7 +33,7 @@ class ArrayLock final : public Lock {
       flags_.push_back(m.galloc().alloc_word_line(0));
     }
     // Cold-start state: slot 0 holds the grant.
-    m.backing(flags_[0]).write_word(flags_[0], 1);
+    m.backing().write_word(flags_[0], 1);
   }
 
   sim::Task<void> acquire(core::ThreadCtx& t) override {

@@ -32,7 +32,7 @@ inline constexpr std::uint64_t kAcquireParent = ~std::uint64_t{0};
 // spin word of the tier's queue head (granted value 1..threshold;
 // kAcquireParent = the streak ended below you). That word is written only
 // by the granter and read only by the grantee/owner, so cluster state
-// needs no host-side arrays and stays PDES-safe. A thread that wins a
+// needs no host-side arrays. A thread that wins a
 // tier uncontended (or via kAcquireParent) writes its own spin word to 1:
 // a fresh streak.
 class HmcsLock final : public Lock {

@@ -4,9 +4,8 @@
 // / with_episode_hist. When stats.histograms is off (the default) the
 // inner primitive is returned untouched — zero overhead, zero behaviour
 // change. When it is on, a thin wrapper times each acquire() / wait()
-// call and records the latency into the calling thread's per-domain
-// SyncHists shard (core::ThreadCtx::sync_hists), which Machine merges in
-// ascending domain order under "sync.lock_acquire_hist" /
+// call and records the latency into the machine's SyncHists
+// (core::ThreadCtx::sync_hists), registered as "sync.lock_acquire_hist" /
 // "sync.barrier_episode_hist".
 //
 // Recording wraps the primitive, not the mechanism: the sample includes
@@ -23,12 +22,12 @@
 namespace amo::sync {
 
 /// Wraps `inner` so acquire() latency is recorded into the caller's
-/// SyncHists shard; passthrough when m's stats.histograms is off.
+/// SyncHists; passthrough when m's stats.histograms is off.
 std::unique_ptr<Lock> with_acquire_hist(core::Machine& m,
                                         std::unique_ptr<Lock> inner);
 
 /// Wraps `inner` so wait() (episode) latency is recorded into the
-/// caller's SyncHists shard; passthrough when histograms are off.
+/// caller's SyncHists; passthrough when histograms are off.
 std::unique_ptr<Barrier> with_episode_hist(core::Machine& m,
                                            std::unique_ptr<Barrier> inner);
 

@@ -71,6 +71,8 @@ TEST(ConfigIo, UnknownKeyNamesFieldAndCandidates) {
       {"spin.uncached_watch", "num_cpus"},
       {"spin.llsc_watch_after", "stats.histograms"},
       {"spin.watch_repoll_cycles", "am_timeout_cycles"},
+      // The parallel engine's thread count went with the engine.
+      {"sim_threads", "seed"},
   };
   for (const Case& c : cases) {
     core::SystemConfig cfg;

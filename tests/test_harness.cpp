@@ -251,10 +251,50 @@ TEST(Reporter, RunBarrierFeedsRecordsWithRegistryDump) {
   ss << in.rdbuf();
   const sim::Json doc = sim::Json::parse(ss.str());
   EXPECT_EQ(doc.at("bench").as_string(), "unit_barrier");
-  // The v2 bump is pinned here: histograms (new dotted registry groups)
-  // are the only addition; every v1 record field is unchanged.
-  EXPECT_EQ(doc.at("schema_version").as_uint(), 2u);
+  EXPECT_EQ(doc.at("schema_version").as_uint(), 3u);
   EXPECT_EQ(doc.at("records").size(), 1u);
+  std::remove(opt.json_path.c_str());
+}
+
+// Schema v3: the hierarchy and service records, which used to carry the
+// parallel engine's thread count, and every record's config object are
+// written without it.
+TEST(Reporter, SchemaV3RecordsCarryNoSimThreads) {
+  CliOptions opt;
+  opt.json_path = ::testing::TempDir() + "harness_schema_v3_test.json";
+  {
+    JsonReporter rep(opt, "unit_schema");
+    core::SystemConfig cfg;
+    cfg.num_cpus = 8;
+    (void)run_cell(cfg, barrier_params(2));
+    CellParams hier = barrier_params(2);
+    hier.kernel = Kernel::kHier;
+    hier.mech = sync::Mechanism::kAmo;
+    (void)run_cell(cfg, hier);
+    CellParams service;
+    service.kernel = Kernel::kService;
+    service.mech = sync::Mechanism::kAmo;
+    service.requests = 4;
+    (void)run_cell(cfg, service);
+    rep.write();
+  }
+  std::ifstream in(opt.json_path);
+  ASSERT_TRUE(in.good());
+  std::stringstream ss;
+  ss << in.rdbuf();
+  const sim::Json doc = sim::Json::parse(ss.str());
+  EXPECT_EQ(doc.at("schema_version").as_uint(), 3u);
+  const sim::Json& recs = doc.at("records");
+  ASSERT_EQ(recs.size(), 3u);
+  const char* workloads[] = {"barrier", "microbench_hier", "service"};
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    const sim::Json& rec = recs[i];
+    EXPECT_EQ(rec.at("workload").as_string(), workloads[i]);
+    EXPECT_EQ(rec.find("sim_threads"), nullptr) << workloads[i];
+    if (const sim::Json* config = rec.find("config")) {
+      EXPECT_EQ(config->find("sim_threads"), nullptr) << workloads[i];
+    }
+  }
   std::remove(opt.json_path.c_str());
 }
 

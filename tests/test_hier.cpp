@@ -2,7 +2,7 @@
 // config validation, CNA/HMCS lock correctness, cluster-barrier
 // correctness in both software and AMU-aggregation modes, the
 // aggregation-vs-flat equivalence property over randomized topology
-// shapes, per-level link accounting, and PDES byte-identity for every
+// shapes, per-level link accounting, and rerun byte-identity for every
 // new mechanism.
 #include <gtest/gtest.h>
 
@@ -459,15 +459,15 @@ TEST(AmuAggregationProperty, MatchesFlatAmoAcrossRandomShapes) {
   }
 }
 
-// --------------------------------------------- PDES byte-identity
+// --------------------------------------------- rerun byte-identity
 
-enum class HierMech { kCnaLock, kHmcsLock, kClusterSw, kClusterAgg };
+// kFlatTree is microbench_hier's baseline: the fanout-4 AMO tree barrier.
+enum class HierMech { kCnaLock, kHmcsLock, kClusterSw, kClusterAgg, kFlatTree };
 
-sim::Json run_hier_machine(HierMech kind, std::uint32_t sim_threads) {
+sim::Json run_hier_machine(HierMech kind) {
   core::SystemConfig cfg;
   cfg.num_cpus = 16;
   cfg.cpus_per_node = 4;
-  cfg.sim_threads = sim_threads;
   cfg.hier.levels = 1;
   core::validate(cfg);
   core::Machine m(cfg);
@@ -487,6 +487,9 @@ sim::Json run_hier_machine(HierMech kind, std::uint32_t sim_threads) {
     case HierMech::kClusterAgg:
       barrier = sync::make_cluster_barrier(m, Mechanism::kAmo, cfg.num_cpus,
                                            1, true);
+      break;
+    case HierMech::kFlatTree:
+      barrier = sync::make_tree_barrier(m, Mechanism::kAmo, cfg.num_cpus, 4);
       break;
   }
   const sim::Addr shared = m.galloc().alloc_word_line(3);
@@ -509,35 +512,31 @@ sim::Json run_hier_machine(HierMech kind, std::uint32_t sim_threads) {
   return m.stats_json();
 }
 
-class HierDeterminism
-    : public ::testing::TestWithParam<std::tuple<HierMech, int>> {};
+class HierDeterminism : public ::testing::TestWithParam<HierMech> {};
 
-std::string hier_det_name(
-    const ::testing::TestParamInfo<std::tuple<HierMech, int>>& info) {
-  const char* kind = "";
-  switch (std::get<0>(info.param)) {
-    case HierMech::kCnaLock: kind = "cna"; break;
-    case HierMech::kHmcsLock: kind = "hmcs"; break;
-    case HierMech::kClusterSw: kind = "cluster_sw"; break;
-    case HierMech::kClusterAgg: kind = "cluster_agg"; break;
+std::string hier_det_name(const ::testing::TestParamInfo<HierMech>& info) {
+  switch (info.param) {
+    case HierMech::kCnaLock: return "cna";
+    case HierMech::kHmcsLock: return "hmcs";
+    case HierMech::kClusterSw: return "cluster_sw";
+    case HierMech::kClusterAgg: return "cluster_agg";
+    case HierMech::kFlatTree: return "flat_tree";
   }
-  return std::string(kind) + "_k" + std::to_string(std::get<1>(info.param));
+  return "";
 }
 
 TEST_P(HierDeterminism, DoubleRunByteIdentical) {
-  const auto [kind, k] = GetParam();
-  EXPECT_EQ(run_hier_machine(kind, static_cast<std::uint32_t>(k)).dump(),
-            run_hier_machine(kind, static_cast<std::uint32_t>(k)).dump());
+  EXPECT_EQ(run_hier_machine(GetParam()).dump(),
+            run_hier_machine(GetParam()).dump());
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllNewMechanisms, HierDeterminism,
-    ::testing::Combine(::testing::Values(HierMech::kCnaLock,
-                                         HierMech::kHmcsLock,
-                                         HierMech::kClusterSw,
-                                         HierMech::kClusterAgg),
-                       ::testing::Values(1, 4)),
-    hier_det_name);
+INSTANTIATE_TEST_SUITE_P(AllNewMechanisms, HierDeterminism,
+                         ::testing::Values(HierMech::kCnaLock,
+                                           HierMech::kHmcsLock,
+                                           HierMech::kClusterSw,
+                                           HierMech::kClusterAgg,
+                                           HierMech::kFlatTree),
+                         hier_det_name);
 
 }  // namespace
 }  // namespace amo

@@ -1,9 +1,7 @@
 // The sharded key-value service: request conservation, shard homing,
-// mechanism coverage, and open-loop determinism of the Poisson arrival
-// stream across the PDES decomposition.
+// mechanism coverage, and its sync-latency histograms.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <vector>
 
 #include "core/machine.hpp"
@@ -92,30 +90,6 @@ TEST(ShardedService, SyncHistogramsRecordServiceTraffic) {
             8u * 5u);
   EXPECT_GT(snap.find_path("node0.amu.queue_wait_hist.count")->as_uint(),
             0u);  // the log queue's AMOs
-}
-
-// The open-loop arrival stream is drawn from per-cpu Rng streams that do
-// not depend on the host decomposition, so the scheduled arrival times
-// (the load) are identical across sim_threads.
-TEST(ShardedService, ArrivalScheduleIdenticalAcrossSimThreads) {
-  auto arrivals = [](std::uint32_t k) {
-    core::SystemConfig cfg = service_config(8);
-    cfg.sim_threads = k;
-    core::Machine m(cfg);
-    std::vector<std::uint64_t> times;
-    for (sim::CpuId c = 0; c < 8; ++c) {
-      sim::Rng& rng = m.ctx(c).rng();
-      std::uint64_t next = 0;
-      for (int i = 0; i < 32; ++i) {
-        next += static_cast<std::uint64_t>(std::ceil(
-            rng.exponential() *
-            static_cast<double>(cfg.service.interarrival_cycles)));
-        times.push_back(next);
-      }
-    }
-    return times;
-  };
-  EXPECT_EQ(arrivals(1), arrivals(4));
 }
 
 }  // namespace

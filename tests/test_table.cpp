@@ -186,7 +186,7 @@ TEST(OwnPrinters, CellCountMismatchThrows) {
   opt.quick = true;
   for (const char* name :
        {"ablation_amu_cache", "ablation_update_policy", "ablation_dir_pointers",
-        "microbench_spin", "microbench_pdes", "microbench_hier",
+        "microbench_spin", "microbench_hier",
         "ablation_hier_depth", "microbench_service", "ablation_service_load"}) {
     const Workload& w = workload(name);
     const SweepSpec s = w.build(opt);
@@ -202,8 +202,7 @@ TEST(OwnPrinters, EmptyCpuAxisPrintsZero) {
   CliOptions opt;
   opt.quick = true;
   const std::pair<const char*, std::size_t> cases[] = {
-      {"ablation_amu_cache", 25}, {"ablation_hier_depth", 12},
-      {"microbench_hier", 2}};  // microbench_hier: its two scale_ks cells
+      {"ablation_amu_cache", 25}, {"ablation_hier_depth", 12}};
   for (const auto& [name, cells] : cases) {
     const Workload& w = workload(name);
     SweepSpec s = w.build(opt);

@@ -57,7 +57,7 @@ TEST(ThreeHop, ReadSharingAfterDirtyWrite) {
   m.run();
   for (std::uint64_t v : seen) EXPECT_EQ(v, 42u);
   // The dirty data also reached memory via the revision message.
-  EXPECT_EQ(m.backing(a).read_word(a), 42u);
+  EXPECT_EQ(m.backing().read_word(a), 42u);
   m.check_coherence();
 }
 
