@@ -65,8 +65,9 @@ class Engine {
   }
 
   /// Schedules `fn` at absolute time `when`. Times in the past are
-  /// clamped to now(): the clock never rewinds, and a clamped event keeps
-  /// its FIFO position among other events scheduled for the current cycle.
+  /// clamped to now(): the clock never rewinds, a clamped event keeps its
+  /// FIFO position among other events scheduled for the current cycle, and
+  /// the queue's precondition (no push before the last popped cycle) holds.
   void schedule_at(Cycle when, EventQueue::Callback fn) {
     if (dispatch_hist_ != nullptr) {
       dispatch_hist_->record(when < now_ ? 0 : when - now_);

@@ -36,7 +36,7 @@ SlabPool& slab_pool() {
   return pool;
 }
 
-constexpr std::size_t kMaxPooledSlabs = 256;  // ~17 MB of 66 KB slabs
+constexpr std::size_t kMaxPooledSlabs = 256;  // ~21 MB of 82 KB slabs
 
 std::unique_ptr<std::byte[]> pool_acquire() {
   SlabPool& pool = slab_pool();
@@ -58,72 +58,22 @@ void pool_release(std::vector<std::unique_ptr<std::byte[]>>& slabs) {
 
 }  // namespace
 
-// Process-wide recycling of span vector capacity, mirroring the chunk slab
-// pool: without it, every engine a sweep constructs re-grows (and
-// re-faults) 256 vectors from scratch, which dominates short simulations.
-class EventQueue::SpanVecPool {
- public:
-  static constexpr std::size_t kMaxPooledVecs = 2048;  // ~8 engines' worth
-  std::mutex mu;
-  std::vector<std::vector<SpanEvent>> vecs;
-};
-
-EventQueue::SpanVecPool& EventQueue::span_vec_pool() {
-  static SpanVecPool pool;
-  return pool;
-}
-
-void EventQueue::acquire_span_vecs(
-    std::array<std::vector<SpanEvent>, kSpans>* out) {
-  {
-    SpanVecPool& pool = span_vec_pool();
-    const std::lock_guard<std::mutex> lock(pool.mu);
-    for (auto& v : *out) {
-      if (pool.vecs.empty()) break;
-      v = std::move(pool.vecs.back());
-      pool.vecs.pop_back();
-    }
-  }
-  // Seed a floor capacity so a long-lived engine reaches steady state
-  // immediately: the span base rotates through all kSpans slots over
-  // ~kSpans*kWindowCycles simulated cycles, and without the floor each
-  // slot re-runs the 1->2->4->... growth chain on first touch — a
-  // quarter-million-cycle trickle of allocations. Recycled vectors
-  // usually satisfy this already; fresh ones pay one allocation here.
-  for (auto& v : *out) {
-    if (v.capacity() < kSpanVecFloor) v.reserve(kSpanVecFloor);
-  }
-}
-
-void EventQueue::release_span_vecs(
-    std::array<std::vector<SpanEvent>, kSpans>* in) {
-  SpanVecPool& pool = span_vec_pool();
-  const std::lock_guard<std::mutex> lock(pool.mu);
-  for (auto& v : *in) {
-    if (pool.vecs.size() >= SpanVecPool::kMaxPooledVecs) break;
-    if (v.capacity() == 0) continue;
-    v.clear();  // destroys any still-pending callbacks
-    pool.vecs.push_back(std::move(v));
-  }
-}
-
-EventQueue::EventQueue() {
-  buckets_.resize(kWindowCycles);
-  acquire_span_vecs(&spans_);
-}
+EventQueue::EventQueue() { buckets_.resize(kWindowCycles); }
 
 EventQueue::~EventQueue() {
-  // Chunks live inside the slabs; only the pending callbacks they hold need
-  // destruction. Span and overflow entries clean themselves up; slabs and
-  // span vector capacity go back to the process-wide pools so the next
-  // queue starts with warm pages.
-  for (Bucket& b : buckets_) {
-    for (Chunk* c = b.head; c != nullptr; c = c->next) {
-      for (std::uint32_t i = c->begin; i < c->end; ++i) c->slot(i)->~InlineFn();
-    }
-  }
+  // Chunks live inside the slabs; only the pending events they hold need
+  // destruction. Overflow entries clean themselves up; slabs go back to
+  // the process-wide pool so the next queue starts with warm pages.
+  for (Chain& b : buckets_) destroy_chain(b);
+  for (Chain& s : spans_) destroy_chain(s);
   pool_release(slabs_);
-  release_span_vecs(&spans_);
+}
+
+void EventQueue::destroy_chain(Chain& c) {
+  for (Chunk* k = c.head; k != nullptr; k = k->next) {
+    for (std::uint32_t i = k->begin; i < k->end; ++i) k->slot(i)->~Slot();
+  }
+  c.head = c.tail = nullptr;
 }
 
 EventQueue::Chunk* EventQueue::alloc_chunk() {
@@ -149,17 +99,44 @@ EventQueue::Chunk* EventQueue::alloc_chunk() {
   return c;
 }
 
-void EventQueue::occ_set(Cycle when) {
-  const std::size_t bit = static_cast<std::size_t>(when & kWindowMask);
-  occ_[bit / 64] |= std::uint64_t{1} << (bit % 64);
+bool EventQueue::chain_append(Chain& c, Cycle when, Callback&& fn) {
+  Chunk* t = c.tail;
+  const bool was_empty = t == nullptr;
+  if (was_empty) {
+    t = alloc_chunk();
+    c.head = c.tail = t;
+  } else if (t->end == kChunkSlots) {
+    Chunk* n = alloc_chunk();
+    t->next = n;
+    c.tail = n;
+    t = n;
+  }
+  ::new (static_cast<void*>(t->raw + t->end * sizeof(Slot)))
+      Slot{when, std::move(fn)};
+  ++t->end;
+  return was_empty;
 }
 
-void EventQueue::occ_clear(Cycle when) {
-  const std::size_t bit = static_cast<std::size_t>(when & kWindowMask);
-  occ_[bit / 64] &= ~(std::uint64_t{1} << (bit % 64));
+void EventQueue::bucket_append(Cycle when, Callback&& fn) {
+  if (chain_append(bucket_of(when), when, std::move(fn))) {
+    const std::size_t bit = static_cast<std::size_t>(when & kWindowMask);
+    occ_[bit / 64] |= std::uint64_t{1} << (bit % 64);
+  }
+  ++in_window_;
 }
 
-void EventQueue::push_overflow(Cycle when, Callback fn) {
+void EventQueue::span_append(Cycle when, Callback&& fn) {
+  const std::size_t slot = span_slot(when);
+  if (chain_append(spans_[slot], when, std::move(fn))) {
+    span_occ_[slot / 64] |= std::uint64_t{1} << (slot % 64);
+    span_min_[slot] = when;
+  } else if (when < span_min_[slot]) {
+    span_min_[slot] = when;
+  }
+  ++span_events_;
+}
+
+void EventQueue::push_overflow(Cycle when, Callback&& fn) {
   std::uint32_t slot;
   if (!oflow_free_.empty()) {
     slot = oflow_free_.back();
@@ -182,14 +159,6 @@ Cycle EventQueue::pop_overflow(Callback* fn) {
   return k.when;
 }
 
-void EventQueue::span_append(Cycle when, Callback fn) {
-  const std::size_t slot =
-      static_cast<std::size_t>((when >> kWindowBits) & kSpanMask);
-  spans_[slot].push_back(SpanEvent{when, std::move(fn)});
-  span_occ_[slot / 64] |= std::uint64_t{1} << (slot % 64);
-  ++span_events_;
-}
-
 void EventQueue::migrate_overflow() {
   const Cycle h = horizon();
   while (!overflow_.empty() && overflow_.front().when < h) {
@@ -203,35 +172,10 @@ void EventQueue::migrate_overflow() {
   }
 }
 
-void EventQueue::bucket_append(Cycle when, Callback fn) {
-  Bucket& b = bucket_of(when);
-  Chunk* t = b.tail;
-  if (t == nullptr) {
-    t = alloc_chunk();
-    b.head = b.tail = t;
-    occ_set(when);
-  } else if (t->end == kChunkSlots) {
-    Chunk* c = alloc_chunk();
-    t->next = c;
-    b.tail = c;
-    t = c;
-  }
-  ::new (static_cast<void*>(t->raw + t->end * sizeof(InlineFn)))
-      InlineFn(std::move(fn));
-  ++t->end;
-  ++in_window_;
-}
-
 void EventQueue::push(Cycle when, Callback fn) {
-  if (size_ == 0) {
-    // Empty queue: the window can anchor anywhere. Buckets and occupancy
-    // are all clear, so re-basing is free.
-    base_ = when & ~kWindowMask;
-    next_time_ = when;
-  } else if (when < base_) {
-    rebase(when);  // cold path: standalone use pushing into the past
-  }
-  if (when < next_time_) next_time_ = when;
+  assert(when >= last_pop_ && "push behind the last popped cycle");
+  assert(when >= base_ && "window passed the last popped cycle");
+  if (!stale_ && when < next_time_) next_time_ = when;
 
   ++seq_;
   if (when < window_end()) {
@@ -246,31 +190,33 @@ void EventQueue::push(Cycle when, Callback fn) {
 
 EventQueue::Popped EventQueue::pop() {
   assert(size_ > 0 && "pop from empty EventQueue");
+  if (stale_) settle();
   const Cycle when = next_time_;
-  Bucket& b = bucket_of(when);
+  if (when >= window_end()) advance();
+  Chain& b = bucket_of(when);
   Chunk* h = b.head;
   assert(h != nullptr && h->begin < h->end && "settled bucket has no entry");
-  InlineFn* s = h->slot(h->begin);
-  Popped out{when, std::move(*s)};
-  s->~InlineFn();
-  bool bucket_drained = false;
+  Slot* s = h->slot(h->begin);
+  Popped out{when, std::move(s->fn)};
+  s->~Slot();
   if (++h->begin == h->end) {
     // Chunk drained. Non-tail chunks are always full, so a drained chunk is
     // either exhausted mid-chain or the bucket's last.
     if (h->next != nullptr) {
       b.head = h->next;
     } else {
+      // Bucket drained: the next earliest event is found lazily, after
+      // the callback's follow-on pushes have landed.
       b.head = b.tail = nullptr;
-      occ_clear(when);
-      bucket_drained = true;
+      const std::size_t bit = static_cast<std::size_t>(when & kWindowMask);
+      occ_[bit / 64] &= ~(std::uint64_t{1} << (bit % 64));
+      stale_ = true;
     }
     retire_chunk(h);
   }
+  last_pop_ = when;
   --in_window_;
   --size_;
-  // While the current bucket still holds events, next_time_ is already
-  // correct; only a drained bucket forces a search for the next one.
-  if (bucket_drained && size_ > 0) settle();
   return out;
 }
 
@@ -290,122 +236,70 @@ bool EventQueue::scan_occupancy(Cycle from, Cycle* found) const {
   }
 }
 
+std::size_t EventQueue::first_span() const {
+  // Spans cover windows base+1 .. base+kSpans, whose slots start at
+  // `start` and wrap around the ring back to start-1.
+  const std::size_t start = span_slot(base_ + kWindowCycles);
+  const std::uint64_t from_start = ~std::uint64_t{0} << (start % 64);
+  for (std::size_t i = 0; i <= kSpanOccWords; ++i) {
+    const std::size_t word = (start / 64 + i) % kSpanOccWords;
+    std::uint64_t w = span_occ_[word];
+    if (i == 0) w &= from_start;
+    if (i == kSpanOccWords) w &= ~from_start;
+    if (w != 0) {
+      return word * 64 + static_cast<std::size_t>(std::countr_zero(w));
+    }
+  }
+  assert(false && "span_events_ > 0 but no occupied span");
+  return 0;
+}
+
 void EventQueue::settle() {
+  stale_ = false;
   if (in_window_ > 0) {
-    // The earliest event is bucketed at or after the last known minimum
-    // (pushes below it update next_time_ eagerly, pops only move forward).
+    // Every bucketed event is at or after the last popped cycle, which is
+    // what next_time_ holds while stale.
     Cycle found = 0;
     const bool ok = scan_occupancy(next_time_, &found);
     assert(ok && "occupancy bitmap lost in-window events");
     (void)ok;
     next_time_ = found;
-    return;
-  }
-  if (span_events_ > 0) {
-    // Window drained: advance to the first occupied span (heap events are
-    // all at or past the horizon, so the earliest span is globally
-    // earliest) and distribute it. List order is push order, so same-cycle
-    // events re-enter their bucket in FIFO order.
-    const Cycle wbase = base_ >> kWindowBits;
-    for (Cycle s = 1; s <= kSpans; ++s) {
-      const std::size_t slot = static_cast<std::size_t>((wbase + s) & kSpanMask);
-      if (((span_occ_[slot / 64] >> (slot % 64)) & 1) == 0) continue;
-      base_ = (wbase + s) << kWindowBits;
-      std::vector<SpanEvent>& v = spans_[slot];
-      for (SpanEvent& ev : v) bucket_append(ev.when, std::move(ev.fn));
-      span_events_ -= v.size();
-      v.clear();  // keeps capacity: steady-state spans never reallocate
-      span_occ_[slot / 64] &= ~(std::uint64_t{1} << (slot % 64));
-      migrate_overflow();
-      Cycle found = 0;
-      const bool ok = scan_occupancy(base_, &found);
-      assert(ok && "distributed span produced no bucketed events");
-      (void)ok;
-      next_time_ = found;
-      return;
-    }
-    assert(false && "span_events_ > 0 but no occupied span");
-  }
-  // Spans empty too: advance to the overflow's earliest cycle; migration
-  // replays now-covered entries into buckets and spans. Heap order is
-  // (when, seq), so same-cycle entries re-enter in FIFO order.
-  assert(!overflow_.empty() && "size_ > 0 but no events anywhere");
-  base_ = overflow_.front().when & ~kWindowMask;
-  next_time_ = overflow_.front().when;
-  migrate_overflow();
-}
-
-void EventQueue::spill_span(std::size_t slot) {
-  std::vector<SpanEvent>& v = spans_[slot];
-  if (v.empty()) return;
-  for (SpanEvent& ev : v) push_overflow(ev.when, std::move(ev.fn));
-  span_events_ -= v.size();
-  v.clear();
-  span_occ_[slot / 64] &= ~(std::uint64_t{1} << (slot % 64));
-}
-
-void EventQueue::rebase(Cycle when) {
-  // Re-anchor the window low enough for `when`. Buckets and span slots are
-  // indexed by *absolute* cycle, so a backstep does not move events between
-  // slots — it only shrinks the horizon. Two repairs restore the tier
-  // invariants, each preserving per-cycle FIFO order (spilled entries take
-  // fresh `order_` values in list order; no spilled cycle coexists with an
-  // older heap entry, since the pre-rebase heap holds strictly later
-  // cycles):
-  //
-  //   1. The `k` span slots whose contents lie beyond the re-anchored
-  //      horizon (windows [new+kSpans+1, old+kSpans+1) alias the slots that
-  //      must now cover nearer windows) spill to the heap.
-  //   2. The old window's buckets — now one of the `k` nearest spans — move
-  //      into their own span slot, just vacated by step 1.
-  //
-  // This is the common shape: a window-advance in settle() outruns the
-  // just-popped callback, whose follow-on push lands a few cycles behind
-  // the new base. Backstep cost is O(events in the touched slots), not
-  // O(total pending). Backsteps of kSpans windows or more (standalone use
-  // pushing into the deep past) spill every tier instead.
-  const Cycle old_wbase = base_ >> kWindowBits;
-  const Cycle new_base = when & ~kWindowMask;
-  const Cycle new_wbase = new_base >> kWindowBits;
-  const bool full_spill = old_wbase - new_wbase >= kSpans;
-  if (full_spill) {
-    for (std::size_t slot = 0; slot < kSpans; ++slot) spill_span(slot);
+  } else if (span_events_ > 0) {
+    // Heap events are all at or past the horizon, so the nearest occupied
+    // span holds the globally earliest event.
+    next_time_ = span_min_[first_span()];
   } else {
-    for (Cycle w = new_wbase + 1; w <= old_wbase; ++w) {
-      spill_span(static_cast<std::size_t>(w & kSpanMask));
-    }
+    assert(!overflow_.empty() && "size_ > 0 but no events anywhere");
+    next_time_ = overflow_.front().when;
   }
-  Cycle cursor = next_time_;
-  while (in_window_ > 0) {
-    Cycle found = 0;
-    const bool ok = scan_occupancy(cursor, &found);
-    assert(ok && "occupancy bitmap lost in-window events");
-    (void)ok;
-    Bucket& b = bucket_of(found);
-    for (Chunk* c = b.head; c != nullptr;) {
+}
+
+void EventQueue::advance() {
+  // The window is empty and next_time_ is the earliest event, so every
+  // window before its own is empty too.
+  base_ = next_time_ & ~kWindowMask;
+  const std::size_t slot = span_slot(base_);
+  Chain& s = spans_[slot];
+  if (s.head != nullptr) {
+    // Distribute in chain order, which is push order, so same-cycle
+    // events enter their bucket in FIFO order.
+    for (Chunk* c = s.head; c != nullptr;) {
       for (std::uint32_t i = c->begin; i < c->end; ++i) {
-        InlineFn* s = c->slot(i);
-        if (full_spill) {
-          push_overflow(found, std::move(*s));
-        } else {
-          span_append(found, std::move(*s));
-        }
-        s->~InlineFn();
-        --in_window_;
+        Slot* e = c->slot(i);
+        bucket_append(e->when, std::move(e->fn));
+        e->~Slot();
+        --span_events_;
       }
       Chunk* next = c->next;
       retire_chunk(c);
       c = next;
     }
-    b.head = b.tail = nullptr;
-    occ_clear(found);
-    cursor = found;
+    s.head = s.tail = nullptr;
+    span_occ_[slot / 64] &= ~(std::uint64_t{1} << (slot % 64));
   }
-  base_ = new_base;
-  // On a full spill the heap now holds near-future entries; pull back
-  // whatever fits under the re-anchored horizon. The partial path never
-  // breaks the heap's beyond-horizon invariant, so it skips this.
-  if (full_spill) migrate_overflow();
+  // Heap order is (when, seq), so same-cycle entries re-enter in FIFO
+  // order.
+  migrate_overflow();
 }
 
 }  // namespace amo::sim

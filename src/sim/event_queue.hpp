@@ -4,31 +4,35 @@
 // order, which the rest of the simulator relies on for determinism and for
 // per-(src,dst) message ordering in the network model.
 //
-// Layout: a three-level ladder queue. The near future — a
-// kWindowCycles-wide window of cycles aligned on a window boundary — is an
-// array of per-cycle FIFO buckets plus an occupancy bitmap; push and pop
-// there are O(1). Bucket storage is chunked: fixed-size chunks of InlineFn
-// slots carved from slab allocations and recycled through a free list, so
-// steady-state churn performs no heap allocation and no growth copies.
-// Events beyond the window land in a middle tier of kSpans coarse spans
-// (one window of cycles each, held as unsorted per-span FIFO vectors —
-// O(1) append, no comparisons); when the window drains it advances to the
-// next occupied span and distributes that span's events into buckets in
-// push order. Only events beyond the span horizon (kSpans windows out:
-// long watchdog timeouts) go to a binary-heap overflow ordered by
-// (cycle, push order); heap entries migrate into spans as the horizon
-// advances. FIFO within every cycle is exact across all three tiers.
+// Layout: a three-tier ladder queue. The near future — a kWindowCycles-wide
+// window of cycles aligned on a window boundary — is an array of per-cycle
+// FIFO buckets plus an occupancy bitmap; push and pop there are O(1).
+// Events beyond the window land in kSpans coarse spans (one window of
+// cycles each, held unsorted in push order — O(1) append, no comparisons);
+// when the window drains it advances to the next occupied span and
+// distributes that span's events into buckets in push order. Buckets and
+// spans are the same thing in storage: chains of fixed-size chunks of
+// {when, fn} slots, carved from slab allocations and recycled through one
+// free list, so storage follows the pending events and steady-state churn
+// performs no heap allocation. Only events beyond the span horizon (kSpans
+// windows out: long watchdog timeouts) go to a binary-heap overflow
+// ordered by (cycle, push order); heap entries migrate into spans as the
+// horizon advances. FIFO within every cycle is exact across all three
+// tiers.
+//
+// The window never passes the last popped cycle: next_time() only peeks,
+// and pop() is what advances the window. Since every push is at or after
+// the last popped cycle (the engine's clock), no push lands behind the
+// window, and each event is bucketed at most once.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "sim/inline_fn.hpp"
-#include "sim/stats_registry.hpp"
 #include "sim/types.hpp"
 
 namespace amo::sim {
@@ -48,7 +52,8 @@ class EventQueue {
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  /// Schedules `fn` to run at absolute time `when`.
+  /// Schedules `fn` to run at absolute time `when`. Precondition: `when`
+  /// is no earlier than the last popped cycle.
   void push(Cycle when, Callback fn);
 
   /// True when no events remain.
@@ -57,14 +62,24 @@ class EventQueue {
   /// Number of pending events.
   [[nodiscard]] std::size_t size() const { return size_; }
 
-  /// Time of the earliest pending event. Precondition: !empty().
-  [[nodiscard]] Cycle next_time() const { return next_time_; }
+  /// Time of the earliest pending event. Precondition: !empty(). Peeks
+  /// without moving the window, so pushes may follow before the next pop.
+  [[nodiscard]] Cycle next_time() {
+    if (stale_) settle();
+    return next_time_;
+  }
 
   /// Removes and returns the earliest event. Precondition: !empty().
   Popped pop();
 
   /// Total number of events ever pushed (for throughput accounting).
   [[nodiscard]] std::uint64_t total_pushed() const { return seq_; }
+
+  /// Storage chunks carved from slabs so far. Retired chunks are reused
+  /// before new ones are carved, so this tracks peak pending storage.
+  [[nodiscard]] std::size_t chunks_carved() const {
+    return slabs_.size() * kChunksPerSlab - (kChunksPerSlab - slab_used_);
+  }
 
  private:
   /// Cycles covered by the bucket window. Must be a power of two. 1024
@@ -84,12 +99,9 @@ class EventQueue {
   static constexpr Cycle kSpans = 256;
   static constexpr Cycle kSpanMask = kSpans - 1;
   static constexpr std::size_t kSpanOccWords = kSpans / 64;
-  /// Minimum capacity every span vector is seeded with on acquire, so
-  /// steady-state span traffic never allocates (see acquire_span_vecs).
-  static constexpr std::size_t kSpanVecFloor = 16;
 
-  /// Callbacks per storage chunk (~2 KB chunks) and chunks per slab
-  /// (~66 KB slabs): large enough that slab allocation is rare, small
+  /// Slots per storage chunk (~2.5 KB chunks) and chunks per slab
+  /// (~82 KB slabs): large enough that slab allocation is rare, small
   /// enough that a sparse machine does not pin much idle memory.
   static constexpr std::uint32_t kChunkSlots = 32;
   static constexpr std::size_t kChunksPerSlab = 32;
@@ -106,100 +118,100 @@ class EventQueue {
     std::uint32_t slot;
   };
 
-  // A middle-tier event. Spans need no sequence number: a span's vector
-  // is append-only in push order, and heap entries only migrate into a
-  // span while it is empty (a slot enters the horizon exactly once), so
-  // list order is FIFO order for every cycle.
-  struct SpanEvent {
+  // One pending event in a bucket or span chain. A bucket's slots all
+  // carry the bucket's cycle; a span's carry cycles of one window.
+  struct Slot {
     Cycle when;
     Callback fn;
   };
 
   // A fixed-size run of event slots. Slots in [begin, end) hold live
-  // callbacks (placement-constructed; their cycle is the owning bucket's).
-  // `next` chains bucket FIFO order, or the free list when retired.
+  // events (placement-constructed). `next` chains FIFO order, or the free
+  // list when retired.
   struct Chunk {
     Chunk* next;
     std::uint32_t begin;
     std::uint32_t end;
-    alignas(InlineFn) std::byte raw[kChunkSlots * sizeof(InlineFn)];
+    alignas(Slot) std::byte raw[kChunkSlots * sizeof(Slot)];
 
-    [[nodiscard]] InlineFn* slot(std::uint32_t i) {
-      return std::launder(
-          reinterpret_cast<InlineFn*>(raw + i * sizeof(InlineFn)));
+    [[nodiscard]] Slot* slot(std::uint32_t i) {
+      return std::launder(reinterpret_cast<Slot*>(raw + i * sizeof(Slot)));
     }
   };
 
-  // Per-cycle FIFO: a chain of chunks. Empty iff head == nullptr.
-  struct Bucket {
+  // A FIFO of events: a bucket (one cycle) or a span (one window). Spans
+  // need no sequence numbers: a chain is append-only in push order, and
+  // heap entries only migrate into a span while it is empty (a slot
+  // enters the horizon exactly once), so chain order is FIFO order for
+  // every cycle. Empty iff head == nullptr.
+  struct Chain {
     Chunk* head = nullptr;
     Chunk* tail = nullptr;
   };
 
-  [[nodiscard]] Bucket& bucket_of(Cycle when) {
+  [[nodiscard]] Chain& bucket_of(Cycle when) {
     return buckets_[static_cast<std::size_t>(when & kWindowMask)];
   }
+  [[nodiscard]] static std::size_t span_slot(Cycle when) {
+    return static_cast<std::size_t>((when >> kWindowBits) & kSpanMask);
+  }
   [[nodiscard]] Cycle window_end() const { return base_ + kWindowCycles; }
+  /// First cycle not covered by the window or any span.
+  [[nodiscard]] Cycle horizon() const {
+    return ((base_ >> kWindowBits) + kSpans + 1) << kWindowBits;
+  }
 
   Chunk* alloc_chunk();
   void retire_chunk(Chunk* c) {
     c->next = free_chunks_;
     free_chunks_ = c;
   }
+  /// Appends to `c`; returns true when `c` was empty.
+  bool chain_append(Chain& c, Cycle when, Callback&& fn);
+  void destroy_chain(Chain& c);
 
-  void push_overflow(Cycle when, Callback fn);
+  void bucket_append(Cycle when, Callback&& fn);
+  void span_append(Cycle when, Callback&& fn);
+  void push_overflow(Cycle when, Callback&& fn);
   // Removes the earliest overflow event: moves its callback into `*fn`
   // and returns its cycle.
   Cycle pop_overflow(Callback* fn);
-  void bucket_append(Cycle when, Callback fn);
-  void occ_set(Cycle when);
-  void occ_clear(Cycle when);
-
-  /// First cycle not covered by the window or any span.
-  [[nodiscard]] Cycle horizon() const {
-    return ((base_ >> kWindowBits) + kSpans + 1) << kWindowBits;
-  }
-  void span_append(Cycle when, Callback fn);
-  // Process-wide recycling of span vector capacity (mirrors the chunk
-  // slab pool): sweeps construct engines back to back, and re-growing 256
-  // vectors per engine would dominate short simulations.
-  class SpanVecPool;
-  static SpanVecPool& span_vec_pool();
-  static void acquire_span_vecs(std::array<std::vector<SpanEvent>, kSpans>* out);
-  static void release_span_vecs(std::array<std::vector<SpanEvent>, kSpans>* in);
   /// Pulls heap events now inside the horizon into buckets/spans. Call
   /// after every base_ advance; a span receives migrated entries only
   /// while empty (its slot just entered the horizon), preserving FIFO.
   void migrate_overflow();
 
-  /// Re-establishes the invariant that `next_time_` names the earliest
-  /// pending cycle and its bucket is populated, advancing the window from
-  /// the overflow heap when the bucketed range has drained.
+  /// Names the earliest pending cycle in `next_time_` without moving the
+  /// window: the first occupied bucket at or after the last popped cycle,
+  /// else the first occupied span's earliest cycle, else the heap front.
   void settle();
+
+  /// Moves the window onto `next_time_` (which lies past it): distributes
+  /// that window's span into buckets and migrates the heap.
+  void advance();
 
   /// Finds the first occupied bucket cycle at or after `from` within the
   /// window, or returns false when the window is empty from there on.
   [[nodiscard]] bool scan_occupancy(Cycle from, Cycle* found) const;
 
-  /// Spills one span slot's events to the overflow heap (fresh sequence
-  /// numbers in list order keep per-cycle FIFO).
-  void spill_span(std::size_t slot);
+  /// The occupied span slot nearest the window. Precondition: some span
+  /// is occupied.
+  [[nodiscard]] std::size_t first_span() const;
 
-  /// Re-anchors the window below `base_` for a push into the past. Small
-  /// backsteps (< kSpans windows) only touch the aliased span slots;
-  /// deeper ones spill every tier to the heap.
-  void rebase(Cycle when);
-
-  std::vector<Bucket> buckets_;
+  std::vector<Chain> buckets_;
   std::uint64_t occ_[kOccWords] = {};  // bit per window cycle: bucket non-empty
-  std::array<std::vector<SpanEvent>, kSpans> spans_;  // middle tier, by w&mask
+  std::array<Chain, kSpans> spans_;     // middle tier, by window & kSpanMask
+  std::array<Cycle, kSpans> span_min_{};  // earliest cycle per occupied span
   std::uint64_t span_occ_[kSpanOccWords] = {};  // bit per span: non-empty
   std::size_t span_events_ = 0;        // pending events held in spans
   std::vector<OflowKey> overflow_;     // binary min-heap by (when, seq)
   std::vector<InlineFn> oflow_slots_;  // callback storage behind the heap
   std::vector<std::uint32_t> oflow_free_;  // vacant oflow_slots_ indices
-  Cycle base_ = 0;                     // window start, kWindowCycles-aligned
-  Cycle next_time_ = 0;                // earliest pending cycle (size_ > 0)
+  Cycle base_ = 0;       // window start, kWindowCycles-aligned, ≤ last_pop_
+  Cycle next_time_ = 0;  // earliest pending cycle, or last_pop_ when stale_
+  Cycle last_pop_ = 0;   // cycle of the last popped event
+  bool stale_ = true;    // next_time_ needs settle(); set at construction
+                         // and when a pop drains a bucket
   std::size_t size_ = 0;               // total pending events
   std::size_t in_window_ = 0;          // pending events held in buckets
   std::uint64_t seq_ = 0;              // total pushes ever (stats)

@@ -49,6 +49,13 @@ class InlineFnT {
                       // std::function at every schedule() call site
     using Fn = std::remove_cvref_t<F>;
     if constexpr (fits_inline<Fn>()) {
+      // Moves copy all kInlineBytes; zero the bytes the closure leaves
+      // unwritten (its tail, or its padding) so no move reads them.
+      if constexpr (!std::has_unique_object_representations_v<Fn>) {
+        __builtin_memset(buf_, 0, kInlineBytes);
+      } else if constexpr (sizeof(Fn) < kInlineBytes) {
+        __builtin_memset(buf_ + sizeof(Fn), 0, kInlineBytes - sizeof(Fn));
+      }
       ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
       ops_ = &kInlineOps<Fn>;
     } else {
@@ -59,16 +66,17 @@ class InlineFnT {
         FramePool::deallocate(box, sizeof(Fn));
         throw;
       }
+      __builtin_memset(buf_ + sizeof(Fn*), 0, kInlineBytes - sizeof(Fn*));
       ::new (static_cast<void*>(buf_)) Fn*(static_cast<Fn*>(box));
       ops_ = &kHeapOps<Fn>;
     }
   }
 
-  // Moves are the event queue's hottest operation (every vector growth and
-  // pop relocates events). Most captures are trivially copyable (handles,
-  // pointers, ints); for those — and for the heap fallback, which only
-  // relocates a pointer — `relocate` is null and a branch-predictable
-  // fixed-size copy of the buffer suffices.
+  // Moves are the event queue's hottest operation (every push, pop and
+  // span distribution relocates events). Most captures are trivially
+  // copyable (handles, pointers, ints); for those — and for the heap
+  // fallback, which only relocates a pointer — `relocate` is null and a
+  // branch-predictable fixed-size copy of the buffer suffices.
   InlineFnT(InlineFnT&& o) noexcept : ops_(o.ops_) {
     if (ops_ != nullptr) {
       if (ops_->relocate != nullptr) {

@@ -4,7 +4,7 @@
 // wrappers, so it lives apart from the functional suites: every test here
 // measures a *delta* of global new calls across a scoped region, after a
 // warmup round has faulted in pooled storage (event-queue chunk slabs,
-// link-state arrays, span vectors).
+// which hold spans as well as buckets, and link-state arrays).
 //
 // The property under test is the PR's core claim: a unicast send whose
 // delivery closure fits the sim::InlineFn inline buffer (48 bytes) performs
@@ -31,15 +31,15 @@ namespace {
 
 std::atomic<std::uint64_t> g_news{0};
 
-}  // namespace
-
-void* operator new(std::size_t n) {
+// Every replaced operator new pairs with a std::free below, so both go
+// through malloc-family helpers rather than one operator calling another.
+void* counted_alloc(std::size_t n) {
   ++g_news;
   if (void* p = std::malloc(n)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void* operator new(std::size_t n, std::align_val_t a) {
+
+void* counted_aligned_alloc(std::size_t n, std::align_val_t a) {
   ++g_news;
   void* p = nullptr;
   if (posix_memalign(&p, static_cast<std::size_t>(a), n) != 0) {
@@ -47,8 +47,16 @@ void* operator new(std::size_t n, std::align_val_t a) {
   }
   return p;
 }
+
+}  // namespace
+
+void* operator new(std::size_t n) { return counted_alloc(n); }
+void* operator new[](std::size_t n) { return counted_alloc(n); }
+void* operator new(std::size_t n, std::align_val_t a) {
+  return counted_aligned_alloc(n, a);
+}
 void* operator new[](std::size_t n, std::align_val_t a) {
-  return ::operator new(n, a);
+  return counted_aligned_alloc(n, a);
 }
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <set>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -100,13 +102,13 @@ TEST(EventQueue, SparseEventsSpanningManyWindows) {
   EXPECT_EQ(sum, 99u * 100u / 2u);
 }
 
-// Standalone (non-engine) use may push below the current window base after
-// the queue drained down to far-future events; order must still hold.
+// Before any pop, pushes may arrive in any order: an early push after a
+// far-future one is still popped first.
 TEST(EventQueue, PushBelowWindowBaseReorders) {
   EventQueue q;
   std::vector<int> order;
-  q.push(100000, [&] { order.push_back(3); });  // anchors window up high
-  q.push(50, [&] { order.push_back(1); });      // below the window base
+  q.push(100000, [&] { order.push_back(3); });  // a far-future span
+  q.push(50, [&] { order.push_back(1); });      // earlier, in the window
   q.push(60, [&] { order.push_back(2); });
   q.push(40, [&] { order.push_back(0); });
   EXPECT_EQ(q.next_time(), 40u);
@@ -131,6 +133,89 @@ TEST(EventQueue, InterleavesBucketAndOverflowPushesFifo) {
   });
   while (!q.empty()) q.pop().fn();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+}
+
+// Oracle: seeded random interleavings of push, next_time() and pop
+// against a (when, seq) reference. Deltas reach the same cycle, the
+// window, the spans and past the span horizon; bursts put >= 1024 events
+// into one span; some pushes land between a next_time() and its pop.
+TEST(EventQueue, MatchesReferenceOrderUnderRandomInterleavings) {
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    EventQueue q;
+    std::set<std::pair<Cycle, std::uint64_t>> ref;  // (when, push seq)
+    std::uint64_t seq = 0;
+    std::uint64_t last_id = 0;
+    Cycle now = 0;
+    auto push = [&](Cycle when) {
+      const std::uint64_t id = seq++;
+      ref.emplace(when, id);
+      q.push(when, [&last_id, id] { last_id = id; });
+    };
+    auto random_delta = [&]() -> Cycle {
+      switch (rng.below(5)) {
+        case 0: return rng.below(4);            // same or next few cycles
+        case 1: return rng.below(1024);         // within a window
+        case 2: return rng.below(16 * 1024);    // near spans
+        case 3: return rng.below(300 * 1024);   // up to past the horizon
+        default: return rng.below(2'000'000);   // deep overflow
+      }
+    };
+    auto pop_and_check = [&] {
+      ASSERT_FALSE(ref.empty());
+      const auto [when, id] = *ref.begin();
+      ref.erase(ref.begin());
+      EventQueue::Popped ev = q.pop();
+      ASSERT_EQ(ev.when, when);
+      ev.fn();
+      ASSERT_EQ(last_id, id);
+      now = ev.when;
+    };
+    for (int step = 0; step < 6000; ++step) {
+      const std::uint64_t op = rng.below(100);
+      if (op < 45 || ref.empty()) {
+        push(now + random_delta());
+      } else if (op < 46) {
+        // A burst into one far span: several cycles, many per cycle.
+        const Cycle span = (now / 1024 + 2 + rng.below(200)) * 1024;
+        const int n = 1024 + static_cast<int>(rng.below(512));
+        for (int i = 0; i < n; ++i) push(span + rng.below(8));
+      } else if (op < 60) {
+        // Peek, then push at or after `now` (possibly before the peeked
+        // cycle), then pop.
+        ASSERT_EQ(q.next_time(), ref.begin()->first);
+        const int n = static_cast<int>(rng.below(3));
+        for (int i = 0; i < n; ++i) push(now + rng.below(2048));
+        pop_and_check();
+      } else {
+        ASSERT_EQ(q.next_time(), ref.begin()->first);
+        pop_and_check();
+      }
+      ASSERT_EQ(q.size(), ref.size());
+    }
+    while (!ref.empty()) pop_and_check();
+    EXPECT_TRUE(q.empty());
+  }
+}
+
+// Storage follows the pending events: 1024-event bursts into each of 300
+// successive windows (wrapping the span ring), drained between bursts,
+// never need more chunks than one burst does.
+TEST(EventQueue, StorageBoundedByPendingEventsAcrossWindows) {
+  EventQueue q;
+  Cycle now = 0;
+  std::size_t after_first = 0;
+  for (int burst = 0; burst < 300; ++burst) {
+    const Cycle span = (now / 1024 + 2) * 1024;
+    for (int i = 0; i < 1024; ++i) q.push(span + (i % 8), [] {});
+    while (!q.empty()) now = q.pop().when;
+    if (burst == 0) after_first = q.chunks_carved();
+  }
+  // 1024 events in 32-slot chunks fill 32 chunks; distributing the span
+  // into 8 buckets adds at most 8 partly filled ones, plus the span's own.
+  EXPECT_LE(after_first, 32u + 8u + 1u);
+  EXPECT_EQ(q.chunks_carved(), after_first);
 }
 
 TEST(InlineFn, InvokesSmallCaptureInline) {
@@ -295,6 +380,19 @@ TEST(Engine, FifoAcrossInterleavedScheduleAndScheduleAt) {
   });
   e.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+}
+
+// Regression: after run() stops at a deadline with the next event in a far
+// span, a push just ahead of now() must run first, in the current window.
+TEST(Engine, ScheduleAfterDeadlineStopKeepsOrder) {
+  Engine e;
+  std::vector<Cycle> seen;
+  e.schedule_at(10, [&] { seen.push_back(e.now()); });
+  e.schedule_at(100000, [&] { seen.push_back(e.now()); });
+  e.run(50);
+  e.schedule(5, [&] { seen.push_back(e.now()); });
+  e.run();
+  EXPECT_EQ(seen, (std::vector<Cycle>{10, 15, 100000}));
 }
 
 TEST(Engine, StepProcessesOneEvent) {
