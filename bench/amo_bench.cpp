@@ -1,6 +1,6 @@
 // amo_bench: the one bench driver. Every former tableN_*/figN_*/ablation_*
-// binary is a registered workload; `run` executes any of them (current or
-// legacy name), `dump` prints the scenario JSON a run would execute, and
+// binary is a registered workload; `run` executes any of them by name,
+// `dump` prints the scenario JSON a run would execute, and
 // `run --spec=FILE` executes a scenario file — so every experiment is
 // reproducible from a serialized artifact.
 #include <cstdio>
@@ -22,8 +22,8 @@ void print_usage(std::FILE* out) {
       out,
       "usage: amo_bench <command> [options]\n"
       "commands:\n"
-      "  list               show every workload (name, legacy name)\n"
-      "  run <name>...      run named workloads (current or legacy names)\n"
+      "  list               show every workload (name, description)\n"
+      "  run <name>...      run named workloads\n"
       "  run --spec=FILE    run scenario files\n"
       "  dump <name>        print the scenario JSON a run would execute\n"
       "  all                run every workload\n"
@@ -64,7 +64,7 @@ void run_one(const bench::Workload& w, const bench::CliOptions& opt,
              const std::string& json_path) {
   bench::CliOptions o = opt;
   o.json_path = json_path;
-  bench::JsonReporter reporter(o, w.legacy_name);
+  bench::JsonReporter reporter(o, w.name);
   const bench::SweepSpec spec = w.build(o);
   const std::vector<bench::CellResult> results =
       bench::run_spec(spec, spec_base_config(o, spec), o.threads);
@@ -146,12 +146,9 @@ int run_driver(int argc, char** argv) {
   const bench::WorkloadRegistry& reg = bench::WorkloadRegistry::instance();
 
   if (command == "list") {
-    std::printf("%-26s %-26s %s\n", "name", "legacy name", "description");
+    std::printf("%-26s %s\n", "name", "description");
     for (const bench::Workload& w : reg.all()) {
-      std::printf("%-26s %-26s %s\n", w.name,
-                  std::strcmp(w.name, w.legacy_name) == 0 ? "-"
-                                                          : w.legacy_name,
-                  w.description);
+      std::printf("%-26s %s\n", w.name, w.description);
     }
     return 0;
   }

@@ -209,7 +209,9 @@ void JsonReporter::write() {
   // objects) may appear in registry dumps; all v1 fields are unchanged.
   // v3: the deleted parallel engine's thread-count key left the
   // microbench_hier and service records and the record config objects.
-  doc["schema_version"] = 3;
+  // v4: the document is named after the workload (not its retired binary
+  // name), and each record's config is the whole core::to_json document.
+  doc["schema_version"] = 4;
   doc["records"] = records_;
   std::ofstream out(path_, std::ios::trunc);
   if (!out) {

@@ -55,7 +55,7 @@ CliOptions parse_cli_or_exit(int argc, char** argv);
 /// swept config, the measured results, traffic deltas, and a full
 /// StatsRegistry dump), so a driver only needs:
 ///
-///   bench::JsonReporter rep(opt, "table2_barriers");
+///   bench::JsonReporter rep(opt, "table2");
 ///
 /// Other code appends its own records via current()->add(). Inactive (no
 /// --json=path) reporters are no-ops.

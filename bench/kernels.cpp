@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "bench/scenario.hpp"
+#include "core/config_io.hpp"
 #include "core/machine.hpp"
 #include "sim/stats.hpp"
 #include "svc/service.hpp"
@@ -36,20 +37,6 @@ double ms_since(std::chrono::steady_clock::time_point start) {
 }
 
 // ------------------------------------------------------------- records
-
-// The machine knobs ablations sweep, so --json records are
-// self-describing even when a bench varies more than the CPU count.
-sim::Json config_json(const core::SystemConfig& cfg) {
-  sim::Json j = sim::Json::object();
-  j["num_cpus"] = cfg.num_cpus;
-  j["cpus_per_node"] = cfg.cpus_per_node;
-  j["hop_cycles"] = cfg.net.hop_cycles;
-  j["hardware_multicast"] = cfg.net.hardware_multicast;
-  j["amu_cache_words"] = cfg.amu.cache_words;
-  j["amu_eager_put_all"] = cfg.amu.eager_put_all;
-  j["seed"] = cfg.seed;
-  return j;
-}
 
 /// The fields a record shares with the others. A `head` field sits
 /// between cpus and mechanism; traffic, config and the registry dump close
@@ -80,7 +67,7 @@ void emit(const RecordShape& s, Body body) {
     rec["traffic"]["packets"] = s.traffic->packets;
     rec["traffic"]["bytes"] = s.traffic->bytes;
   }
-  if (s.config != nullptr) rec["config"] = config_json(*s.config);
+  if (s.config != nullptr) rec["config"] = core::to_json(*s.config);
   if (s.registry != nullptr) rec["registry"] = s.registry->stats_json();
   rep->add(std::move(rec));
 }

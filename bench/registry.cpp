@@ -11,7 +11,7 @@ WorkloadRegistry::WorkloadRegistry() { register_builtin_workloads(*this); }
 
 const Workload* WorkloadRegistry::find(std::string_view name) const {
   for (const Workload& w : workloads_) {
-    if (name == w.name || name == w.legacy_name) return &w;
+    if (name == w.name) return &w;
   }
   return nullptr;
 }

@@ -1,7 +1,7 @@
 // WorkloadRegistry: every workload as a named entry that builds a
 // SweepSpec from the CLI options and formats the resulting cells. Most
 // entries are TableSpecs (table.hpp); the rest keep their own printer.
-// The driver resolves names (current or legacy), `list` walks the table,
+// The driver resolves names, `list` walks the table,
 // and scenario files reuse a workload's printer by naming it.
 #pragma once
 
@@ -15,8 +15,7 @@
 namespace amo::bench {
 
 struct Workload {
-  const char* name;         // registry name: "table2"
-  const char* legacy_name;  // pre-registry binary / JSON doc: "table2_barriers"
+  const char* name;         // registry name and --json bench name: "table2"
   const char* description;  // one line for `amo_bench list`
   std::function<SweepSpec(const CliOptions& opt)> build;
   std::function<void(const SweepSpec& spec,
@@ -30,7 +29,7 @@ class WorkloadRegistry {
   static WorkloadRegistry& instance();
 
   void add(const Workload& w) { workloads_.push_back(w); }
-  /// Lookup by registry name or legacy binary name; nullptr when absent.
+  /// Lookup by registry name; nullptr when absent.
   [[nodiscard]] const Workload* find(std::string_view name) const;
   [[nodiscard]] const std::vector<Workload>& all() const {
     return workloads_;
@@ -41,7 +40,7 @@ class WorkloadRegistry {
   std::vector<Workload> workloads_;
 };
 
-/// Defined in workloads.cpp; registers the 24 built-in workloads.
+/// Defined in workloads.cpp; registers the 23 built-in workloads.
 void register_builtin_workloads(WorkloadRegistry& reg);
 
 // Every builder resolves its sweep axes through these.

@@ -213,7 +213,7 @@ const char* to_string(HierBarrier h) { return enum_name(kHierNames, h); }
 sim::Json spec_to_json(const SweepSpec& spec) {
   sim::Json j = sim::Json::object();
   if (!spec.workload.empty()) j["workload"] = spec.workload;
-  j["bench"] = spec.bench_name;
+  if (!spec.bench_name.empty()) j["bench"] = spec.bench_name;
   if (!spec.base_config.is_null()) j["config"] = spec.base_config;
   if (!spec.meta.is_null()) j["meta"] = spec.meta;
   sim::Json cells = sim::Json::array();

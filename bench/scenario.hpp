@@ -120,12 +120,16 @@ struct Cell {
   CellParams params;
 };
 
+// The `= {}` initializers let builders write `SweepSpec s{.workload = "x"}`
+// without -Wmissing-field-initializers firing on the fields they omit.
 struct SweepSpec {
-  std::string workload;     // registry name ("" for ad-hoc scenarios)
-  std::string bench_name;   // JsonReporter document name
-  sim::Json base_config;    // null, or overrides under every cell
-  sim::Json meta;           // data the row/column formatter reads
-  std::vector<Cell> cells;  // flat, in serial record order
+  std::string workload;          // registry name ("" for ad-hoc scenarios)
+  /// JsonReporter document name: a scenario file's "bench" key; empty
+  /// (and then the workload name, or "scenario") otherwise.
+  std::string bench_name = {};
+  sim::Json base_config = {};    // null, or overrides under every cell
+  sim::Json meta = {};           // data the row/column formatter reads
+  std::vector<Cell> cells = {};  // flat, in serial record order
 };
 
 /// Runs one cell's kernel on a fully-built config, emitting its --json

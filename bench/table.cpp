@@ -78,7 +78,7 @@ void check_cells(std::string_view workload, std::size_t need,
 }
 
 SweepSpec build_table(const TableSpec& t, const CliOptions& opt) {
-  SweepSpec s{t.name, t.legacy_name, {}, {}, {}};
+  SweepSpec s{.workload = t.name};
   std::vector<std::uint32_t> cpus = resolved_cpus(opt, t.cpus, t.quick_cpus);
   if (t.knob != Knob::kCpus && !t.per_p) cpus.resize(1);
   s.meta["cpus"] = json_array(cpus);
@@ -165,7 +165,7 @@ void print_table(const TableSpec& t, const SweepSpec& s,
 }
 
 Workload table_workload(const TableSpec& t) {
-  return {t.name, t.legacy_name, t.description,
+  return {t.name, t.description,
           [&t](const CliOptions& opt) { return build_table(t, opt); },
           [&t](const SweepSpec& s, std::span<const CellResult> r) {
             print_table(t, s, r);

@@ -43,7 +43,6 @@ enum class Knob : std::uint8_t { kCpus, kFanout, kHopCycles, kStyle, kAlgo };
 
 struct TableSpec {
   const char* name;
-  const char* legacy_name;
   const char* description;
   const char* title;  // printf format; its one %u is the first CPU count
   std::vector<std::uint32_t> cpus;             // resolved_cpus default

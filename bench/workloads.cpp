@@ -1,4 +1,4 @@
-// The 24 built-in workloads as registry entries. The 14 whose output is
+// The 23 built-in workloads as registry entries. The 14 whose output is
 // rows of CPU counts (or of one knob) by columns of variants are
 // TableSpecs, built and printed by table.cpp. The rest keep a builder
 // (CLI options -> declarative SweepSpec) and a printer of their own.
@@ -45,7 +45,7 @@ std::vector<std::uint32_t> knobs(E... values) {
 // ------------------------------------------------------------- fig1
 SweepSpec build_fig1(const CliOptions& opt) {
   (void)opt;
-  SweepSpec s{"fig1", "fig1_message_count", {}, {}, {}};
+  SweepSpec s{.workload = "fig1"};
   for (Mechanism m : sync::kAllMechanisms) {
     s.cells.push_back(
         {{{"num_cpus", sim::Json(4u)},
@@ -74,7 +74,7 @@ void print_fig1(const SweepSpec& s, std::span<const CellResult> r) {
 
 // ------------------------------------------- the paper's tables/figures
 const TableSpec kTable2{
-    .name = "table2", .legacy_name = "table2_barriers",
+    .name = "table2",
     .description = "central barrier speedup over LL/SC, 4..256 CPUs (Table 2)",
     .title = "Table 2: barrier speedup over LL/SC",
     .cpus = paper_cpu_counts(4), .quick_cpus = {4, 8, 16, 32}, .episodes = 8,
@@ -86,7 +86,7 @@ const TableSpec kTable2{
               "   256: 2.82/1.23/14.70/61.94\n"};
 
 const TableSpec kFig5{
-    .name = "fig5", .legacy_name = "fig5_barrier_cycles",
+    .name = "fig5",
     .description = "central barrier cycles-per-processor vs P (Fig. 5)",
     .title = "Figure 5: barrier cycles-per-processor",
     .cpus = paper_cpu_counts(4), .quick_cpus = {4, 8, 16, 32}, .episodes = 8,
@@ -101,7 +101,7 @@ const TableSpec kFig5{
 // Per row: the central LL/SC baseline, every (mechanism, fanout) tree run,
 // then central AMO for the last column.
 const TableSpec kTable3{
-    .name = "table3", .legacy_name = "table3_tree_barriers",
+    .name = "table3",
     .description = "two-level tree barriers, best fanout per point (Table 3)",
     .title = "Table 3: tree barrier speedup over central LL/SC (best fanout)",
     .cpus = paper_cpu_counts(16), .quick_cpus = {16, 32}, .episodes = 8,
@@ -114,7 +114,7 @@ const TableSpec kTable3{
               "   256: 8.38/14.72/11.22/20.37/22.62/61.94\n"};
 
 const TableSpec kFig6{
-    .name = "fig6", .legacy_name = "fig6_tree_cycles",
+    .name = "fig6",
     .description = "tree barrier cycles-per-processor, best fanout (Fig. 6)",
     .title = "Figure 6: tree barrier cycles-per-processor (best fanout)",
     .cpus = paper_cpu_counts(16), .quick_cpus = {16, 32}, .episodes = 8,
@@ -131,7 +131,7 @@ const TableSpec kFig6{
 // The LL/SC ticket baseline, then (mechanism, ticket/array) skipping the
 // baseline combination; LLSC.t is the baseline over itself.
 const TableSpec kTable4{
-    .name = "table4", .legacy_name = "table4_locks",
+    .name = "table4",
     .description = "ticket/array lock speedups over LL/SC ticket (Table 4)",
     .title = "Table 4: lock speedups over the LL/SC ticket lock",
     .cpus = paper_cpu_counts(4), .quick_cpus = {4, 8, 16}, .iters = 6,
@@ -150,7 +150,7 @@ const TableSpec kTable4{
 // Variant 0 is a dedicated LL/SC baseline run, not printed; then one run
 // per plotted mechanism.
 const TableSpec kFig7{
-    .name = "fig7", .legacy_name = "fig7_lock_traffic",
+    .name = "fig7",
     .description = "ticket-lock network traffic normalized to LL/SC (Fig. 7)",
     .title = "Figure 7: ticket-lock network traffic (bytes, normalized to "
              "LL/SC)",
@@ -168,7 +168,7 @@ const std::array<std::uint32_t, 5> kLockCounts = {1, 2, 4, 8, 16};
 const std::array<std::uint32_t, 5> kCacheWords = {2, 4, 8, 16, 32};
 
 SweepSpec build_amu_cache(const CliOptions& opt) {
-  SweepSpec s{"ablation_amu_cache", "ablation_amu_cache", {}, {}, {}};
+  SweepSpec s{.workload = "ablation_amu_cache"};
   const std::uint32_t p = resolved_cpus(opt, {32}).front();
   const int iters = resolved_iters(opt);
   s.meta["cpus"] = json_array(std::vector{p});
@@ -207,7 +207,7 @@ void print_amu_cache(const SweepSpec& s, std::span<const CellResult> r) {
 
 // -------------------------------------------- ablation_update_policy
 SweepSpec build_update_policy(const CliOptions& opt) {
-  SweepSpec s{"ablation_update_policy", "ablation_update_policy", {}, {}, {}};
+  SweepSpec s{.workload = "ablation_update_policy"};
   const std::vector<std::uint32_t> cpus =
       resolved_cpus(opt, {16, 64, 256}, {16, 32});
   const int episodes = resolved_episodes(opt);
@@ -250,7 +250,7 @@ void print_update_policy(const SweepSpec& s, std::span<const CellResult> r) {
 
 // ------------------------------------------------ table-shaped ablations
 const TableSpec kMulticast{
-    .name = "ablation_multicast", .legacy_name = "ablation_multicast",
+    .name = "ablation_multicast",
     .description = "hardware multicast for AMO word-update waves",
     .title = "Ablation: hardware multicast for AMO updates",
     .cpus = {16, 64, 256}, .quick_cpus = {16, 32}, .episodes = 8,
@@ -262,7 +262,7 @@ const TableSpec kMulticast{
               "injection is the AMO barrier's only O(P) term).\n"};
 
 const TableSpec kHopLatency{
-    .name = "ablation_hop_latency", .legacy_name = "ablation_hop_latency",
+    .name = "ablation_hop_latency",
     .description = "AMO advantage as network hops slow down",
     .title = "Ablation: hop latency (P=%u central barriers)",
     .cpus = {64}, .episodes = 8, .knob = Knob::kHopCycles,
@@ -274,7 +274,7 @@ const TableSpec kHopLatency{
 
 // Fanout == P degenerates to a central barrier through the tree code.
 const TableSpec kTreeFanout{
-    .name = "ablation_tree_fanout", .legacy_name = "ablation_tree_fanout",
+    .name = "ablation_tree_fanout",
     .description = "tree branching factor sweep per mechanism",
     .title = "Ablation: tree fanout (P=%u, cycles per barrier)",
     .cpus = {64}, .episodes = 8, .knob = Knob::kFanout, .key = "fanout",
@@ -288,7 +288,7 @@ const TableSpec kTreeFanout{
               "does not need them).\n"};
 
 const TableSpec kBackoff{
-    .name = "ablation_backoff", .legacy_name = "ablation_backoff",
+    .name = "ablation_backoff",
     .description = "proportional backoff for MAO ticket locks",
     .title = "Ablation: MAO ticket-lock backoff",
     .cpus = {8, 32, 128}, .iters = 6,
@@ -305,7 +305,7 @@ const TableSpec kBackoff{
 // Variants in record order (protocol-major, mechanism-minor); the columns
 // print LL/SC first.
 const TableSpec kProtocol{
-    .name = "ablation_protocol", .legacy_name = "ablation_protocol",
+    .name = "ablation_protocol",
     .description = "home-centric 4-hop vs forwarding 3-hop directory",
     .title = "Ablation: 4-hop vs 3-hop protocol (central barriers)",
     .cpus = {16, 64, 256}, .quick_cpus = {16, 32}, .episodes = 8,
@@ -326,7 +326,6 @@ const TableSpec kProtocol{
 
 const TableSpec kBarrierStyles{
     .name = "ablation_barrier_styles",
-    .legacy_name = "ablation_barrier_styles",
     .description = "naive/optimized/dissemination/mcs-tree codings",
     .title = "Ablation: barrier codings (cycles per episode)",
     .cpus = {16, 64}, .episodes = 8, .knob = Knob::kStyle,
@@ -354,7 +353,7 @@ const std::vector<Column> kAlgoColumns = {{"LL/SC", {0}}, {"Atomic", {1}},
                                           {"AMO", {4}}};
 
 const TableSpec kExtensionLocks{
-    .name = "extension_locks", .legacy_name = "extension_locks",
+    .name = "extension_locks",
     .description = "tas/ticket/array/mcs locks across every mechanism",
     .title = "Extension: lock algorithms x mechanisms (total cycles, lower "
              "is better)",
@@ -372,7 +371,7 @@ const TableSpec kExtensionLocks{
 // CNA-style subtree-first MCS vs the HMCS hierarchy of queues
 // (thresholds from hier.*, defaults 64 and 8).
 const TableSpec kHierLocks{
-    .name = "ablation_hier_locks", .legacy_name = "ablation_hier_locks",
+    .name = "ablation_hier_locks",
     .description = "mcs vs cna vs hmcs queue locks across every mechanism",
     .title = "Ablation: topology-aware queue locks (total cycles, lower is "
              "better)",
@@ -389,7 +388,7 @@ const TableSpec kHierLocks{
 const std::array<std::uint32_t, 3> kPointerLimits = {0, 8, 1};
 
 SweepSpec build_dir_pointers(const CliOptions& opt) {
-  SweepSpec s{"ablation_dir_pointers", "ablation_dir_pointers", {}, {}, {}};
+  SweepSpec s{.workload = "ablation_dir_pointers"};
   const std::vector<std::uint32_t> cpus = resolved_cpus(opt, {16, 64, 128});
   const int rounds = resolved_iters(opt, 10);
   s.meta["cpus"] = json_array(cpus);
@@ -436,7 +435,7 @@ SweepSpec build_microbench_spin(const CliOptions& opt) {
   const auto cpus = resolved_cpus(opt, {256}, {64});
   const std::uint32_t p = cpus.front();
   const int episodes = resolved_episodes(opt, 8);
-  SweepSpec s{"microbench_spin", "microbench_spin", {}, {}, {}};
+  SweepSpec s{.workload = "microbench_spin"};
   std::vector<std::uint32_t> actives;
   for (std::uint32_t a = std::max(2u, p / 16); a < p; a *= 4) {
     actives.push_back(a);
@@ -498,7 +497,7 @@ SweepSpec build_microbench_hier(const CliOptions& opt) {
   // Two physical tree levels of clustering: valid for every default cpu
   // count (64 cpus = 32 nodes is already height 2 at radix 8).
   const std::uint32_t levels = 2;
-  SweepSpec s{"microbench_hier", "microbench_hier", {}, {}, {}};
+  SweepSpec s{.workload = "microbench_hier"};
   s.meta["cpus"] = json_array(cpus);
   s.meta["levels"] = levels;
   for (std::uint32_t p : cpus) {
@@ -553,7 +552,7 @@ std::uint32_t tree_height(std::uint32_t nodes, std::uint32_t radix) {
 }
 
 SweepSpec build_hier_depth(const CliOptions& opt) {
-  SweepSpec s{"ablation_hier_depth", "ablation_hier_depth", {}, {}, {}};
+  SweepSpec s{.workload = "ablation_hier_depth"};
   const std::uint32_t p = resolved_cpus(opt, {256}, {64}).front();
   const int episodes = resolved_episodes(opt, 4);
   s.meta["cpus"] = json_array(std::vector{p});
@@ -639,7 +638,7 @@ std::uint64_t service_requests(const CliOptions& opt) {
 SweepSpec build_microbench_service(const CliOptions& opt) {
   const auto cpus = resolved_cpus(opt, {16}, {16});
   const std::uint64_t requests = service_requests(opt);
-  SweepSpec s{"microbench_service", "microbench_service", {}, {}, {}};
+  SweepSpec s{.workload = "microbench_service"};
   s.meta["cpus"] = json_array(cpus);
   s.meta["loads"] = json_array(kServiceLoads);
   for (std::uint32_t p : cpus) {
@@ -699,7 +698,7 @@ SweepSpec build_service_load(const CliOptions& opt) {
   const std::uint64_t requests =
       opt.iters > 0 ? static_cast<std::uint64_t>(opt.iters)
                     : (opt.quick ? 512 : 16384);
-  SweepSpec s{"ablation_service_load", "ablation_service_load", {}, {}, {}};
+  SweepSpec s{.workload = "ablation_service_load"};
   s.meta["cpus"] = json_array(cpus);
   s.meta["loads"] = json_array(kServiceLoadGrid);
   for (std::uint32_t p : cpus) {
@@ -744,42 +743,41 @@ void print_service_load(const SweepSpec& s, std::span<const CellResult> r) {
 }  // namespace
 
 void register_builtin_workloads(WorkloadRegistry& reg) {
-  reg.add({"fig1", "fig1_message_count",
+  reg.add({"fig1",
            "one-way message count for a 3-processor barrier (paper Fig. 1)",
            build_fig1, print_fig1});
   for (const TableSpec* t : {&kTable2, &kFig5, &kTable3, &kFig6, &kTable4,
                              &kFig7}) {
     reg.add(table_workload(*t));
   }
-  reg.add({"ablation_amu_cache", "ablation_amu_cache",
-           "AMU cache size vs concurrent AMO locks", build_amu_cache,
-           print_amu_cache});
-  reg.add({"ablation_update_policy", "ablation_update_policy",
-           "delayed vs eager vs block-update put policies", build_update_policy,
-           print_update_policy});
+  reg.add({"ablation_amu_cache", "AMU cache size vs concurrent AMO locks",
+           build_amu_cache, print_amu_cache});
+  reg.add({"ablation_update_policy",
+           "delayed vs eager vs block-update put policies",
+           build_update_policy, print_update_policy});
   for (const TableSpec* t : {&kMulticast, &kHopLatency, &kTreeFanout,
                              &kBackoff, &kProtocol}) {
     reg.add(table_workload(*t));
   }
-  reg.add({"ablation_dir_pointers", "ablation_dir_pointers",
+  reg.add({"ablation_dir_pointers",
            "limited directory pointers under sparse sharing",
            build_dir_pointers, print_dir_pointers});
   reg.add(table_workload(kBarrierStyles));
   reg.add(table_workload(kExtensionLocks));
-  reg.add({"microbench_spin", "microbench_spin",
+  reg.add({"microbench_spin",
            "spin-wait virtualization: events/episode vs active cpus",
            build_microbench_spin, print_microbench_spin});
-  reg.add({"microbench_hier", "microbench_hier",
+  reg.add({"microbench_hier",
            "cluster-hierarchical barriers: root-link traffic vs flat tree",
            build_microbench_hier, print_microbench_hier});
-  reg.add({"ablation_hier_depth", "ablation_hier_depth",
+  reg.add({"ablation_hier_depth",
            "router radix x folded hierarchy depth for aggregated barriers",
            build_hier_depth, print_hier_depth});
   reg.add(table_workload(kHierLocks));
-  reg.add({"microbench_service", "microbench_service",
+  reg.add({"microbench_service",
            "open-loop sharded service: p999 latency vs offered load",
            build_microbench_service, print_microbench_service});
-  reg.add({"ablation_service_load", "ablation_service_load",
+  reg.add({"ablation_service_load",
            "offered-load grid for LL/SC vs AMO service tail latency",
            build_service_load, print_service_load});
 }

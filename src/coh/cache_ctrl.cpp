@@ -129,9 +129,10 @@ sim::Task<std::uint64_t> CacheCtrl::atomic_rmw(amu::AmoOpcode op,
 
 sim::Task<void> CacheCtrl::request_line(sim::Addr addr, bool want_m) {
   const sim::Addr block = l2_.line_base(addr);
-  Mshr* m = mshr_.find(block);
+  Mshr* m = find_mshr(block);
   if (m == nullptr) {
-    m = &mshr_.get_or_create(block);
+    m = &mshr_.emplace_back();
+    m->block = block;
     m->born = engine_.now();
     mem::Cache::Line* line = l2_.find(addr, /*touch=*/false);
     Directory& dir = home_dir(addr);
@@ -156,7 +157,7 @@ sim::Task<void> CacheCtrl::request_line(sim::Addr addr, bool want_m) {
   // sibling's request brings the line in the wrong state, the caller's
   // retry loop issues a follow-up.
   sim::Promise<std::uint64_t> p(engine_);
-  waiter_pool_.push(m->waiters, p);
+  m->waiters.push_back(p);
   co_await p.get_future();
 }
 
@@ -184,31 +185,56 @@ void CacheCtrl::handle_victim(const mem::Cache::Victim& victim) {
   notify_line(victim.block);
 }
 
+CacheCtrl::Mshr* CacheCtrl::find_mshr(sim::Addr block) {
+  for (Mshr& m : mshr_) {
+    if (m.block == block) return &m;
+  }
+  return nullptr;
+}
+
+CacheCtrl::SpinPark* CacheCtrl::find_park(sim::Addr block) {
+  for (SpinPark& s : parked_) {
+    if (s.block == block) return &s;
+  }
+  return nullptr;
+}
+
+void CacheCtrl::unpark(sim::Addr addr) {
+  if (SpinPark* s = find_park(l2_.line_base(addr))) {
+    *s = parked_.back();
+    parked_.pop_back();
+  }
+}
+
 void CacheCtrl::notify_line(sim::Addr block) {
-  SpinPark* s = parked_.find(block);
+  SpinPark* s = find_park(block);
   if (s == nullptr || !s->h) return;
   engine_.schedule(0, [h = std::exchange(s->h, nullptr)] { h.resume(); });
 }
 
 std::vector<sim::Addr> CacheCtrl::parked_lines() const {
   std::vector<sim::Addr> lines;
-  parked_.for_each([&lines](sim::Addr block, const SpinPark& s) {
-    if (s.h) lines.push_back(block);
-  });
+  for (const SpinPark& s : parked_) {
+    if (s.h) lines.push_back(s.block);
+  }
   std::sort(lines.begin(), lines.end());
   return lines;
 }
 
 void CacheCtrl::complete_mshr(sim::Addr block) {
-  Mshr* m = mshr_.find(block);
+  Mshr* m = find_mshr(block);
   if (m == nullptr) return;
   if (stats_.mshr_residency_hist) {
     stats_.mshr_residency_hist->record(engine_.now() - m->born);
   }
-  ds::WaitPool<sim::Promise<std::uint64_t>>::Queue q = m->waiters;
-  m->waiters = {};
-  mshr_.erase(block);
-  while (!waiter_pool_.empty(q)) waiter_pool_.pop(q).set_value(0);
+  // Detach the waiters and free the record before waking anyone.
+  auto waiters = std::move(m->waiters);
+  if (m != &mshr_.back()) *m = std::move(mshr_.back());
+  mshr_.pop_back();
+  while (!waiters.empty()) {
+    waiters.front().set_value(0);
+    waiters.pop_front();
+  }
 }
 
 // ----------------------------------------------------------- CacheIface

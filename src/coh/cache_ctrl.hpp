@@ -16,6 +16,7 @@
 #include <cassert>
 #include <coroutine>
 #include <cstdint>
+#include <list>
 #include <memory>
 #include <vector>
 
@@ -24,8 +25,8 @@
 #include "coh/directory.hpp"
 #include "coh/protocol.hpp"
 #include "coh/wiring.hpp"
-#include "ds/addr_table.hpp"
 #include "mem/cache.hpp"
+#include "sim/frame_pool.hpp"
 #include "sim/future.hpp"
 #include "sim/stats_registry.hpp"
 #include "sim/task.hpp"
@@ -114,9 +115,12 @@ class CacheCtrl final : public CacheIface {
     sim::Addr block;
     bool await_ready() const noexcept { return false; }
     void await_suspend(std::coroutine_handle<> h) const {
-      SpinPark& s = ctrl.parked_.get_or_create(block);
-      assert(!s.h && "one parked spinner per line per cache controller");
-      s.h = h;
+      if (SpinPark* s = ctrl.find_park(block)) {
+        assert(!s->h && "one parked spinner per line per cache controller");
+        s->h = h;
+      } else {
+        ctrl.parked_.push_back(SpinPark{block, h});
+      }
     }
     void await_resume() const noexcept {}
   };
@@ -124,7 +128,7 @@ class CacheCtrl final : public CacheIface {
     return ParkAwaiter{*this, l2_.line_base(addr)};
   }
   /// Drops the park entry once the spin is satisfied (or torn down).
-  void unpark(sim::Addr addr) { parked_.erase(l2_.line_base(addr)); }
+  void unpark(sim::Addr addr);
 
   // -------------------------------------- waiter-leak introspection
   [[nodiscard]] std::size_t parked_entries() const { return parked_.size(); }
@@ -149,23 +153,29 @@ class CacheCtrl final : public CacheIface {
   [[nodiscard]] bool link_armed() const { return link_valid_; }
 
  private:
-  // MSHRs and parked spins live in ds::AddrTable entries (the same
-  // open-addressing + slab-pooled container the directory uses for its
-  // line entries); MSHR waiter FIFOs draw nodes from the shared
-  // `waiter_pool_`, so a steady-state miss or spin-wait costs no heap
-  // allocation.
+  // MSHRs and parked spins are records in per-controller vectors, found
+  // by linear scan and erased by swap-and-pop: a controller holds at most
+  // one of each per context in flight on its core. MSHR waiter FIFOs
+  // draw their nodes from sim::FramePool, so a steady-state miss or
+  // spin-wait costs no heap allocation. No reference into either vector
+  // is held across a co_await.
   struct Mshr {
-    ds::WaitPool<sim::Promise<std::uint64_t>>::Queue waiters;
+    sim::Addr block = 0;
     sim::Cycle born = 0;  // allocation time, for the residency histogram
-    std::uint32_t next_free = ds::kNilIndex;  // intrusive AddrTable link
+    std::list<sim::Promise<std::uint64_t>,
+              sim::FramePoolAllocator<sim::Promise<std::uint64_t>>>
+        waiters;
   };
-  // A parked spinner: one persistent entry per (line, controller), alive
+  // A parked spinner: one persistent record per (line, controller), alive
   // across wake-ups until the spin is satisfied. `h` is null while the
   // spinner is awake and re-polling.
   struct SpinPark {
+    sim::Addr block = 0;
     std::coroutine_handle<> h;
-    std::uint32_t next_free = ds::kNilIndex;
   };
+
+  [[nodiscard]] Mshr* find_mshr(sim::Addr block);
+  [[nodiscard]] SpinPark* find_park(sim::Addr block);
 
   /// Brings the line in (S for loads, M for writes); returns when the
   /// request that was outstanding for this block completed. Callers loop.
@@ -195,9 +205,8 @@ class CacheCtrl final : public CacheIface {
 
   mem::Cache l2_;
   mem::TagCache l1_;
-  ds::AddrTable<Mshr> mshr_;
-  ds::AddrTable<SpinPark> parked_;
-  ds::WaitPool<sim::Promise<std::uint64_t>> waiter_pool_;
+  std::vector<Mshr> mshr_;
+  std::vector<SpinPark> parked_;
 
   bool link_valid_ = false;
   sim::Addr link_block_ = 0;

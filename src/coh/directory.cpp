@@ -27,30 +27,17 @@ Directory::Directory(sim::Engine& engine, Wiring& wiring, Agents& agents,
 
 Directory::Entry& Directory::entry(sim::Addr block) {
   assert(block == backing_.line_base(block));
-  return entries_.get_or_create(block);
+  return entries_[block];
 }
 
 void Directory::maybe_reclaim(sim::Addr block) {
-  Entry* e = entries_.find(block);
-  if (e == nullptr) return;
-  const bool vacant = e->st == State::kUncached && !e->busy &&
-                      !e->amu_sharer && !e->coarse &&
-                      wait_pool_.empty(e->waiting) && e->sharers.none();
-  if (!vacant) return;
-  // Reset for reuse; the table recycles the entry through its free list.
-  e->owner = sim::kInvalidCpu;
-  e->txn = Txn{};
-  entries_.erase(block);
-}
-
-// --------------------------------------------------------------- pools
-
-void Directory::wait_push(Entry& e, sim::InlineFn fn) {
-  wait_pool_.push(e.waiting, std::move(fn));
-}
-
-sim::InlineFn Directory::wait_pop(Entry& e) {
-  return wait_pool_.pop(e.waiting);
+  const auto it = entries_.find(block);
+  if (it == entries_.end()) return;
+  const Entry& e = it->second;
+  if (e.st == State::kUncached && !e.busy && !e.amu_sharer && !e.coarse &&
+      e.waiting.empty() && e.sharers.none()) {
+    entries_.erase(it);
+  }
 }
 
 void Directory::deliver_put(const SharerSnapshot& targets, sim::Addr addr,
@@ -265,7 +252,7 @@ void Directory::handle_gets(sim::CpuId r, sim::Addr block) {
   Entry& e = entry(block);
   if (e.busy) {
     ++stats_.deferred;
-    wait_push(e, [this, r, block] { handle_gets(r, block); });
+    e.waiting.push_back([this, r, block] { handle_gets(r, block); });
     return;
   }
   switch (e.st) {
@@ -312,7 +299,7 @@ void Directory::handle_getx(sim::CpuId r, sim::Addr block) {
   Entry& e = entry(block);
   if (e.busy) {
     ++stats_.deferred;
-    wait_push(e, [this, r, block] { handle_getx(r, block); });
+    e.waiting.push_back([this, r, block] { handle_getx(r, block); });
     return;
   }
   switch (e.st) {
@@ -361,7 +348,7 @@ void Directory::handle_upgrade(sim::CpuId r, sim::Addr block) {
   Entry& e = entry(block);
   if (e.busy) {
     ++stats_.deferred;
-    wait_push(e, [this, r, block] { handle_upgrade(r, block); });
+    e.waiting.push_back([this, r, block] { handle_upgrade(r, block); });
     return;
   }
   if (e.st != State::kShared || !e.sharers.test(r) || e.amu_sharer) {
@@ -429,7 +416,7 @@ void Directory::handle_word_get(sim::Addr addr,
   Entry& e = entry(block);
   if (e.busy) {
     ++stats_.deferred;
-    wait_push(e, [this, addr, done = std::move(done)]() mutable {
+    e.waiting.push_back([this, addr, done = std::move(done)]() mutable {
       handle_word_get(addr, std::move(done));
     });
     return;
@@ -635,11 +622,13 @@ void Directory::finish_txn(sim::Addr block) {
 void Directory::kick(sim::Addr block) {
   Entry& e = entry(block);
   if (e.busy) return;
-  if (wait_pool_.empty(e.waiting)) {
+  if (e.waiting.empty()) {
     maybe_reclaim(block);
     return;
   }
-  occupy(wait_pop(e));
+  sim::InlineFn next = std::move(e.waiting.front());
+  e.waiting.pop_front();
+  occupy(std::move(next));
 }
 
 // ----------------------------------------------------------- introspection

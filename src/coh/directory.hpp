@@ -8,18 +8,21 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <list>
 #include <memory>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "coh/agents.hpp"
 #include "coh/protocol.hpp"
 #include "coh/sharer_set.hpp"
 #include "coh/wiring.hpp"
-#include "ds/addr_table.hpp"
 #include "mem/backing.hpp"
 #include "mem/dram.hpp"
 #include "mem/line_buf.hpp"
+#include "sim/frame_pool.hpp"
 #include "sim/future.hpp"
 #include "sim/inline_fn.hpp"
 #include "sim/stats_registry.hpp"
@@ -129,9 +132,6 @@ class Directory {
   [[nodiscard]] sim::NodeId node() const { return node_; }
 
  private:
-  /// Sentinel for the pool/free-list index links below.
-  static constexpr std::uint32_t kNil = ds::kNilIndex;
-
   struct Txn {
     enum class Kind : std::uint8_t { kGetS, kGetX, kUpgrade, kWordGet };
     Kind kind = Kind::kGetS;
@@ -147,12 +147,10 @@ class Directory {
     sim::Addr word_addr = 0;
   };
 
-  // A directory line entry. Entries live in slab-pooled storage (stable
-  // addresses) reached through a ds::AddrTable — the same open-addressing
-  // + pooled-entry container the cache controller's MSHRs use; `waiting`
-  // is a FIFO of deferred requests parked behind a busy block, drawn from
-  // the pooled `wait_pool_`, and `next_free` threads vacant entries into
-  // the table's free list.
+  // A directory line entry. Entries are unordered_map nodes (stable
+  // addresses across inserts); `waiting` is the FIFO of deferred requests
+  // parked behind a busy block. Both draw from sim::FramePool, so a
+  // steady-state miss costs no heap allocation.
   // The sharer set leads so the small fields below pack into one word
   // after it instead of padding around it.
   struct Entry {
@@ -163,24 +161,21 @@ class Directory {
     bool amu_sharer = false;
     bool busy = false;
     Txn txn;
-    ds::WaitPool<sim::InlineFn>::Queue waiting;  // deferred-request FIFO
-    std::uint32_t next_free = kNil;  // intrusive AddrTable free list
+    std::list<sim::InlineFn, sim::FramePoolAllocator<sim::InlineFn>>
+        waiting;  // deferred-request FIFO
   };
 
-  // --- entry table (ds::AddrTable wrappers) ---
+  // --- entry table ---
   Entry& entry(sim::Addr block);
   [[nodiscard]] const Entry* peek_entry(sim::Addr block) const {
-    return entries_.find(block);
+    const auto it = entries_.find(block);
+    return it == entries_.end() ? nullptr : &it->second;
   }
-  /// Frees `block`'s entry back to the pool when it carries no state at
-  /// all (idle, uncached, unshared, no waiters): long-running workloads
-  /// would otherwise accumulate one dead entry per block ever touched.
+  /// Erases `block`'s entry when it carries no state at all (idle,
+  /// uncached, unshared, no waiters): long-running workloads would
+  /// otherwise accumulate one dead entry per block ever touched.
   /// Call only at points where no Entry& reference is live.
   void maybe_reclaim(sim::Addr block);
-
-  // --- waiting-queue pool ---
-  void wait_push(Entry& e, sim::InlineFn fn);
-  [[nodiscard]] sim::InlineFn wait_pop(Entry& e);
 
   /// Delivers one word-put at node `n`: patches every targeted cache on
   /// that node. The sharer snapshot travels by value in the fan-out
@@ -231,11 +226,12 @@ class Directory {
   sim::Cycle busy_until_ = 0;  // occupancy pipeline
 
   // Entries are dominated by the kMaxCpus-wide SharerSet (~600 bytes
-  // at 4096 CPUs). AddrTable's slabs grow 4, 8, 16, 32, then 64 entries,
-  // so a directory with a few live lines pins a few entries, and a busy
-  // one still allocates rarely.
-  ds::AddrTable<Entry> entries_;
-  ds::WaitPool<sim::InlineFn> wait_pool_;
+  // at 4096 CPUs); each node holds one entry, so a directory with a few
+  // live lines pins a few entries' worth of pool blocks.
+  std::unordered_map<
+      sim::Addr, Entry, std::hash<sim::Addr>, std::equal_to<>,
+      sim::FramePoolAllocator<std::pair<const sim::Addr, Entry>>>
+      entries_;
 
   std::vector<sim::NodeId> put_nodes_;  // scratch target list, reused per put
 

@@ -103,7 +103,8 @@ class SeatedSets {
   };
 
   [[nodiscard]] static std::size_t home(std::uint32_t set, std::size_t mask) {
-    // Fibonacci multiplicative hash, as in ds::AddrTable.
+    // Fibonacci multiplicative hash: spreads consecutive set indices
+    // across the table.
     return static_cast<std::size_t>((set * 0x9E3779B97F4A7C15ull) >> 32) &
            mask;
   }

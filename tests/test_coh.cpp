@@ -398,5 +398,55 @@ TEST(WordOps, UncachedAccessesSeeAmuValues) {
   m.check_coherence();
 }
 
+// Sibling contexts on one core that miss on the same line join one MSHR:
+// a single GetS leaves the core and both loads return the fill.
+TEST(Mshr, SiblingContextsShareOneRequest) {
+  core::Machine m(cfg_with(4));
+  const sim::Addr a = m.galloc().alloc_word_line(1);
+  m.backing().write_word(a, 41);
+  std::uint64_t got[2] = {0, 0};
+  for (int i = 0; i < 2; ++i) {
+    m.spawn(0, [&, i](core::ThreadCtx& t) -> sim::Task<void> {
+      got[i] = co_await t.load(a);
+    });
+  }
+  m.run();
+  EXPECT_EQ(m.core(0).cache().stats().miss_gets, 1u);
+  EXPECT_EQ(got[0], 41u);
+  EXPECT_EQ(got[1], 41u);
+  m.check_coherence();
+}
+
+// Four contexts on one core miss on four lines homed at different
+// distances, so their MSHRs complete out of creation order and each
+// completion erases a record from the middle of the controller's list.
+TEST(Mshr, DistinctLinesCompleteOutOfOrder) {
+  core::Machine m(cfg_with(256));
+  const auto& topo = m.network().topology();
+  // Creation order: near, far, local, mid.
+  const sim::NodeId homes[4] = {1, 127, 0, 8};
+  ASSERT_LT(topo.hop_count(0, 1), topo.hop_count(0, 8));
+  ASSERT_LT(topo.hop_count(0, 8), topo.hop_count(0, 127));
+  sim::Addr lines[4];
+  for (int i = 0; i < 4; ++i) {
+    lines[i] = m.galloc().alloc_word_line(homes[i]);
+    m.backing().write_word(lines[i], 100 + i);
+  }
+  std::uint64_t got[4] = {0, 0, 0, 0};
+  std::vector<int> finish_order;
+  for (int i = 0; i < 4; ++i) {
+    m.spawn(0, [&, i](core::ThreadCtx& t) -> sim::Task<void> {
+      got[i] = co_await t.load(lines[i]);
+      finish_order.push_back(i);
+    });
+  }
+  m.run();
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(got[i], 100u + i) << "line " << i;
+  EXPECT_EQ(finish_order, (std::vector<int>{2, 0, 3, 1}));
+  EXPECT_EQ(m.core(0).cache().stats().miss_gets, 4u);
+  EXPECT_EQ(m.core(0).cache().parked_entries(), 0u);
+  m.check_coherence();
+}
+
 }  // namespace
 }  // namespace amo

@@ -177,7 +177,7 @@ TEST(ConfigIo, ValidateRejectionTable) {
 TEST(SweepSpecJson, RoundTrips) {
   const char* text = R"({
     "workload": "table2",
-    "bench": "table2_barriers",
+    "bench": "t2_custom",
     "meta": {"cpus": [4, 8]},
     "cells": [
       {"set": {"num_cpus": 4},
@@ -188,7 +188,7 @@ TEST(SweepSpecJson, RoundTrips) {
   })";
   const bench::SweepSpec spec = bench::spec_from_json(sim::Json::parse(text));
   EXPECT_EQ(spec.workload, "table2");
-  EXPECT_EQ(spec.bench_name, "table2_barriers");
+  EXPECT_EQ(spec.bench_name, "t2_custom");
   ASSERT_EQ(spec.cells.size(), 2u);
   EXPECT_EQ(spec.cells[0].params.kernel, bench::Kernel::kBarrier);
   EXPECT_EQ(spec.cells[0].params.episodes, 2);

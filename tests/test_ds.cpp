@@ -1,13 +1,18 @@
-// AMO-native data structures: counter and MPMC ring queue.
+// AMO-native data structures (counter, MPMC ring queue) and the host-side
+// ds::RingQueue.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <queue>
+#include <random>
 #include <set>
 #include <vector>
 
 #include "core/machine.hpp"
 #include "ds/counter.hpp"
 #include "ds/mpmc_queue.hpp"
+#include "ds/ring_queue.hpp"
 
 namespace amo {
 namespace {
@@ -161,6 +166,33 @@ TEST(DsQueue, WrapAroundManyRounds) {
   });
   m.run();
   EXPECT_EQ(sum, 30u * 31u / 2u);
+}
+
+TEST(RingQueue, MatchesDequeOracleAcrossGrowth) {
+  ds::RingQueue<std::uint64_t> ring(4);
+  std::queue<std::uint64_t> oracle;
+  std::mt19937_64 rng(7);
+  for (int op = 0; op < 100000; ++op) {
+    // Bias toward push so the ring grows through several doublings, then
+    // drain in bursts so head wraps across the boundary repeatedly.
+    if (rng() % 3 != 0) {
+      const std::uint64_t v = rng();
+      ring.push_back(v);
+      oracle.push(v);
+    } else {
+      for (int i = 0; i < 5 && !oracle.empty(); ++i) {
+        EXPECT_EQ(ring.pop_front(), oracle.front());
+        oracle.pop();
+      }
+    }
+    ASSERT_EQ(ring.size(), oracle.size());
+    ASSERT_EQ(ring.empty(), oracle.empty());
+  }
+  while (!oracle.empty()) {
+    EXPECT_EQ(ring.pop_front(), oracle.front());
+    oracle.pop();
+  }
+  EXPECT_TRUE(ring.empty());
 }
 
 }  // namespace

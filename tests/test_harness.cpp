@@ -243,6 +243,9 @@ TEST(Reporter, RunBarrierFeedsRecordsWithRegistryDump) {
     EXPECT_GT(amo_ops->as_uint(), 0u);
     EXPECT_NE(rec.at("registry").find_path("net.packets"), nullptr);
     EXPECT_NE(rec.at("registry").find_path("cpu0.cache.l2.hits"), nullptr);
+    // Schema v4: the record's config is the cell's whole config, as
+    // core::to_json writes it.
+    EXPECT_EQ(rec.at("config").dump(), core::to_json(cfg).dump());
   }
   // Destructor wrote the document; it must parse and carry the record.
   std::ifstream in(opt.json_path);
@@ -251,13 +254,13 @@ TEST(Reporter, RunBarrierFeedsRecordsWithRegistryDump) {
   ss << in.rdbuf();
   const sim::Json doc = sim::Json::parse(ss.str());
   EXPECT_EQ(doc.at("bench").as_string(), "unit_barrier");
-  EXPECT_EQ(doc.at("schema_version").as_uint(), 3u);
+  EXPECT_EQ(doc.at("schema_version").as_uint(), 4u);
   EXPECT_EQ(doc.at("records").size(), 1u);
   std::remove(opt.json_path.c_str());
 }
 
-// Schema v3: the hierarchy and service records, which used to carry the
-// parallel engine's thread count, and every record's config object are
+// Since schema v3: the hierarchy and service records, which used to carry
+// the parallel engine's thread count, and every record's config object are
 // written without it.
 TEST(Reporter, SchemaV3RecordsCarryNoSimThreads) {
   CliOptions opt;
@@ -283,7 +286,7 @@ TEST(Reporter, SchemaV3RecordsCarryNoSimThreads) {
   std::stringstream ss;
   ss << in.rdbuf();
   const sim::Json doc = sim::Json::parse(ss.str());
-  EXPECT_EQ(doc.at("schema_version").as_uint(), 3u);
+  EXPECT_EQ(doc.at("schema_version").as_uint(), 4u);
   const sim::Json& recs = doc.at("records");
   ASSERT_EQ(recs.size(), 3u);
   const char* workloads[] = {"barrier", "microbench_hier", "service"};

@@ -41,7 +41,7 @@ const CellParams kBarrier{.kernel = Kernel::kBarrier};
 
 TEST(TablePrinter, RawColumnsRatiosAndSelfRatio) {
   const TableSpec t{
-      .name = "t", .legacy_name = "t", .description = "", .title = "Raw",
+      .name = "t", .description = "", .title = "Raw",
       .cpus = {4, 16},
       .variants = {{kBarrier}, {kBarrier}},
       .columns = {{"cyc", {0}, 2, 8},
@@ -60,7 +60,7 @@ TEST(TablePrinter, RawColumnsRatiosAndSelfRatio) {
 
 TEST(TablePrinter, BaselineVariantNeedNotBePrinted) {
   const TableSpec t{
-      .name = "t", .legacy_name = "t", .description = "", .title = "Bytes",
+      .name = "t", .description = "", .title = "Bytes",
       .cpus = {32},
       .variants = {{kBarrier}, {kBarrier}, {kBarrier}},
       .columns = {{"a", {1, 0, Field::kBytes}, 2, 6},
@@ -76,7 +76,7 @@ TEST(TablePrinter, BaselineVariantNeedNotBePrinted) {
 TEST(TablePrinter, PerFanoutGroupGivesItsMinimum) {
   // At P = 16 the tree variant runs fanouts 2, 4 and 8.
   const TableSpec t{
-      .name = "t", .legacy_name = "t", .description = "", .title = "Best",
+      .name = "t", .description = "", .title = "Best",
       .cpus = {16},
       .variants = {{kBarrier}, {kBarrier, {}, /*per_fanout=*/true}},
       .columns = {{"best", {1}, 1, 6}, {"spd", {0, 1}, 2, 6}},
@@ -89,7 +89,7 @@ TEST(TablePrinter, PerFanoutGroupGivesItsMinimum) {
 
 TEST(TablePrinter, PerPSubTablesOfKnobRows) {
   const TableSpec t{
-      .name = "t", .legacy_name = "t", .description = "", .title = "Locks",
+      .name = "t", .description = "", .title = "Locks",
       .cpus = {8, 32}, .knob = Knob::kAlgo,
       .knobs = {static_cast<std::uint32_t>(LockAlgo::kTas),
                 static_cast<std::uint32_t>(LockAlgo::kMcs)},
@@ -114,7 +114,7 @@ TEST(TablePrinter, PerPSubTablesOfKnobRows) {
 
 TEST(TablePrinter, KnobRowsAtOneCpuCountNameItInTheTitle) {
   const TableSpec t{
-      .name = "t", .legacy_name = "t", .description = "",
+      .name = "t", .description = "",
       .title = "Hops (P=%u)", .cpus = {64}, .knob = Knob::kHopCycles,
       .knobs = {25, 400}, .key = "hop", .key_width = 5,
       .variants = {{kBarrier}},
@@ -129,7 +129,7 @@ TEST(TablePrinter, KnobRowsAtOneCpuCountNameItInTheTitle) {
 
 TEST(TablePrinter, CellCountMismatchThrowsNamingBothCounts) {
   const TableSpec t{
-      .name = "shape", .legacy_name = "shape", .description = "",
+      .name = "shape", .description = "",
       .title = "T", .cpus = {4, 8},
       .variants = {{kBarrier}, {kBarrier}},
       .columns = {{"c", {0}}},
@@ -147,7 +147,7 @@ TEST(TablePrinter, CellCountMismatchThrowsNamingBothCounts) {
 
 TEST(TableBuilder, ExpandsRowsVariantsAndFanoutsInRecordOrder) {
   const TableSpec t{
-      .name = "b", .legacy_name = "b_legacy", .description = "",
+      .name = "b", .description = "",
       .title = "T", .cpus = {64}, .episodes = 8,
       .knob = Knob::kHopCycles, .knobs = {25, 50},
       .variants = {{kBarrier, {{"dir.three_hop", true}}},
@@ -159,7 +159,7 @@ TEST(TableBuilder, ExpandsRowsVariantsAndFanoutsInRecordOrder) {
   opt.episodes = 3;
   const SweepSpec s = build_table(t, opt);
   EXPECT_EQ(s.workload, "b");
-  EXPECT_EQ(s.bench_name, "b_legacy");
+  EXPECT_TRUE(s.bench_name.empty());  // the reporter uses the workload name
   EXPECT_EQ(meta_cpus(s), std::vector<std::uint32_t>{16});
   // Per hop row: the three-hop cell, then fanouts 2, 4 and 8.
   ASSERT_EQ(s.cells.size(), 8u);
