@@ -36,83 +36,83 @@ Amu::Amu(sim::Engine& engine, sim::NodeId node, coh::Directory& dir,
   }
 }
 
-void Amu::submit(AmoRequest req) {
+void Amu::submit(AmoRequest&& req) {
   assert(req.reply && "AMO request needs a reply path");
   assert((req.addr & 7) == 0 && "AMO operands are 8-byte aligned words");
   req.enqueued_at = engine_.now();
-  queue_.push_back(std::move(req));
-  stats_.queue_depth.add(queue_.size());
-  pump();
+  if (dispatching_) {
+    queue_.push_back(std::move(req));
+    stats_.queue_depth.add(queue_.size());
+    return;
+  }
+  // Idle means the queue is empty: pump() drains it whenever an op ends.
+  assert(queue_.empty());
+  stats_.queue_depth.add(1);
+  begin(std::move(req));
 }
 
 void Amu::pump() {
-  if (dispatching_ || queue_.empty()) return;
+  if (!queue_.empty()) begin(queue_.pop_front());
+}
+
+void Amu::begin(AmoRequest&& req) {
   dispatching_ = true;
-  AmoRequest req = queue_.pop_front();
+  cur_ = std::move(req);
   if (stats_.queue_wait_hist) {
-    stats_.queue_wait_hist->record(engine_.now() - req.enqueued_at);
+    stats_.queue_wait_hist->record(engine_.now() - cur_.enqueued_at);
   }
 
   ++stats_.ops;
-  if (req.coherent) {
+  if (cur_.coherent) {
     ++stats_.amo_ops;
   } else {
     ++stats_.mao_ops;
   }
-  start(std::move(req));
+  start();
 }
 
-void Amu::start(AmoRequest req) {
-  if (Entry* e = lookup(req.addr); e != nullptr) {
+void Amu::start() {
+  if (Entry* e = lookup(cur_.addr); e != nullptr) {
     ++stats_.cache_hits;
     e->lru = ++lru_clock_;
-    engine_.schedule(config_.op_cycles,
-                     [this, req = std::move(req)]() mutable {
-                       // A processor GetX can drop our word during the op
-                       // window (drop_block); restart the operation so it
-                       // re-fetches the now-authoritative value.
-                       Entry* entry = lookup(req.addr);
-                       if (entry == nullptr) {
-                         start(std::move(req));
-                         return;
-                       }
-                       execute(req, *entry);
-                     });
+    engine_.schedule(config_.op_cycles, [this] { finish_op(); });
     return;
   }
 
   ++stats_.cache_misses;
-  if (req.coherent) {
+  if (cur_.coherent) {
     // Fine-grained get through the local directory: this may recall an
     // exclusive processor copy, and it registers the AMU as a sharer.
-    dir_.word_get(req.addr, [this, req = std::move(req)](
-                                std::uint64_t value) mutable {
-      install(req.addr, value, /*coherent=*/true);
-      engine_.schedule(config_.op_cycles,
-                       [this, req = std::move(req)]() mutable {
-                         Entry* entry = lookup(req.addr);
-                         if (entry == nullptr) {
-                           start(std::move(req));
-                           return;
-                         }
-                         execute(req, *entry);
-                       });
+    dir_.word_get(cur_.addr, [this](std::uint64_t value) {
+      install(cur_.addr, value, /*coherent=*/true);
+      engine_.schedule(config_.op_cycles, [this] { finish_op(); });
     });
     return;
   }
 
   // MAO: read straight from memory, outside the coherent domain.
-  const std::uint64_t value = backing_.read_word(req.addr);
+  const std::uint64_t value = backing_.read_word(cur_.addr);
   const sim::Cycle when = dram_.access();
-  engine_.schedule_at(when + config_.op_cycles,
-                      [this, req = std::move(req), value]() mutable {
-                        Entry& entry = install(req.addr, value,
-                                               /*coherent=*/false);
-                        execute(req, entry);
-                      });
+  engine_.schedule_at(when + config_.op_cycles, [this, value] {
+    execute(install(cur_.addr, value, /*coherent=*/false));
+  });
 }
 
-void Amu::execute(AmoRequest& req, Entry& entry) {
+void Amu::finish_op() {
+  // A processor GetX can drop our word during the op window
+  // (drop_block); restart the operation so it re-fetches the
+  // now-authoritative value.
+  Entry* entry = lookup(cur_.addr);
+  if (entry == nullptr) {
+    ++stats_.op_restarts;
+    start();
+    return;
+  }
+  execute(*entry);
+}
+
+void Amu::execute(Entry& entry) {
+  const AmoRequest& req = cur_;
   const std::uint64_t old = entry.value;
   const std::uint64_t result = apply(req.op, old, req.operand, req.operand2);
   entry.value = result;
@@ -141,7 +141,8 @@ void Amu::execute(AmoRequest& req, Entry& entry) {
       agg_fire(*route, result);
     }
   }
-  req.reply(old);
+  cur_.reply(old);
+  cur_.reply = {};  // release the reply's captures now, not at the next op
   dispatching_ = false;
   pump();
 }
@@ -180,17 +181,17 @@ void Amu::agg_fire(AggRoute& route, std::uint64_t result) {
   // the release wave is the signal.
   ++stats_.agg_forwards;
   Amu* parent = (*peers_)[route.parent_node];
-  AmoRequest fwd;
-  fwd.op = AmoOpcode::kFetchAdd;
-  fwd.addr = route.parent_counter;
-  fwd.operand = 1;
-  fwd.has_test = true;
-  fwd.test = 0;
-  fwd.coherent = true;
-  fwd.reply = [](std::uint64_t) {};  // fire-and-forget combining
   wiring_->post(node_, route.parent_node, net::MsgClass::kRequest,
                 coh::MsgSizes{}.ctrl(),
-                [parent, fwd = std::move(fwd)]() mutable {
+                [parent, counter = route.parent_counter] {
+                  AmoRequest fwd;
+                  fwd.op = AmoOpcode::kFetchAdd;
+                  fwd.addr = counter;
+                  fwd.operand = 1;
+                  fwd.has_test = true;
+                  fwd.test = 0;
+                  fwd.coherent = true;
+                  fwd.reply = [](std::uint64_t) {};  // fire-and-forget
                   parent->submit(std::move(fwd));
                 });
 }

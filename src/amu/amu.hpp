@@ -60,6 +60,9 @@ struct AmuStats {
   std::uint64_t agg_fires = 0;     // route thresholds crossed
   std::uint64_t agg_forwards = 0;  // combined fetch-adds sent up the tree
   std::uint64_t agg_releases = 0;  // release-wave actions at this AMU
+  // Ops whose word a processor GetX dropped during the op window, so the
+  // op re-fetched it (struct-only, like the aggregation counters).
+  std::uint64_t op_restarts = 0;
   /// Cycles each request waited in the dispatch queue. Held out of line
   /// (~8 KB) and allocated only when AmuConfig::histograms.
   std::unique_ptr<sim::LogHistogram> queue_wait_hist;
@@ -86,7 +89,7 @@ class Amu final : public coh::AmuIface {
 
   /// Enqueues a request (arrival time at the hub). Replies, puts, and
   /// cache maintenance all happen as the queue drains in order.
-  void submit(AmoRequest req);
+  void submit(AmoRequest&& req);
 
   // ---- coh::AmuIface ----
   [[nodiscard]] bool holds_word(sim::Addr addr) const override;
@@ -159,11 +162,16 @@ class Amu final : public coh::AmuIface {
   Entry& install(sim::Addr addr, std::uint64_t value, bool coherent);
   void evict(Entry& entry);
 
+  /// Starts the next queued request, if any. Call only when idle.
   void pump();
-  /// Runs the hit/miss datapath for one request; retries from scratch if
-  /// the word is dropped (coherence flush) before the op commits.
-  void start(AmoRequest req);
-  void execute(AmoRequest& req, Entry& entry);
+  /// Makes `req` the in-flight request and starts it.
+  void begin(AmoRequest&& req);
+  /// Runs the hit/miss datapath for the in-flight request `cur_`.
+  void start();
+  /// End of the op window: executes `cur_`, or restarts it from scratch
+  /// if the word was dropped (coherence flush) before the op commits.
+  void finish_op();
+  void execute(Entry& entry);
 
   [[nodiscard]] AggRoute* find_agg_route(sim::Addr counter);
   /// Fires the route's aggregation action for the episode that just
@@ -183,6 +191,9 @@ class Amu final : public coh::AmuIface {
   std::vector<AggRoute> agg_routes_;       // few per node; linear lookup
 
   ds::RingQueue<AmoRequest> queue_;
+  // The one request in flight while dispatching_: the op-window event and
+  // the word-get continuation find it here instead of carrying it.
+  AmoRequest cur_;
   bool dispatching_ = false;
   std::vector<Entry> entries_;
   std::uint64_t lru_clock_ = 0;

@@ -55,7 +55,7 @@ void Directory::deliver_put(const SharerSnapshot& targets, sim::Addr addr,
   }
 }
 
-void Directory::occupy(sim::InlineFn fn, sim::Cycle cycles) {
+void Directory::occupy(sim::InlineFn&& fn, sim::Cycle cycles) {
   if (cycles == 0) cycles = config_.occupancy_cycles;
   const sim::Cycle start = std::max(engine_.now(), busy_until_);
   if (stats_.occupancy_wait_hist) {

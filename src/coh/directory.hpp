@@ -185,7 +185,7 @@ class Directory {
 
   /// Serializes message processing through the directory pipeline.
   /// `cycles` == 0 uses the default per-message occupancy.
-  void occupy(sim::InlineFn fn, sim::Cycle cycles = 0);
+  void occupy(sim::InlineFn&& fn, sim::Cycle cycles = 0);
 
   // Handlers run after the occupancy slot.
   void handle_gets(sim::CpuId r, sim::Addr block);

@@ -13,13 +13,11 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <utility>
 
 #include "net/network.hpp"
 #include "sim/engine.hpp"
-#include "sim/frame_pool.hpp"
 #include "sim/inline_fn.hpp"
 #include "sim/types.hpp"
 
@@ -59,7 +57,7 @@ class Wiring {
   /// pays the CPU<->hub system-bus crossing on both ends (Table 1's 16B/8B
   /// system bus).
   void post(sim::NodeId from, sim::NodeId to, net::MsgClass cls,
-            std::uint32_t bytes, sim::InlineFn fn) {
+            std::uint32_t bytes, sim::InlineFn&& fn) {
     if (from == to) {
       ++local_.messages;
       local_.bytes += bytes;
@@ -72,17 +70,16 @@ class Wiring {
 
   /// Word-update fan-out from `from` to a set of nodes (the AMO "put"
   /// wave). Uses hardware multicast when configured. `deliver` runs once
-  /// per target node, one event each; it is shared across local and
-  /// remote deliveries via one refcounted control block. Remote targets
-  /// take the same bus-delayed injection as post(): updates and data
-  /// replies MUST share one injection pipeline, or an update could
-  /// overtake an in-flight line fill and be dropped at the cache.
+  /// per target node, one event each; local and remote deliveries share
+  /// it through one pooled holder per wave. Remote targets take the same
+  /// bus-delayed injection as post(): updates and data replies MUST share
+  /// one injection pipeline, or an update could overtake an in-flight
+  /// line fill and be dropped at the cache.
   void post_update(sim::NodeId from, std::span<const sim::NodeId> nodes,
                    std::uint32_t bytes,
-                   sim::InlineFnT<sim::NodeId> deliver) {
-    auto shared = std::allocate_shared<sim::InlineFnT<sim::NodeId>>(
-        sim::FramePoolAllocator<sim::InlineFnT<sim::NodeId>>{},
-        std::move(deliver));
+                   sim::InlineFnT<sim::NodeId>&& deliver) {
+    const net::SharedDeliver shared =
+        net::SharedDeliver::make(std::move(deliver));
     // Local target (if any) is delivered at hub latency.
     for (sim::NodeId n : nodes) {
       if (n == from) {
@@ -91,8 +88,7 @@ class Wiring {
         engine_.schedule(local_cycles_, [shared, n] { (*shared)(n); });
       }
     }
-    network_.multicast(from, nodes, net::MsgClass::kUpdate, bytes,
-                       [shared](sim::NodeId n) { (*shared)(n); },
+    network_.multicast(from, nodes, net::MsgClass::kUpdate, bytes, shared,
                        bus_cycles_);
   }
 

@@ -115,7 +115,9 @@ class ThreadCtx {
 
   // ---- time ----
   /// Local (non-memory) work occupying this core.
-  sim::Task<void> compute(sim::Cycle cycles) { return core_.compute(cycles); }
+  sim::Engine::DelayAwaiter compute(sim::Cycle cycles) {
+    return core_.compute(cycles);
+  }
   /// Pure delay that does NOT occupy the core (backoff spinning).
   sim::Engine::DelayAwaiter delay(sim::Cycle cycles) {
     return engine_.delay(cycles);

@@ -19,12 +19,12 @@ Core::Core(sim::Engine& engine, coh::Wiring& wiring, coh::Agents& agents,
       sizes_{config.cache.l2.line_bytes},
       cache_(engine, wiring, agents, cpu, config.cache) {}
 
-sim::Task<void> Core::compute(sim::Cycle cycles) {
+sim::Engine::DelayAwaiter Core::compute(sim::Cycle cycles) {
   // Serial CPU-time reservation: later callers queue behind earlier ones.
   const sim::Cycle start = std::max(engine_.now(), cpu_busy_until_);
   cpu_busy_until_ = start + cycles;
   stats_.compute_cycles += cycles;
-  co_await engine_.delay(cpu_busy_until_ - engine_.now());
+  return engine_.delay(cpu_busy_until_ - engine_.now());
 }
 
 sim::Task<std::uint64_t> Core::amo(amu::AmoOpcode op, sim::Addr addr,
@@ -46,11 +46,11 @@ sim::Task<std::uint64_t> Core::amo(amu::AmoOpcode op, sim::Addr addr,
     wiring_.post(home, node_, net::MsgClass::kResponse, sizes_.word(),
                  [p, old] { p.set_value(old); });
   };
+  // The request waits in this frame, which lives until the reply lands,
+  // so the request event carries only a pointer to it.
   amu::Amu* amu = devices_.amus[home];
   wiring_.post(node_, home, net::MsgClass::kRequest, sizes_.ctrl(),
-               [amu, req = std::move(req)]() mutable {
-                 amu->submit(std::move(req));
-               });
+               [amu, r = &req] { amu->submit(std::move(*r)); });
   co_return co_await p.get_future();
 }
 
@@ -70,11 +70,11 @@ sim::Task<std::uint64_t> Core::mao(amu::AmoOpcode op, sim::Addr addr,
     wiring_.post(home, node_, net::MsgClass::kResponse, sizes_.word(),
                  [p, old] { p.set_value(old); });
   };
+  // The request waits in this frame, which lives until the reply lands,
+  // so the request event carries only a pointer to it.
   amu::Amu* amu = devices_.amus[home];
   wiring_.post(node_, home, net::MsgClass::kRequest, sizes_.ctrl(),
-               [amu, req = std::move(req)]() mutable {
-                 amu->submit(std::move(req));
-               });
+               [amu, r = &req] { amu->submit(std::move(*r)); });
   co_return co_await p.get_future();
 }
 

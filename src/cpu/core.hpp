@@ -57,11 +57,15 @@ class Core {
   [[nodiscard]] const coh::CacheCtrl& cache() const { return cache_; }
   [[nodiscard]] const CoreStats& stats() const { return stats_; }
 
-  /// Non-memory work: reserves `cycles` of this core's serial CPU time.
-  sim::Task<void> compute(sim::Cycle cycles);
+  /// Non-memory work: reserves `cycles` of this core's serial CPU time
+  /// now, and resumes the awaiting coroutine when the reservation ends.
+  /// Await the result at once: the reservation is made at the call.
+  [[nodiscard]] sim::Engine::DelayAwaiter compute(sim::Cycle cycles);
 
   /// Reserves CPU time for an AM handler (called by AmServer).
-  sim::Task<void> occupy(sim::Cycle cycles) { return compute(cycles); }
+  [[nodiscard]] sim::Engine::DelayAwaiter occupy(sim::Cycle cycles) {
+    return compute(cycles);
+  }
 
   /// Active Memory Operation at the home node of `addr`; returns the old
   /// value. Supplying `test` selects the delayed-put policy.

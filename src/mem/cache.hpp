@@ -55,7 +55,9 @@ struct CacheStats {
 /// touches one or two lines per CPU, so a machine's host memory follows
 /// the lines it uses, not the modelled capacity. Records never move and
 /// live as long as the table: callers hold Way pointers, and a warm
-/// cache installs lines without allocating.
+/// cache installs lines without allocating. Because records never move,
+/// `find` keeps a one-entry memo of the last set it found (a spinning CPU
+/// probes one line over and over); the memo cannot dangle.
 template <typename Way>
 class SeatedSets {
   static_assert(sizeof(Way) % sizeof(std::uint64_t) == 0 &&
@@ -71,8 +73,12 @@ class SeatedSets {
 
   /// The set's ways; null while the set is unseated.
   [[nodiscard]] Way* find(std::uint32_t set) const {
+    if (memo_ways_ != nullptr && memo_set_ == set) return memo_ways_;
     const Slot& s = slots_[slot_of(set)];
-    return s.record == nullptr ? nullptr : ways_of(s);
+    if (s.record == nullptr) return nullptr;
+    memo_set_ = set;
+    memo_ways_ = ways_of(s);
+    return memo_ways_;
   }
 
   /// The set's ways, seating the set (every way value-initialized) on
@@ -134,6 +140,8 @@ class SeatedSets {
   std::size_t record_words_;
   std::vector<Slot> slots_;
   std::size_t count_ = 0;
+  mutable Way* memo_ways_ = nullptr;  // last set find() returned, or null
+  mutable std::uint32_t memo_set_ = 0;
 };
 
 class Cache {

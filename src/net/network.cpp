@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <memory>
 #include <utility>
-
-#include "sim/frame_pool.hpp"
 
 namespace amo::net {
 
@@ -129,7 +126,7 @@ void Network::account(MsgClass cls, std::uint32_t size_bytes,
   s.latency.add(latency);
 }
 
-void Network::send(Packet p, sim::Cycle bus_cycles) {
+void Network::send(Packet&& p, sim::Cycle bus_cycles) {
   assert(p.src != p.dst && "local traffic must bypass the network");
   assert(p.on_deliver && "packet without a delivery action");
   // Every sender pays the same bus delay, so reserving links now, for an
@@ -149,20 +146,14 @@ void Network::send(Packet p, sim::Cycle bus_cycles) {
 
 void Network::multicast(sim::NodeId src, std::span<const sim::NodeId> dsts,
                         MsgClass cls, std::uint32_t size_bytes,
-                        sim::InlineFnT<sim::NodeId> deliver,
+                        const SharedDeliver& deliver,
                         sim::Cycle bus_cycles) {
-  // One refcounted control block shares the (move-only, possibly
-  // stateful) deliver closure across every destination's event; it draws
-  // from the frame pool so steady-state update waves stay heap-free.
-  auto shared = std::allocate_shared<sim::InlineFnT<sim::NodeId>>(
-      sim::FramePoolAllocator<sim::InlineFnT<sim::NodeId>>{},
-      std::move(deliver));
   if (!config_.hardware_multicast) {
     // Serialized unicasts: the sending hub injects one packet per target.
     for (sim::NodeId dst : dsts) {
       if (dst == src) continue;
       send(Packet{src, dst, cls, size_bytes,
-                  [shared, dst] { (*shared)(dst); }},
+                  [deliver, dst] { (*deliver)(dst); }},
            bus_cycles);
     }
     return;
@@ -180,7 +171,7 @@ void Network::multicast(sim::NodeId src, std::span<const sim::NodeId> dsts,
     assert(arrival >= inject && "delivery scheduled before injection");
     account(cls, size_bytes, arrival - inject, walk.hop_count());
     engine_.schedule_at(arrival + bus_cycles,
-                        [shared, dst] { (*shared)(dst); });
+                        [deliver, dst] { (*deliver)(dst); });
   }
 }
 

@@ -21,11 +21,16 @@
 #include "net/message.hpp"
 #include "net/topology.hpp"
 #include "sim/engine.hpp"
+#include "sim/frame_pool.hpp"
 #include "sim/inline_fn.hpp"
 #include "sim/stats.hpp"
 #include "sim/stats_registry.hpp"
 
 namespace amo::net {
+
+/// A multicast wave's deliver closure, shared by every destination's
+/// event through one pooled, non-atomically refcounted holder.
+using SharedDeliver = sim::PoolShared<sim::InlineFnT<sim::NodeId>>;
 
 struct NetConfig {
   std::uint32_t num_nodes = 2;
@@ -76,20 +81,19 @@ class Network {
   /// Sends one packet, injected `bus_cycles` after now; `p.on_deliver`
   /// runs `bus_cycles` after arrival (the CPU<->hub bus at each end; stats
   /// see injection -> arrival only). Precondition: p.src != p.dst.
-  void send(Packet p, sim::Cycle bus_cycles = 0);
+  void send(Packet&& p, sim::Cycle bus_cycles = 0);
 
   /// Sends the same payload to many destinations. Without hardware
   /// multicast this is a serialized sequence of unicasts from `src`
   /// (the paper's default assumption); with `hardware_multicast` the
   /// packet is replicated in the routers, charging shared path links once.
-  /// `deliver` is invoked once per (remote) destination; it is shared
-  /// across the wave through one refcounted control block, so move-only
-  /// captures are fine and the wave costs one allocation, not one per
-  /// destination. `bus_cycles` is charged at both ends, as in send().
+  /// `deliver` is invoked once per (remote) destination; each event
+  /// holds a reference to it, so the wave costs one pooled holder, not
+  /// one per destination. `bus_cycles` is charged at both ends, as in
+  /// send().
   void multicast(sim::NodeId src, std::span<const sim::NodeId> dsts,
                  MsgClass cls, std::uint32_t size_bytes,
-                 sim::InlineFnT<sim::NodeId> deliver,
-                 sim::Cycle bus_cycles = 0);
+                 const SharedDeliver& deliver, sim::Cycle bus_cycles = 0);
 
   /// Fabric-wide statistics.
   [[nodiscard]] const NetStats& stats() const { return stats_; }

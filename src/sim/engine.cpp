@@ -2,12 +2,17 @@
 
 namespace amo::sim {
 
+void Engine::dispatch_one() {
+  queue_.dispatch([this](Cycle when, EventQueue::Callback& fn) {
+    now_ = when;
+    fn();
+  });
+}
+
 std::uint64_t Engine::run(Cycle deadline) {
   std::uint64_t processed = 0;
   while (!queue_.empty() && queue_.next_time() <= deadline) {
-    EventQueue::Popped ev = queue_.pop();
-    now_ = ev.when;
-    ev.fn();
+    dispatch_one();
     ++processed;
     ++executed_;
   }
@@ -15,7 +20,7 @@ std::uint64_t Engine::run(Cycle deadline) {
 }
 
 Engine::TimerHandle Engine::schedule_cancelable(Cycle delay,
-                                                EventQueue::Callback fn) {
+                                                EventQueue::Callback&& fn) {
   std::uint32_t idx;
   if (timer_free_ != kNoCell) {
     idx = timer_free_;
@@ -47,9 +52,7 @@ void Engine::release_timer(std::uint32_t idx) {
 
 bool Engine::step() {
   if (queue_.empty()) return false;
-  EventQueue::Popped ev = queue_.pop();
-  now_ = ev.when;
-  ev.fn();
+  dispatch_one();
   ++executed_;
   return true;
 }

@@ -53,13 +53,13 @@ class Engine {
   /// Schedules `fn` to run `delay` cycles from now, returning a handle
   /// that can cancel it. The callback is parked in a pooled cell (not the
   /// queue slot), so cancel frees it without touching the ladder.
-  TimerHandle schedule_cancelable(Cycle delay, EventQueue::Callback fn);
+  TimerHandle schedule_cancelable(Cycle delay, EventQueue::Callback&& fn);
 
   /// Current simulated time in cycles.
   [[nodiscard]] Cycle now() const { return now_; }
 
   /// Schedules `fn` to run `delay` cycles from now.
-  void schedule(Cycle delay, EventQueue::Callback fn) {
+  void schedule(Cycle delay, EventQueue::Callback&& fn) {
     if (dispatch_hist_ != nullptr) dispatch_hist_->record(delay);
     queue_.push(now_ + delay, std::move(fn));
   }
@@ -68,15 +68,17 @@ class Engine {
   /// clamped to now(): the clock never rewinds, a clamped event keeps its
   /// FIFO position among other events scheduled for the current cycle, and
   /// the queue's precondition (no push before the last popped cycle) holds.
-  void schedule_at(Cycle when, EventQueue::Callback fn) {
+  void schedule_at(Cycle when, EventQueue::Callback&& fn) {
     if (dispatch_hist_ != nullptr) {
       dispatch_hist_->record(when < now_ ? 0 : when - now_);
     }
     queue_.push(when < now_ ? now_ : when, std::move(fn));
   }
 
-  /// Runs until the event queue drains or `deadline` is passed.
-  /// Returns the number of events processed.
+  /// Runs until the event queue drains or `deadline` is passed, each
+  /// callback in its queue slot. Returns the number of events processed.
+  /// A callback that throws is retired (counted out of the queue) and the
+  /// exception propagates; the next run() picks up at the next event.
   std::uint64_t run(Cycle deadline = std::numeric_limits<Cycle>::max());
 
   /// Processes a single event, if any. Returns false if the queue is empty.
@@ -136,6 +138,9 @@ class Engine {
     std::uint32_t next_free = kNoCell;
   };
   static constexpr std::uint32_t kNoCell = 0xffffffffu;
+
+  /// Runs the earliest event in its queue slot, at its cycle.
+  void dispatch_one();
 
   [[nodiscard]] bool timer_armed(std::uint32_t idx, std::uint64_t gen) const {
     return idx < timer_cells_.size() && timer_cells_[idx].gen == gen;

@@ -8,6 +8,9 @@
 // workload recycles the same few frames per context with no heap traffic
 // at all.
 //
+// `PoolShared<T>` puts a refcounted object in the same pool; promise and
+// future state share their one block through it.
+//
 // Threading: allocate and deallocate must happen on the same thread (the
 // lists are thread-local). That matches the simulator's execution model —
 // an Engine and everything scheduled on it is confined to one sweep
@@ -18,7 +21,9 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <new>
+#include <utility>
 
 namespace amo::sim {
 
@@ -84,9 +89,61 @@ struct FramePool {
   }
 };
 
-/// Minimal allocator adapter so `std::allocate_shared` (promise/future
-/// state) draws from the frame pool. Stateless; see FramePool's
-/// same-thread contract.
+/// Shared ownership of one pooled `T` with an intrusive, non-atomic
+/// reference count: promise/future state and the deliver closure of a
+/// word-update wave. A copy is a plain increment, where `std::shared_ptr`
+/// pays a lock-prefixed one. Every copy must stay on the thread that made
+/// the object: FramePool's same-thread contract, which one engine per
+/// thread already meets.
+template <typename T>
+class PoolShared {
+ public:
+  PoolShared() noexcept = default;
+  PoolShared(const PoolShared& o) noexcept : box_(o.box_) {
+    if (box_ != nullptr) ++box_->refs;
+  }
+  PoolShared(PoolShared&& o) noexcept : box_(o.box_) { o.box_ = nullptr; }
+  PoolShared& operator=(PoolShared o) noexcept {
+    std::swap(box_, o.box_);
+    return *this;
+  }
+  ~PoolShared() {
+    if (box_ != nullptr && --box_->refs == 0) {
+      box_->~Box();
+      FramePool::deallocate(box_, sizeof(Box));
+    }
+  }
+
+  /// Builds a `T` from `args` in one pooled block, count 1.
+  template <typename... A>
+  [[nodiscard]] static PoolShared make(A&&... args) {
+    void* mem = FramePool::allocate(sizeof(Box));
+    PoolShared out;
+    try {
+      out.box_ = ::new (mem) Box{T(std::forward<A>(args)...), 1};
+    } catch (...) {
+      FramePool::deallocate(mem, sizeof(Box));
+      throw;
+    }
+    return out;
+  }
+
+  [[nodiscard]] T& operator*() const noexcept { return box_->value; }
+  [[nodiscard]] T* operator->() const noexcept { return &box_->value; }
+  [[nodiscard]] explicit operator bool() const noexcept {
+    return box_ != nullptr;
+  }
+
+ private:
+  struct Box {
+    T value;
+    std::uint32_t refs;
+  };
+  Box* box_ = nullptr;
+};
+
+/// Minimal allocator adapter so standard containers draw from the frame
+/// pool. Stateless; see FramePool's same-thread contract.
 template <typename T>
 struct FramePoolAllocator {
   using value_type = T;

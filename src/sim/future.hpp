@@ -5,11 +5,14 @@
 // `co_await future`. Completion resumes the waiter through the event queue
 // (zero-cycle event), never inline, so hardware models are free to complete
 // promises while iterating their own state.
+//
+// Promise and future copies share one pooled state block through
+// `PoolShared`: a copy is a non-atomic increment, so every copy stays on
+// its engine's thread (FramePool's contract).
 #pragma once
 
 #include <cassert>
 #include <coroutine>
-#include <memory>
 #include <optional>
 #include <utility>
 
@@ -37,10 +40,10 @@ template <typename T>
 class Future {
  public:
   Future() = default;
-  explicit Future(std::shared_ptr<detail::FutureState<T>> s)
+  explicit Future(PoolShared<detail::FutureState<T>> s)
       : state_(std::move(s)) {}
 
-  [[nodiscard]] bool valid() const { return state_ != nullptr; }
+  [[nodiscard]] bool valid() const { return static_cast<bool>(state_); }
   [[nodiscard]] bool ready() const {
     return state_ && state_->value.has_value();
   }
@@ -63,13 +66,13 @@ class Future {
   /// completion resumes nobody. Timeout paths use this to tear down their
   /// watcher instead of leaking it until the producer eventually fires.
   void abandon() {
-    if (state_ == nullptr) return;
+    if (!state_) return;
     state_->waiter = nullptr;
     state_->abandoned = true;
   }
 
  private:
-  std::shared_ptr<detail::FutureState<T>> state_;
+  PoolShared<detail::FutureState<T>> state_;
 };
 
 template <typename T>
@@ -80,10 +83,7 @@ class Promise {
   Promise() = default;
 
   explicit Promise(Engine& engine)
-      // allocate_shared through the frame pool: state + control block in
-      // one pooled allocation, so per-op promises stop hitting the heap.
-      : state_(std::allocate_shared<detail::FutureState<T>>(
-            FramePoolAllocator<detail::FutureState<T>>{})) {
+      : state_(PoolShared<detail::FutureState<T>>::make()) {
     state_->engine = &engine;
   }
 
@@ -95,7 +95,7 @@ class Promise {
     assert(!state_->value.has_value() && "Promise completed twice");
     state_->value.emplace(std::move(v));
     if (state_->waiter || state_->abandoned) {
-      // The waiter is re-read at event execution time (the shared_ptr
+      // The waiter is re-read at event execution time (the state
       // capture keeps the state alive), so a consumer that abandons the
       // future between completion and resumption is never resumed dead —
       // the event fires as a no-op, keeping its queue slot either way.
@@ -110,7 +110,7 @@ class Promise {
   [[nodiscard]] bool completed() const { return state_->value.has_value(); }
 
  private:
-  std::shared_ptr<detail::FutureState<T>> state_;
+  PoolShared<detail::FutureState<T>> state_;
 };
 
 }  // namespace amo::sim

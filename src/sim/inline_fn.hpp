@@ -8,15 +8,24 @@
 // of up to kInlineBytes directly in the event-queue slot and only falls
 // back to the heap for oversized or throwing-move captures.
 //
+// An event's closure is built into an InlineFn once, at the schedule
+// call, and moved once, into its queue slot: Engine::schedule, the
+// event queue, Wiring::post and Network::send all take callbacks by
+// rvalue reference, and the engine runs each callback in its slot. An
+// InlineFn is 56 bytes and 8-byte aligned, so a slot (cycle + callback)
+// fills one 64-byte host cache line.
+//
 // InlineFnT<Args...> generalizes the same storage scheme to callbacks
 // that take arguments (multicast delivery takes a NodeId, AMO replies
 // take the old word value); InlineFn is the nullary alias the event
 // queue uses.
 //
 // The oversized fallback boxes the callable through FramePool, not the
-// global allocator: AMO requests ride the network inside closures that
-// carry a nested reply InlineFn (well past 48 bytes), and pooling their
-// boxes keeps steady-state AMO traffic allocation-free too.
+// global allocator, so the rare big closures (directory handlers that
+// carry a whole line, word-update waves with a sharer snapshot) stay
+// allocation-free in steady state too. AMO requests are not boxed: the
+// request event captures a pointer to the request in the issuing
+// coroutine's frame.
 #pragma once
 
 #include <cstddef>
@@ -37,6 +46,9 @@ class InlineFnT {
   /// plus a few pointers/integers) with room to spare; anything larger is
   /// a cold-path construction and may heap-allocate.
   static constexpr std::size_t kInlineBytes = 48;
+  /// Inline storage alignment: pointers, handles and integers. A closure
+  /// needing more takes the boxed fallback.
+  static constexpr std::size_t kInlineAlign = 8;
 
   InlineFnT() noexcept = default;
 
@@ -72,8 +84,8 @@ class InlineFnT {
     }
   }
 
-  // Moves are the event queue's hottest operation (every push, pop and
-  // span distribution relocates events). Most captures are trivially
+  // A move relocates an event into its queue slot (and again when a span
+  // distributes into buckets). Most captures are trivially
   // copyable (handles, pointers, ints); for those — and for the heap
   // fallback, which only relocates a pointer — `relocate` is null and a
   // branch-predictable fixed-size copy of the buffer suffices.
@@ -126,7 +138,7 @@ class InlineFnT {
   template <typename Fn>
   static constexpr bool fits_inline() {
     return sizeof(Fn) <= kInlineBytes &&
-           alignof(Fn) <= alignof(std::max_align_t) &&
+           alignof(Fn) <= kInlineAlign &&
            std::is_nothrow_move_constructible_v<Fn>;
   }
 
@@ -184,9 +196,11 @@ class InlineFnT {
     }
   }
 
-  alignas(std::max_align_t) unsigned char buf_[kInlineBytes];
+  alignas(kInlineAlign) unsigned char buf_[kInlineBytes];
   const Ops* ops_ = nullptr;
 };
+
+static_assert(sizeof(InlineFnT<>) == 56);
 
 using InlineFn = InlineFnT<>;
 

@@ -2,6 +2,7 @@
 // (hits, capacity evictions), put policies, and MAO mode.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <vector>
 
@@ -206,6 +207,40 @@ TEST(Amu, RemoteRepliesCarryOldValueAcrossNodes) {
   EXPECT_EQ(m.peek_word(a), 5u);
   EXPECT_EQ(m.amu(3).stats().amo_ops, 1u);
   EXPECT_EQ(m.amu(0).stats().amo_ops, 0u);
+}
+
+// Processor atomics on the AMU's word: each GetX merges the AMU's value
+// and drops its copy, and one that lands inside an op window makes the op
+// restart and re-fetch the word. Either way no increment may be lost or
+// handed out twice.
+TEST(Amu, OpRestartsWhenGetXDropsWordMidOp) {
+  constexpr std::uint32_t kCpus = 8;
+  constexpr int kIters = 24;
+  core::Machine m(cfg_with(kCpus));
+  const sim::Addr a = m.galloc().alloc_word_line(0);
+  std::vector<std::uint64_t> tickets;
+  for (sim::CpuId c = 0; c < kCpus; ++c) {
+    m.spawn(c, [&, c](core::ThreadCtx& t) -> sim::Task<void> {
+      for (int i = 0; i < kIters; ++i) {
+        co_await t.compute(t.rng().below(64));
+        std::uint64_t old = 0;
+        if (c % 2 == 0) {
+          old = co_await t.amo_fetch_add(a, 1);
+        } else {
+          old = co_await t.atomic_fetch_add(a, 1);
+        }
+        tickets.push_back(old);
+      }
+    });
+  }
+  m.run();
+  constexpr std::uint64_t kTotal = std::uint64_t{kCpus} * kIters;
+  EXPECT_GT(m.amu(0).stats().op_restarts, 0u)
+      << "no GetX landed inside an op window";
+  std::sort(tickets.begin(), tickets.end());
+  ASSERT_EQ(tickets.size(), kTotal);
+  for (std::uint64_t i = 0; i < kTotal; ++i) ASSERT_EQ(tickets[i], i);
+  EXPECT_EQ(m.peek_word(a), kTotal);
 }
 
 }  // namespace

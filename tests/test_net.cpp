@@ -222,7 +222,8 @@ TEST(Network, MulticastWithoutHardwareIsUnicasts) {
   std::vector<sim::NodeId> got;
   const std::vector<sim::NodeId> dsts{1, 2, 3, 9};
   n.multicast(0, dsts, MsgClass::kUpdate, 40,
-              [&](sim::NodeId d) { got.push_back(d); });
+              SharedDeliver::make(
+                  [&](sim::NodeId d) { got.push_back(d); }));
   e.run();
   EXPECT_EQ(got.size(), 4u);
   EXPECT_EQ(n.stats().packets, 4u);
@@ -238,7 +239,8 @@ TEST(Network, HardwareMulticastChargesSharedLinksOnce) {
   std::vector<sim::Cycle> arrivals;
   const std::vector<sim::NodeId> dsts{8, 9, 10, 11};
   n.multicast(0, dsts, MsgClass::kUpdate, 40,
-              [&](sim::NodeId) { arrivals.push_back(e.now()); });
+              SharedDeliver::make(
+                  [&](sim::NodeId) { arrivals.push_back(e.now()); }));
   e.run();
   ASSERT_EQ(arrivals.size(), 4u);
   for (sim::Cycle a : arrivals) EXPECT_EQ(a, arrivals.front());
@@ -250,7 +252,8 @@ TEST(Network, MulticastSkipsSelf) {
   std::vector<sim::NodeId> got;
   const std::vector<sim::NodeId> dsts{0, 1};
   n.multicast(0, dsts, MsgClass::kUpdate, 40,
-              [&](sim::NodeId d) { got.push_back(d); });
+              SharedDeliver::make(
+                  [&](sim::NodeId d) { got.push_back(d); }));
   e.run();
   EXPECT_EQ(got, (std::vector<sim::NodeId>{1}));
 }
@@ -362,17 +365,18 @@ TEST(Network, MoveOnlyCaptureTravelsThroughMulticast) {
     NetConfig cfg = small_net(8);
     cfg.hardware_multicast = hw;
     Network n(e, cfg);
-    // The deliver closure is shared across the wave through one control
-    // block, so a move-only capture must stay alive and invocable once
+    // The deliver closure is shared across the wave through one pooled
+    // holder, so a move-only capture must stay alive and invocable once
     // per remote destination.
     auto token = std::make_unique<std::uint64_t>(7);
     std::vector<sim::NodeId> got;
     const std::vector<sim::NodeId> dsts{1, 3, 5};
     n.multicast(0, dsts, MsgClass::kUpdate, 40,
-                [t = std::move(token), &got](sim::NodeId d) {
-                  ASSERT_EQ(*t, 7u);
-                  got.push_back(d);
-                });
+                SharedDeliver::make(
+                    [t = std::move(token), &got](sim::NodeId d) {
+                      ASSERT_EQ(*t, 7u);
+                      got.push_back(d);
+                    }));
     e.run();
     EXPECT_EQ(got, dsts) << "hardware_multicast=" << hw;
   }
