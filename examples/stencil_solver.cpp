@@ -54,10 +54,11 @@ RunResult run(sync::Mechanism mech) {
         const auto& cur = grid[it % 2];
         const auto& nxt = grid[(it + 1) % 2];
         for (std::uint32_t i = lo; i < hi; ++i) {
-          const std::uint64_t left =
-              i == 0 ? 0 : co_await t.load(cur[i - 1]);
-          const std::uint64_t right =
-              i == kCells - 1 ? 0 : co_await t.load(cur[i + 1]);
+          // if/else, not `?:`: GCC 12 evaluates both arms (DESIGN.md §8).
+          std::uint64_t left = 0;
+          if (i > 0) left = co_await t.load(cur[i - 1]);
+          std::uint64_t right = 0;
+          if (i < kCells - 1) right = co_await t.load(cur[i + 1]);
           const std::uint64_t self = co_await t.load(cur[i]);
           co_await t.store(nxt[i], (left + right + 2 * self) / 4);
           co_await t.compute(4);  // the FLOPs

@@ -26,23 +26,41 @@ CacheCtrl::CacheCtrl(sim::Engine& engine, Wiring& wiring, Agents& agents,
 
 // ----------------------------------------------------------- thread API
 
-sim::Task<std::uint64_t> CacheCtrl::load(sim::Addr addr) {
-  ++stats_.loads;
-  co_await engine_.delay(config_.l1_cycles);
-  if (l1_.probe(addr)) {
-    mem::Cache::Line* line = l2_.find(addr, /*touch=*/false);
-    assert(line != nullptr && "L1 filter must be inclusive in L2");
-    co_return l2_.read_word(*line, addr);
+// Every co_await of a load gives its caller's frame one of these.
+static_assert(sizeof(CacheCtrl::LoadAwaiter) <= 32);
+
+void CacheCtrl::LoadAwaiter::await_suspend(std::coroutine_handle<> h) {
+  h_ = h;
+  ++ctrl_->stats_.loads;
+  ctrl_->engine_.schedule(ctrl_->config_.l1_cycles,
+                          [a = this] { a->ctrl_->probe_l1(*a); });
+}
+
+void CacheCtrl::probe_l1(LoadAwaiter& load) {
+  if (!l1_.probe(load.addr_)) {
+    load_miss(load);
+    return;
   }
+  mem::Cache::Line* line = l2_.find(load.addr_, /*touch=*/false);
+  assert(line != nullptr && "L1 filter must be inclusive in L2");
+  load.value_ = l2_.read_word(*line, load.addr_);
+  load.h_.resume();
+}
+
+sim::Detached CacheCtrl::load_miss(LoadAwaiter& load) {
+  const sim::Addr addr = load.addr_;
   co_await engine_.delay(config_.l2_cycles);
   for (;;) {
     mem::Cache::Line* line = l2_.find(addr);
     if (line != nullptr) {
       l1_.fill(addr);
-      co_return l2_.read_word(*line, addr);
+      load.value_ = l2_.read_word(*line, addr);
+      break;
     }
     co_await request_line(addr, /*want_m=*/false);
   }
+  // The caller may run to its end, freeing `load`, inside this call.
+  load.h_.resume();
 }
 
 sim::Task<void> CacheCtrl::store(sim::Addr addr, std::uint64_t value) {

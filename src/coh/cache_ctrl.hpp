@@ -75,8 +75,30 @@ class CacheCtrl final : public CacheIface {
             sim::CpuId cpu, const CacheCtrlConfig& config);
 
   // ------------------------------------------------- thread-facing API
-  /// Coherent 8-byte load.
-  sim::Task<std::uint64_t> load(sim::Addr addr);
+  /// Awaitable coherent 8-byte load; returns the word. Await it at once:
+  /// the access starts when awaited. An L1 hit resumes the caller from
+  /// the L1-latency event itself, with no frame of its own; a miss goes
+  /// on in a self-destroying coroutine (the L2 and MSHR path) that
+  /// resumes the caller once the line is in. It must not move while
+  /// suspended.
+  class [[nodiscard]] LoadAwaiter {
+   public:
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h);
+    std::uint64_t await_resume() const noexcept { return value_; }
+
+   private:
+    friend class CacheCtrl;
+    LoadAwaiter(CacheCtrl& ctrl, sim::Addr addr) : ctrl_(&ctrl), addr_(addr) {}
+
+    CacheCtrl* ctrl_;
+    sim::Addr addr_;
+    std::uint64_t value_ = 0;
+    std::coroutine_handle<> h_;
+  };
+  [[nodiscard]] LoadAwaiter load(sim::Addr addr) {
+    return LoadAwaiter(*this, addr);
+  }
   /// Coherent 8-byte store (obtains M state).
   sim::Task<void> store(sim::Addr addr, std::uint64_t value);
   /// Load-linked: load + arm the link register for this line.
@@ -176,6 +198,13 @@ class CacheCtrl final : public CacheIface {
 
   [[nodiscard]] Mshr* find_mshr(sim::Addr block);
   [[nodiscard]] SpinPark* find_park(sim::Addr block);
+
+  /// End of a load's L1 latency: a hit resumes the caller here; a miss
+  /// starts load_miss.
+  void probe_l1(LoadAwaiter& load);
+  /// A load's L2 lookup and miss loop, in a frame of its own; resumes
+  /// the caller once the word is read.
+  sim::Detached load_miss(LoadAwaiter& load);
 
   /// Brings the line in (S for loads, M for writes); returns when the
   /// request that was outstanding for this block completed. Callers loop.

@@ -42,7 +42,11 @@ class ThreadCtx {
   [[nodiscard]] SpinStats& spin_stats() { return spin_stats_; }
 
   // ---- coherent memory ----
-  sim::Task<std::uint64_t> load(sim::Addr a) { return core_.cache().load(a); }
+  // The leaf ops below that return awaiters (load, amo*, mao*) issue
+  // when awaited: await them at once.
+  coh::CacheCtrl::LoadAwaiter load(sim::Addr a) {
+    return core_.cache().load(a);
+  }
   sim::Task<void> store(sim::Addr a, std::uint64_t v) {
     return core_.cache().store(a, v);
   }
@@ -70,26 +74,26 @@ class ThreadCtx {
   // ---- active memory operations (coherent, memory-side) ----
   /// amo.inc with the paper's "test" value: the result is pushed to all
   /// cached copies only when it reaches `test`.
-  sim::Task<std::uint64_t> amo_inc(sim::Addr a, std::uint64_t test) {
+  cpu::Core::AmoAwaiter amo_inc(sim::Addr a, std::uint64_t test) {
     return core_.amo(amu::AmoOpcode::kInc, a, 0, test);
   }
   /// amo.fetchadd: eager word update to every cached copy.
-  sim::Task<std::uint64_t> amo_fetch_add(sim::Addr a, std::uint64_t d) {
+  cpu::Core::AmoAwaiter amo_fetch_add(sim::Addr a, std::uint64_t d) {
     return core_.amo(amu::AmoOpcode::kFetchAdd, a, d);
   }
   /// Generic AMO (extension opcodes: swap/cas/and/or/xor/min/max).
-  sim::Task<std::uint64_t> amo(amu::AmoOpcode op, sim::Addr a,
-                               std::uint64_t operand,
-                               std::optional<std::uint64_t> test = {},
-                               std::uint64_t operand2 = 0) {
+  cpu::Core::AmoAwaiter amo(amu::AmoOpcode op, sim::Addr a,
+                            std::uint64_t operand,
+                            std::optional<std::uint64_t> test = {},
+                            std::uint64_t operand2 = 0) {
     return core_.amo(op, a, operand, test, operand2);
   }
 
   // ---- memory-side atomics outside coherence (Origin 2000 / T3E) ----
-  sim::Task<std::uint64_t> mao_fetch_add(sim::Addr a, std::uint64_t d) {
+  cpu::Core::AmoAwaiter mao_fetch_add(sim::Addr a, std::uint64_t d) {
     return core_.mao(amu::AmoOpcode::kFetchAdd, a, d);
   }
-  sim::Task<std::uint64_t> mao_inc(sim::Addr a) {
+  cpu::Core::AmoAwaiter mao_inc(sim::Addr a) {
     return core_.mao(amu::AmoOpcode::kInc, a, 0);
   }
   sim::Task<std::uint64_t> uncached_load(sim::Addr a) {

@@ -27,55 +27,44 @@ sim::Engine::DelayAwaiter Core::compute(sim::Cycle cycles) {
   return engine_.delay(cpu_busy_until_ - engine_.now());
 }
 
-sim::Task<std::uint64_t> Core::amo(amu::AmoOpcode op, sim::Addr addr,
-                                   std::uint64_t operand,
-                                   std::optional<std::uint64_t> test,
-                                   std::uint64_t operand2) {
-  ++stats_.amo_ops;
-  const sim::NodeId home = coh::home_of(addr);
-  sim::Promise<std::uint64_t> p(engine_);
-  amu::AmoRequest req;
-  req.op = op;
-  req.addr = addr;
-  req.operand = operand;
-  req.operand2 = operand2;
-  req.has_test = test.has_value();
-  req.test = test.value_or(0);
-  req.coherent = true;
-  req.reply = [this, home, p](std::uint64_t old) {
-    wiring_.post(home, node_, net::MsgClass::kResponse, sizes_.word(),
-                 [p, old] { p.set_value(old); });
-  };
-  // The request waits in this frame, which lives until the reply lands,
-  // so the request event carries only a pointer to it.
-  amu::Amu* amu = devices_.amus[home];
-  wiring_.post(node_, home, net::MsgClass::kRequest, sizes_.ctrl(),
-               [amu, r = &req] { amu->submit(std::move(*r)); });
-  co_return co_await p.get_future();
+// Every co_await of an AMO gives its caller's frame one of these.
+static_assert(sizeof(Core::AmoAwaiter) <= 56);
+
+void Core::AmoAwaiter::await_suspend(std::coroutine_handle<> h) {
+  h_ = h;
+  Core& c = *core_;
+  if (coherent_) {
+    ++c.stats_.amo_ops;
+  } else {
+    ++c.stats_.mao_ops;
+  }
+  // The request event carries only a pointer to this awaiter, which
+  // waits in the caller's frame until the reply lands.
+  const sim::NodeId home = coh::home_of(addr_);
+  amu::Amu* amu = c.devices_.amus[home];
+  c.wiring_.post(c.node_, home, net::MsgClass::kRequest, c.sizes_.ctrl(),
+                 [amu, a = this] { amu->submit(a->request()); });
 }
 
-sim::Task<std::uint64_t> Core::mao(amu::AmoOpcode op, sim::Addr addr,
-                                   std::uint64_t operand,
-                                   std::uint64_t operand2) {
-  ++stats_.mao_ops;
-  const sim::NodeId home = coh::home_of(addr);
-  sim::Promise<std::uint64_t> p(engine_);
+amu::AmoRequest Core::AmoAwaiter::request() {
   amu::AmoRequest req;
-  req.op = op;
-  req.addr = addr;
-  req.operand = operand;
-  req.operand2 = operand2;
-  req.coherent = false;
-  req.reply = [this, home, p](std::uint64_t old) {
-    wiring_.post(home, node_, net::MsgClass::kResponse, sizes_.word(),
-                 [p, old] { p.set_value(old); });
+  req.op = op_;
+  req.addr = addr_;
+  req.operand = word_;
+  req.operand2 = operand2_;
+  req.has_test = has_test_;
+  req.test = test_;
+  req.coherent = coherent_;
+  req.reply = [a = this](std::uint64_t old) {
+    Core& c = *a->core_;
+    c.wiring_.post(coh::home_of(a->addr_), c.node_, net::MsgClass::kResponse,
+                   c.sizes_.word(), [a, old] {
+                     a->word_ = old;
+                     a->core_->engine_.schedule(
+                         0, [h = a->h_] { h.resume(); });
+                   });
   };
-  // The request waits in this frame, which lives until the reply lands,
-  // so the request event carries only a pointer to it.
-  amu::Amu* amu = devices_.amus[home];
-  wiring_.post(node_, home, net::MsgClass::kRequest, sizes_.ctrl(),
-               [amu, r = &req] { amu->submit(std::move(*r)); });
-  co_return co_await p.get_future();
+  return req;
 }
 
 sim::Task<std::uint64_t> Core::uncached_load(sim::Addr addr) {

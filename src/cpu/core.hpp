@@ -14,6 +14,7 @@
 //   * am_rpc(): active message with timeout + retransmit
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
 #include <optional>
 
@@ -67,17 +68,63 @@ class Core {
     return compute(cycles);
   }
 
+  /// Awaitable result of amo() and mao(): the old value. Await it at
+  /// once: the request leaves when it is awaited, and the reply resumes
+  /// the caller through one zero-cycle event, as a completed promise
+  /// does. It keeps the op's arguments, not a request (the request is
+  /// built at the home), so a caller's frame stays small; it must not
+  /// move while suspended.
+  class [[nodiscard]] AmoAwaiter {
+   public:
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h);
+    std::uint64_t await_resume() const noexcept { return word_; }
+
+   private:
+    friend class Core;
+    AmoAwaiter(Core& core, amu::AmoOpcode op, sim::Addr addr,
+               std::uint64_t operand, std::uint64_t operand2,
+               std::optional<std::uint64_t> test, bool coherent)
+        : core_(&core),
+          addr_(addr),
+          word_(operand),
+          operand2_(operand2),
+          test_(test.value_or(0)),
+          op_(op),
+          has_test_(test.has_value()),
+          coherent_(coherent) {}
+
+    /// Builds the request at the home; its reply completes this awaiter.
+    [[nodiscard]] amu::AmoRequest request();
+
+    Core* core_;
+    sim::Addr addr_;
+    // The operand until the request is built, then the old value: one
+    // slot keeps the awaiter at 56 bytes.
+    std::uint64_t word_;
+    std::uint64_t operand2_;
+    std::uint64_t test_;
+    std::coroutine_handle<> h_;
+    amu::AmoOpcode op_;
+    bool has_test_;
+    bool coherent_;
+  };
+
   /// Active Memory Operation at the home node of `addr`; returns the old
   /// value. Supplying `test` selects the delayed-put policy.
-  sim::Task<std::uint64_t> amo(amu::AmoOpcode op, sim::Addr addr,
-                               std::uint64_t operand,
-                               std::optional<std::uint64_t> test = {},
-                               std::uint64_t operand2 = 0);
+  AmoAwaiter amo(amu::AmoOpcode op, sim::Addr addr, std::uint64_t operand,
+                 std::optional<std::uint64_t> test = {},
+                 std::uint64_t operand2 = 0) {
+    return AmoAwaiter(*this, op, addr, operand, operand2, test,
+                      /*coherent=*/true);
+  }
 
   /// Memory-side atomic outside the coherent domain.
-  sim::Task<std::uint64_t> mao(amu::AmoOpcode op, sim::Addr addr,
-                               std::uint64_t operand,
-                               std::uint64_t operand2 = 0);
+  AmoAwaiter mao(amu::AmoOpcode op, sim::Addr addr, std::uint64_t operand,
+                 std::uint64_t operand2 = 0) {
+    return AmoAwaiter(*this, op, addr, operand, operand2, std::nullopt,
+                      /*coherent=*/false);
+  }
 
   /// Uncached word access at the home memory (MAO spinning).
   sim::Task<std::uint64_t> uncached_load(sim::Addr addr);

@@ -20,13 +20,16 @@ class Counter {
       : cell_(m.galloc().alloc_word_line(home)) {}
 
   /// Atomically adds `delta`; returns the previous value. One message
-  /// pair regardless of contention.
-  sim::Task<std::uint64_t> add(core::ThreadCtx& t, std::uint64_t delta) {
+  /// pair regardless of contention. Await at once.
+  cpu::Core::AmoAwaiter add(core::ThreadCtx& t, std::uint64_t delta) {
     return t.amo_fetch_add(cell_, delta);
   }
 
   /// Coherent read (may briefly cache; AMU merges keep it current).
-  sim::Task<std::uint64_t> read(core::ThreadCtx& t) { return t.load(cell_); }
+  /// Await at once.
+  coh::CacheCtrl::LoadAwaiter read(core::ThreadCtx& t) {
+    return t.load(cell_);
+  }
 
   [[nodiscard]] sim::Addr address() const { return cell_; }
 

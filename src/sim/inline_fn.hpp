@@ -24,8 +24,8 @@
 // global allocator, so the rare big closures (directory handlers that
 // carry a whole line, word-update waves with a sharer snapshot) stay
 // allocation-free in steady state too. AMO requests are not boxed: the
-// request event captures a pointer to the request in the issuing
-// coroutine's frame.
+// request event captures a pointer to the issuing Core::AmoAwaiter, and
+// the request is built from it at the home.
 #pragma once
 
 #include <cstddef>

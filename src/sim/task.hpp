@@ -1,17 +1,28 @@
-// Lazy coroutine task type for simulated threads.
+// Eager coroutine task type for simulated threads.
 //
-// `Task<T>` is the return type of every piece of simulated code: a barrier
-// wait, a memory load, a whole benchmark thread. Tasks start eagerly — the
-// body runs up to its first real suspension inside the creation call — and
-// resume their awaiter when they finish. Since simulated code always
-// awaits a task immediately (or hands it straight to `detach()`), this is
-// indistinguishable from lazy start, but lets a task that never suspends
-// complete without ever suspending its parent. Synchronization algorithms
-// read like the paper's pseudocode:
+// `Task<T>` is the return type of simulated code that runs more than one
+// step: a barrier wait, a lock passage, a store or LL/SC, a whole
+// benchmark thread. Tasks start eagerly — the body runs up to its first
+// real suspension inside the creation call — and resume their awaiter
+// when they finish. Since simulated code always awaits a task immediately
+// (or hands it straight to `detach()`), this is indistinguishable from
+// lazy start, but lets a task that never suspends complete without ever
+// suspending its parent.
+//
+// The leaf operations on the barrier path are not tasks: a load
+// (`CacheCtrl::LoadAwaiter`), an AMO or MAO (`Core::AmoAwaiter`) and
+// compute time (`Engine::DelayAwaiter`) are frameless awaiters that issue
+// when awaited and live in the awaiting frame, so an L1 hit or an AMO
+// allocates nothing. Await them at once. Synchronization algorithms read
+// like the paper's pseudocode:
 //
 //   sim::Task<void> barrier_wait(ThreadCtx& ctx) {
-//     std::uint64_t old = co_await ctx.amo_inc(var, target);
-//     while (co_await ctx.load(var) != target) { ... }
+//     const std::uint64_t old = co_await ctx.amo_inc(var, target);
+//     for (;;) {
+//       const std::uint64_t v = co_await ctx.load(var);
+//       if (v == target) break;
+//       ...
+//     }
 //   }
 #pragma once
 
@@ -202,9 +213,10 @@ class [[nodiscard]] Task<void> {
   std::coroutine_handle<promise_type> h_;
 };
 
-namespace detail {
-
-// Eager self-destroying coroutine used as the root of a detached task tree.
+/// Return type of a self-destroying coroutine: it starts at the call,
+/// like a Task, and frees its own frame when its body ends. Nobody can
+/// await it, so it hands any result on itself. It roots detach()'s task
+/// trees and runs CacheCtrl's load miss path.
 struct Detached {
   struct promise_type {
     static void* operator new(std::size_t n) { return FramePool::allocate(n); }
@@ -220,6 +232,8 @@ struct Detached {
     void unhandled_exception() { std::terminate(); }
   };
 };
+
+namespace detail {
 
 inline Detached detach_impl(Task<void> task, std::function<void()> on_done) {
   co_await std::move(task);

@@ -36,9 +36,14 @@ sim::Task<std::uint64_t> ShardedService::total_ops(core::ThreadCtx& t) {
   for (Shard& sh : shards_) {
     // MAO bumps live outside the coherent domain (O2K/T3E semantics), so
     // read them back through the uncached path they were written by.
-    total += mech_ == sync::Mechanism::kMao
-                 ? co_await t.uncached_load(sh.ops->address())
-                 : co_await sh.ops->read(t);
+    // if/else, not `?:`: GCC 12 evaluates both arms (DESIGN.md §8).
+    std::uint64_t ops = 0;
+    if (mech_ == sync::Mechanism::kMao) {
+      ops = co_await t.uncached_load(sh.ops->address());
+    } else {
+      ops = co_await sh.ops->read(t);
+    }
+    total += ops;
   }
   co_return total;
 }

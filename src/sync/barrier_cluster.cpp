@@ -82,54 +82,58 @@ class ClusterBarrier final : public Barrier {
         g.size = std::min(topo.radix(), below - first);
       }
     }
-    root_counter_ = m.galloc().alloc_word_line(0);
-    root_release_ = m.galloc().alloc_word_line(0);
-    root_size_ = static_cast<std::uint32_t>(tiers_[depth_].size());
+    root_.counter = m.galloc().alloc_word_line(0);
+    root_.release = m.galloc().alloc_word_line(0);
+    root_.size = static_cast<std::uint32_t>(tiers_[depth_].size());
 
     if (aggregate_) install_routes(m);
   }
 
+  // Every leaf op is awaited in place, in if/else arms: no wrapper
+  // coroutine per arrival or release, and never a `?:` (DESIGN.md §8).
+  // Each op has one call site, as every awaiter lives in this frame.
   sim::Task<void> wait(core::ThreadCtx& t) override {
     if (sw_half_ > 0) co_await t.compute(sw_half_);
     const std::uint64_t ep = ++episode_[t.cpu()];
     const sim::NodeId node = t.cpu() / cpn_;
 
-    if (aggregate_) {
-      // One arrival op; the AMUs combine, forward, and release. The
-      // never-matching test keeps the counter's put policy silent — the
-      // release word put by the tier-0 route is the wake-up.
-      (void)co_await t.amo(amu::AmoOpcode::kFetchAdd,
-                           tiers_[0][node].counter, 1, 0);
-      co_await wait_release(t, tiers_[0][node].release, ep);
-      if (sw_half_ > 0) co_await t.compute(sw_half_);
-      co_return;
-    }
-
-    // Software combining: ascend while last-to-arrive.
-    std::uint32_t won = 0;  // groups [0, won) on this cpu's chain are won
-    while (won <= depth_) {
+    // Ascend while last-to-arrive; tier depth_ + 1 is the root, which
+    // joins the top-tier winners. Under AMU aggregation every cpu arrives
+    // once, at tier 0, and waits there: the AMUs combine, forward and
+    // release, and the never-matching test value 0 keeps the counter's
+    // put policy silent (the release word put by the tier-0 route is the
+    // wake-up).
+    std::uint32_t won = 0;  // tiers [0, won) on this cpu's chain are won
+    while (won <= depth_ + 1) {
       const Group& g = group_of(node, won);
       const std::uint64_t target = ep * g.size;
-      const std::uint64_t old = co_await arrive(t, g.counter, target);
-      if (old != target - 1) break;
+      std::uint64_t old = 0;
+      if (mech_ == Mechanism::kAmo) {
+        // The target as test value delays the counter's put to the last
+        // arrival.
+        std::uint64_t test = target;
+        if (aggregate_) test = 0;
+        old = co_await t.amo(amu::AmoOpcode::kFetchAdd, g.counter, 1, test);
+      } else {
+        old = co_await fetch_add(mech_, t, g.counter, 1);
+      }
+      if (aggregate_ || old != target - 1) {
+        (void)co_await spin_cached_until(
+            t, g.release, [ep](std::uint64_t v) { return v >= ep; });
+        break;
+      }
       ++won;
     }
-    if (won == depth_ + 1) {
-      // Won the whole chain: combine into the root.
-      const std::uint64_t target = ep * root_size_;
-      const std::uint64_t old = co_await arrive(t, root_counter_, target);
-      if (old == target - 1) {
-        co_await publish(t, root_release_, ep);
+    // Release every tier this cpu won, top-down (their losers wait on
+    // exactly these words). Under AMO a release is an eager put: one
+    // word-update wave instead of an invalidation storm.
+    for (std::uint32_t tier = won; tier-- > 0;) {
+      const sim::Addr release = group_of(node, tier).release;
+      if (mech_ == Mechanism::kAmo) {
+        (void)co_await t.amo_fetch_add(release, 1);
       } else {
-        co_await wait_release(t, root_release_, ep);
+        co_await t.store(release, ep);
       }
-    } else {
-      co_await wait_release(t, group_of(node, won).release, ep);
-    }
-    // Release every group this cpu won, top-down (their losers wait on
-    // exactly these words).
-    for (std::uint32_t lvl = won; lvl-- > 0;) {
-      co_await publish(t, group_of(node, lvl).release, ep);
     }
     if (sw_half_ > 0) co_await t.compute(sw_half_);
   }
@@ -143,8 +147,10 @@ class ClusterBarrier final : public Barrier {
     std::uint32_t size = 0;
   };
 
+  /// This node's group at `tier`; tier depth_ + 1 is the root.
   [[nodiscard]] const Group& group_of(sim::NodeId node,
                                       std::uint32_t tier) const {
+    if (tier > depth_) return root_;
     return tiers_[tier][topo_->ancestor_of(node, tier)];
   }
 
@@ -164,7 +170,7 @@ class ClusterBarrier final : public Barrier {
       } else {
         r.has_parent = true;
         r.parent_node = 0;
-        r.parent_counter = root_counter_;
+        r.parent_counter = root_.counter;
       }
       m.amu(n).add_agg_route(std::move(r));
     }
@@ -184,7 +190,7 @@ class ClusterBarrier final : public Barrier {
         } else {
           r.has_parent = true;
           r.parent_node = 0;
-          r.parent_counter = root_counter_;
+          r.parent_counter = root_.counter;
         }
         const std::uint32_t first = e * topo.radix();
         const std::uint32_t count = tiers_[t][e].size;
@@ -198,8 +204,8 @@ class ClusterBarrier final : public Barrier {
     }
     // Root route on node 0: joins the top-tier fires, starts the wave.
     amu::Amu::AggRoute root;
-    root.counter = root_counter_;
-    root.threshold = root_size_;
+    root.counter = root_.counter;
+    root.threshold = root_.size;
     root.release = 0;
     for (std::uint32_t e = 0; e < tiers_[depth_].size(); ++e) {
       const sim::NodeId child_home =
@@ -209,30 +215,6 @@ class ClusterBarrier final : public Barrier {
     m.amu(0).add_agg_route(std::move(root));
   }
 
-  sim::Task<std::uint64_t> arrive(core::ThreadCtx& t, sim::Addr counter,
-                                  std::uint64_t target) {
-    if (mech_ == Mechanism::kAmo) {
-      co_return co_await t.amo(amu::AmoOpcode::kFetchAdd, counter, 1, target);
-    }
-    co_return co_await fetch_add(mech_, t, counter, 1);
-  }
-
-  sim::Task<void> publish(core::ThreadCtx& t, sim::Addr release,
-                          std::uint64_t ep) {
-    if (mech_ == Mechanism::kAmo) {
-      // Eager put: one word-update wave instead of an invalidation storm.
-      (void)co_await t.amo_fetch_add(release, 1);
-      co_return;
-    }
-    co_await t.store(release, ep);
-  }
-
-  sim::Task<void> wait_release(core::ThreadCtx& t, sim::Addr release,
-                               std::uint64_t ep) {
-    (void)co_await spin_cached_until(
-        t, release, [ep](std::uint64_t v) { return v >= ep; });
-  }
-
   Mechanism mech_;
   sim::Cycle sw_half_;
   std::uint32_t cpn_;
@@ -240,9 +222,7 @@ class ClusterBarrier final : public Barrier {
   std::uint32_t depth_ = 0;
   const net::Topology* topo_ = nullptr;
   std::vector<std::vector<Group>> tiers_;  // [tier][entity]
-  sim::Addr root_counter_ = 0;
-  sim::Addr root_release_ = 0;
-  std::uint32_t root_size_ = 0;
+  Group root_;
   std::vector<std::uint64_t> episode_;
   std::string name_;
 };

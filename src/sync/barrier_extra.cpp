@@ -96,7 +96,7 @@ class DisseminationBarrier final : public Barrier {
     std::uint32_t span = 1;
     for (std::uint32_t k = 0; k < rounds_; ++k, span *= 2) {
       const std::uint32_t partner = (me + span) % p_;
-      co_await signal(t, flags_[partner][k], ep);
+      co_await WordWrite(mech_, t, flags_[partner][k], ep);
       (void)co_await spin_cached_until(
           t, flags_[me][k], [ep](std::uint64_t v) { return v >= ep; });
     }
@@ -106,16 +106,6 @@ class DisseminationBarrier final : public Barrier {
   [[nodiscard]] const char* name() const override { return name_.c_str(); }
 
  private:
-  sim::Task<void> signal(core::ThreadCtx& t, sim::Addr flag,
-                         std::uint64_t ep) {
-    if (mech_ == Mechanism::kAmo) {
-      // Eager-put swap: the waiter's cached flag flips in place.
-      (void)co_await t.amo(amu::AmoOpcode::kSwap, flag, ep);
-      co_return;
-    }
-    co_await t.store(flag, ep);
-  }
-
   Mechanism mech_;
   std::uint32_t p_;
   sim::Cycle sw_half_;

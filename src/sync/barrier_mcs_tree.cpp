@@ -62,7 +62,7 @@ class McsTreeBarrier final : public Barrier {
     if (me != 0) {
       const std::uint32_t parent = (me - 1) / kArrivalFan;
       const std::uint32_t slot = (me - 1) % kArrivalFan;
-      co_await signal(t, nodes_[parent].child_arrived[slot], ep);
+      co_await WordWrite(mech_, t, nodes_[parent].child_arrived[slot], ep);
       // ---- wake-up phase: wait for the parent's release ----
       (void)co_await spin_cached_until(
           t, nodes_[me].wakeup, [ep](std::uint64_t v) { return v >= ep; });
@@ -71,7 +71,7 @@ class McsTreeBarrier final : public Barrier {
     for (std::uint32_t s = 1; s <= 2; ++s) {
       const std::uint32_t child = 2 * me + s;
       if (child >= p_) continue;
-      co_await signal(t, nodes_[child].wakeup, ep);
+      co_await WordWrite(mech_, t, nodes_[child].wakeup, ep);
     }
     if (sw_half_ > 0) co_await t.compute(sw_half_);
   }
@@ -83,15 +83,6 @@ class McsTreeBarrier final : public Barrier {
     sim::Addr child_arrived[kArrivalFan] = {};
     sim::Addr wakeup = 0;
   };
-
-  sim::Task<void> signal(core::ThreadCtx& t, sim::Addr flag,
-                         std::uint64_t ep) {
-    if (mech_ == Mechanism::kAmo) {
-      (void)co_await t.amo(amu::AmoOpcode::kSwap, flag, ep);
-      co_return;
-    }
-    co_await t.store(flag, ep);
-  }
 
   Mechanism mech_;
   std::uint32_t p_;

@@ -40,34 +40,49 @@ class TreeBarrier final : public Barrier {
       groups_[g].release = m.galloc().alloc_word_line(home);
       groups_[g].size = size;
     }
-    root_counter_ = m.galloc().alloc_word_line(0);
-    root_release_ = m.galloc().alloc_word_line(0);
+    root_.counter = m.galloc().alloc_word_line(0);
+    root_.release = m.galloc().alloc_word_line(0);
+    root_.size = groups;
   }
 
+  // Every leaf op is awaited in place, in if/else arms: no wrapper
+  // coroutine per arrival or release, and never a `?:` (DESIGN.md §8).
+  // Each op has one call site, as every awaiter lives in this frame.
   sim::Task<void> wait(core::ThreadCtx& t) override {
     if (sw_half_ > 0) co_await t.compute(sw_half_);
     const std::uint64_t ep = ++episode_[t.cpu()];
-    const std::uint32_t g = t.cpu() / fanout_;
-    const Group& grp = groups_[g];
-    const std::uint64_t group_target = ep * grp.size;
-
-    const std::uint64_t old =
-        co_await arrive(t, grp.counter, group_target);
-    if (old == group_target - 1) {
-      // Group winner: combine into the root.
-      const std::uint64_t root_target = ep * groups_.size();
-      const std::uint64_t root_old =
-          co_await arrive(t, root_counter_, root_target);
-      if (root_old == root_target - 1) {
-        co_await publish(t, root_release_, ep);
+    // Level 0 is this cpu's group, level 1 the root that joins the group
+    // winners.
+    const Group* levels[2] = {&groups_[t.cpu() / fanout_], &root_};
+    std::uint32_t won = 0;  // levels [0, won) are won
+    while (won < 2) {
+      const Group& g = *levels[won];
+      const std::uint64_t target = ep * g.size;
+      std::uint64_t old = 0;
+      if (mech_ == Mechanism::kAmo) {
+        // The target as test value delays the counter's put to the last
+        // arrival.
+        old = co_await t.amo(amu::AmoOpcode::kFetchAdd, g.counter, 1, target);
       } else {
-        co_await wait_release(t, root_release_, ep);
+        old = co_await fetch_add(mech_, t, g.counter, 1);
       }
-      co_await publish(t, grp.release, ep);
-      if (sw_half_ > 0) co_await t.compute(sw_half_);
-      co_return;
+      if (old != target - 1) {
+        (void)co_await spin_cached_until(
+            t, g.release, [ep](std::uint64_t v) { return v >= ep; });
+        break;
+      }
+      ++won;
     }
-    co_await wait_release(t, grp.release, ep);
+    // Release every level this cpu won, top-down. Under AMO a release is
+    // an eager put: one word-update wave instead of an invalidation storm.
+    for (std::uint32_t level = won; level-- > 0;) {
+      const sim::Addr release = levels[level]->release;
+      if (mech_ == Mechanism::kAmo) {
+        (void)co_await t.amo_fetch_add(release, 1);
+      } else {
+        co_await t.store(release, ep);
+      }
+    }
     if (sw_half_ > 0) co_await t.compute(sw_half_);
   }
 
@@ -80,38 +95,12 @@ class TreeBarrier final : public Barrier {
     std::uint32_t size = 0;
   };
 
-  sim::Task<std::uint64_t> arrive(core::ThreadCtx& t, sim::Addr counter,
-                                  std::uint64_t target) {
-    if (mech_ == Mechanism::kAmo) {
-      // Delayed put: waiters of this sub-barrier spin on the counter.
-      co_return co_await t.amo(amu::AmoOpcode::kFetchAdd, counter, 1, target);
-    }
-    co_return co_await fetch_add(mech_, t, counter, 1);
-  }
-
-  sim::Task<void> publish(core::ThreadCtx& t, sim::Addr release,
-                          std::uint64_t ep) {
-    if (mech_ == Mechanism::kAmo) {
-      // Eager put: one word-update wave instead of an invalidation storm.
-      (void)co_await t.amo_fetch_add(release, 1);
-      co_return;
-    }
-    co_await t.store(release, ep);
-  }
-
-  sim::Task<void> wait_release(core::ThreadCtx& t, sim::Addr release,
-                               std::uint64_t ep) {
-    (void)co_await spin_cached_until(
-        t, release, [ep](std::uint64_t v) { return v >= ep; });
-  }
-
   Mechanism mech_;
   std::uint32_t p_;
   sim::Cycle sw_half_;
   std::uint32_t fanout_;
   std::vector<Group> groups_;
-  sim::Addr root_counter_ = 0;
-  sim::Addr root_release_ = 0;
+  Group root_;
   std::vector<std::uint64_t> episode_;
   std::string name_;
 };

@@ -47,13 +47,13 @@ class ArrayLock final : public Lock {
     (void)co_await spin_cached_until(
         t, flags_[s], [](std::uint64_t v) { return v != 0; });
     // Consume the grant so the slot is clean when the sequencer wraps.
-    co_await write_flag(t, flags_[s], 0);
+    co_await WordWrite(mech_, t, flags_[s], 0);
   }
 
   sim::Task<void> release(core::ThreadCtx& t) override {
     if (sw_half_ > 0) co_await t.compute(sw_half_);
     const std::uint32_t next = (my_slot_[t.cpu()] + 1) % nslots_;
-    co_await write_flag(t, flags_[next], 1);
+    co_await WordWrite(mech_, t, flags_[next], 1);
   }
 
   [[nodiscard]] const char* name() const override { return name_.c_str(); }
@@ -62,18 +62,6 @@ class ArrayLock final : public Lock {
   }
 
  private:
-  sim::Task<void> write_flag(core::ThreadCtx& t, sim::Addr flag,
-                             std::uint64_t v) {
-    if (mech_ == Mechanism::kAmo) {
-      return drop_result(t.amo(amu::AmoOpcode::kSwap, flag, v));
-    }
-    return t.store(flag, v);
-  }
-
-  static sim::Task<void> drop_result(sim::Task<std::uint64_t> task) {
-    (void)co_await std::move(task);
-  }
-
   Mechanism mech_;
   std::uint32_t nslots_;
   sim::Cycle sw_half_;

@@ -68,11 +68,11 @@ class CnaLock final : public Lock {
   sim::Task<void> acquire(core::ThreadCtx& t) override {
     if (sw_half_ > 0) co_await t.compute(sw_half_);
     const sim::CpuId me = t.cpu();
-    co_await write_word(t, next_[me], 0);
-    co_await write_word(t, spin_[me], 0);
+    co_await WordWrite(mech_, t, next_[me], 0);
+    co_await WordWrite(mech_, t, spin_[me], 0);
     const std::uint64_t pred = co_await swap(mech_, t, tail_, me + 1);
     if (pred == 0) co_return;  // lock was free
-    co_await write_word(t, next_[pred - 1], me + 1);
+    co_await WordWrite(mech_, t, next_[pred - 1], me + 1);
     (void)co_await spin_cached_until(
         t, spin_[me], [](std::uint64_t v) { return v != 0; });
   }
@@ -94,7 +94,7 @@ class CnaLock final : public Lock {
           co_await t.store(sec_head_, 0);
           co_await t.store(sec_tail_, 0);
           co_await t.store(streak_, 0);
-          co_await write_word(t, spin_[sec - 1], 1);
+          co_await WordWrite(mech_, t, spin_[sec - 1], 1);
           co_return;
         }
       }
@@ -110,11 +110,11 @@ class CnaLock final : public Lock {
         // Starvation bound hit: splice the secondary queue in front of
         // the main queue and hand off to its head.
         const std::uint64_t stail = co_await t.load(sec_tail_);
-        co_await write_word(t, next_[stail - 1], succ);
+        co_await WordWrite(mech_, t, next_[stail - 1], succ);
         co_await t.store(sec_head_, 0);
         co_await t.store(sec_tail_, 0);
         co_await t.store(streak_, 0);
-        co_await write_word(t, spin_[sec - 1], 1);
+        co_await WordWrite(mech_, t, spin_[sec - 1], 1);
         co_return;
       }
     }
@@ -140,15 +140,15 @@ class CnaLock final : public Lock {
         // No local waiter: drain the aged secondary queue first, keeping
         // the (all-remote) main queue behind it.
         const std::uint64_t stail = co_await t.load(sec_tail_);
-        co_await write_word(t, next_[stail - 1], succ);
+        co_await WordWrite(mech_, t, next_[stail - 1], succ);
         co_await t.store(sec_head_, 0);
         co_await t.store(sec_tail_, 0);
         co_await t.store(streak_, 0);
-        co_await write_word(t, spin_[sec - 1], 1);
+        co_await WordWrite(mech_, t, spin_[sec - 1], 1);
         co_return;
       }
       // FIFO handoff; nothing bypassed, no preference recorded.
-      co_await write_word(t, spin_[succ - 1], 1);
+      co_await WordWrite(mech_, t, spin_[succ - 1], 1);
       co_return;
     }
 
@@ -159,31 +159,22 @@ class CnaLock final : public Lock {
         co_await t.store(sec_head_, succ);
       } else {
         const std::uint64_t stail = co_await t.load(sec_tail_);
-        co_await write_word(t, next_[stail - 1], succ);
+        co_await WordWrite(mech_, t, next_[stail - 1], succ);
       }
       co_await t.store(sec_tail_, prev);
-      co_await write_word(t, next_[prev - 1], 0);
+      co_await WordWrite(mech_, t, next_[prev - 1], 0);
     }
     if (sec != 0 || local != succ) {
       // This handoff bypasses a (now) non-empty secondary queue.
       const std::uint64_t streak = co_await t.load(streak_);
       co_await t.store(streak_, streak + 1);
     }
-    co_await write_word(t, spin_[local - 1], 1);
+    co_await WordWrite(mech_, t, spin_[local - 1], 1);
   }
 
   [[nodiscard]] const char* name() const override { return name_.c_str(); }
 
  private:
-  sim::Task<void> write_word(core::ThreadCtx& t, sim::Addr a,
-                             std::uint64_t v) {
-    if (mech_ == Mechanism::kAmo) {
-      (void)co_await t.amo(amu::AmoOpcode::kSwap, a, v);
-      co_return;
-    }
-    co_await t.store(a, v);
-  }
-
   Mechanism mech_;
   sim::Cycle sw_half_;
   std::uint32_t threshold_;

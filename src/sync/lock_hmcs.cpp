@@ -99,18 +99,18 @@ class HmcsLock final : public Lock {
     for (std::uint32_t tier = 0; tier <= top_; ++tier) {
       const Tier& q = tiers_[tier];
       const std::uint32_t slot = slot_of(me, tier);
-      co_await write_word(t, q.next[slot], 0);
-      co_await write_word(t, q.spin[slot], 0);
+      co_await WordWrite(mech_, t, q.next[slot], 0);
+      co_await WordWrite(mech_, t, q.spin[slot], 0);
       const std::uint64_t pred =
           co_await swap(mech_, t, q.tail[queue_of(me, tier)], slot + 1);
       if (pred != 0) {
-        co_await write_word(t, q.next[pred - 1], slot + 1);
+        co_await WordWrite(mech_, t, q.next[pred - 1], slot + 1);
         const std::uint64_t v = co_await spin_cached_until(
             t, q.spin[slot], [](std::uint64_t x) { return x != 0; });
         if (v != kAcquireParent) co_return;  // inherited the whole chain
       }
       // Queue head with no parent held: start a fresh streak and ascend.
-      co_await write_word(t, q.spin[slot], 1);
+      co_await WordWrite(mech_, t, q.spin[slot], 1);
     }
   }
 
@@ -149,7 +149,7 @@ class HmcsLock final : public Lock {
     // inherits every tier above (root streaks are unbounded — there is
     // nothing above to be fair to).
     if (succ != 0 && (tier == top_ || count < threshold_)) {
-      co_await write_word(t, q.spin[succ - 1], count + 1);
+      co_await WordWrite(mech_, t, q.spin[succ - 1], count + 1);
       co_return;
     }
     // Streak over (or queue empty): surrender the parent chain first so a
@@ -164,16 +164,7 @@ class HmcsLock final : public Lock {
       succ = co_await spin_cached_until(
           t, q.next[slot], [](std::uint64_t v) { return v != 0; });
     }
-    co_await write_word(t, q.spin[succ - 1], kAcquireParent);
-  }
-
-  sim::Task<void> write_word(core::ThreadCtx& t, sim::Addr a,
-                             std::uint64_t v) {
-    if (mech_ == Mechanism::kAmo) {
-      (void)co_await t.amo(amu::AmoOpcode::kSwap, a, v);
-      co_return;
-    }
-    co_await t.store(a, v);
+    co_await WordWrite(mech_, t, q.spin[succ - 1], kAcquireParent);
   }
 
   Mechanism mech_;

@@ -42,12 +42,12 @@ class McsLock final : public Lock {
   sim::Task<void> acquire(core::ThreadCtx& t) override {
     if (sw_half_ > 0) co_await t.compute(sw_half_);
     const sim::CpuId me = t.cpu();
-    co_await write_word(t, next_[me], 0);
-    co_await write_word(t, locked_[me], 1);
+    co_await WordWrite(mech_, t, next_[me], 0);
+    co_await WordWrite(mech_, t, locked_[me], 1);
     const std::uint64_t pred = co_await swap(mech_, t, tail_, me + 1);
     if (pred == 0) co_return;  // lock was free
     // Link behind the predecessor, then spin on our own flag.
-    co_await write_word(t, next_[pred - 1], me + 1);
+    co_await WordWrite(mech_, t, next_[pred - 1], me + 1);
     (void)co_await spin_cached_until(
         t, locked_[me], [](std::uint64_t v) { return v == 0; });
   }
@@ -63,21 +63,12 @@ class McsLock final : public Lock {
       succ = co_await spin_cached_until(
           t, next_[me], [](std::uint64_t v) { return v != 0; });
     }
-    co_await write_word(t, locked_[succ - 1], 0);  // hand off
+    co_await WordWrite(mech_, t, locked_[succ - 1], 0);  // hand off
   }
 
   [[nodiscard]] const char* name() const override { return name_.c_str(); }
 
  private:
-  sim::Task<void> write_word(core::ThreadCtx& t, sim::Addr a,
-                             std::uint64_t v) {
-    if (mech_ == Mechanism::kAmo) {
-      (void)co_await t.amo(amu::AmoOpcode::kSwap, a, v);
-      co_return;
-    }
-    co_await t.store(a, v);
-  }
-
   Mechanism mech_;
   sim::Cycle sw_half_;
   sim::Addr tail_ = 0;

@@ -1,5 +1,7 @@
 #include "sync/mechanism.hpp"
 
+#include <utility>
+
 namespace amo::sync {
 
 const char* to_string(Mechanism m) {
@@ -20,6 +22,28 @@ std::optional<Mechanism> mechanism_from_string(std::string_view name) {
   return std::nullopt;
 }
 
+namespace {
+
+/// The memory-side op through kMao or kAmo. A MAO takes no test value.
+/// Routing both mechanisms through one call keeps one awaiter in the
+/// calling frame, where every awaiter has a slot of its own.
+cpu::Core::AmoAwaiter memory_side(Mechanism m, core::ThreadCtx& t,
+                                  amu::AmoOpcode op, sim::Addr addr,
+                                  std::uint64_t operand,
+                                  std::optional<std::uint64_t> test = {},
+                                  std::uint64_t operand2 = 0) {
+  if (m == Mechanism::kMao) return t.core().mao(op, addr, operand, operand2);
+  return t.amo(op, addr, operand, test, operand2);
+}
+
+std::variant<cpu::Core::AmoAwaiter, sim::Task<void>> word_write_op(
+    Mechanism m, core::ThreadCtx& t, sim::Addr addr, std::uint64_t value) {
+  if (m == Mechanism::kAmo) return t.amo(amu::AmoOpcode::kSwap, addr, value);
+  return t.store(addr, value);
+}
+
+}  // namespace
+
 sim::Task<std::uint64_t> fetch_add(Mechanism m, core::ThreadCtx& t,
                                    sim::Addr addr, std::uint64_t delta,
                                    std::optional<std::uint64_t> test) {
@@ -34,9 +58,9 @@ sim::Task<std::uint64_t> fetch_add(Mechanism m, core::ThreadCtx& t,
     case Mechanism::kActMsg:
       co_return co_await t.am_fetch_add(addr, delta);
     case Mechanism::kMao:
-      co_return co_await t.mao_fetch_add(addr, delta);
     case Mechanism::kAmo:
-      co_return co_await t.amo(amu::AmoOpcode::kFetchAdd, addr, delta, test);
+      co_return co_await memory_side(m, t, amu::AmoOpcode::kFetchAdd, addr,
+                                     delta, test);
   }
   co_return 0;  // unreachable
 }
@@ -54,9 +78,8 @@ sim::Task<std::uint64_t> swap(Mechanism m, core::ThreadCtx& t, sim::Addr addr,
     case Mechanism::kActMsg:
       co_return co_await t.am_rmw(amu::AmoOpcode::kSwap, addr, value);
     case Mechanism::kMao:
-      co_return co_await t.core().mao(amu::AmoOpcode::kSwap, addr, value);
     case Mechanism::kAmo:
-      co_return co_await t.amo(amu::AmoOpcode::kSwap, addr, value);
+      co_return co_await memory_side(m, t, amu::AmoOpcode::kSwap, addr, value);
   }
   co_return 0;  // unreachable
 }
@@ -76,13 +99,32 @@ sim::Task<std::uint64_t> cas(Mechanism m, core::ThreadCtx& t, sim::Addr addr,
       co_return co_await t.am_rmw(amu::AmoOpcode::kCas, addr, expected,
                                   desired);
     case Mechanism::kMao:
-      co_return co_await t.core().mao(amu::AmoOpcode::kCas, addr, expected,
-                                      desired);
     case Mechanism::kAmo:
-      co_return co_await t.amo(amu::AmoOpcode::kCas, addr, expected, {},
-                               desired);
+      co_return co_await memory_side(m, t, amu::AmoOpcode::kCas, addr,
+                                     expected, {}, desired);
   }
   co_return 0;  // unreachable
+}
+
+WordWrite::WordWrite(Mechanism m, core::ThreadCtx& t, sim::Addr addr,
+                     std::uint64_t value)
+    : op_(word_write_op(m, t, addr, value)) {}
+
+// A Task's awaiter holds nothing but the task's handle, so making a new
+// one for each step awaits the store just as keeping one would.
+void WordWrite::await_suspend(std::coroutine_handle<> h) {
+  if (auto* amo = std::get_if<cpu::Core::AmoAwaiter>(&op_)) {
+    amo->await_suspend(h);
+    return;
+  }
+  auto& store = std::get<sim::Task<void>>(op_);
+  std::move(store).operator co_await().await_suspend(h);
+}
+
+void WordWrite::await_resume() {
+  if (auto* store = std::get_if<sim::Task<void>>(&op_)) {
+    std::move(*store).operator co_await().await_resume();
+  }
 }
 
 }  // namespace amo::sync

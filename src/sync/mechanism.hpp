@@ -9,9 +9,11 @@
 //   kAmo    Active Memory Operation (this paper)
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
 #include <optional>
 #include <string_view>
+#include <variant>
 
 #include "core/thread_ctx.hpp"
 #include "sim/task.hpp"
@@ -47,5 +49,26 @@ sim::Task<std::uint64_t> swap(Mechanism m, core::ThreadCtx& t, sim::Addr addr,
 /// `expected`).
 sim::Task<std::uint64_t> cas(Mechanism m, core::ThreadCtx& t, sim::Addr addr,
                              std::uint64_t expected, std::uint64_t desired);
+
+/// A word write through the chosen mechanism: amo.swap under kAmo, whose
+/// eager put patches every cached copy in place, and a coherent store
+/// otherwise. An awaiter rather than a coroutine, so a write costs no
+/// frame of its own; await it at once. The AMO is issued when awaited,
+/// the store when constructed.
+class [[nodiscard]] WordWrite {
+ public:
+  WordWrite(Mechanism m, core::ThreadCtx& t, sim::Addr addr,
+            std::uint64_t value);
+
+  bool await_ready() const noexcept {
+    const auto* store = std::get_if<sim::Task<void>>(&op_);
+    return store != nullptr && store->done();
+  }
+  void await_suspend(std::coroutine_handle<> h);
+  void await_resume();
+
+ private:
+  std::variant<cpu::Core::AmoAwaiter, sim::Task<void>> op_;
+};
 
 }  // namespace amo::sync

@@ -22,17 +22,17 @@ namespace amo::sync {
 template <typename DoneFn>
 sim::Task<std::uint64_t> spin_cached_until(core::ThreadCtx& t, sim::Addr addr,
                                            DoneFn done) {
-  std::uint64_t v = co_await t.load(addr);
-  if (done(v)) co_return v;
   auto& cache = t.core().cache();
-  for (;;) {
-    co_await cache.park(addr);
-    ++t.spin_stats().parked_wakes;
-    v = co_await t.load(addr);
+  // One load site: every awaiter lives in this frame, so a second
+  // `co_await t.load` would widen it.
+  for (bool parked = false;; parked = true) {
+    const std::uint64_t v = co_await t.load(addr);
     if (done(v)) {
-      cache.unpark(addr);
+      if (parked) cache.unpark(addr);
       co_return v;
     }
+    co_await cache.park(addr);
+    ++t.spin_stats().parked_wakes;
   }
 }
 

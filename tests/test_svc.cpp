@@ -92,5 +92,38 @@ TEST(ShardedService, SyncHistogramsRecordServiceTraffic) {
             0u);  // the log queue's AMOs
 }
 
+// total_ops reads each shard's count exactly once, through the path the
+// mechanism wrote it by: uncached loads for MAO, coherent loads otherwise.
+TEST(ShardedService, TotalOpsReadsEachShardOnce) {
+  for (sync::Mechanism mech : sync::kAllMechanisms) {
+    core::SystemConfig cfg = service_config(4);
+    core::Machine m(cfg);
+    svc::ShardedService service(m, mech);
+    for (sim::CpuId c = 0; c < 4; ++c) {
+      m.spawn(c, [&, c](core::ThreadCtx& t) -> sim::Task<void> {
+        for (std::uint64_t i = 0; i < 6; ++i) {
+          co_await service.handle(t, c * 6 + i);
+        }
+      });
+    }
+    m.run();
+    const cpu::CoreStats& core = m.core(0).stats();
+    const coh::CacheCtrlStats& cache = m.core(0).cache().stats();
+    const std::uint64_t uncached = core.uncached_loads;
+    const std::uint64_t loads = cache.loads;
+    std::uint64_t total = 0;
+    m.spawn(0, [&](core::ThreadCtx& t) -> sim::Task<void> {
+      total = co_await service.total_ops(t);
+    });
+    m.run();
+    EXPECT_EQ(total, 24u) << sync::to_string(mech);
+    const std::uint64_t shards = service.num_shards();
+    const bool mao = mech == sync::Mechanism::kMao;
+    EXPECT_EQ(core.uncached_loads - uncached, mao ? shards : 0)
+        << sync::to_string(mech);
+    EXPECT_EQ(cache.loads - loads, mao ? 0 : shards) << sync::to_string(mech);
+  }
+}
+
 }  // namespace
 }  // namespace amo

@@ -8,12 +8,14 @@ Usage, from anywhere:
 
 Builds perfbench_driver from each checkout's perfbench/ package (Release),
 in build trees under CHANGE/.bench_build/compare, never inside
-perfbench/. Then, per workload, it runs N pairs of
-`perfbench_driver --workload W --seed N --seconds S --trace 0`, one run
-per side, alternating which side goes first. Host speed drifts within a
-session, so short alternating runs compare better than one long run each.
-Each run is started from a shell, so its peak_rss_mb is the driver's own
-peak, not python3's inherited one.
+perfbench/; a tree configured from another checkout is rebuilt from
+scratch. The header names each side's checkout (and its git HEAD).
+Then, per workload, it runs N pairs of `perfbench_driver --workload W
+--seed N --seconds S --trace 0`, one run per side, alternating which
+side goes first. Host speed drifts within a session, so short
+alternating runs compare better than one long run each. Each run is
+started from a shell, so its peak_rss_mb is the driver's own peak, not
+python3's inherited one.
 
 For every end-to-end metric in the change's BENCHMARK.json it prints each
 side's median and quartiles, the change/parent ratio of the medians, the
@@ -31,6 +33,7 @@ reported, never gated.
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -43,12 +46,33 @@ WORKLOADS = ("paper_tables", "service_open_loop", "scale_1024")
 SIDES = ("parent", "change")
 
 
+def configured_source(build_dir):
+    """The source directory a build tree's CMakeCache.txt names, or None."""
+    try:
+        with open(os.path.join(build_dir, "CMakeCache.txt")) as f:
+            for line in f:
+                if line.startswith("CMAKE_HOME_DIRECTORY:"):
+                    return line.split("=", 1)[1].strip()
+    except OSError:
+        pass
+    return None
+
+
 def build(checkout, build_dir):
-    """Configures and builds the checkout's driver; returns its path."""
+    """Configures and builds the checkout's driver; returns its path.
+
+    A build tree is reused only when it was configured from this
+    checkout's perfbench/; one left by another checkout is wiped, or a
+    later run with a different --parent would time the old one.
+    """
+    source = os.path.join(checkout, "perfbench")
+    configured = configured_source(build_dir)
     steps = []
-    if not os.path.exists(os.path.join(build_dir, "CMakeCache.txt")):
-        steps.append(["cmake", "-S", os.path.join(checkout, "perfbench"),
-                      "-B", build_dir, "-DCMAKE_BUILD_TYPE=Release"])
+    if configured is None or not os.path.exists(configured) or \
+            not os.path.samefile(configured, source):
+        shutil.rmtree(build_dir, ignore_errors=True)
+        steps.append(["cmake", "-S", source, "-B", build_dir,
+                      "-DCMAKE_BUILD_TYPE=Release"])
     jobs = str(min(4, os.cpu_count() or 1))
     steps.append(["cmake", "--build", build_dir, "-j", jobs,
                   "--target", "perfbench_driver"])
@@ -56,6 +80,24 @@ def build(checkout, build_dir):
         if subprocess.run(cmd, stdout=sys.stderr).returncode != 0:
             raise RuntimeError("build step failed: " + " ".join(cmd))
     return os.path.join(build_dir, "perfbench_driver")
+
+
+def describe(checkout):
+    """The checkout's path, plus its short HEAD when it is a git tree."""
+    proc = subprocess.run(["git", "-C", checkout, "rev-parse",
+                           "--show-toplevel", "--short", "HEAD"],
+                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                          text=True)
+    out = proc.stdout.split()
+    # A plain copy that sits inside some other work tree is not that tree.
+    if proc.returncode != 0 or len(out) != 2 or \
+            not os.path.samefile(out[0], checkout):
+        return checkout
+    dirty = subprocess.run(["git", "-C", checkout, "status", "--porcelain",
+                            "--untracked-files=no"], stdout=subprocess.PIPE,
+                           stderr=subprocess.DEVNULL, text=True).stdout
+    suffix = " + uncommitted changes" if dirty else ""
+    return f"{checkout} (git {out[1]}{suffix})"
 
 
 def run_once(driver, workload, seed, seconds, spans_dir):
@@ -157,6 +199,8 @@ def main(argv):
         print(f"bench_compare: {e}", file=sys.stderr)
         return 2
 
+    for s in SIDES:
+        print(f"{s}: {describe(checkouts[s])}")
     print(f"seed {args.seed}, {args.pairs} alternating pairs x "
           f"{args.seconds} s per workload")
     ok = True
