@@ -211,7 +211,9 @@ void JsonReporter::write() {
   // microbench_hier and service records and the record config objects.
   // v4: the document is named after the workload (not its retired binary
   // name), and each record's config is the whole core::to_json document.
-  doc["schema_version"] = 4;
+  // v5: the config object lost `hier.amu_aggregation` (AMU combining is
+  // the cluster_amu cell variant).
+  doc["schema_version"] = 5;
   doc["records"] = records_;
   std::ofstream out(path_, std::ios::trunc);
   if (!out) {

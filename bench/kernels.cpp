@@ -93,11 +93,9 @@ std::unique_ptr<sync::Barrier> make_barrier(core::Machine& m,
     }
   }
   if (p.kernel == Kernel::kHier && p.hier != HierBarrier::kFlatTree) {
-    // Software fan-in unless the config opts into AMU combining; the
-    // cluster_amu variant forces it regardless of the knob.
-    return sync::make_cluster_barrier(
-        m, p.mech, n, hier.levels,
-        p.hier == HierBarrier::kClusterAmu || hier.amu_aggregation);
+    // Software fan-in, or AMU combining for the cluster_amu variant.
+    return sync::make_cluster_barrier(m, p.mech, n, hier.levels,
+                                      p.hier == HierBarrier::kClusterAmu);
   }
   if (p.kernel == Kernel::kHier || p.kind == BarrierKind::kTree) {
     return sync::make_tree_barrier(m, p.mech, n, p.fanout);
@@ -114,11 +112,8 @@ std::unique_ptr<sync::Lock> make_lock(core::Machine& m, const CellParams& p) {
                                                   : LockAlgo::kTicket;
   switch (algo) {
     case LockAlgo::kTas: return sync::make_tas_lock(m, p.mech);
-    case LockAlgo::kTicket: {
-      sync::TicketLockConfig cfg;
-      cfg.backoff = p.backoff;
-      return sync::make_ticket_lock(m, p.mech, cfg);
-    }
+    case LockAlgo::kTicket:
+      return sync::make_ticket_lock(m, p.mech, p.backoff);
     case LockAlgo::kArray:
       return sync::make_array_lock(m, p.mech, m.num_cpus());
     case LockAlgo::kMcs: return sync::make_mcs_lock(m, p.mech);

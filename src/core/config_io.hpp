@@ -67,7 +67,6 @@ void visit_config_fields(Config& c, Visitor&& v) {
   v("hier.levels", c.hier.levels);
   v("hier.cna_threshold", c.hier.cna_threshold);
   v("hier.hmcs_threshold", c.hier.hmcs_threshold);
-  v("hier.amu_aggregation", c.hier.amu_aggregation);
   v("service.shards", c.service.shards);
   v("service.queue_capacity", c.service.queue_capacity);
   v("service.work_cycles", c.service.work_cycles);

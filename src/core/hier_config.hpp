@@ -4,9 +4,7 @@
 // library exploit it. `levels` selects how many physical tree levels the
 // cluster mechanisms (CNA lock, HMCS lock, cluster barrier) fold into
 // their hierarchy; the thresholds bound intra-cluster favoritism so
-// remote waiters cannot starve; `amu_aggregation` turns on the AMO-native
-// twist — intermediate home-node AMUs combine partial barrier counts and
-// forward one message up the tree instead of O(P) root-bound arrivals.
+// remote waiters cannot starve.
 #pragma once
 
 #include <cstdint>
@@ -26,12 +24,6 @@ struct HierConfig {
   /// HMCS lock: consecutive intra-cluster passes per hierarchy level
   /// before the parent lock is released. Must be nonzero.
   std::uint32_t hmcs_threshold = 8;
-
-  /// Cluster barrier: combine partial arrival counts in each subtree's
-  /// home-node AMU and forward a single fetch-add per cluster per episode
-  /// up the tree (kAmo mechanism only; other mechanisms ascend in
-  /// software).
-  bool amu_aggregation = false;
 };
 
 }  // namespace amo::core

@@ -21,20 +21,21 @@ class Barrier {
   virtual ~Barrier() = default;
   /// Blocks the calling thread until all participants arrive.
   virtual sim::Task<void> wait(core::ThreadCtx& t) = 0;
-  [[nodiscard]] virtual const char* name() const = 0;
 };
 
 /// Centralized barrier over the given mechanism:
 ///   * conventional mechanisms use the paper's Fig. 3(b) "optimized"
-///     coding (fetch-add + spin on a separate release word)
-///   * AMO uses the Fig. 3(c) naive coding (amo.inc with a test value,
-///     spin on the barrier variable itself)
+///     coding (fetch-add + spin on a separate release word): the
+///     combining barrier with a root group only
+///   * AMO uses the Fig. 3(a) naive coding (amo.inc with a test value,
+///     spin on the barrier variable itself): make_naive_barrier
 std::unique_ptr<Barrier> make_central_barrier(core::Machine& m,
                                               Mechanism mech,
                                               std::uint32_t participants);
 
 /// Two-level software combining tree (Yew et al.) with leaf groups of
-/// `fanout` threads; group counters are homed near their members.
+/// `fanout` threads under a root group; group counters are homed near
+/// their members.
 std::unique_ptr<Barrier> make_tree_barrier(core::Machine& m, Mechanism mech,
                                            std::uint32_t participants,
                                            std::uint32_t fanout);
@@ -60,14 +61,14 @@ std::unique_ptr<Barrier> make_dissemination_barrier(core::Machine& m,
                                                     Mechanism mech,
                                                     std::uint32_t participants);
 
-/// Cluster-hierarchical combining barrier: fan-in follows the machine's
-/// fat-tree `Topology` (node groups, then `levels` tree levels of
-/// clusters, then a root), with every counter/release word homed at the
-/// first node of its subtree. `amu_aggregation` (kAmo only; ignored for
-/// other mechanisms) moves the whole combining tree memory-side:
-/// intermediate home-node AMUs merge partial counts and forward one
-/// fetch-add per cluster per episode, and the root AMU drives the
-/// release wave back down — root-link traffic drops from O(P) to
+/// Cluster-hierarchical combining barrier: the combining tree follows the
+/// machine's fat-tree `Topology` (node groups, then `levels` tree levels
+/// of `radix` clusters, then a root), with every counter/release word
+/// homed at the first node of its subtree. `amu_aggregation` (kAmo only;
+/// ignored for other mechanisms) moves the whole combining tree
+/// memory-side: intermediate home-node AMUs merge partial counts and
+/// forward one fetch-add per cluster per episode, and the root AMU drives
+/// the release wave back down — root-link traffic drops from O(P) to
 /// O(clusters).
 std::unique_ptr<Barrier> make_cluster_barrier(core::Machine& m,
                                               Mechanism mech,

@@ -1,7 +1,6 @@
 // Additional barrier algorithms: the paper's Fig. 3(a) naive coding and
 // a dissemination barrier (extension baseline).
 #include <cassert>
-#include <string>
 #include <vector>
 
 #include "sync/barrier.hpp"
@@ -24,8 +23,7 @@ class NaiveBarrier final : public Barrier {
       : mech_(mech),
         p_(participants),
         sw_half_(m.config().barrier_sw_overhead / 2),
-        episode_(m.num_cpus(), 0),
-        name_(std::string(to_string(mech)) + " naive barrier") {
+        episode_(m.num_cpus(), 0) {
     assert(participants >= 1 && participants <= m.num_cpus());
     counter_ = m.galloc().alloc_word_line(0);
   }
@@ -52,15 +50,12 @@ class NaiveBarrier final : public Barrier {
     if (sw_half_ > 0) co_await t.compute(sw_half_);
   }
 
-  [[nodiscard]] const char* name() const override { return name_.c_str(); }
-
  private:
   Mechanism mech_;
   std::uint32_t p_;
   sim::Cycle sw_half_;
   sim::Addr counter_ = 0;
   std::vector<std::uint64_t> episode_;
-  std::string name_;
 };
 
 // Dissemination barrier: in round k (k = 0..ceil(log2 P)-1), thread i
@@ -74,8 +69,7 @@ class DisseminationBarrier final : public Barrier {
       : mech_(mech),
         p_(participants),
         sw_half_(m.config().barrier_sw_overhead / 2),
-        episode_(m.num_cpus(), 0),
-        name_(std::string(to_string(mech)) + " dissemination barrier") {
+        episode_(m.num_cpus(), 0) {
     assert(participants >= 1 && participants <= m.num_cpus());
     rounds_ = 0;
     for (std::uint32_t span = 1; span < p_; span *= 2) ++rounds_;
@@ -103,8 +97,6 @@ class DisseminationBarrier final : public Barrier {
     if (sw_half_ > 0) co_await t.compute(sw_half_);
   }
 
-  [[nodiscard]] const char* name() const override { return name_.c_str(); }
-
  private:
   Mechanism mech_;
   std::uint32_t p_;
@@ -112,7 +104,6 @@ class DisseminationBarrier final : public Barrier {
   std::uint32_t rounds_ = 0;
   std::vector<std::vector<sim::Addr>> flags_;  // [thread][round]
   std::vector<std::uint64_t> episode_;
-  std::string name_;
 };
 
 }  // namespace

@@ -12,7 +12,6 @@
 // everything else uses ordinary coherent stores (one invalidation + one
 // refetch per signal — already cheap, since each flag has one spinner).
 #include <cassert>
-#include <string>
 #include <vector>
 
 #include "sync/barrier.hpp"
@@ -31,8 +30,7 @@ class McsTreeBarrier final : public Barrier {
       : mech_(mech),
         p_(participants),
         sw_half_(m.config().barrier_sw_overhead / 2),
-        episode_(m.num_cpus(), 0),
-        name_(std::string(to_string(mech)) + " MCS tree barrier") {
+        episode_(m.num_cpus(), 0) {
     assert(participants >= 1 && participants <= m.num_cpus());
     nodes_.resize(p_);
     for (std::uint32_t i = 0; i < p_; ++i) {
@@ -76,8 +74,6 @@ class McsTreeBarrier final : public Barrier {
     if (sw_half_ > 0) co_await t.compute(sw_half_);
   }
 
-  [[nodiscard]] const char* name() const override { return name_.c_str(); }
-
  private:
   struct Node {
     sim::Addr child_arrived[kArrivalFan] = {};
@@ -89,7 +85,6 @@ class McsTreeBarrier final : public Barrier {
   sim::Cycle sw_half_;
   std::vector<Node> nodes_;
   std::vector<std::uint64_t> episode_;
-  std::string name_;
 };
 
 }  // namespace

@@ -17,7 +17,6 @@ class Lock {
   virtual ~Lock() = default;
   virtual sim::Task<void> acquire(core::ThreadCtx& t) = 0;
   virtual sim::Task<void> release(core::ThreadCtx& t) = 0;
-  [[nodiscard]] virtual const char* name() const = 0;
 };
 
 /// Spin policy while waiting for now_serving (ticket lock). MAO always
@@ -25,18 +24,14 @@ class Lock {
 /// Scott's proportional backoff vs none — an ablation the paper discusses).
 enum class TicketBackoff : std::uint8_t { kNone, kProportional };
 
-struct TicketLockConfig {
-  // Default: no backoff — the paper's evaluated ticket locks spin without
-  // it (backoff is "less effective" and "not risk-free" on CC machines,
-  // §3.3.2); MAO's uncached polling then floods the home MC, which is why
-  // the paper's MAO ticket lock barely beats LL/SC. The proportional
-  // policy is exercised by bench/ablation_backoff.
-  TicketBackoff backoff = TicketBackoff::kNone;
-  sim::Cycle backoff_unit = 400;  // cycles per position in line
-};
-
-std::unique_ptr<Lock> make_ticket_lock(core::Machine& m, Mechanism mech,
-                                       const TicketLockConfig& cfg = {});
+/// FIFO ticket lock. Default: no backoff — the paper's evaluated ticket
+/// locks spin without it (backoff is "less effective" and "not risk-free"
+/// on CC machines, §3.3.2); MAO's uncached polling then floods the home
+/// MC, which is why the paper's MAO ticket lock barely beats LL/SC. The
+/// proportional policy is exercised by the ablation_backoff workload.
+std::unique_ptr<Lock> make_ticket_lock(
+    core::Machine& m, Mechanism mech,
+    TicketBackoff backoff = TicketBackoff::kNone);
 
 /// Anderson's array-based queuing lock: `slots` must be at least the
 /// maximum number of concurrent contenders (usually num_cpus).
@@ -73,13 +68,7 @@ std::unique_ptr<Lock> make_hmcs_lock(core::Machine& m, Mechanism mech,
                                      std::uint32_t levels,
                                      std::uint32_t threshold);
 
-struct TasLockConfig {
-  sim::Cycle backoff_min = 64;    // first backoff after a failed attempt
-  sim::Cycle backoff_max = 8192;  // exponential cap
-};
-
 /// Test-and-test-and-set lock with exponential backoff (classic baseline).
-std::unique_ptr<Lock> make_tas_lock(core::Machine& m, Mechanism mech,
-                                    const TasLockConfig& cfg = {});
+std::unique_ptr<Lock> make_tas_lock(core::Machine& m, Mechanism mech);
 
 }  // namespace amo::sync

@@ -1,5 +1,4 @@
 #include <cassert>
-#include <string>
 #include <vector>
 
 #include "sync/lock.hpp"
@@ -24,8 +23,7 @@ class ArrayLock final : public Lock {
       : mech_(mech),
         nslots_(slots),
         sw_half_(m.config().lock_sw_overhead / 2),
-        my_slot_(m.num_cpus(), 0),
-        name_(std::string(to_string(mech)) + " array lock") {
+        my_slot_(m.num_cpus(), 0) {
     assert(slots >= 1);
     sequencer_ = m.galloc().alloc_word_line(0);
     flags_.reserve(slots);
@@ -56,7 +54,6 @@ class ArrayLock final : public Lock {
     co_await WordWrite(mech_, t, flags_[next], 1);
   }
 
-  [[nodiscard]] const char* name() const override { return name_.c_str(); }
   [[nodiscard]] std::uint32_t slot_of(sim::CpuId cpu) const {
     return my_slot_[cpu];
   }
@@ -68,7 +65,6 @@ class ArrayLock final : public Lock {
   sim::Addr sequencer_ = 0;
   std::vector<sim::Addr> flags_;
   std::vector<std::uint32_t> my_slot_;
-  std::string name_;
 };
 
 }  // namespace

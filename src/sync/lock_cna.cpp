@@ -1,5 +1,4 @@
 #include <cassert>
-#include <string>
 #include <vector>
 
 #include "net/topology.hpp"
@@ -42,9 +41,7 @@ class CnaLock final : public Lock {
           std::uint32_t threshold)
       : mech_(mech),
         sw_half_(m.config().lock_sw_overhead / 2),
-        threshold_(threshold),
-        name_(std::string(to_string(mech)) + " CNA lock (level " +
-              std::to_string(level) + ")") {
+        threshold_(threshold) {
     assert(threshold_ >= 1);
     const net::Topology& topo = m.network().topology();
     const std::uint32_t lvl = std::min(level, topo.levels());
@@ -172,8 +169,6 @@ class CnaLock final : public Lock {
     co_await WordWrite(mech_, t, spin_[local - 1], 1);
   }
 
-  [[nodiscard]] const char* name() const override { return name_.c_str(); }
-
  private:
   Mechanism mech_;
   sim::Cycle sw_half_;
@@ -185,7 +180,6 @@ class CnaLock final : public Lock {
   std::vector<sim::Addr> next_;
   std::vector<sim::Addr> spin_;
   std::vector<std::uint32_t> cluster_;  // cluster id per cpu (host-side)
-  std::string name_;
 };
 
 }  // namespace

@@ -1,6 +1,5 @@
 #include <algorithm>
 #include <cassert>
-#include <string>
 #include <vector>
 
 #include "net/topology.hpp"
@@ -47,8 +46,6 @@ class HmcsLock final : public Lock {
     assert(threshold_ >= 1);
     depth_ = std::min(levels, topo_->levels());
     top_ = depth_ + 1;
-    name_ = std::string(to_string(mech)) + " HMCS lock (depth " +
-            std::to_string(depth_) + ")";
     const std::uint32_t nodes =
         (m.num_cpus() + cpn_ - 1) / cpn_;
     tiers_.resize(top_ + 1);
@@ -119,8 +116,6 @@ class HmcsLock final : public Lock {
     co_await release_tier(t, 0);
   }
 
-  [[nodiscard]] const char* name() const override { return name_.c_str(); }
-
  private:
   struct Tier {
     std::vector<sim::Addr> tail;  // one queue per entity at this tier
@@ -175,7 +170,6 @@ class HmcsLock final : public Lock {
   std::uint32_t depth_ = 0;
   std::uint32_t top_ = 1;  // root tier index (== depth_ + 1)
   std::vector<Tier> tiers_;
-  std::string name_;
 };
 
 }  // namespace

@@ -1,5 +1,4 @@
 #include <cassert>
-#include <string>
 #include <vector>
 
 #include "sync/lock.hpp"
@@ -26,8 +25,7 @@ class McsLock final : public Lock {
  public:
   McsLock(core::Machine& m, Mechanism mech)
       : mech_(mech),
-        sw_half_(m.config().lock_sw_overhead / 2),
-        name_(std::string(to_string(mech)) + " MCS lock") {
+        sw_half_(m.config().lock_sw_overhead / 2) {
     tail_ = m.galloc().alloc_word_line(0);
     const std::uint32_t cpus = m.num_cpus();
     next_.reserve(cpus);
@@ -66,15 +64,12 @@ class McsLock final : public Lock {
     co_await WordWrite(mech_, t, locked_[succ - 1], 0);  // hand off
   }
 
-  [[nodiscard]] const char* name() const override { return name_.c_str(); }
-
  private:
   Mechanism mech_;
   sim::Cycle sw_half_;
   sim::Addr tail_ = 0;
   std::vector<sim::Addr> next_;
   std::vector<sim::Addr> locked_;
-  std::string name_;
 };
 
 }  // namespace

@@ -1,5 +1,4 @@
 #include <algorithm>
-#include <string>
 
 #include "sync/lock.hpp"
 #include "sync/recording.hpp"
@@ -9,23 +8,23 @@ namespace amo::sync {
 
 namespace {
 
+constexpr sim::Cycle kBackoffMin = 64;    // first backoff after a failure
+constexpr sim::Cycle kBackoffMax = 8192;  // exponential cap
+
 // Test-and-test-and-set lock with exponential backoff: the classic
 // baseline every queue lock is measured against. Readers spin on a cached
 // copy; an acquisition attempt is an atomic swap; contention produces the
 // textbook invalidation storm that backoff dampens.
 class TasLock final : public Lock {
  public:
-  TasLock(core::Machine& m, Mechanism mech, const TasLockConfig& cfg)
-      : mech_(mech),
-        cfg_(cfg),
-        sw_half_(m.config().lock_sw_overhead / 2),
-        name_(std::string(to_string(mech)) + " TAS lock") {
+  TasLock(core::Machine& m, Mechanism mech)
+      : mech_(mech), sw_half_(m.config().lock_sw_overhead / 2) {
     word_ = m.galloc().alloc_word_line(0);
   }
 
   sim::Task<void> acquire(core::ThreadCtx& t) override {
     if (sw_half_ > 0) co_await t.compute(sw_half_);
-    sim::Cycle backoff = cfg_.backoff_min;
+    sim::Cycle backoff = kBackoffMin;
     for (;;) {
       // Test: wait until the lock looks free. MAO variables must never be
       // cached, so the MAO flavour polls uncached; everyone else spins on
@@ -41,7 +40,7 @@ class TasLock final : public Lock {
       // Test-and-set: one attempt; on failure, back off exponentially.
       if (co_await swap(mech_, t, word_, 1) == 0) co_return;
       co_await t.delay(t.rng().below(backoff) + 1);
-      backoff = std::min<sim::Cycle>(backoff * 2, cfg_.backoff_max);
+      backoff = std::min<sim::Cycle>(backoff * 2, kBackoffMax);
     }
   }
 
@@ -61,21 +60,16 @@ class TasLock final : public Lock {
     }
   }
 
-  [[nodiscard]] const char* name() const override { return name_.c_str(); }
-
  private:
   Mechanism mech_;
-  TasLockConfig cfg_;
   sim::Cycle sw_half_;
   sim::Addr word_ = 0;
-  std::string name_;
 };
 
 }  // namespace
 
-std::unique_ptr<Lock> make_tas_lock(core::Machine& m, Mechanism mech,
-                                    const TasLockConfig& cfg) {
-  return with_acquire_hist(m, std::make_unique<TasLock>(m, mech, cfg));
+std::unique_ptr<Lock> make_tas_lock(core::Machine& m, Mechanism mech) {
+  return with_acquire_hist(m, std::make_unique<TasLock>(m, mech));
 }
 
 }  // namespace amo::sync

@@ -1,5 +1,3 @@
-#include <cassert>
-#include <string>
 #include <vector>
 
 #include "sync/lock.hpp"
@@ -9,6 +7,8 @@
 namespace amo::sync {
 
 namespace {
+
+constexpr sim::Cycle kBackoffUnit = 400;  // cycles per position in line
 
 // FIFO ticket lock (Mellor-Crummey & Scott). Acquire: fetch-add the
 // sequencer, wait until now_serving reaches the ticket. Release: advance
@@ -27,12 +27,11 @@ namespace {
 //                  spinner's cached copy in place (no invalidation storm).
 class TicketLock final : public Lock {
  public:
-  TicketLock(core::Machine& m, Mechanism mech, const TicketLockConfig& cfg)
+  TicketLock(core::Machine& m, Mechanism mech, TicketBackoff backoff)
       : mech_(mech),
-        cfg_(cfg),
+        backoff_(backoff),
         sw_half_(m.config().lock_sw_overhead / 2),
-        my_ticket_(m.num_cpus(), 0),
-        name_(std::string(to_string(mech)) + " ticket lock") {
+        my_ticket_(m.num_cpus(), 0) {
     next_ticket_ = m.galloc().alloc_word_line(0);
     now_serving_ = m.galloc().alloc_word_line(0);
   }
@@ -44,8 +43,8 @@ class TicketLock final : public Lock {
     my_ticket_[t.cpu()] = my;
     if (mech_ == Mechanism::kMao) {
       const auto backoff = [this, my](std::uint64_t v) -> sim::Cycle {
-        if (cfg_.backoff == TicketBackoff::kNone) return 0;
-        return cfg_.backoff_unit * (my - v);
+        if (backoff_ == TicketBackoff::kNone) return 0;
+        return kBackoffUnit * (my - v);
       };
       (void)co_await spin_uncached_until(
           t, now_serving_, [my](std::uint64_t v) { return v == my; },
@@ -77,23 +76,21 @@ class TicketLock final : public Lock {
     }
   }
 
-  [[nodiscard]] const char* name() const override { return name_.c_str(); }
-
  private:
   Mechanism mech_;
-  TicketLockConfig cfg_;
+  TicketBackoff backoff_;
   sim::Cycle sw_half_;
   sim::Addr next_ticket_ = 0;
   sim::Addr now_serving_ = 0;
   std::vector<std::uint64_t> my_ticket_;
-  std::string name_;
 };
 
 }  // namespace
 
 std::unique_ptr<Lock> make_ticket_lock(core::Machine& m, Mechanism mech,
-                                       const TicketLockConfig& cfg) {
-  return with_acquire_hist(m, std::make_unique<TicketLock>(m, mech, cfg));
+                                       TicketBackoff backoff) {
+  return with_acquire_hist(m,
+                           std::make_unique<TicketLock>(m, mech, backoff));
 }
 
 }  // namespace amo::sync

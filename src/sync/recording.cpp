@@ -23,8 +23,6 @@ class RecordingLock final : public Lock {
     return inner_->release(t);
   }
 
-  [[nodiscard]] const char* name() const override { return inner_->name(); }
-
  private:
   std::unique_ptr<Lock> inner_;
 };
@@ -41,8 +39,6 @@ class RecordingBarrier final : public Barrier {
       h->barrier_episode.record(t.now() - start);
     }
   }
-
-  [[nodiscard]] const char* name() const override { return inner_->name(); }
 
  private:
   std::unique_ptr<Barrier> inner_;

@@ -34,10 +34,13 @@ void expect_pin(core::Machine& m, const Pin& pin) {
   EXPECT_EQ(m.engine().now(), pin.now);
 }
 
-// Every cpu runs `episodes` barrier episodes, each after a random
-// compute phase (the per-cpu RNG is seeded, so the run is fixed).
-void run_barrier(core::Machine& m, sync::Barrier& barrier, int episodes) {
-  for (sim::CpuId c = 0; c < m.num_cpus(); ++c) {
+// Cpus 0..participants-1 (all of them by default) run `episodes`
+// barrier episodes, each after a random compute phase (the per-cpu RNG
+// is seeded, so the run is fixed).
+void run_barrier(core::Machine& m, sync::Barrier& barrier, int episodes,
+                 std::uint32_t participants = 0) {
+  if (participants == 0) participants = m.num_cpus();
+  for (sim::CpuId c = 0; c < participants; ++c) {
     m.spawn(c, [&, episodes](core::ThreadCtx& t) -> sim::Task<void> {
       for (int ep = 0; ep < episodes; ++ep) {
         co_await t.compute(t.rng().below(400));
@@ -80,7 +83,9 @@ core::SystemConfig cfg_with(std::uint32_t cpus, std::uint32_t per_node = 2) {
 // ------------------------------------------------------------- pins
 //
 // {events executed, final cycle}, recorded at the parent of the
-// frameless-awaiter change (a017e6a).
+// frameless-awaiter change (a017e6a); the central, ragged-tree and
+// partial-cluster pins at the parent of the combining-barrier merge
+// (bda9ce9).
 
 TEST(EventPin, AmoTreeBarrier) {
   core::Machine m(cfg_with(32));
@@ -111,6 +116,38 @@ TEST(EventPin, LlScClusterBarrierSoftwareCombining) {
                                             /*amu_aggregation=*/false);
   run_barrier(m, *barrier, 3);
   expect_pin(m, {9729, 81903});
+}
+
+TEST(EventPin, LlScCentralBarrier) {
+  core::Machine m(cfg_with(16));
+  auto barrier = sync::make_central_barrier(m, Mechanism::kLlSc, 16);
+  run_barrier(m, *barrier, 3);
+  expect_pin(m, {2073, 66517});
+}
+
+TEST(EventPin, AmoCentralBarrier) {
+  core::Machine m(cfg_with(16));
+  auto barrier = sync::make_central_barrier(m, Mechanism::kAmo, 16);
+  run_barrier(m, *barrier, 4);
+  expect_pin(m, {768, 14288});
+}
+
+// 12 cpus in groups of 5: the last leaf group holds only 2.
+TEST(EventPin, AtomicTreeBarrierRaggedGroup) {
+  core::Machine m(cfg_with(12));
+  auto barrier = sync::make_tree_barrier(m, Mechanism::kAtomic, 12, 5);
+  run_barrier(m, *barrier, 3);
+  expect_pin(m, {1266, 36300});
+}
+
+// 40 of 64 cpus take part: 10 of the 16 nodes, so the upper tiers' last
+// groups are partial.
+TEST(EventPin, AmoClusterBarrierWithAmuAggregationPartial) {
+  core::Machine m(cfg_with(64, 4));
+  auto barrier = sync::make_cluster_barrier(m, Mechanism::kAmo, 40, 2,
+                                            /*amu_aggregation=*/true);
+  run_barrier(m, *barrier, 4, 40);
+  expect_pin(m, {2270, 16845});
 }
 
 TEST(EventPin, MaoTicketLock) {

@@ -73,6 +73,8 @@ TEST(ConfigIo, UnknownKeyNamesFieldAndCandidates) {
       {"spin.watch_repoll_cycles", "am_timeout_cycles"},
       // The parallel engine's thread count went with the engine.
       {"sim_threads", "seed"},
+      // AMU combining is the cluster_amu cell variant, not a config knob.
+      {"hier.amu_aggregation", "hier.levels"},
   };
   for (const Case& c : cases) {
     core::SystemConfig cfg;

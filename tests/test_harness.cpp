@@ -254,14 +254,14 @@ TEST(Reporter, RunBarrierFeedsRecordsWithRegistryDump) {
   ss << in.rdbuf();
   const sim::Json doc = sim::Json::parse(ss.str());
   EXPECT_EQ(doc.at("bench").as_string(), "unit_barrier");
-  EXPECT_EQ(doc.at("schema_version").as_uint(), 4u);
+  EXPECT_EQ(doc.at("schema_version").as_uint(), 5u);
   EXPECT_EQ(doc.at("records").size(), 1u);
   std::remove(opt.json_path.c_str());
 }
 
 // Since schema v3: the hierarchy and service records, which used to carry
 // the parallel engine's thread count, and every record's config object are
-// written without it.
+// written without it. Since v5 the config has no `hier.amu_aggregation`.
 TEST(Reporter, SchemaV3RecordsCarryNoSimThreads) {
   CliOptions opt;
   opt.json_path = ::testing::TempDir() + "harness_schema_v3_test.json";
@@ -286,7 +286,7 @@ TEST(Reporter, SchemaV3RecordsCarryNoSimThreads) {
   std::stringstream ss;
   ss << in.rdbuf();
   const sim::Json doc = sim::Json::parse(ss.str());
-  EXPECT_EQ(doc.at("schema_version").as_uint(), 4u);
+  EXPECT_EQ(doc.at("schema_version").as_uint(), 5u);
   const sim::Json& recs = doc.at("records");
   ASSERT_EQ(recs.size(), 3u);
   const char* workloads[] = {"barrier", "microbench_hier", "service"};
@@ -296,6 +296,8 @@ TEST(Reporter, SchemaV3RecordsCarryNoSimThreads) {
     EXPECT_EQ(rec.find("sim_threads"), nullptr) << workloads[i];
     if (const sim::Json* config = rec.find("config")) {
       EXPECT_EQ(config->find("sim_threads"), nullptr) << workloads[i];
+      EXPECT_EQ(config->at("hier").find("amu_aggregation"), nullptr)
+          << workloads[i];
     }
   }
   std::remove(opt.json_path.c_str());

@@ -173,13 +173,11 @@ TEST(HierConfig, KnobsRoundTripThroughJson) {
   cfg.hier.levels = 2;
   cfg.hier.cna_threshold = 17;
   cfg.hier.hmcs_threshold = 5;
-  cfg.hier.amu_aggregation = true;
   cfg.net.hop_cycles_per_level = 3;
   const core::SystemConfig back = core::config_from_json(core::to_json(cfg));
   EXPECT_EQ(back.hier.levels, 2u);
   EXPECT_EQ(back.hier.cna_threshold, 17u);
   EXPECT_EQ(back.hier.hmcs_threshold, 5u);
-  EXPECT_TRUE(back.hier.amu_aggregation);
   EXPECT_EQ(back.net.hop_cycles_per_level, 3u);
 }
 
@@ -317,7 +315,6 @@ std::string cluster_barrier_name(
 
 TEST_P(ClusterBarrierCorrectness, NoEarlyPassage) {
   const auto [mech, cpus, aggregate] = GetParam();
-  if (aggregate && mech != Mechanism::kAmo) GTEST_SKIP();
   constexpr int kEpisodes = 5;
 
   core::SystemConfig cfg;
@@ -347,14 +344,23 @@ TEST_P(ClusterBarrierCorrectness, NoEarlyPassage) {
   m.check_coherence();
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllMechanisms, ClusterBarrierCorrectness,
-    ::testing::Combine(::testing::Values(Mechanism::kLlSc, Mechanism::kAtomic,
-                                         Mechanism::kActMsg, Mechanism::kMao,
-                                         Mechanism::kAmo),
-                       ::testing::Values(4, 6, 16, 32),  // 6: ragged node
-                       ::testing::Values(false, true)),
-    cluster_barrier_name);
+// Software combining for every mechanism; AMU aggregation is AMO-only.
+std::vector<std::tuple<Mechanism, int, bool>> cluster_barrier_cases() {
+  std::vector<std::tuple<Mechanism, int, bool>> cases;
+  for (Mechanism mech : {Mechanism::kLlSc, Mechanism::kAtomic,
+                         Mechanism::kActMsg, Mechanism::kMao,
+                         Mechanism::kAmo}) {
+    for (int cpus : {4, 6, 16, 32}) {  // 6: ragged node
+      cases.emplace_back(mech, cpus, false);
+      if (mech == Mechanism::kAmo) cases.emplace_back(mech, cpus, true);
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(AllMechanisms, ClusterBarrierCorrectness,
+                         ::testing::ValuesIn(cluster_barrier_cases()),
+                         cluster_barrier_name);
 
 // The headline property: per-subtree AMU aggregation must be
 // *semantically invisible* — across randomized topology shapes it
