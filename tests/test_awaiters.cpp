@@ -85,7 +85,8 @@ core::SystemConfig cfg_with(std::uint32_t cpus, std::uint32_t per_node = 2) {
 // {events executed, final cycle}, recorded at the parent of the
 // frameless-awaiter change (a017e6a); the central, ragged-tree and
 // partial-cluster pins at the parent of the combining-barrier merge
-// (bda9ce9).
+// (bda9ce9); the ActMsg pins while replies still went through
+// promises and a timeout watcher (83ce3f5).
 
 TEST(EventPin, AmoTreeBarrier) {
   core::Machine m(cfg_with(32));
@@ -155,6 +156,36 @@ TEST(EventPin, MaoTicketLock) {
   auto lock = sync::make_ticket_lock(m, Mechanism::kMao);
   run_lock(m, *lock, 4);
   expect_pin(m, {5833, 208018});
+}
+
+TEST(EventPin, ActMsgCentralBarrier) {
+  core::Machine m(cfg_with(16));
+  auto barrier = sync::make_central_barrier(m, Mechanism::kActMsg, 16);
+  run_barrier(m, *barrier, 3);
+  expect_pin(m, {1350, 54272});
+}
+
+// A timeout below the handler's service time under contention: clients
+// retransmit, the server sees duplicates while a request is in flight
+// and replays cached replies after it completed.
+TEST(EventPin, ActMsgTicketLockWithRetransmits) {
+  core::SystemConfig cfg = cfg_with(8);
+  cfg.am_timeout_cycles = 1000;
+  core::Machine m(cfg);
+  auto lock = sync::make_ticket_lock(m, Mechanism::kActMsg);
+  run_lock(m, *lock, 4);
+  std::uint64_t retransmits = 0, duplicates = 0, replays = 0;
+  for (sim::CpuId c = 0; c < m.num_cpus(); ++c) {
+    retransmits += m.core(c).stats().am_retransmits;
+  }
+  for (sim::NodeId n = 0; n < m.num_nodes(); ++n) {
+    duplicates += m.am_server(n).stats().duplicates;
+    replays += m.am_server(n).stats().replays;
+  }
+  EXPECT_GT(retransmits, 0u);
+  EXPECT_GT(duplicates, 0u);
+  EXPECT_GT(replays, 0u);
+  expect_pin(m, {4671, 168297});
 }
 
 TEST(EventPin, AmoArrayLock) {
