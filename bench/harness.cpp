@@ -213,7 +213,9 @@ void JsonReporter::write() {
   // name), and each record's config is the whole core::to_json document.
   // v5: the config object lost `hier.amu_aggregation` (AMU combining is
   // the cluster_amu cell variant).
-  doc["schema_version"] = 5;
+  // v6: registry dumps lost `node<N>.dir.uncached_writes` (no uncached
+  // stores exist).
+  doc["schema_version"] = 6;
   doc["records"] = records_;
   std::ofstream out(path_, std::ios::trunc);
   if (!out) {

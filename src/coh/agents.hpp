@@ -55,7 +55,9 @@ class AmuIface {
   /// Current value of an AMU-resident word (merge on coherent reads).
   [[nodiscard]] virtual std::uint64_t peek_word(sim::Addr addr) const = 0;
 
-  /// Redirected uncached store to an AMU-resident word.
+  /// Writes an AMU-resident word in place. Nothing in the simulator calls
+  /// it since uncached stores went; perfbench/probes.cpp's stub AMU
+  /// overrides it, so it stays until that harness may change.
   virtual void store_word(sim::Addr addr, std::uint64_t value) = 0;
 
   /// Forced invalidation of all words in `block` (a processor is taking

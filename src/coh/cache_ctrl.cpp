@@ -145,38 +145,49 @@ sim::Task<std::uint64_t> CacheCtrl::atomic_rmw(amu::AmoOpcode op,
 
 // ----------------------------------------------------------- miss path
 
-sim::Task<void> CacheCtrl::request_line(sim::Addr addr, bool want_m) {
-  const sim::Addr block = l2_.line_base(addr);
-  Mshr* m = find_mshr(block);
+void CacheCtrl::LineAwaiter::await_suspend(std::coroutine_handle<> h) {
+  h_ = h;
+  CacheCtrl& c = *ctrl_;
+  const sim::Addr block = c.l2_.line_base(addr_);
+  Mshr* m = c.find_mshr(block);
   if (m == nullptr) {
-    m = &mshr_.emplace_back();
+    m = &c.mshr_.emplace_back();
     m->block = block;
-    m->born = engine_.now();
-    mem::Cache::Line* line = l2_.find(addr, /*touch=*/false);
-    Directory& dir = home_dir(addr);
-    if (line != nullptr && want_m) {
+    m->born = c.engine_.now();
+    mem::Cache::Line* line = c.l2_.find(addr_, /*touch=*/false);
+    Directory& dir = c.home_dir(addr_);
+    if (line != nullptr && want_m_) {
       // S -> M: upgrade; pin so the set can't evict the upgrading line.
       assert(line->state == mem::LineState::kShared);
       line->pinned = true;
-      ++stats_.miss_upgrade;
-      wiring_.post(node_, dir.node(), net::MsgClass::kRequest, sizes_.ctrl(),
-                   [&dir, cpu = cpu_, block] { dir.on_upgrade(cpu, block); });
-    } else if (want_m) {
-      ++stats_.miss_getx;
-      wiring_.post(node_, dir.node(), net::MsgClass::kRequest, sizes_.ctrl(),
-                   [&dir, cpu = cpu_, block] { dir.on_getx(cpu, block); });
+      ++c.stats_.miss_upgrade;
+      c.wiring_.post(c.node_, dir.node(), net::MsgClass::kRequest,
+                     c.sizes_.ctrl(), [&dir, cpu = c.cpu_, block] {
+                       dir.on_upgrade(cpu, block);
+                     });
+    } else if (want_m_) {
+      ++c.stats_.miss_getx;
+      c.wiring_.post(c.node_, dir.node(), net::MsgClass::kRequest,
+                     c.sizes_.ctrl(), [&dir, cpu = c.cpu_, block] {
+                       dir.on_getx(cpu, block);
+                     });
     } else {
-      ++stats_.miss_gets;
-      wiring_.post(node_, dir.node(), net::MsgClass::kRequest, sizes_.ctrl(),
-                   [&dir, cpu = cpu_, block] { dir.on_gets(cpu, block); });
+      ++c.stats_.miss_gets;
+      c.wiring_.post(c.node_, dir.node(), net::MsgClass::kRequest,
+                     c.sizes_.ctrl(), [&dir, cpu = c.cpu_, block] {
+                       dir.on_gets(cpu, block);
+                     });
     }
   }
   // Join the outstanding request (ours or a sibling context's). If the
   // sibling's request brings the line in the wrong state, the caller's
   // retry loop issues a follow-up.
-  sim::Promise<std::uint64_t> p(engine_);
-  m->waiters.push_back(p);
-  co_await p.get_future();
+  if (m->last != nullptr) {
+    m->last->next_ = this;
+  } else {
+    m->first = this;
+  }
+  m->last = this;
 }
 
 void CacheCtrl::handle_victim(const mem::Cache::Victim& victim) {
@@ -227,7 +238,7 @@ void CacheCtrl::unpark(sim::Addr addr) {
 void CacheCtrl::notify_line(sim::Addr block) {
   SpinPark* s = find_park(block);
   if (s == nullptr || !s->h) return;
-  engine_.schedule(0, [h = std::exchange(s->h, nullptr)] { h.resume(); });
+  engine_.wake(std::exchange(s->h, nullptr));
 }
 
 std::vector<sim::Addr> CacheCtrl::parked_lines() const {
@@ -245,14 +256,12 @@ void CacheCtrl::complete_mshr(sim::Addr block) {
   if (stats_.mshr_residency_hist) {
     stats_.mshr_residency_hist->record(engine_.now() - m->born);
   }
-  // Detach the waiters and free the record before waking anyone.
-  auto waiters = std::move(m->waiters);
-  if (m != &mshr_.back()) *m = std::move(mshr_.back());
+  // Free the record, then wake the waiters in FIFO order. Each resumes
+  // from its own event, so none runs (or frees its awaiter) in this loop.
+  LineAwaiter* w = m->first;
+  *m = mshr_.back();
   mshr_.pop_back();
-  while (!waiters.empty()) {
-    waiters.front().set_value(0);
-    waiters.pop_front();
-  }
+  for (; w != nullptr; w = w->next_) engine_.wake(w->h_);
 }
 
 // ----------------------------------------------------------- CacheIface

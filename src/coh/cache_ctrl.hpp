@@ -16,7 +16,6 @@
 #include <cassert>
 #include <coroutine>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <vector>
 
@@ -26,8 +25,6 @@
 #include "coh/protocol.hpp"
 #include "coh/wiring.hpp"
 #include "mem/cache.hpp"
-#include "sim/frame_pool.hpp"
-#include "sim/future.hpp"
 #include "sim/stats_registry.hpp"
 #include "sim/task.hpp"
 
@@ -175,18 +172,39 @@ class CacheCtrl final : public CacheIface {
   [[nodiscard]] bool link_armed() const { return link_valid_; }
 
  private:
+  /// Awaitable that brings a line in (S for loads, M for writes) and
+  /// resumes once the request outstanding for its block completed.
+  /// Callers loop. It waits in the caller's frame, linked into the
+  /// MSHR's waiter FIFO, so it must not move while suspended.
+  class [[nodiscard]] LineAwaiter {
+   public:
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h);
+    void await_resume() const noexcept {}
+
+   private:
+    friend class CacheCtrl;
+    LineAwaiter(CacheCtrl& ctrl, sim::Addr addr, bool want_m)
+        : ctrl_(&ctrl), addr_(addr), want_m_(want_m) {}
+
+    CacheCtrl* ctrl_;
+    sim::Addr addr_;
+    std::coroutine_handle<> h_;
+    LineAwaiter* next_ = nullptr;  // the MSHR's next waiter
+    bool want_m_;
+  };
+
   // MSHRs and parked spins are records in per-controller vectors, found
   // by linear scan and erased by swap-and-pop: a controller holds at most
-  // one of each per context in flight on its core. MSHR waiter FIFOs
-  // draw their nodes from sim::FramePool, so a steady-state miss or
-  // spin-wait costs no heap allocation. No reference into either vector
-  // is held across a co_await.
+  // one of each per context in flight on its core. An MSHR's waiters are
+  // a FIFO threaded through their awaiters, so a steady-state miss or
+  // spin-wait costs no allocation. No reference into either vector is
+  // held across a co_await.
   struct Mshr {
     sim::Addr block = 0;
     sim::Cycle born = 0;  // allocation time, for the residency histogram
-    std::list<sim::Promise<std::uint64_t>,
-              sim::FramePoolAllocator<sim::Promise<std::uint64_t>>>
-        waiters;
+    LineAwaiter* first = nullptr;
+    LineAwaiter* last = nullptr;
   };
   // A parked spinner: one persistent record per (line, controller), alive
   // across wake-ups until the spin is satisfied. `h` is null while the
@@ -206,9 +224,9 @@ class CacheCtrl final : public CacheIface {
   /// the caller once the word is read.
   sim::Detached load_miss(LoadAwaiter& load);
 
-  /// Brings the line in (S for loads, M for writes); returns when the
-  /// request that was outstanding for this block completed. Callers loop.
-  sim::Task<void> request_line(sim::Addr addr, bool want_m);
+  [[nodiscard]] LineAwaiter request_line(sim::Addr addr, bool want_m) {
+    return LineAwaiter(*this, addr, want_m);
+  }
 
   /// Runs victim writeback (PutM/PutE) and L1/link maintenance.
   void handle_victim(const mem::Cache::Victim& victim);

@@ -170,18 +170,11 @@ void Directory::on_inv_ack(sim::CpuId s, sim::Addr block) {
 }
 
 void Directory::on_uncached_read(sim::CpuId r, sim::Addr addr,
-                                 sim::Promise<std::uint64_t> reply) {
+                                 std::uint64_t* word,
+                                 std::coroutine_handle<> waiter) {
   ++stats_.uncached_reads;
-  occupy([this, r, addr, reply] { handle_uncached_read(r, addr, reply); },
-         config_.uncached_occupancy_cycles);
-}
-
-void Directory::on_uncached_write(sim::CpuId r, sim::Addr addr,
-                                  std::uint64_t value,
-                                  sim::Promise<std::uint64_t> ack) {
-  ++stats_.uncached_writes;
-  occupy([this, r, addr, value, ack] {
-    handle_uncached_write(r, addr, value, ack);
+  occupy([this, r, addr, word, waiter] {
+    handle_uncached_read(r, addr, word, waiter);
   }, config_.uncached_occupancy_cycles);
 }
 
@@ -379,7 +372,8 @@ void Directory::handle_upgrade(sim::CpuId r, sim::Addr block) {
 }
 
 void Directory::handle_uncached_read(sim::CpuId r, sim::Addr addr,
-                                     sim::Promise<std::uint64_t> reply) {
+                                     std::uint64_t* word,
+                                     std::coroutine_handle<> waiter) {
   AmuIface* amu = agents_.amus[node_];
   // The AMU cache serves the *value* when it holds the word, but every
   // uncached load still occupies the memory channels ("load data directly
@@ -388,25 +382,12 @@ void Directory::handle_uncached_read(sim::CpuId r, sim::Addr addr,
                                   ? amu->peek_word(addr)
                                   : backing_.read_word(addr);
   const sim::Cycle done = dram_.access();
-  engine_.schedule_at(done, [this, r, value, reply] {
+  engine_.schedule_at(done, [this, r, value, word, waiter] {
     wiring_.post(node_, wiring_.node_of(r), net::MsgClass::kUncached,
-                 sizes_.word(), [reply, value] { reply.set_value(value); });
-  });
-}
-
-void Directory::handle_uncached_write(sim::CpuId r, sim::Addr addr,
-                                      std::uint64_t value,
-                                      sim::Promise<std::uint64_t> ack) {
-  AmuIface* amu = agents_.amus[node_];
-  if (amu != nullptr && amu->holds_word(addr)) {
-    amu->store_word(addr, value);
-  } else {
-    backing_.write_word(addr, value);
-  }
-  const sim::Cycle done = dram_.access();
-  engine_.schedule_at(done, [this, r, ack] {
-    wiring_.post(node_, wiring_.node_of(r), net::MsgClass::kUncached,
-                 sizes_.ctrl(), [ack] { ack.set_value(0); });
+                 sizes_.word(), [this, value, word, waiter] {
+                   *word = value;
+                   engine_.wake(waiter);
+                 });
   });
 }
 
@@ -677,7 +658,6 @@ void Directory::register_stats(sim::StatsRegistry& reg,
   reg.add_counter(prefix + ".word_puts", &stats_.word_puts);
   reg.add_counter(prefix + ".word_updates_sent", &stats_.word_updates_sent);
   reg.add_counter(prefix + ".uncached_reads", &stats_.uncached_reads);
-  reg.add_counter(prefix + ".uncached_writes", &stats_.uncached_writes);
   reg.add_counter(prefix + ".deferred", &stats_.deferred);
   if (stats_.occupancy_wait_hist) {
     // Conditional so default-mode registry dumps stay byte-identical.

@@ -7,6 +7,7 @@
 // pipeline and is the source of home hot-spotting under contention.
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
 #include <functional>
 #include <list>
@@ -23,7 +24,6 @@
 #include "mem/dram.hpp"
 #include "mem/line_buf.hpp"
 #include "sim/frame_pool.hpp"
-#include "sim/future.hpp"
 #include "sim/inline_fn.hpp"
 #include "sim/stats_registry.hpp"
 
@@ -70,7 +70,6 @@ struct DirStats {
   std::uint64_t word_puts = 0;
   std::uint64_t word_updates_sent = 0;
   std::uint64_t uncached_reads = 0;
-  std::uint64_t uncached_writes = 0;
   std::uint64_t deferred = 0;  // requests queued behind a busy block
   /// Cycles each incoming message queued for a free pipeline slot. Held
   /// out of line (~8 KB) and allocated only when DirConfig::histograms.
@@ -103,10 +102,10 @@ class Directory {
   void on_fill_ack(sim::CpuId r, sim::Addr block);
 
   // --- non-coherent (MAO) accesses ---
-  void on_uncached_read(sim::CpuId r, sim::Addr addr,
-                        sim::Promise<std::uint64_t> reply);
-  void on_uncached_write(sim::CpuId r, sim::Addr addr, std::uint64_t value,
-                         sim::Promise<std::uint64_t> ack);
+  /// Uncached word load for `r`: the reply stores the word in `*word`
+  /// and wakes `waiter`, whose frame holds `*word`.
+  void on_uncached_read(sim::CpuId r, sim::Addr addr, std::uint64_t* word,
+                        std::coroutine_handle<> waiter);
 
   // --- fine-grained interface for the on-hub AMU ---
   /// Fetches the coherent value of a word; registers the AMU as a
@@ -191,10 +190,8 @@ class Directory {
   void handle_gets(sim::CpuId r, sim::Addr block);
   void handle_getx(sim::CpuId r, sim::Addr block);
   void handle_upgrade(sim::CpuId r, sim::Addr block);
-  void handle_uncached_read(sim::CpuId r, sim::Addr addr,
-                            sim::Promise<std::uint64_t> reply);
-  void handle_uncached_write(sim::CpuId r, sim::Addr addr, std::uint64_t value,
-                             sim::Promise<std::uint64_t> ack);
+  void handle_uncached_read(sim::CpuId r, sim::Addr addr, std::uint64_t* word,
+                            std::coroutine_handle<> waiter);
   void handle_word_get(sim::Addr addr, sim::InlineFnT<std::uint64_t> done);
 
   /// Reads the line from backing store with AMU words merged in. Returns

@@ -44,9 +44,9 @@ inline constexpr std::uint32_t kNodeAddrShift = 32;
 /// one 8-byte word.
 struct MsgSizes {
   std::uint32_t line_bytes;
-  [[nodiscard]] std::uint32_t ctrl() const { return 32; }
+  [[nodiscard]] static std::uint32_t ctrl() { return 32; }
   [[nodiscard]] std::uint32_t data() const { return 32 + line_bytes; }
-  [[nodiscard]] std::uint32_t word() const { return 32 + 8; }
+  [[nodiscard]] static std::uint32_t word() { return 32 + 8; }
 };
 
 }  // namespace amo::coh

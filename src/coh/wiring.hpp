@@ -5,7 +5,7 @@
 //
 // Payloads travel as closures: the sender captures the typed call it wants
 // executed at the destination, so no central message variant is needed and
-// responses can complete sim::Promise values directly.
+// a reply can write straight into the awaiter its requester waits in.
 //
 // A remote message is one event: links are reserved at send time for an
 // injection one bus crossing ahead, and the payload runs one bus crossing

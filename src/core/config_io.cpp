@@ -241,11 +241,8 @@ void validate(const SystemConfig& c) {
   // Height of the fat tree Machine will derive: router levels above the
   // nodes. The hierarchical mechanisms map their clusters onto these
   // levels, so a deeper hierarchy than the tree is a config error.
-  std::uint32_t height = 0;
-  for (std::uint32_t e = c.num_nodes(); e > 1;
-       e = (e + c.net.radix - 1) / c.net.radix) {
-    ++height;
-  }
+  const std::uint32_t height =
+      net::Topology(c.num_nodes(), c.net.radix).levels();
   if (c.hier.levels == 0) {
     fail("hier.levels", "cluster hierarchy needs at least one level");
   }
@@ -279,6 +276,23 @@ void validate(const SystemConfig& c) {
     fail("service.interarrival_cycles",
          "the mean interarrival gap must be non-zero (arrival rate would "
          "be infinite)");
+  }
+  // An active message whose timer fires before any reply can arrive
+  // retransmits forever. Its fastest reply is a replay from the server's
+  // dedup cache: a word request and a word reply on an idle machine, here
+  // between the two farthest nodes (or within the one node).
+  net::NetConfig fabric = c.net;
+  fabric.num_nodes = c.num_nodes();
+  const sim::Cycle one_way =
+      fabric.num_nodes == 1
+          ? c.local_cycles
+          : net::Network::diameter_cycles(fabric, coh::MsgSizes::word()) +
+                2 * c.bus_cycles;
+  if (c.am_timeout_cycles <= 2 * one_way) {
+    fail("am_timeout_cycles",
+         "must exceed the unloaded word round trip between the farthest "
+         "nodes (" + std::to_string(2 * one_way) + " cycles), or no reply "
+         "can beat the timer; got " + std::to_string(c.am_timeout_cycles));
   }
 }
 

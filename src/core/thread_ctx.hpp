@@ -2,7 +2,7 @@
 //
 // A ThreadCtx is what benchmark/application coroutines receive: it exposes
 // every memory mechanism the paper compares (coherent loads/stores, LL/SC,
-// processor-side atomics, AMOs, MAOs, uncached accesses, active messages)
+// processor-side atomics, AMOs, MAOs, uncached loads, active messages)
 // plus compute-time modelling and a per-thread deterministic RNG.
 #pragma once
 
@@ -42,8 +42,8 @@ class ThreadCtx {
   [[nodiscard]] SpinStats& spin_stats() { return spin_stats_; }
 
   // ---- coherent memory ----
-  // The leaf ops below that return awaiters (load, amo*, mao*) issue
-  // when awaited: await them at once.
+  // The leaf ops below that return awaiters (load, amo*, mao*,
+  // uncached_load) issue when awaited: await them at once.
   coh::CacheCtrl::LoadAwaiter load(sim::Addr a) {
     return core_.cache().load(a);
   }
@@ -96,11 +96,8 @@ class ThreadCtx {
   cpu::Core::AmoAwaiter mao_inc(sim::Addr a) {
     return core_.mao(amu::AmoOpcode::kInc, a, 0);
   }
-  sim::Task<std::uint64_t> uncached_load(sim::Addr a) {
+  cpu::Core::AmoAwaiter uncached_load(sim::Addr a) {
     return core_.uncached_load(a);
-  }
-  sim::Task<void> uncached_store(sim::Addr a, std::uint64_t v) {
-    return core_.uncached_store(a, v);
   }
 
   // ---- active messages ----

@@ -1,7 +1,6 @@
 #include "cpu/am_server.hpp"
 
 #include <cassert>
-#include <utility>
 
 #include "cpu/core.hpp"
 
@@ -11,35 +10,33 @@ AmServer::AmServer(sim::Engine& engine, coh::Wiring& wiring, Core& host,
                    const AmServerConfig& config)
     : engine_(engine), wiring_(wiring), host_(host), config_(config) {}
 
-void AmServer::on_request(sim::CpuId src, std::uint64_t seq,
+void AmServer::on_request(Core& src, std::uint64_t seq, std::uint32_t token,
                           amu::AmoOpcode op, sim::Addr addr,
-                          std::uint64_t operand, std::uint64_t operand2,
-                          sim::Promise<std::uint64_t> reply) {
+                          std::uint64_t operand, std::uint64_t operand2) {
   ++stats_.requests;
-  SourceState& st = sources_[src];
+  SourceState& st = sources_[src.cpu()];
   if (st.has_completed && seq <= st.completed_seq) {
     // Retransmission of an already-handled request: replay the last
     // reply. (A stale duplicate of an older seq can surface after the
-    // client moved on; its promise is no longer being awaited, so the
-    // replayed value is simply discarded at the client.)
+    // client moved on; its token is no longer current, so the replayed
+    // value is simply discarded at the client.)
     ++stats_.duplicates;
     ++stats_.replays;
-    send_reply(src, std::move(reply), st.completed_value);
+    send_reply(src, token, st.completed_value);
     return;
   }
   if (st.inflight && st.inflight_seq == seq) {
     // Retransmission while the original is still queued/executing:
-    // remember the new reply handle, answer everyone at completion.
+    // remember the new attempt, answer every one at completion.
     ++stats_.duplicates;
-    st.inflight_replies.push_back(std::move(reply));
+    st.inflight_tokens.push_back(token);
     return;
   }
   assert(!st.inflight && "one outstanding AM per source context");
   st.inflight = true;
   st.inflight_seq = seq;
-  st.inflight_replies.clear();
-  st.inflight_replies.push_back(std::move(reply));
-  queue_.push_back(Request{src, seq, op, addr, operand, operand2});
+  st.inflight_tokens.assign(1, token);
+  queue_.push_back(Request{&src, seq, op, addr, operand, operand2});
   pump();
 }
 
@@ -60,26 +57,25 @@ sim::Task<void> AmServer::process(Request req) {
   co_await host_.occupy(config_.handler_cycles);
   ++stats_.handled;
 
-  SourceState& st = sources_[req.src];
+  SourceState& st = sources_[req.src->cpu()];
   assert(st.inflight && st.inflight_seq == req.seq);
   st.inflight = false;
   st.has_completed = true;
   st.completed_seq = req.seq;
   st.completed_value = old;
-  auto replies = std::move(st.inflight_replies);
-  st.inflight_replies.clear();
-  for (auto& r : replies) send_reply(req.src, std::move(r), old);
+  for (std::uint32_t token : st.inflight_tokens) {
+    send_reply(*req.src, token, old);
+  }
 
   busy_ = false;
   pump();
 }
 
-void AmServer::send_reply(sim::CpuId dst, sim::Promise<std::uint64_t> reply,
+void AmServer::send_reply(Core& dst, std::uint32_t token,
                           std::uint64_t value) {
-  wiring_.post(host_.node(), wiring_.node_of(dst), net::MsgClass::kActiveMsg,
-               40,
-               [reply, value] {
-                 if (!reply.completed()) reply.set_value(value);
+  wiring_.post(host_.node(), dst.node(), net::MsgClass::kActiveMsg,
+               coh::MsgSizes::word(), [dst = &dst, token, value] {
+                 dst->am_reply(token, value);
                });
 }
 

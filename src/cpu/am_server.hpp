@@ -44,13 +44,13 @@ class AmServer {
   AmServer(sim::Engine& engine, coh::Wiring& wiring, Core& host,
            const AmServerConfig& config);
 
-  /// Message arrival. `reply` is completed (possibly after a retransmit)
-  /// with the operation's old value.
-  /// The handler performs `op` (amu::AmoOpcode semantics) through the
-  /// host core's coherent cache and replies with the old value.
-  void on_request(sim::CpuId src, std::uint64_t seq, amu::AmoOpcode op,
-                  sim::Addr addr, std::uint64_t operand,
-                  std::uint64_t operand2, sim::Promise<std::uint64_t> reply);
+  /// Arrival of attempt `token` of `src`'s request `seq`. The handler
+  /// performs `op` (amu::AmoOpcode semantics) through the host core's
+  /// coherent cache; every attempt that asked gets a reply carrying its
+  /// token and the old value.
+  void on_request(Core& src, std::uint64_t seq, std::uint32_t token,
+                  amu::AmoOpcode op, sim::Addr addr, std::uint64_t operand,
+                  std::uint64_t operand2);
 
   [[nodiscard]] const AmServerStats& stats() const { return stats_; }
 
@@ -59,7 +59,7 @@ class AmServer {
 
  private:
   struct Request {
-    sim::CpuId src;
+    Core* src;
     std::uint64_t seq;
     amu::AmoOpcode op;
     sim::Addr addr;
@@ -72,15 +72,14 @@ class AmServer {
     std::uint64_t completed_value = 0;
     bool inflight = false;
     std::uint64_t inflight_seq = 0;
-    // Every promise that asked for the inflight seq (the original plus
-    // retransmissions) is completed when the handler finishes.
-    std::vector<sim::Promise<std::uint64_t>> inflight_replies;
+    // Every attempt that asked for the inflight seq (the original plus
+    // retransmissions) is answered when the handler finishes.
+    std::vector<std::uint32_t> inflight_tokens;
   };
 
   void pump();
   sim::Task<void> process(Request req);
-  void send_reply(sim::CpuId dst, sim::Promise<std::uint64_t> reply,
-                  std::uint64_t value);
+  void send_reply(Core& dst, std::uint32_t token, std::uint64_t value);
 
   sim::Engine& engine_;
   coh::Wiring& wiring_;

@@ -1,9 +1,7 @@
 #include "cpu/core.hpp"
 
 #include <algorithm>
-#include <cassert>
-
-#include "sim/timeout.hpp"
+#include <utility>
 
 namespace amo::cpu {
 
@@ -33,14 +31,23 @@ static_assert(sizeof(Core::AmoAwaiter) <= 56);
 void Core::AmoAwaiter::await_suspend(std::coroutine_handle<> h) {
   h_ = h;
   Core& c = *core_;
-  if (coherent_) {
+  const sim::NodeId home = coh::home_of(addr_);
+  if (kind_ == Kind::kUncachedLoad) {
+    ++c.stats_.uncached_loads;
+    coh::Directory* dir = c.agents_.dirs[home];
+    c.wiring_.post(c.node_, home, net::MsgClass::kUncached, c.sizes_.ctrl(),
+                   [dir, cpu = c.cpu_, a = this] {
+                     dir->on_uncached_read(cpu, a->addr_, &a->word_, a->h_);
+                   });
+    return;
+  }
+  if (kind_ == Kind::kAmo) {
     ++c.stats_.amo_ops;
   } else {
     ++c.stats_.mao_ops;
   }
   // The request event carries only a pointer to this awaiter, which
   // waits in the caller's frame until the reply lands.
-  const sim::NodeId home = coh::home_of(addr_);
   amu::Amu* amu = c.devices_.amus[home];
   c.wiring_.post(c.node_, home, net::MsgClass::kRequest, c.sizes_.ctrl(),
                  [amu, a = this] { amu->submit(a->request()); });
@@ -54,60 +61,58 @@ amu::AmoRequest Core::AmoAwaiter::request() {
   req.operand2 = operand2_;
   req.has_test = has_test_;
   req.test = test_;
-  req.coherent = coherent_;
+  req.coherent = kind_ == Kind::kAmo;
   req.reply = [a = this](std::uint64_t old) {
     Core& c = *a->core_;
     c.wiring_.post(coh::home_of(a->addr_), c.node_, net::MsgClass::kResponse,
                    c.sizes_.word(), [a, old] {
                      a->word_ = old;
-                     a->core_->engine_.schedule(
-                         0, [h = a->h_] { h.resume(); });
+                     a->core_->engine_.wake(a->h_);
                    });
   };
   return req;
 }
 
-sim::Task<std::uint64_t> Core::uncached_load(sim::Addr addr) {
-  ++stats_.uncached_loads;
-  const sim::NodeId home = coh::home_of(addr);
-  sim::Promise<std::uint64_t> p(engine_);
-  coh::Directory* dir = agents_.dirs[home];
-  wiring_.post(node_, home, net::MsgClass::kUncached, sizes_.ctrl(),
-               [dir, cpu = cpu_, addr, p] { dir->on_uncached_read(cpu, addr, p); });
-  co_return co_await p.get_future();
-}
-
-sim::Task<void> Core::uncached_store(sim::Addr addr, std::uint64_t value) {
-  ++stats_.uncached_stores;
-  const sim::NodeId home = coh::home_of(addr);
-  sim::Promise<std::uint64_t> p(engine_);
-  coh::Directory* dir = agents_.dirs[home];
-  wiring_.post(node_, home, net::MsgClass::kUncached, sizes_.word(),
-               [dir, cpu = cpu_, addr, value, p] {
-                 dir->on_uncached_write(cpu, addr, value, p);
-               });
-  (void)co_await p.get_future();
-}
-
 sim::Task<std::uint64_t> Core::am_rpc(amu::AmoOpcode op, sim::Addr addr,
                                       std::uint64_t operand,
                                       std::uint64_t operand2) {
-  const sim::NodeId home = coh::home_of(addr);
-  AmServer* server = devices_.servers[home];
   const std::uint64_t seq = am_seq_++;
   for (;;) {
     ++stats_.am_requests;
-    sim::Promise<std::uint64_t> p(engine_);
-    wiring_.post(node_, home, net::MsgClass::kActiveMsg, sizes_.word(),
-                 [server, cpu = cpu_, seq, op, addr, operand, operand2, p] {
-                   server->on_request(cpu, seq, op, addr, operand, operand2,
-                                      p);
-                 });
-    std::optional<std::uint64_t> result = co_await sim::with_timeout(
-        engine_, p.get_future(), config_.am_timeout_cycles);
+    const std::uint32_t token = ++am_token_;
+    am_decided_ = false;
+    // Widest captures first, so the closure fits InlineFn's buffer.
+    auto request = [this, seq, addr, operand, operand2, token, op] {
+      devices_.servers[coh::home_of(addr)]->on_request(
+          *this, seq, token, op, addr, operand, operand2);
+    };
+    static_assert(sim::InlineFn::fits_inline<decltype(request)>());
+    wiring_.post(node_, coh::home_of(addr), net::MsgClass::kActiveMsg,
+                 sizes_.word(), std::move(request));
+    // An attempt's events: this timer, one zero-cycle hop per reply
+    // delivery (am_reply), and one zero-cycle resume for whichever of
+    // them decides first. The hop makes a reply that lands in its
+    // timer's cycle lose, and spends one no-op event on a late reply to
+    // an abandoned attempt; every pinned event count (EventPin.ActMsg*)
+    // and simulated number was measured with exactly these events.
+    engine_.schedule(config_.am_timeout_cycles,
+                     [this, token] { am_decide(token, std::nullopt); });
+    const std::optional<std::uint64_t> result = co_await AmWait{*this};
     if (result.has_value()) co_return *result;
     ++stats_.am_retransmits;
   }
+}
+
+void Core::am_reply(std::uint32_t token, std::uint64_t value) {
+  engine_.schedule(0, [this, token, value] { am_decide(token, value); });
+}
+
+void Core::am_decide(std::uint32_t token,
+                     std::optional<std::uint64_t> result) {
+  if (token != am_token_ || am_decided_) return;
+  am_decided_ = true;
+  am_result_ = result;
+  engine_.wake(am_waiter_);
 }
 
 }  // namespace amo::cpu

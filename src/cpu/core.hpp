@@ -10,8 +10,12 @@
 //   * LL/SC + loads/stores/atomics: via coh::CacheCtrl
 //   * amo(): ship an op to the home AMU, in the coherent domain
 //   * mao(): same datapath, non-coherent (Origin 2000 / T3E style)
-//   * uncached_load/store(): MAO-style spinning accesses
+//   * uncached_load(): MAO-style spinning reads at the home memory
 //   * am_rpc(): active message with timeout + retransmit
+//
+// Every remote reply wakes its thread the same way: it lands in an
+// awaiter (or, for an AM, in the core's attempt state) and resumes the
+// thread from one zero-cycle event.
 #pragma once
 
 #include <coroutine>
@@ -35,7 +39,6 @@ struct CoreStats {
   std::uint64_t amo_ops = 0;
   std::uint64_t mao_ops = 0;
   std::uint64_t uncached_loads = 0;
-  std::uint64_t uncached_stores = 0;
   std::uint64_t am_requests = 0;
   std::uint64_t am_retransmits = 0;
   std::uint64_t compute_cycles = 0;
@@ -68,12 +71,12 @@ class Core {
     return compute(cycles);
   }
 
-  /// Awaitable result of amo() and mao(): the old value. Await it at
-  /// once: the request leaves when it is awaited, and the reply resumes
-  /// the caller through one zero-cycle event, as a completed promise
-  /// does. It keeps the op's arguments, not a request (the request is
-  /// built at the home), so a caller's frame stays small; it must not
-  /// move while suspended.
+  /// Awaitable result of amo(), mao() and uncached_load(): the old
+  /// value, or the word loaded. Await it at once: the request leaves
+  /// when it is awaited, and the reply resumes the caller through one
+  /// zero-cycle event. It keeps the op's arguments, not a request (an
+  /// AMO's request is built at the home), so a caller's frame stays
+  /// small; it must not move while suspended.
   class [[nodiscard]] AmoAwaiter {
    public:
     bool await_ready() const noexcept { return false; }
@@ -82,9 +85,10 @@ class Core {
 
    private:
     friend class Core;
-    AmoAwaiter(Core& core, amu::AmoOpcode op, sim::Addr addr,
-               std::uint64_t operand, std::uint64_t operand2,
-               std::optional<std::uint64_t> test, bool coherent)
+    enum class Kind : std::uint8_t { kAmo, kMao, kUncachedLoad };
+    AmoAwaiter(Core& core, Kind kind, amu::AmoOpcode op, sim::Addr addr,
+               std::uint64_t operand, std::uint64_t operand2 = 0,
+               std::optional<std::uint64_t> test = {})
         : core_(&core),
           addr_(addr),
           word_(operand),
@@ -92,7 +96,7 @@ class Core {
           test_(test.value_or(0)),
           op_(op),
           has_test_(test.has_value()),
-          coherent_(coherent) {}
+          kind_(kind) {}
 
     /// Builds the request at the home; its reply completes this awaiter.
     [[nodiscard]] amu::AmoRequest request();
@@ -107,7 +111,7 @@ class Core {
     std::coroutine_handle<> h_;
     amu::AmoOpcode op_;
     bool has_test_;
-    bool coherent_;
+    Kind kind_;
   };
 
   /// Active Memory Operation at the home node of `addr`; returns the old
@@ -115,29 +119,52 @@ class Core {
   AmoAwaiter amo(amu::AmoOpcode op, sim::Addr addr, std::uint64_t operand,
                  std::optional<std::uint64_t> test = {},
                  std::uint64_t operand2 = 0) {
-    return AmoAwaiter(*this, op, addr, operand, operand2, test,
-                      /*coherent=*/true);
+    return AmoAwaiter(*this, AmoAwaiter::Kind::kAmo, op, addr, operand,
+                      operand2, test);
   }
 
   /// Memory-side atomic outside the coherent domain.
   AmoAwaiter mao(amu::AmoOpcode op, sim::Addr addr, std::uint64_t operand,
                  std::uint64_t operand2 = 0) {
-    return AmoAwaiter(*this, op, addr, operand, operand2, std::nullopt,
-                      /*coherent=*/false);
+    return AmoAwaiter(*this, AmoAwaiter::Kind::kMao, op, addr, operand,
+                      operand2);
   }
 
-  /// Uncached word access at the home memory (MAO spinning).
-  sim::Task<std::uint64_t> uncached_load(sim::Addr addr);
-  sim::Task<void> uncached_store(sim::Addr addr, std::uint64_t value);
+  /// Uncached word load at the home memory (MAO spinning).
+  AmoAwaiter uncached_load(sim::Addr addr) {
+    return AmoAwaiter(*this, AmoAwaiter::Kind::kUncachedLoad,
+                      amu::AmoOpcode{}, addr, 0);
+  }
 
   /// Active-message RPC to the home node of `addr`; the home processor
   /// executes `op` coherently. Timeout-driven retransmission with
-  /// server-side dedup gives exactly-once semantics.
+  /// server-side dedup gives exactly-once semantics. One AM at a time
+  /// per core: the server keys its dedup state by cpu.
   sim::Task<std::uint64_t> am_rpc(amu::AmoOpcode op, sim::Addr addr,
                                   std::uint64_t operand,
                                   std::uint64_t operand2 = 0);
 
+  /// An AmServer reply for AM attempt `token` reached this core.
+  void am_reply(std::uint32_t token, std::uint64_t value);
+
  private:
+  /// Suspends am_rpc until its current attempt is decided; yields the
+  /// reply, or nothing on a timeout.
+  struct AmWait {
+    Core& core;
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) const noexcept {
+      core.am_waiter_ = h;
+    }
+    std::optional<std::uint64_t> await_resume() const noexcept {
+      return core.am_result_;
+    }
+  };
+
+  /// Decides AM attempt `token` with `result` (nothing = timed out) if it
+  /// is still the current attempt and undecided; else does nothing.
+  void am_decide(std::uint32_t token, std::optional<std::uint64_t> result);
+
   sim::Engine& engine_;
   coh::Wiring& wiring_;
   coh::Agents& agents_;
@@ -149,6 +176,12 @@ class Core {
   coh::CacheCtrl cache_;
   sim::Cycle cpu_busy_until_ = 0;
   std::uint64_t am_seq_ = 0;
+  // The AM attempt in flight: `am_token_` names it; a reply or timeout
+  // carrying another token is stale.
+  std::uint32_t am_token_ = 0;
+  bool am_decided_ = true;
+  std::optional<std::uint64_t> am_result_;
+  std::coroutine_handle<> am_waiter_;
   CoreStats stats_;
 };
 

@@ -78,11 +78,23 @@ void Network::reset_stats() {
   stats_.link_latency_hist = std::move(hists);
 }
 
-sim::Cycle Network::serialization_cycles(std::uint32_t size_bytes) const {
-  const std::uint32_t bytes = std::max(size_bytes, config_.min_packet_bytes);
+sim::Cycle Network::serialization_cycles(const NetConfig& config,
+                                         std::uint32_t size_bytes) {
+  const std::uint32_t bytes = std::max(size_bytes, config.min_packet_bytes);
   // ceil(bytes / 16) * cycles_per_16B
   return static_cast<sim::Cycle>((bytes + 15) / 16) *
-         config_.link_cycles_per_16b;
+         config.link_cycles_per_16b;
+}
+
+sim::Cycle Network::diameter_cycles(const NetConfig& config,
+                                    std::uint32_t size_bytes) {
+  Topology topo(config.num_nodes, config.radix);
+  if (topo.levels() == 0) return 0;
+  topo.set_link_latencies(seeded_latencies(config, topo));
+  sim::Cycle t = 0;
+  RouteWalker walk(topo, 0, config.num_nodes - 1);
+  for (LinkRef link; walk.next(link);) t += topo.link_latency(link.level);
+  return t + serialization_cycles(config, size_bytes);
 }
 
 sim::Cycle Network::reserve_path(RouteWalker& walk, std::uint32_t size_bytes,

@@ -116,7 +116,19 @@ class Network {
 
   /// Serialization delay for a packet of `size_bytes` (after clamping to
   /// the minimum packet size).
-  [[nodiscard]] sim::Cycle serialization_cycles(std::uint32_t size_bytes) const;
+  [[nodiscard]] sim::Cycle serialization_cycles(
+      std::uint32_t size_bytes) const {
+    return serialization_cycles(config_, size_bytes);
+  }
+  [[nodiscard]] static sim::Cycle serialization_cycles(
+      const NetConfig& config, std::uint32_t size_bytes);
+
+  /// What send() charges a `size_bytes` packet between the two farthest
+  /// of `config.num_nodes` nodes on an idle fabric, bus crossings aside:
+  /// each link up to the root and down again, then serialization. 0 for
+  /// a single node.
+  [[nodiscard]] static sim::Cycle diameter_cycles(const NetConfig& config,
+                                                  std::uint32_t size_bytes);
 
  private:
   // Drains `walk`, reserving every link on its path, and returns the

@@ -5,7 +5,6 @@
 #include <coroutine>
 #include <cstdint>
 #include <limits>
-#include <vector>
 
 #include "sim/event_queue.hpp"
 #include "sim/stats_registry.hpp"
@@ -18,42 +17,6 @@ class Engine {
   Engine() = default;
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
-
-  /// Handle to a one-shot timer armed with `schedule_cancelable`. The
-  /// ladder queue has no mid-queue removal, so cancellation releases the
-  /// callback (and its captures) immediately and leaves a generation-
-  /// checked tombstone in the queue: the queued slot still fires at its
-  /// original cycle and FIFO position as a no-op, which keeps event
-  /// counts and ordering identical whether or not the timer was spent.
-  class TimerHandle {
-   public:
-    TimerHandle() = default;
-    /// True while the timer is armed and neither fired nor canceled.
-    [[nodiscard]] bool armed() const {
-      return engine_ != nullptr && engine_->timer_armed(idx_, gen_);
-    }
-    /// Releases the callback now; the queued event becomes a tombstone.
-    /// No-op if the timer already fired or was already canceled.
-    void cancel() {
-      if (engine_ != nullptr) {
-        engine_->cancel_timer(idx_, gen_);
-        engine_ = nullptr;
-      }
-    }
-
-   private:
-    friend class Engine;
-    TimerHandle(Engine* e, std::uint32_t idx, std::uint64_t gen)
-        : engine_(e), idx_(idx), gen_(gen) {}
-    Engine* engine_ = nullptr;
-    std::uint32_t idx_ = 0;
-    std::uint64_t gen_ = 0;
-  };
-
-  /// Schedules `fn` to run `delay` cycles from now, returning a handle
-  /// that can cancel it. The callback is parked in a pooled cell (not the
-  /// queue slot), so cancel frees it without touching the ladder.
-  TimerHandle schedule_cancelable(Cycle delay, EventQueue::Callback&& fn);
 
   /// Current simulated time in cycles.
   [[nodiscard]] Cycle now() const { return now_; }
@@ -73,6 +36,13 @@ class Engine {
       dispatch_hist_->record(when < now_ ? 0 : when - now_);
     }
     queue_.push(when < now_ ? now_ : when, std::move(fn));
+  }
+
+  /// Resumes `h` from a zero-cycle event: how a reply wakes the thread
+  /// waiting on it, never inline, so the replying model may go on
+  /// changing its own state first.
+  void wake(std::coroutine_handle<> h) {
+    schedule(0, [h] { h.resume(); });
   }
 
   /// Runs until the event queue drains or `deadline` is passed, each
@@ -97,13 +67,6 @@ class Engine {
   // ---------------------------------------- leak introspection (tests)
   /// Events currently pending in the ladder queue.
   [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
-  /// Cancelable-timer cells ever allocated. The pool recycles cells
-  /// through a free list, so this stabilizes at the high-water mark of
-  /// concurrently armed timers — growth under a steady workload is a leak.
-  [[nodiscard]] std::size_t timer_cells_allocated() const {
-    return timer_cells_.size();
-  }
-
   /// Points event-dispatch-delay recording at `h` (cycles between an
   /// event's scheduling and its execution time, one sample per
   /// schedule()/schedule_at()). nullptr (the default) disables recording;
@@ -129,33 +92,13 @@ class Engine {
   }
 
  private:
-  // A parked cancelable-timer callback. `gen` advances whenever the cell
-  // is released (fire or cancel), so the queued event — which captures
-  // (idx, gen) — detects staleness and fires as a no-op tombstone.
-  struct TimerCell {
-    EventQueue::Callback fn;
-    std::uint64_t gen = 0;
-    std::uint32_t next_free = kNoCell;
-  };
-  static constexpr std::uint32_t kNoCell = 0xffffffffu;
-
   /// Runs the earliest event in its queue slot, at its cycle.
   void dispatch_one();
-
-  [[nodiscard]] bool timer_armed(std::uint32_t idx, std::uint64_t gen) const {
-    return idx < timer_cells_.size() && timer_cells_[idx].gen == gen;
-  }
-  void cancel_timer(std::uint32_t idx, std::uint64_t gen) {
-    if (timer_armed(idx, gen)) release_timer(idx);
-  }
-  void release_timer(std::uint32_t idx);
 
   Cycle now_ = 0;
   std::uint64_t executed_ = 0;
   LogHistogram* dispatch_hist_ = nullptr;  // owned by Machine; may be null
   EventQueue queue_;
-  std::vector<TimerCell> timer_cells_;
-  std::uint32_t timer_free_ = kNoCell;
 };
 
 }  // namespace amo::sim

@@ -1,15 +1,16 @@
-// Size-class pooled storage for coroutine frames and promise/future state.
+// Size-class pooled storage for coroutine frames and shared closures.
 //
-// Every simulated instruction is a coroutine: a barrier wait awaits a
-// load, which awaits a miss future, each with its own frame. Routing
+// Simulated threads are coroutines: a barrier wait awaits a lock or a
+// store, which awaits its line, each multi-step op with its own frame
+// (leaf ops are frameless awaiters in their caller's frame). Routing
 // those frames through `operator new` made the allocator the hottest
 // function in barrier sweeps. FramePool hands out blocks from per-thread
 // size-class free lists carved out of 64 KiB slabs; a steady-state
 // workload recycles the same few frames per context with no heap traffic
 // at all.
 //
-// `PoolShared<T>` puts a refcounted object in the same pool; promise and
-// future state share their one block through it.
+// `PoolShared<T>` puts a refcounted object in the same pool; a word-update
+// wave's deliver closure is shared by its destinations through it.
 //
 // Threading: allocate and deallocate must happen on the same thread (the
 // lists are thread-local). That matches the simulator's execution model —
@@ -31,8 +32,8 @@ namespace frame_pool_detail {
 
 inline constexpr std::size_t kGranularity = 64;
 inline constexpr std::size_t kClasses = 32;
-/// Largest pooled request: 2 KiB. Covers every coroutine frame and
-/// future state in the tree, plus the biggest boxed InlineFn closures
+/// Largest pooled request: 2 KiB. Covers every coroutine frame in the
+/// tree, plus the biggest boxed InlineFn closures
 /// (directory word-path lambdas capturing a full LineBuf sit near 1.3
 /// KiB); anything larger is a cold-path construction and falls through
 /// to the global allocator.
@@ -90,11 +91,10 @@ struct FramePool {
 };
 
 /// Shared ownership of one pooled `T` with an intrusive, non-atomic
-/// reference count: promise/future state and the deliver closure of a
-/// word-update wave. A copy is a plain increment, where `std::shared_ptr`
-/// pays a lock-prefixed one. Every copy must stay on the thread that made
-/// the object: FramePool's same-thread contract, which one engine per
-/// thread already meets.
+/// reference count: the deliver closure of a word-update wave. A copy is
+/// a plain increment, where `std::shared_ptr` pays a lock-prefixed one.
+/// Every copy must stay on the thread that made the object: FramePool's
+/// same-thread contract, which one engine per thread already meets.
 template <typename T>
 class PoolShared {
  public:

@@ -10,11 +10,11 @@
 // suspending its parent.
 //
 // The leaf operations on the barrier path are not tasks: a load
-// (`CacheCtrl::LoadAwaiter`), an AMO or MAO (`Core::AmoAwaiter`) and
-// compute time (`Engine::DelayAwaiter`) are frameless awaiters that issue
-// when awaited and live in the awaiting frame, so an L1 hit or an AMO
-// allocates nothing. Await them at once. Synchronization algorithms read
-// like the paper's pseudocode:
+// (`CacheCtrl::LoadAwaiter`), an AMO, MAO or uncached load
+// (`Core::AmoAwaiter`) and compute time (`Engine::DelayAwaiter`) are
+// frameless awaiters that issue when awaited and live in the awaiting
+// frame, so an L1 hit or an AMO allocates nothing. Await them at once.
+// Synchronization algorithms read like the paper's pseudocode:
 //
 //   sim::Task<void> barrier_wait(ThreadCtx& ctx) {
 //     const std::uint64_t old = co_await ctx.amo_inc(var, target);

@@ -174,6 +174,41 @@ TEST(ConfigIo, ValidateRejectionTable) {
   EXPECT_NO_THROW(core::validate(core::SystemConfig{}));
 }
 
+// An AM timeout must leave room for the fastest reply, a replay over an
+// idle fabric, or every attempt times out and the run retransmits
+// forever. On fig1's machine (4 cpus, one per node, under one router) the
+// unloaded word round trip is 2 * (50 bus + 2 * 100 hops + 30
+// serialization + 50 bus) = 660 cycles.
+TEST(ConfigIo, AmTimeoutMustLeaveRoomForAReply) {
+  core::SystemConfig fig1;
+  fig1.num_cpus = 4;
+  fig1.cpus_per_node = 1;
+  fig1.barrier_sw_overhead = 0;
+  for (const char* timeout : {"0", "500", "660"}) {
+    core::SystemConfig cfg = fig1;
+    core::set_field(cfg, "am_timeout_cycles", std::string_view(timeout));
+    try {
+      core::validate(cfg);
+      FAIL() << "am_timeout_cycles=" << timeout << " should not validate";
+    } catch (const core::ConfigError& e) {
+      const std::string msg = e.what();
+      EXPECT_EQ(msg.rfind("am_timeout_cycles", 0), 0u) << msg;
+      EXPECT_NE(msg.find("660 cycles"), std::string::npos) << msg;
+    }
+  }
+  for (const char* timeout : {"661", "800"}) {
+    core::SystemConfig cfg = fig1;
+    core::set_field(cfg, "am_timeout_cycles", std::string_view(timeout));
+    EXPECT_NO_THROW(core::validate(cfg)) << timeout;
+  }
+  // The forced-retransmit config of test_cpu's ActMsg tests stays valid.
+  core::SystemConfig retransmit;
+  retransmit.num_cpus = 4;
+  retransmit.am_timeout_cycles = 4000;
+  retransmit.am_server.invoke_cycles = 10000;
+  EXPECT_NO_THROW(core::validate(retransmit));
+}
+
 // ---------------------------------------------------------------- specs
 
 TEST(SweepSpecJson, RoundTrips) {

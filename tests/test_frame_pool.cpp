@@ -1,10 +1,13 @@
 // FramePool unit tests: size-class rounding, LIFO block reuse (including
 // across *distinct* coroutine promise types that share a size class),
-// slab growth under exhaustion, and tolerance of arbitrary destroy order.
+// slab growth under exhaustion, tolerance of arbitrary destroy order,
+// and PoolShared's single free across copies.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -136,6 +139,46 @@ TEST(FramePool, DistinctTaskTypesShareSteadyStatePool) {
   EXPECT_EQ(slabs_held(), slabs)
       << "steady-state frame churn must not acquire new slabs";
   EXPECT_NE(sink, 0u);
+}
+
+// Counts destructions of a live (not moved-from) value.
+struct FreeCounter {
+  explicit FreeCounter(int* frees) : frees_(frees) {}
+  FreeCounter(FreeCounter&& o) noexcept
+      : frees_(std::exchange(o.frees_, nullptr)) {}
+  FreeCounter& operator=(FreeCounter&&) = delete;
+  ~FreeCounter() {
+    if (frees_ != nullptr) ++*frees_;
+  }
+  int* frees_;
+};
+
+// Copies share one pooled block through a non-atomic count (a multicast
+// wave's deliver closure rides on it): the value goes exactly once, with
+// the last copy, whatever order copies, moves and assignments drop it in.
+TEST(PoolShared, StateFreedOnceAcrossCopies) {
+  for (bool last_is_copy : {false, true}) {
+    int frees = 0;
+    {
+      std::optional<PoolShared<FreeCounter>> a;
+      a.emplace(PoolShared<FreeCounter>::make(&frees));
+      PoolShared<FreeCounter> b = *a;
+      PoolShared<FreeCounter> c;
+      c = b;
+      PoolShared<FreeCounter> d = std::move(b);
+      EXPECT_FALSE(b);
+      a.reset();
+      EXPECT_EQ(frees, 0) << "value freed while copies remain";
+      if (last_is_copy) {
+        d = PoolShared<FreeCounter>{};
+      } else {
+        c = PoolShared<FreeCounter>{};
+      }
+      EXPECT_EQ(frees, 0) << "one copy still holds the value";
+      EXPECT_EQ((last_is_copy ? c : d)->frees_, &frees);
+    }
+    EXPECT_EQ(frees, 1) << "last_is_copy=" << last_is_copy;
+  }
 }
 
 }  // namespace

@@ -254,14 +254,15 @@ TEST(Reporter, RunBarrierFeedsRecordsWithRegistryDump) {
   ss << in.rdbuf();
   const sim::Json doc = sim::Json::parse(ss.str());
   EXPECT_EQ(doc.at("bench").as_string(), "unit_barrier");
-  EXPECT_EQ(doc.at("schema_version").as_uint(), 5u);
+  EXPECT_EQ(doc.at("schema_version").as_uint(), 6u);
   EXPECT_EQ(doc.at("records").size(), 1u);
   std::remove(opt.json_path.c_str());
 }
 
 // Since schema v3: the hierarchy and service records, which used to carry
 // the parallel engine's thread count, and every record's config object are
-// written without it. Since v5 the config has no `hier.amu_aggregation`.
+// written without it. Since v5 the config has no `hier.amu_aggregation`;
+// since v6 the registry has no `dir.uncached_writes`.
 TEST(Reporter, SchemaV3RecordsCarryNoSimThreads) {
   CliOptions opt;
   opt.json_path = ::testing::TempDir() + "harness_schema_v3_test.json";
@@ -286,7 +287,7 @@ TEST(Reporter, SchemaV3RecordsCarryNoSimThreads) {
   std::stringstream ss;
   ss << in.rdbuf();
   const sim::Json doc = sim::Json::parse(ss.str());
-  EXPECT_EQ(doc.at("schema_version").as_uint(), 5u);
+  EXPECT_EQ(doc.at("schema_version").as_uint(), 6u);
   const sim::Json& recs = doc.at("records");
   ASSERT_EQ(recs.size(), 3u);
   const char* workloads[] = {"barrier", "microbench_hier", "service"};
@@ -297,6 +298,11 @@ TEST(Reporter, SchemaV3RecordsCarryNoSimThreads) {
     if (const sim::Json* config = rec.find("config")) {
       EXPECT_EQ(config->find("sim_threads"), nullptr) << workloads[i];
       EXPECT_EQ(config->at("hier").find("amu_aggregation"), nullptr)
+          << workloads[i];
+    }
+    if (const sim::Json* registry = rec.find("registry")) {
+      EXPECT_NE(registry->find_path("node0.dir.uncached_reads"), nullptr);
+      EXPECT_EQ(registry->find_path("node0.dir.uncached_writes"), nullptr)
           << workloads[i];
     }
   }

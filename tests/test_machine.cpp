@@ -2,6 +2,7 @@
 // peeks, deadlock detection, stats aggregation, and determinism.
 #include <gtest/gtest.h>
 
+#include <coroutine>
 #include <cstdint>
 #include <fstream>
 #include <stdexcept>
@@ -85,9 +86,8 @@ TEST(Machine, DetectsDeadlock) {
   core::SystemConfig cfg;
   cfg.num_cpus = 2;
   core::Machine m(cfg);
-  sim::Promise<std::uint64_t> never(m.engine());
-  m.spawn(0, [&](core::ThreadCtx&) -> sim::Task<void> {
-    (void)co_await never.get_future();  // no one will complete this
+  m.spawn(0, [](core::ThreadCtx&) -> sim::Task<void> {
+    co_await std::suspend_always{};  // an awaiter no one resumes
   });
   EXPECT_THROW(m.run(), std::runtime_error);
 }

@@ -1,9 +1,8 @@
 // Unit tests for the discrete-event kernel: event queue ordering, engine
-// execution, coroutine tasks, promises/futures, timeouts, and the RNG.
+// execution, coroutine tasks, and the RNG.
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <optional>
 #include <set>
 #include <stdexcept>
 #include <utility>
@@ -11,11 +10,9 @@
 
 #include "sim/engine.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/future.hpp"
 #include "sim/rng.hpp"
 #include "sim/stats.hpp"
 #include "sim/task.hpp"
-#include "sim/timeout.hpp"
 
 namespace amo::sim {
 namespace {
@@ -552,99 +549,6 @@ TEST(Coroutines, DetachOnDoneFires) {
   EXPECT_FALSE(done);
   e.run();
   EXPECT_TRUE(done);
-}
-
-Task<void> future_waiter(Future<int> f, int& out) { out = co_await f; }
-
-TEST(Future, CompleteBeforeAwaitIsImmediate) {
-  Engine e;
-  Promise<int> p(e);
-  p.set_value(7);
-  int out = 0;
-  detach(future_waiter(p.get_future(), out));
-  e.run();
-  EXPECT_EQ(out, 7);
-}
-
-TEST(Future, CompleteAfterAwaitResumesWaiter) {
-  Engine e;
-  Promise<int> p(e);
-  int out = 0;
-  detach(future_waiter(p.get_future(), out));
-  e.schedule(50, [p] { p.set_value(9); });
-  e.run();
-  EXPECT_EQ(out, 9);
-  EXPECT_TRUE(p.completed());
-}
-
-// Counts destructions of a live (not moved-from) value.
-struct FreeCounter {
-  explicit FreeCounter(int* frees) : frees_(frees) {}
-  FreeCounter(FreeCounter&& o) noexcept
-      : frees_(std::exchange(o.frees_, nullptr)) {}
-  FreeCounter& operator=(FreeCounter&&) = delete;
-  ~FreeCounter() {
-    if (frees_ != nullptr) ++*frees_;
-  }
-  int* frees_;
-};
-
-// Promise and future copies share one pooled state through a non-atomic
-// count: the state (and the value in it) goes exactly once, when the last
-// copy does, whether the consumer awaited or abandoned the future.
-TEST(Future, StateFreedOnceAcrossCopiesAndAbandon) {
-  for (bool abandon : {false, true}) {
-    int frees = 0;
-    {
-      Engine e;
-      std::optional<Promise<FreeCounter>> p;
-      p.emplace(e);
-      Promise<FreeCounter> p2 = *p;
-      std::optional<Future<FreeCounter>> f;
-      f.emplace(p->get_future());
-      Future<FreeCounter> f2 = *f;
-      if (abandon) f->abandon();
-      p2.set_value(FreeCounter(&frees));
-      e.run();
-      EXPECT_EQ(frees, 0) << "value freed while copies remain";
-      p.reset();
-      f.reset();
-      EXPECT_EQ(frees, 0);
-      EXPECT_TRUE(f2.ready());
-      {
-        Promise<FreeCounter> p3 = std::move(p2);
-        EXPECT_TRUE(p3.completed());
-      }
-      EXPECT_EQ(frees, 0) << "f2 still holds the state";
-    }
-    EXPECT_EQ(frees, 1) << "abandon=" << abandon;
-  }
-}
-
-Task<void> timeout_probe(Engine& e, Future<int> f, Cycle t,
-                         std::optional<int>& out) {
-  out = co_await with_timeout(e, std::move(f), t);
-}
-
-TEST(Timeout, ValueWinsWhenCompletedInTime) {
-  Engine e;
-  Promise<int> p(e);
-  std::optional<int> out;
-  detach(timeout_probe(e, p.get_future(), 100, out));
-  e.schedule(10, [p] { p.set_value(3); });
-  e.run();
-  ASSERT_TRUE(out.has_value());
-  EXPECT_EQ(*out, 3);
-}
-
-TEST(Timeout, TimesOutWhenLate) {
-  Engine e;
-  Promise<int> p(e);
-  std::optional<int> out = 123;
-  detach(timeout_probe(e, p.get_future(), 100, out));
-  e.schedule(500, [p] { p.set_value(3); });  // must still complete eventually
-  e.run();
-  EXPECT_FALSE(out.has_value());
 }
 
 TEST(Rng, DeterministicForSeed) {

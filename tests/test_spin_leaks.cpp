@@ -1,12 +1,12 @@
 // Leak-regression and waiter-accounting properties of the spin-wait
 // virtualization layer.
 //
-// The bugs these pin down: with_timeout used to leak its timeout callback
-// (and the watcher coroutine frame) whenever the future completed first,
-// and a cached spin woken K times used to stack K stale waiters on the
-// cache controller. The leak tests measure pool/queue/table sizes across
-// many repetitions, so a reintroduced leak shows up as monotone growth
-// rather than a one-off.
+// The bugs these pin down: an active-message timeout used to leak its
+// timer callback (and a watcher coroutine frame) whenever the reply came
+// first, and a cached spin woken K times used to stack K stale waiters on
+// the cache controller. The leak tests measure pool/queue/table sizes
+// across many repetitions, so a reintroduced leak shows up as monotone
+// growth rather than a one-off.
 //
 // A parked cached spin has no timer: it wakes only on a coherence event.
 // The lost-wakeup tests drive the two paths where the line's next change
@@ -17,7 +17,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -25,72 +24,65 @@
 #include "core/machine.hpp"
 #include "sim/engine.hpp"
 #include "sim/frame_pool.hpp"
-#include "sim/future.hpp"
 #include "sim/task.hpp"
-#include "sim/timeout.hpp"
 #include "sync/barrier.hpp"
 #include "sync/spin.hpp"
 
 namespace amo {
 namespace {
 
-// ------------------------------------------------ with_timeout (engine)
+// ------------------------------------- active-message timeouts (machine)
 
-sim::Task<void> TimeoutOnce(sim::Engine& e, int* timeouts) {
-  sim::Promise<std::uint64_t> never(e);  // intentionally never completed
-  const std::optional<std::uint64_t> r =
-      co_await sim::with_timeout(e, never.get_future(), 64);
-  if (!r.has_value()) ++*timeouts;
+// Back-to-back active messages from cpu 2 to a word homed on node 0, each
+// after a gap long enough for the previous one's stray replies and timer
+// to drain. Past a warmup, every call must leave the frame pool's slabs
+// and the event queue's depth exactly where the previous call left them.
+// Returns the retransmissions the calls made.
+std::uint64_t expect_am_steady_state(const core::SystemConfig& cfg,
+                                     sim::Cycle gap) {
+  core::Machine m(cfg);
+  const sim::Addr word = m.galloc().alloc_word_line(0);
+  constexpr int kWarmup = 8;
+  constexpr int kCalls = 64;
+  std::size_t slabs = 0;
+  std::size_t pending = 0;
+  bool grew = false;
+  m.spawn(2, [&](core::ThreadCtx& t) -> sim::Task<void> {
+    for (int i = 1; i <= kWarmup + kCalls; ++i) {
+      co_await t.delay(gap);
+      (void)co_await t.am_fetch_add(word, 1);
+      if (i == kWarmup) {
+        slabs = sim::frame_pool_detail::slabs_held();
+        pending = t.engine().pending_events();
+      } else if (i > kWarmup) {
+        grew = grew || sim::frame_pool_detail::slabs_held() != slabs ||
+               t.engine().pending_events() != pending;
+      }
+    }
+  });
+  m.run();
+  EXPECT_FALSE(grew) << "calls past warmup must not fault new slabs or "
+                        "leave more events queued";
+  EXPECT_EQ(m.peek_word(word), std::uint64_t{kWarmup + kCalls})
+      << "exactly once despite the retransmissions";
+  EXPECT_EQ(m.engine().pending_events(), 0u);
+  return m.core(2).stats().am_retransmits;
 }
 
+// The handler outlasts the timeout many times over: each call's timer
+// wins about twenty times before a reply lands.
 TEST(SpinLeaks, ConsecutiveTimeoutsDoNotGrowPoolsOrQueue) {
-  sim::Engine e;
-  int timeouts = 0;
-  const auto once = [&] {
-    sim::Task<void> t = TimeoutOnce(e, &timeouts);
-    e.run();
-  };
-  for (int i = 0; i < 8; ++i) once();  // warmup: frame slabs, timer cells
-  const std::size_t slabs = sim::frame_pool_detail::slabs_held();
-  const std::size_t cells = e.timer_cells_allocated();
-  for (int i = 0; i < 256; ++i) once();
-  EXPECT_EQ(timeouts, 8 + 256);
-  EXPECT_EQ(sim::frame_pool_detail::slabs_held(), slabs)
-      << "timed-out watcher frames must return to the pool";
-  EXPECT_EQ(e.timer_cells_allocated(), cells)
-      << "fired timeout timers must recycle their cells";
-  EXPECT_EQ(e.pending_events(), 0u)
-      << "nothing may linger in the ladder queue after a timeout drains";
+  core::SystemConfig cfg;
+  cfg.am_timeout_cycles = 1000;
+  cfg.am_server.invoke_cycles = 20000;
+  EXPECT_GE(expect_am_steady_state(cfg, 40000), 64u * 15);
 }
 
-sim::Task<void> CompleteOnce(sim::Engine& e, std::uint64_t* sum) {
-  sim::Promise<std::uint64_t> p(e);
-  e.schedule(8, [p] { p.set_value(42); });
-  // Timeout far in the future: before the fix, each iteration leaked the
-  // un-fired timeout callback (and its captures) until that cycle.
-  const std::optional<std::uint64_t> r =
-      co_await sim::with_timeout(e, p.get_future(), 1 << 20);
-  EXPECT_TRUE(r.has_value());
-  if (r.has_value()) *sum += *r;
-}
-
+// The reply beats the timer every time; the spent timers fire later as
+// no-ops.
 TEST(SpinLeaks, CompletionBeforeTimeoutReleasesTheTimer) {
-  sim::Engine e;
-  std::uint64_t sum = 0;
-  const auto once = [&] {
-    sim::Task<void> t = CompleteOnce(e, &sum);
-    e.run();  // also drains the canceled timer's tombstone slot
-  };
-  for (int i = 0; i < 8; ++i) once();
-  const std::size_t slabs = sim::frame_pool_detail::slabs_held();
-  const std::size_t cells = e.timer_cells_allocated();
-  for (int i = 0; i < 256; ++i) once();
-  EXPECT_EQ(sum, 42u * (8 + 256));
-  EXPECT_EQ(sim::frame_pool_detail::slabs_held(), slabs);
-  EXPECT_EQ(e.timer_cells_allocated(), cells)
-      << "cancel() must release the cell even though the queue slot "
-         "fires later as a tombstone";
-  EXPECT_EQ(e.pending_events(), 0u);
+  core::SystemConfig cfg;
+  EXPECT_EQ(expect_am_steady_state(cfg, cfg.am_timeout_cycles), 0u);
 }
 
 // --------------------------------------------- cached spin (machine)
@@ -141,8 +133,8 @@ TEST(SpinLeaks, SpinSurvivingRepollsHoldsExactlyOneWaiter) {
       << "a satisfied spin unparks its entry";
 }
 
-// Steady-state spin episodes keep the frame pool, the timer-cell pool,
-// and the ladder queue at their high-water marks.
+// Steady-state spin episodes keep the frame pool and the ladder queue at
+// their high-water marks.
 TEST(SpinLeaks, CachedSpinEpisodesReachSteadyState) {
   core::SystemConfig cfg;
   cfg.num_cpus = 2;
@@ -151,7 +143,7 @@ TEST(SpinLeaks, CachedSpinEpisodesReachSteadyState) {
   constexpr int kWarmup = 8;
   constexpr int kEpisodes = 32;
   constexpr sim::Cycle kHold = 4000;
-  std::size_t slabs = 0, cells = 0;
+  std::size_t slabs = 0;
   bool grew = false;
   m.spawn(0, [&](core::ThreadCtx& t) -> sim::Task<void> {
     for (int ep = 1; ep <= kEpisodes; ++ep) {
@@ -160,11 +152,8 @@ TEST(SpinLeaks, CachedSpinEpisodesReachSteadyState) {
           t, flag, [goal](std::uint64_t x) { return x >= goal; });
       if (ep == kWarmup) {
         slabs = sim::frame_pool_detail::slabs_held();
-        cells = t.engine().timer_cells_allocated();
       } else if (ep > kWarmup) {
-        grew = grew ||
-               sim::frame_pool_detail::slabs_held() != slabs ||
-               t.engine().timer_cells_allocated() != cells;
+        grew = grew || sim::frame_pool_detail::slabs_held() != slabs;
       }
     }
   });
@@ -176,7 +165,7 @@ TEST(SpinLeaks, CachedSpinEpisodesReachSteadyState) {
   });
   m.run();
   EXPECT_FALSE(grew)
-      << "episodes past warmup must not fault new slabs or timer cells";
+      << "episodes past warmup must not fault new slabs";
   EXPECT_EQ(m.engine().pending_events(), 0u);
 }
 
