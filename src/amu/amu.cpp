@@ -31,9 +31,6 @@ Amu::Amu(sim::Engine& engine, sim::NodeId node, coh::Directory& dir,
       config_(config) {
   assert(config_.cache_words >= 1);
   entries_.resize(config_.cache_words);
-  if (config_.histograms) {
-    stats_.queue_wait_hist = std::make_unique<sim::LogHistogram>();
-  }
 }
 
 void Amu::submit(AmoRequest&& req) {
@@ -58,8 +55,8 @@ void Amu::pump() {
 void Amu::begin(AmoRequest&& req) {
   dispatching_ = true;
   cur_ = std::move(req);
-  if (stats_.queue_wait_hist) {
-    stats_.queue_wait_hist->record(engine_.now() - cur_.enqueued_at);
+  if (sim::LogHistogram* h = stats_.queue_wait_hist) {
+    h->record(engine_.now() - cur_.enqueued_at);
   }
 
   ++stats_.ops;
@@ -308,7 +305,7 @@ void Amu::drop_block(sim::Addr block) {
 }
 
 void Amu::register_stats(sim::StatsRegistry& reg,
-                         const std::string& prefix) const {
+                         const std::string& prefix) {
   reg.add_counter(prefix + ".ops", &stats_.ops);
   reg.add_counter(prefix + ".amo_ops", &stats_.amo_ops);
   reg.add_counter(prefix + ".mao_ops", &stats_.mao_ops);
@@ -318,10 +315,7 @@ void Amu::register_stats(sim::StatsRegistry& reg,
   reg.add_counter(prefix + ".puts", &stats_.puts);
   reg.add_counter(prefix + ".puts_suppressed", &stats_.puts_suppressed);
   reg.add_accum(prefix + ".queue_depth", &stats_.queue_depth);
-  if (stats_.queue_wait_hist) {
-    // Conditional so default-mode registry dumps stay byte-identical.
-    reg.add_hist(prefix + ".queue_wait_hist", stats_.queue_wait_hist.get());
-  }
+  stats_.queue_wait_hist = reg.hist(prefix + ".queue_wait_hist");
 }
 
 }  // namespace amo::amu

@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "amu/amo_ops.hpp"
@@ -39,10 +38,6 @@ struct AmuConfig {
   std::uint32_t cache_words = 8;  // paper: eight-word AMU cache
   sim::Cycle op_cycles = 8;       // 2 hub cycles @ 500 MHz = 8 CPU cycles
   bool eager_put_all = false;     // ablation: ignore test values
-  /// Derived from stats.histograms by Machine (not a serialized knob):
-  /// allocate AmuStats::queue_wait_hist and record per-request queue wait
-  /// into it.
-  bool histograms = false;
 };
 
 struct AmuStats {
@@ -63,9 +58,9 @@ struct AmuStats {
   // Ops whose word a processor GetX dropped during the op window, so the
   // op re-fetched it (struct-only, like the aggregation counters).
   std::uint64_t op_restarts = 0;
-  /// Cycles each request waited in the dispatch queue. Held out of line
-  /// (~8 KB) and allocated only when AmuConfig::histograms.
-  std::unique_ptr<sim::LogHistogram> queue_wait_hist;
+  /// Cycles each request waited in the dispatch queue. Owned by the
+  /// stats registry; nullptr when histograms are off.
+  sim::LogHistogram* queue_wait_hist = nullptr;
 };
 
 struct AmoRequest {
@@ -143,7 +138,7 @@ class Amu final : public coh::AmuIface {
   void agg_release(sim::Addr counter, std::uint64_t episode);
 
   /// Registers this AMU's counters under `prefix`.
-  void register_stats(sim::StatsRegistry& reg, const std::string& prefix) const;
+  void register_stats(sim::StatsRegistry& reg, const std::string& prefix);
   [[nodiscard]] std::size_t queue_len() const { return queue_.size(); }
 
  private:

@@ -19,9 +19,6 @@ CacheCtrl::CacheCtrl(sim::Engine& engine, Wiring& wiring, Agents& agents,
       l1_(config.l1) {
   assert(config.l1.line_bytes == config.l2.line_bytes &&
          "L1 filter is kept inclusive at L2 line granularity");
-  if (config_.histograms) {
-    stats_.mshr_residency_hist = std::make_unique<sim::LogHistogram>();
-  }
 }
 
 // ----------------------------------------------------------- thread API
@@ -253,8 +250,8 @@ std::vector<sim::Addr> CacheCtrl::parked_lines() const {
 void CacheCtrl::complete_mshr(sim::Addr block) {
   Mshr* m = find_mshr(block);
   if (m == nullptr) return;
-  if (stats_.mshr_residency_hist) {
-    stats_.mshr_residency_hist->record(engine_.now() - m->born);
+  if (sim::LogHistogram* h = stats_.mshr_residency_hist) {
+    h->record(engine_.now() - m->born);
   }
   // Free the record, then wake the waiters in FIFO order. Each resumes
   // from its own event, so none runs (or frees its awaiter) in this loop.
@@ -412,7 +409,7 @@ void CacheCtrl::on_word_update(sim::Addr addr, std::uint64_t value) {
 }
 
 void CacheCtrl::register_stats(sim::StatsRegistry& reg,
-                               const std::string& prefix) const {
+                               const std::string& prefix) {
   reg.add_counter(prefix + ".loads", &stats_.loads);
   reg.add_counter(prefix + ".stores", &stats_.stores);
   reg.add_counter(prefix + ".ll", &stats_.ll);
@@ -427,11 +424,7 @@ void CacheCtrl::register_stats(sim::StatsRegistry& reg,
   reg.add_counter(prefix + ".word_updates", &stats_.word_updates);
   reg.add_counter(prefix + ".writebacks", &stats_.writebacks);
   l2_.register_stats(reg, prefix + ".l2");
-  if (stats_.mshr_residency_hist) {
-    // Conditional so default-mode registry dumps stay byte-identical.
-    reg.add_hist(prefix + ".mshr_residency_hist",
-                 stats_.mshr_residency_hist.get());
-  }
+  stats_.mshr_residency_hist = reg.hist(prefix + ".mshr_residency_hist");
 }
 
 }  // namespace amo::coh

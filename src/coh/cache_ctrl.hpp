@@ -16,7 +16,6 @@
 #include <cassert>
 #include <coroutine>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "amu/amo_ops.hpp"
@@ -39,10 +38,6 @@ struct CacheCtrlConfig {
   /// Latency to service an external probe (recall / invalidation): tag
   /// lookup, state machine, and response queueing at the cache.
   sim::Cycle probe_resp_cycles = 40;
-  /// Derived from stats.histograms by Machine (not a serialized knob):
-  /// allocate CacheCtrlStats::mshr_residency_hist and record MSHR
-  /// residency (allocation to completion) into it.
-  bool histograms = false;
 };
 
 struct CacheCtrlStats {
@@ -59,11 +54,9 @@ struct CacheCtrlStats {
   std::uint64_t invals = 0;
   std::uint64_t word_updates = 0;
   std::uint64_t writebacks = 0;
-  /// Cycles each MSHR stayed allocated (miss issue to completion). Held
-  /// out of line (~8 KB) and allocated only when
-  /// CacheCtrlConfig::histograms, so a default machine does not pay for
-  /// it per CPU.
-  std::unique_ptr<sim::LogHistogram> mshr_residency_hist;
+  /// Cycles each MSHR stayed allocated (miss issue to completion). Owned
+  /// by the stats registry; nullptr when histograms are off.
+  sim::LogHistogram* mshr_residency_hist = nullptr;
 };
 
 class CacheCtrl final : public CacheIface {
@@ -168,7 +161,7 @@ class CacheCtrl final : public CacheIface {
 
   /// Registers controller counters under `prefix` and the backing L2's
   /// under `prefix + ".l2"`.
-  void register_stats(sim::StatsRegistry& reg, const std::string& prefix) const;
+  void register_stats(sim::StatsRegistry& reg, const std::string& prefix);
   [[nodiscard]] bool link_armed() const { return link_valid_; }
 
  private:

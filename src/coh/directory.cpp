@@ -18,9 +18,6 @@ Directory::Directory(sim::Engine& engine, Wiring& wiring, Agents& agents,
       config_(config),
       sizes_{backing.line_bytes()} {
   assert(backing.words_per_line() <= mem::LineBuf::kMaxWords);
-  if (config_.histograms) {
-    stats_.occupancy_wait_hist = std::make_unique<sim::LogHistogram>();
-  }
 }
 
 // ------------------------------------------------------------ entry table
@@ -58,10 +55,10 @@ void Directory::deliver_put(const SharerSnapshot& targets, sim::Addr addr,
 void Directory::occupy(sim::InlineFn&& fn, sim::Cycle cycles) {
   if (cycles == 0) cycles = config_.occupancy_cycles;
   const sim::Cycle start = std::max(engine_.now(), busy_until_);
-  if (stats_.occupancy_wait_hist) {
+  if (sim::LogHistogram* h = stats_.occupancy_wait_hist) {
     // Queueing delay behind the serial pipeline: the home hot-spot shows
     // up here first.
-    stats_.occupancy_wait_hist->record(start - engine_.now());
+    h->record(start - engine_.now());
   }
   busy_until_ = start + cycles;
   engine_.schedule_at(busy_until_, std::move(fn));
@@ -645,7 +642,7 @@ bool Directory::coarse(sim::Addr block) const {
 }
 
 void Directory::register_stats(sim::StatsRegistry& reg,
-                               const std::string& prefix) const {
+                               const std::string& prefix) {
   reg.add_counter(prefix + ".gets", &stats_.gets);
   reg.add_counter(prefix + ".getx", &stats_.getx);
   reg.add_counter(prefix + ".upgrades", &stats_.upgrades);
@@ -659,11 +656,7 @@ void Directory::register_stats(sim::StatsRegistry& reg,
   reg.add_counter(prefix + ".word_updates_sent", &stats_.word_updates_sent);
   reg.add_counter(prefix + ".uncached_reads", &stats_.uncached_reads);
   reg.add_counter(prefix + ".deferred", &stats_.deferred);
-  if (stats_.occupancy_wait_hist) {
-    // Conditional so default-mode registry dumps stay byte-identical.
-    reg.add_hist(prefix + ".occupancy_wait_hist",
-                 stats_.occupancy_wait_hist.get());
-  }
+  stats_.occupancy_wait_hist = reg.hist(prefix + ".occupancy_wait_hist");
 }
 
 }  // namespace amo::coh

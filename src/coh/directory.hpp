@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <functional>
 #include <list>
-#include <memory>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -51,10 +50,6 @@ struct DirConfig {
   /// uncached block. Disabling it models an MSI protocol, where every
   /// first write pays an upgrade round trip.
   bool grant_exclusive_clean = true;
-  /// Derived from stats.histograms by Machine (not a serialized knob):
-  /// allocate DirStats::occupancy_wait_hist and record into it how long
-  /// each message waits for a free directory pipeline slot.
-  bool histograms = false;
 };
 
 struct DirStats {
@@ -71,9 +66,9 @@ struct DirStats {
   std::uint64_t word_updates_sent = 0;
   std::uint64_t uncached_reads = 0;
   std::uint64_t deferred = 0;  // requests queued behind a busy block
-  /// Cycles each incoming message queued for a free pipeline slot. Held
-  /// out of line (~8 KB) and allocated only when DirConfig::histograms.
-  std::unique_ptr<sim::LogHistogram> occupancy_wait_hist;
+  /// Cycles each incoming message queued for a free pipeline slot. Owned
+  /// by the stats registry; nullptr when histograms are off.
+  sim::LogHistogram* occupancy_wait_hist = nullptr;
 };
 
 class Directory {
@@ -127,7 +122,7 @@ class Directory {
   [[nodiscard]] const DirStats& stats() const { return stats_; }
 
   /// Registers this directory's counters under `prefix`.
-  void register_stats(sim::StatsRegistry& reg, const std::string& prefix) const;
+  void register_stats(sim::StatsRegistry& reg, const std::string& prefix);
   [[nodiscard]] sim::NodeId node() const { return node_; }
 
  private:

@@ -45,7 +45,6 @@ void visit_config_fields(Config& c, Visitor&& v) {
   v("cache.atomic_cycles", c.cache.atomic_cycles);
   v("cache.probe_resp_cycles", c.cache.probe_resp_cycles);
   v("dram.access_cycles", c.dram.access_cycles);
-  v("dram.occupancy_cycles", c.dram.occupancy_cycles);
   v("net.radix", c.net.radix);
   v("net.hop_cycles", c.net.hop_cycles);
   v("net.hop_cycles_per_level", c.net.hop_cycles_per_level);

@@ -7,20 +7,13 @@
 namespace amo::core {
 
 Machine::Machine(const SystemConfig& config)
-    : config_(config), backing_(config.line_bytes()), rng_(config.seed) {
+    : config_(config),
+      registry_(config.stats.histograms),
+      backing_(config.line_bytes()),
+      rng_(config.seed) {
   const std::uint32_t nodes = config_.num_nodes();
-  // One observability knob fans out to every subsystem's derived flag:
-  // default-off keeps recording branches cold and registry dumps
-  // byte-identical.
-  const bool hists = config_.stats.histograms;
-  config_.cache.histograms = hists;
-  config_.dir.histograms = hists;
-  config_.amu.histograms = hists;
-  config_.dram.histograms = hists;
-  if (hists) engine_.set_dispatch_hist(&engine_dispatch_hist_);
   net::NetConfig net_cfg = config_.net;
   net_cfg.num_nodes = nodes;
-  net_cfg.histograms = hists;
   // A single-node machine still needs a valid (degenerate) topology.
   network_ = std::make_unique<net::Network>(engine_, net_cfg);
   wiring_ = std::make_unique<coh::Wiring>(engine_, *network_,
@@ -54,7 +47,8 @@ Machine::Machine(const SystemConfig& config)
         engine_, *wiring_, agents_, devices_, c, core_cfg));
     agents_.caches[c] = &cores_[c]->cache();
     ctxs_.push_back(std::make_unique<ThreadCtx>(
-        *cores_[c], engine_, rng_.split(), hists ? &sync_hists_ : nullptr));
+        *cores_[c], engine_, rng_.split(),
+        registry_.histograms() ? &sync_hists_ : nullptr));
   }
 
   amus_.reserve(nodes);
@@ -78,8 +72,8 @@ Machine::Machine(const SystemConfig& config)
   }
 
   // Index every subsystem's counters under hierarchical names. The
-  // registry only holds pointers and closures; all pointees are owned by
-  // this Machine.
+  // registry holds pointers and closures into this Machine's subsystems,
+  // and hands each subsystem its histograms (nullptr when they are off).
   registry_.add_fn("engine.events_executed",
                    [this] { return engine_.events_executed(); });
   registry_.add_fn("engine.now", [this] { return engine_.now(); });
@@ -100,19 +94,9 @@ Machine::Machine(const SystemConfig& config)
     cores_[c]->cache().register_stats(registry_,
                                       "cpu" + std::to_string(c) + ".cache");
   }
-  if (hists) {
-    // Latency histograms, all conditional: default-mode dumps keep their
-    // exact bytes. (The net and per-node/per-cpu subsystem histograms
-    // above registered themselves behind their own derived flags.)
-    registry_.add_hist("engine.dispatch_delay_hist", &engine_dispatch_hist_);
-    for (sim::NodeId n = 0; n < nodes; ++n) {
-      drams_[n]->register_stats(registry_,
-                                "node" + std::to_string(n) + ".dram");
-    }
-    registry_.add_hist("sync.lock_acquire_hist", &sync_hists_.lock_acquire);
-    registry_.add_hist("sync.barrier_episode_hist",
-                       &sync_hists_.barrier_episode);
-  }
+  engine_.set_dispatch_hist(registry_.hist("engine.dispatch_delay_hist"));
+  sync_hists_.lock_acquire = registry_.hist("sync.lock_acquire_hist");
+  sync_hists_.barrier_episode = registry_.hist("sync.barrier_episode_hist");
 }
 
 void Machine::spawn(sim::CpuId c,

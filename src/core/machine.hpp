@@ -112,6 +112,9 @@ class Machine {
 
  private:
   SystemConfig config_;
+  // First in, last out: it owns the histograms every subsystem records
+  // into, so it outlives them all.
+  sim::StatsRegistry registry_;
   sim::Engine engine_;
   mem::Backing backing_;
   std::unique_ptr<net::Network> network_;
@@ -127,11 +130,8 @@ class Machine {
   std::vector<std::unique_ptr<cpu::Core>> cores_;
   std::vector<std::unique_ptr<cpu::AmServer>> servers_;
   std::vector<std::unique_ptr<ThreadCtx>> ctxs_;
-  // Recorded into only when stats.histograms is on: the engine and every
-  // ThreadCtx then hold pointers to them.
-  sim::LogHistogram engine_dispatch_hist_;
+  // Every ThreadCtx points here when histograms are on.
   SyncHists sync_hists_;
-  sim::StatsRegistry registry_;
 
   // deque: spawn keeps a reference to the stored functor until the thread
   // starts, so the container must not relocate elements.

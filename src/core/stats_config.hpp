@@ -1,11 +1,12 @@
 // Observability knobs and the sync-library histogram bundle.
 //
 // `stats.histograms` is default-off so every pre-existing snapshot stays
-// byte-identical; turning it on threads LogHistogram recording through
-// the engine (dispatch delay), network (per-level link latency),
+// byte-identical. Machine hands it to its sim::StatsRegistry, the one
+// owner of the switch; turning it on threads LogHistogram recording
+// through the engine (dispatch delay), network (per-level link latency),
 // directory (occupancy wait), cache controller (MSHR residency), AMU
-// (queue wait), DRAM (queue wait), and the sync library (lock acquire /
-// barrier episode latency).
+// (queue wait) and the sync library (lock acquire / barrier episode
+// latency).
 #pragma once
 
 #include "sim/stats.hpp"
@@ -19,11 +20,12 @@ struct StatsConfig {
   bool histograms = false;
 };
 
-/// The sync library's latency histograms. Machine owns one bundle; when
-/// stats.histograms is on, every ThreadCtx points at it.
+/// The sync library's latency histograms, owned by the machine's stats
+/// registry. Machine owns one bundle; when stats.histograms is on, every
+/// ThreadCtx points at it.
 struct SyncHists {
-  sim::LogHistogram lock_acquire;     // acquire() call to return, cycles
-  sim::LogHistogram barrier_episode;  // wait() call to return, cycles
+  sim::LogHistogram* lock_acquire = nullptr;  // acquire() call, cycles
+  sim::LogHistogram* barrier_episode = nullptr;  // wait() call, cycles
 };
 
 }  // namespace amo::core

@@ -39,7 +39,7 @@ std::vector<sim::Cycle> seeded_latencies(const NetConfig& config,
 }  // namespace
 
 void Network::register_stats(sim::StatsRegistry& reg,
-                             const std::string& prefix) const {
+                             const std::string& prefix) {
   reg.add_counter(prefix + ".packets", &stats_.packets);
   reg.add_counter(prefix + ".bytes", &stats_.bytes);
   reg.add_counter(prefix + ".hops", &stats_.hops);
@@ -52,9 +52,9 @@ void Network::register_stats(sim::StatsRegistry& reg,
     reg.add_counter(prefix + ".bytes_by_class." + cls,
                     &stats_.bytes_by_class[i]);
   }
-  for (std::size_t l = 0; l < stats_.link_latency_hist.size(); ++l) {
-    reg.add_hist(prefix + ".link_latency_hist.l" + std::to_string(l),
-                 &stats_.link_latency_hist[l]);
+  for (std::uint32_t l = 0; l < topo_.levels(); ++l) {
+    stats_.link_latency_hist[l] =
+        reg.hist(prefix + ".link_latency_hist.l" + std::to_string(l));
   }
 }
 
@@ -67,15 +67,6 @@ Network::Network(sim::Engine& engine, const NetConfig& config)
   // Seed per-level latencies from the hop_cycles (+ optional per-level
   // step) knobs; callers may overwrite with a non-uniform table afterwards.
   topo_.set_link_latencies(seeded_latencies(config, topo_));
-  if (config_.histograms) stats_.link_latency_hist.resize(topo_.levels());
-}
-
-void Network::reset_stats() {
-  // Zero in place: the registry holds pointers into the histograms.
-  std::vector<sim::LogHistogram> hists = std::move(stats_.link_latency_hist);
-  for (sim::LogHistogram& h : hists) h = sim::LogHistogram{};
-  stats_ = NetStats{};
-  stats_.link_latency_hist = std::move(hists);
 }
 
 sim::Cycle Network::serialization_cycles(const NetConfig& config,
@@ -101,7 +92,6 @@ sim::Cycle Network::reserve_path(RouteWalker& walk, std::uint32_t size_bytes,
                                  sim::Cycle now, bool dedup_links) {
   const sim::Cycle ser = serialization_cycles(size_bytes);
   NetStats& st = stats_;
-  const bool hist = !st.link_latency_hist.empty();
   sim::Cycle t = now;
   LinkRef link;
   while (walk.next(link)) {
@@ -121,7 +111,9 @@ sim::Cycle Network::reserve_path(RouteWalker& walk, std::uint32_t size_bytes,
     t = depart + topo_.link_latency(link.level);
     // Per-level traversal latency: queueing behind the link plus
     // propagation (t - entered).
-    if (hist) st.link_latency_hist[link.level].record(t - entered);
+    if (sim::LogHistogram* h = st.link_latency_hist[link.level]) {
+      h->record(t - entered);
+    }
   }
   return t + ser;  // full packet received at destination
 }

@@ -45,9 +45,6 @@ struct NetConfig {
   /// Models upper fat-tree links (longer cables, more switch stages)
   /// being slower — the regime where hierarchy-aware sync pays off.
   sim::Cycle hop_cycles_per_level = 0;
-  /// Derived from stats.histograms by Machine (not a serialized knob):
-  /// record per-level link traversal latency into LogHistograms.
-  bool histograms = false;
 };
 
 struct NetStats {
@@ -66,11 +63,9 @@ struct NetStats {
   /// registry), so snapshots stay byte-identical to pre-hierarchy builds.
   std::array<std::uint64_t, RouteWalker::kMaxLevels> link_traversals_by_level{};
   /// Per-level link traversal latency (queueing + propagation), one
-  /// histogram per tree level. Empty unless NetConfig::histograms; sized
-  /// to topology levels by the Network ctor. Last: these are cold ~8 KB
-  /// blocks, kept off the counters' cache lines.
-  std::vector<sim::LogHistogram> link_latency_hist;
-
+  /// histogram per tree level. Owned by the stats registry; nullptr when
+  /// histograms are off.
+  std::array<sim::LogHistogram*, RouteWalker::kMaxLevels> link_latency_hist{};
 };
 
 class Network {
@@ -97,12 +92,11 @@ class Network {
 
   /// Fabric-wide statistics.
   [[nodiscard]] const NetStats& stats() const { return stats_; }
-  void reset_stats();
 
   /// Registers fabric counters (totals, per-class breakdowns, latency
   /// distribution, per-level link-latency histograms when enabled) into
   /// a stats registry under `prefix`.
-  void register_stats(sim::StatsRegistry& reg, const std::string& prefix) const;
+  void register_stats(sim::StatsRegistry& reg, const std::string& prefix);
 
   [[nodiscard]] const Topology& topology() const { return topo_; }
   [[nodiscard]] const NetConfig& config() const { return config_; }

@@ -70,7 +70,7 @@ class Engine {
   /// Points event-dispatch-delay recording at `h` (cycles between an
   /// event's scheduling and its execution time, one sample per
   /// schedule()/schedule_at()). nullptr (the default) disables recording;
-  /// Machine wires its histogram here when stats.histograms is on.
+  /// Machine wires its registry's histogram here.
   void set_dispatch_hist(LogHistogram* h) { dispatch_hist_ = h; }
 
   /// Awaitable that suspends the calling coroutine for `cycles`.
@@ -97,7 +97,7 @@ class Engine {
 
   Cycle now_ = 0;
   std::uint64_t executed_ = 0;
-  LogHistogram* dispatch_hist_ = nullptr;  // owned by Machine; may be null
+  LogHistogram* dispatch_hist_ = nullptr;  // owned by the registry; may be null
   EventQueue queue_;
 };
 

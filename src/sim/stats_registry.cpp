@@ -51,9 +51,11 @@ void StatsRegistry::add_accum(const std::string& name, const Accum* accum) {
   add(name, Source(std::in_place_type<const Accum*>, accum));
 }
 
-void StatsRegistry::add_hist(const std::string& name,
-                             const LogHistogram* hist) {
-  add(name, Source(std::in_place_type<const LogHistogram*>, hist));
+LogHistogram* StatsRegistry::hist(const std::string& name) {
+  if (!histograms_) return nullptr;
+  LogHistogram* h = &hists_.emplace_back();
+  add(name, Source(std::in_place_type<const LogHistogram*>, h));
+  return h;
 }
 
 Json StatsRegistry::read(const Entry& e) {

@@ -15,7 +15,7 @@ class RecordingLock final : public Lock {
     const sim::Cycle start = t.now();
     co_await inner_->acquire(t);
     if (core::SyncHists* h = t.sync_hists(); h != nullptr) {
-      h->lock_acquire.record(t.now() - start);
+      h->lock_acquire->record(t.now() - start);
     }
   }
 
@@ -36,7 +36,7 @@ class RecordingBarrier final : public Barrier {
     const sim::Cycle start = t.now();
     co_await inner_->wait(t);
     if (core::SyncHists* h = t.sync_hists(); h != nullptr) {
-      h->barrier_episode.record(t.now() - start);
+      h->barrier_episode->record(t.now() - start);
     }
   }
 
@@ -48,13 +48,13 @@ class RecordingBarrier final : public Barrier {
 
 std::unique_ptr<Lock> with_acquire_hist(core::Machine& m,
                                         std::unique_ptr<Lock> inner) {
-  if (!m.config().stats.histograms) return inner;
+  if (!m.registry().histograms()) return inner;
   return std::make_unique<RecordingLock>(std::move(inner));
 }
 
 std::unique_ptr<Barrier> with_episode_hist(core::Machine& m,
                                            std::unique_ptr<Barrier> inner) {
-  if (!m.config().stats.histograms) return inner;
+  if (!m.registry().histograms()) return inner;
   return std::make_unique<RecordingBarrier>(std::move(inner));
 }
 

@@ -75,6 +75,8 @@ TEST(ConfigIo, UnknownKeyNamesFieldAndCandidates) {
       {"sim_threads", "seed"},
       // AMU combining is the cluster_amu cell variant, not a config knob.
       {"hier.amu_aggregation", "hier.levels"},
+      // DRAM is a fixed latency; its channel-occupancy model is gone.
+      {"dram.occupancy_cycles", "dram.access_cycles"},
   };
   for (const Case& c : cases) {
     core::SystemConfig cfg;

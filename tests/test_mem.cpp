@@ -48,23 +48,16 @@ TEST(Backing, AddressHelpers) {
   EXPECT_EQ(b.words_per_line(), 16u);
 }
 
-TEST(Dram, LatencyAndOccupancy) {
+TEST(Dram, FixedLatency) {
   sim::Engine e;
-  Dram d(e, DramConfig{60, 8});
-  // Two back-to-back accesses: the second queues behind the first's
-  // channel occupancy.
-  EXPECT_EQ(d.access(), 60u);
-  EXPECT_EQ(d.access(), 8u + 60u);
-  EXPECT_EQ(d.accesses(), 2u);
-}
-
-TEST(Dram, OccupancyDrains) {
-  sim::Engine e;
-  Dram d(e, DramConfig{60, 8});
-  (void)d.access();
+  Dram d(e, DramConfig{60});
+  // Two accesses in the same cycle both take the bare latency: nothing
+  // queues behind the first.
   e.schedule(1000, [] {});
   e.run();
-  EXPECT_EQ(d.access(), e.now() + 60u);
+  EXPECT_EQ(d.access(), 1000u + 60u);
+  EXPECT_EQ(d.access(), 1000u + 60u);
+  EXPECT_EQ(d.accesses(), 2u);
 }
 
 CacheGeometry tiny_cache() {

@@ -206,16 +206,6 @@ TEST(Network, StatsByClass) {
             64u);
 }
 
-TEST(Network, ResetStatsClears) {
-  sim::Engine e;
-  Network n(e, small_net(4));
-  n.send(Packet{0, 1, MsgClass::kRequest, 32, [] {}});
-  e.run();
-  n.reset_stats();
-  EXPECT_EQ(n.stats().packets, 0u);
-  EXPECT_EQ(n.stats().bytes, 0u);
-}
-
 TEST(Network, MulticastWithoutHardwareIsUnicasts) {
   sim::Engine e;
   Network n(e, small_net(16));
