@@ -8,6 +8,7 @@
 #include <cstdio>
 
 #include "bench/table.hpp"
+#include "net/topology.hpp"
 
 namespace amo::bench {
 
@@ -541,16 +542,6 @@ void print_microbench_hier(const SweepSpec& s,
 const std::array<std::uint32_t, 3> kHierRadixes = {2, 4, 8};
 const std::array<std::uint32_t, 3> kHierDepths = {1, 2, 3};
 
-/// Router levels of the fat tree derived for `nodes` leaves — the
-/// validate() ceiling for hier.levels (kept in step with config_io).
-std::uint32_t tree_height(std::uint32_t nodes, std::uint32_t radix) {
-  std::uint32_t height = 0;
-  for (std::uint32_t e = nodes; e > 1; e = (e + radix - 1) / radix) {
-    ++height;
-  }
-  return height;
-}
-
 SweepSpec build_hier_depth(const CliOptions& opt) {
   SweepSpec s{.workload = "ablation_hier_depth"};
   const std::uint32_t p = resolved_cpus(opt, {256}, {64}).front();
@@ -563,10 +554,11 @@ SweepSpec build_hier_depth(const CliOptions& opt) {
       s.cells.push_back(std::move(c));
     }
     // A depth past the derived tree height is a config error, not a
-    // deeper hierarchy; clamp so --quick (fewer nodes) stays valid.
-    // Assumes the default cpus_per_node=2 (these cells never change it).
+    // deeper hierarchy; clamp to the tree height validate() allows, so
+    // --quick (fewer nodes) stays valid. Assumes the default
+    // cpus_per_node=2 (these cells never change it).
     const std::uint32_t height =
-        std::max(1u, tree_height((p + 1) / 2, radix));
+        std::max(1u, net::Topology((p + 1) / 2, radix).levels());
     for (std::uint32_t depth : kHierDepths) {
       Cell c = cell(p, hier_params(HierBarrier::kClusterAmu, episodes));
       c.set.push_back({"net.radix", sim::Json(radix)});
