@@ -254,7 +254,7 @@ TEST(Reporter, RunBarrierFeedsRecordsWithRegistryDump) {
   ss << in.rdbuf();
   const sim::Json doc = sim::Json::parse(ss.str());
   EXPECT_EQ(doc.at("bench").as_string(), "unit_barrier");
-  EXPECT_EQ(doc.at("schema_version").as_uint(), 6u);
+  EXPECT_EQ(doc.at("schema_version").as_uint(), 7u);
   EXPECT_EQ(doc.at("records").size(), 1u);
   std::remove(opt.json_path.c_str());
 }
@@ -287,7 +287,7 @@ TEST(Reporter, SchemaV3RecordsCarryNoSimThreads) {
   std::stringstream ss;
   ss << in.rdbuf();
   const sim::Json doc = sim::Json::parse(ss.str());
-  EXPECT_EQ(doc.at("schema_version").as_uint(), 6u);
+  EXPECT_EQ(doc.at("schema_version").as_uint(), 7u);
   const sim::Json& recs = doc.at("records");
   ASSERT_EQ(recs.size(), 3u);
   const char* workloads[] = {"barrier", "microbench_hier", "service"};
