@@ -375,8 +375,8 @@ CellResult run_fig1_cell(const core::SystemConfig& cfg, const CellParams& p) {
   sim::Cycle done = 0;
   for (sim::CpuId c = 0; c < 3; ++c) {
     m.spawn(c, [&, mech](core::ThreadCtx& t) -> sim::Task<void> {
-      (void)co_await sync::fetch_add(mech, t, var, 1,
-                                     /*test=*/std::uint64_t{3});
+      (void)co_await sync::rmw(mech, t, amu::AmoOpcode::kFetchAdd, var, 1, 0,
+                               /*test=*/std::uint64_t{3});
       if (mech == sync::Mechanism::kMao) {
         while (co_await t.uncached_load(var) != 3) co_await t.delay(400);
       } else {

@@ -42,7 +42,8 @@ RunResult run(sync::Mechanism mech) {
       for (std::uint32_t i = 0; i < kSamplesPerCpu; ++i) {
         co_await t.compute(20);  // classify the sample
         const std::size_t bin = t.rng().below(kBins);
-        (void)co_await sync::fetch_add(mech, t, bins[bin], 1);
+        (void)co_await sync::rmw(mech, t, amu::AmoOpcode::kFetchAdd, bins[bin],
+                                 1);
       }
     });
   }

@@ -208,9 +208,9 @@ void Directory::word_put(sim::Addr addr, std::uint64_t value) {
         : e.coarse                ? SharerSnapshot::all(total)
                                   : SharerSnapshot(e.sharers.words());
 
-    // Target nodes, ascending (cpu ids ascend within a node, so walking
-    // set bits in order yields nodes in order — the deterministic fan-out
-    // order the old sorted-vector path produced).
+    // Target nodes, ascending: cpu ids ascend within a node, so walking
+    // set bits in order yields each node once, in order, and the fan-out
+    // order is deterministic whatever order the sharers joined in.
     put_nodes_.clear();
     SharerSet::for_each_in(targets.words(), [this](sim::CpuId c) {
       const sim::NodeId n = wiring_.node_of(c);
@@ -253,13 +253,9 @@ void Directory::handle_gets(sim::CpuId r, sim::Addr block) {
         e.st = State::kExclusive;
         e.owner = r;
         reply_data(r, block, /*exclusive=*/true);
-      } else if (!e.amu_sharer) {
-        // MSI mode: first reader only gets S.
-        e.st = State::kShared;
-        add_sharer(e, r);
-        reply_data(r, block, /*exclusive=*/false);
       } else {
-        // The AMU must stay able to push word updates: grant S only.
+        // S only: in MSI mode a first reader gets no more, and an AMU
+        // sharer must stay able to push word updates.
         e.st = State::kShared;
         add_sharer(e, r);
         reply_data(r, block, /*exclusive=*/false);

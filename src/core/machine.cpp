@@ -46,9 +46,8 @@ Machine::Machine(const SystemConfig& config)
     cores_.push_back(std::make_unique<cpu::Core>(
         engine_, *wiring_, agents_, devices_, c, core_cfg));
     agents_.caches[c] = &cores_[c]->cache();
-    ctxs_.push_back(std::make_unique<ThreadCtx>(
-        *cores_[c], engine_, rng_.split(),
-        registry_.histograms() ? &sync_hists_ : nullptr));
+    ctxs_.push_back(
+        std::make_unique<ThreadCtx>(*cores_[c], engine_, rng_.split()));
   }
 
   amus_.reserve(nodes);

@@ -98,6 +98,10 @@ class Machine {
     return registry_;
   }
 
+  /// The sync library's latency histograms (both nullptr when
+  /// stats.histograms is off), registered at construction.
+  [[nodiscard]] const SyncHists& sync_hists() const { return sync_hists_; }
+
   /// Snapshot of the whole registry as a nested JSON document.
   [[nodiscard]] sim::Json stats_json() const { return registry_.snapshot(); }
 
@@ -130,7 +134,7 @@ class Machine {
   std::vector<std::unique_ptr<cpu::Core>> cores_;
   std::vector<std::unique_ptr<cpu::AmServer>> servers_;
   std::vector<std::unique_ptr<ThreadCtx>> ctxs_;
-  // Every ThreadCtx points here when histograms are on.
+  // Read by every sync::Lock / sync::Barrier constructor.
   SyncHists sync_hists_;
 
   // deque: spawn keeps a reference to the stored functor until the thread

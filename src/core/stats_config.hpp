@@ -21,8 +21,8 @@ struct StatsConfig {
 };
 
 /// The sync library's latency histograms, owned by the machine's stats
-/// registry. Machine owns one bundle; when stats.histograms is on, every
-/// ThreadCtx points at it.
+/// registry. Machine owns one bundle, and every sync::Lock / sync::Barrier
+/// takes its pointer from it at construction.
 struct SyncHists {
   sim::LogHistogram* lock_acquire = nullptr;  // acquire() call, cycles
   sim::LogHistogram* barrier_episode = nullptr;  // wait() call, cycles

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <optional>
 
-#include "core/stats_config.hpp"
 #include "cpu/core.hpp"
 #include "sim/rng.hpp"
 #include "sim/task.hpp"
@@ -23,9 +22,8 @@ struct SpinStats {
 
 class ThreadCtx {
  public:
-  ThreadCtx(cpu::Core& core, sim::Engine& engine, sim::Rng rng,
-            SyncHists* sync_hists = nullptr)
-      : core_(core), engine_(engine), rng_(rng), sync_hists_(sync_hists) {}
+  ThreadCtx(cpu::Core& core, sim::Engine& engine, sim::Rng rng)
+      : core_(core), engine_(engine), rng_(rng) {}
 
   [[nodiscard]] sim::CpuId cpu() const { return core_.cpu(); }
   [[nodiscard]] sim::NodeId node() const { return core_.node(); }
@@ -33,11 +31,6 @@ class ThreadCtx {
   [[nodiscard]] cpu::Core& core() { return core_; }
   [[nodiscard]] sim::Rng& rng() { return rng_; }
   [[nodiscard]] sim::Cycle now() const { return engine_.now(); }
-
-  /// The machine's sync-latency histograms, or nullptr when
-  /// stats.histograms is off. The sync library's recording
-  /// decorators write lock-acquire / barrier-episode latencies here.
-  [[nodiscard]] SyncHists* sync_hists() { return sync_hists_; }
 
   [[nodiscard]] SpinStats& spin_stats() { return spin_stats_; }
 
@@ -58,17 +51,6 @@ class ThreadCtx {
   }
   sim::Task<std::uint64_t> atomic_fetch_add(sim::Addr a, std::uint64_t d) {
     return core_.cache().atomic_fetch_add(a, d);
-  }
-  /// Processor-side swap (exchange); returns the old value.
-  sim::Task<std::uint64_t> atomic_swap(sim::Addr a, std::uint64_t v) {
-    return core_.cache().atomic_rmw(amu::AmoOpcode::kSwap, a, v);
-  }
-  /// Processor-side compare-and-swap; returns the old value (success iff
-  /// the returned value equals `expected`).
-  sim::Task<std::uint64_t> atomic_cas(sim::Addr a, std::uint64_t expected,
-                                      std::uint64_t desired) {
-    return core_.cache().atomic_rmw(amu::AmoOpcode::kCas, a, expected,
-                                    desired);
   }
 
   // ---- active memory operations (coherent, memory-side) ----
@@ -129,7 +111,6 @@ class ThreadCtx {
   sim::Engine& engine_;
   sim::Rng rng_;
   SpinStats spin_stats_;
-  SyncHists* sync_hists_ = nullptr;
 };
 
 }  // namespace amo::core

@@ -25,7 +25,8 @@ sim::Task<void> ShardedService::handle(core::ThreadCtx& t,
   if (work_ > 0) co_await t.compute(work_);
   // The op count is part of the critical section's state update; bump it
   // through the swept mechanism so its cost rides the comparison too.
-  (void)co_await sync::fetch_add(mech_, t, sh.ops->address(), 1);
+  (void)co_await sync::rmw(mech_, t, amu::AmoOpcode::kFetchAdd,
+                           sh.ops->address(), 1);
   co_await sh.lock->release(t);
   co_await sh.log->enqueue(t, key);
   (void)co_await sh.log->dequeue(t);

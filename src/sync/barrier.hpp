@@ -8,19 +8,37 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "core/machine.hpp"
 #include "core/thread_ctx.hpp"
+#include "sim/stats.hpp"
 #include "sim/task.hpp"
 #include "sync/mechanism.hpp"
 
 namespace amo::sync {
 
+/// The shell every barrier episode runs through. wait() pays half of
+/// barrier_sw_overhead on each side of the algorithm's episode() (a zero
+/// half schedules nothing), numbers the calling cpu's episodes from 1,
+/// and records the whole call into sync.barrier_episode_hist when
+/// stats.histograms is on.
 class Barrier {
  public:
   virtual ~Barrier() = default;
   /// Blocks the calling thread until all participants arrive.
-  virtual sim::Task<void> wait(core::ThreadCtx& t) = 0;
+  sim::Task<void> wait(core::ThreadCtx& t);
+
+ protected:
+  explicit Barrier(core::Machine& m);
+
+ private:
+  /// Episode `ep` (1, 2, ...) of the calling cpu.
+  virtual sim::Task<void> episode(core::ThreadCtx& t, std::uint64_t ep) = 0;
+
+  sim::Cycle sw_half_;
+  sim::LogHistogram* hist_;  // nullptr when histograms are off
+  std::vector<std::uint64_t> episodes_;  // per cpu: the last one begun
 };
 
 /// Centralized barrier over the given mechanism:

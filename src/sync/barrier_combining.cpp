@@ -8,7 +8,6 @@
 
 #include "net/topology.hpp"
 #include "sync/barrier.hpp"
-#include "sync/recording.hpp"
 #include "sync/spin.hpp"
 
 namespace amo::sync {
@@ -37,11 +36,10 @@ class CombiningBarrier final : public Barrier {
  public:
   CombiningBarrier(core::Machine& m, Mechanism mech, std::uint32_t participants,
                    const std::vector<std::uint32_t>& widths, bool aggregate)
-      : mech_(mech),
-        sw_half_(m.config().barrier_sw_overhead / 2),
+      : Barrier(m),
+        mech_(mech),
         cpn_(m.config().cpus_per_node),
-        aggregate_(aggregate && mech == Mechanism::kAmo),
-        episode_(m.num_cpus(), 0) {
+        aggregate_(aggregate && mech == Mechanism::kAmo) {
     assert(participants >= 1 && participants <= m.num_cpus());
     std::uint32_t members = participants;  // cpus, then groups below
     std::uint32_t span = 1;                // cpus under one member
@@ -66,13 +64,11 @@ class CombiningBarrier final : public Barrier {
     if (aggregate_) install_routes(m);
   }
 
+ private:
   // Every leaf op is awaited in place, in if/else arms: no wrapper
   // coroutine per arrival or release, and never a `?:` (DESIGN.md §8).
   // Each op has one call site, as every awaiter lives in this frame.
-  sim::Task<void> wait(core::ThreadCtx& t) override {
-    if (sw_half_ > 0) co_await t.compute(sw_half_);
-    const std::uint64_t ep = ++episode_[t.cpu()];
-
+  sim::Task<void> episode(core::ThreadCtx& t, std::uint64_t ep) override {
     // Ascend while last to arrive. Under AMU aggregation every cpu
     // arrives once, at tier 0, and waits there: the AMUs combine, forward
     // and release, and the never-matching test value 0 keeps the
@@ -90,7 +86,8 @@ class CombiningBarrier final : public Barrier {
         if (aggregate_) test = 0;
         old = co_await t.amo(amu::AmoOpcode::kFetchAdd, g.counter, 1, test);
       } else {
-        old = co_await fetch_add(mech_, t, g.counter, 1);
+        old = co_await rmw(mech_, t, amu::AmoOpcode::kFetchAdd, g.counter,
+                           1);
       }
       if (aggregate_ || old != target - 1) {
         (void)co_await spin_cached_until(
@@ -110,10 +107,8 @@ class CombiningBarrier final : public Barrier {
         co_await t.store(release, ep);
       }
     }
-    if (sw_half_ > 0) co_await t.compute(sw_half_);
   }
 
- private:
   struct Group {
     sim::Addr counter = 0;
     sim::Addr release = 0;
@@ -171,19 +166,16 @@ class CombiningBarrier final : public Barrier {
   }
 
   Mechanism mech_;
-  sim::Cycle sw_half_;
   std::uint32_t cpn_;
   bool aggregate_;
   std::vector<Tier> tiers_;  // the last is the root
-  std::vector<std::uint64_t> episode_;
 };
 
 std::unique_ptr<Barrier> make_combining_barrier(
     core::Machine& m, Mechanism mech, std::uint32_t participants,
     const std::vector<std::uint32_t>& widths, bool aggregate = false) {
-  return with_episode_hist(
-      m, std::make_unique<CombiningBarrier>(m, mech, participants, widths,
-                                            aggregate));
+  return std::make_unique<CombiningBarrier>(m, mech, participants, widths,
+                                            aggregate);
 }
 
 }  // namespace

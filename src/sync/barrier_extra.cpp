@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "sync/barrier.hpp"
-#include "sync/recording.hpp"
 #include "sync/spin.hpp"
 
 namespace amo::sync {
@@ -20,23 +19,19 @@ namespace {
 class NaiveBarrier final : public Barrier {
  public:
   NaiveBarrier(core::Machine& m, Mechanism mech, std::uint32_t participants)
-      : mech_(mech),
-        p_(participants),
-        sw_half_(m.config().barrier_sw_overhead / 2),
-        episode_(m.num_cpus(), 0) {
+      : Barrier(m), mech_(mech), p_(participants) {
     assert(participants >= 1 && participants <= m.num_cpus());
     counter_ = m.galloc().alloc_word_line(0);
   }
 
-  sim::Task<void> wait(core::ThreadCtx& t) override {
-    if (sw_half_ > 0) co_await t.compute(sw_half_);
-    const std::uint64_t ep = ++episode_[t.cpu()];
+ private:
+  sim::Task<void> episode(core::ThreadCtx& t, std::uint64_t ep) override {
     const std::uint64_t target = ep * p_;
 
     if (mech_ == Mechanism::kAmo) {
       (void)co_await t.amo(amu::AmoOpcode::kFetchAdd, counter_, 1, target);
     } else {
-      (void)co_await fetch_add(mech_, t, counter_, 1);
+      (void)co_await rmw(mech_, t, amu::AmoOpcode::kFetchAdd, counter_, 1);
     }
     if (mech_ == Mechanism::kMao) {
       // MAO variables must not be cached: spin with uncached polls.
@@ -47,15 +42,11 @@ class NaiveBarrier final : public Barrier {
       (void)co_await spin_cached_until(
           t, counter_, [target](std::uint64_t v) { return v >= target; });
     }
-    if (sw_half_ > 0) co_await t.compute(sw_half_);
   }
 
- private:
   Mechanism mech_;
   std::uint32_t p_;
-  sim::Cycle sw_half_;
   sim::Addr counter_ = 0;
-  std::vector<std::uint64_t> episode_;
 };
 
 // Dissemination barrier: in round k (k = 0..ceil(log2 P)-1), thread i
@@ -66,10 +57,7 @@ class DisseminationBarrier final : public Barrier {
  public:
   DisseminationBarrier(core::Machine& m, Mechanism mech,
                        std::uint32_t participants)
-      : mech_(mech),
-        p_(participants),
-        sw_half_(m.config().barrier_sw_overhead / 2),
-        episode_(m.num_cpus(), 0) {
+      : Barrier(m), mech_(mech), p_(participants) {
     assert(participants >= 1 && participants <= m.num_cpus());
     rounds_ = 0;
     for (std::uint32_t span = 1; span < p_; span *= 2) ++rounds_;
@@ -83,9 +71,8 @@ class DisseminationBarrier final : public Barrier {
     }
   }
 
-  sim::Task<void> wait(core::ThreadCtx& t) override {
-    if (sw_half_ > 0) co_await t.compute(sw_half_);
-    const std::uint64_t ep = ++episode_[t.cpu()];
+ private:
+  sim::Task<void> episode(core::ThreadCtx& t, std::uint64_t ep) override {
     const std::uint32_t me = t.cpu();
     std::uint32_t span = 1;
     for (std::uint32_t k = 0; k < rounds_; ++k, span *= 2) {
@@ -94,30 +81,24 @@ class DisseminationBarrier final : public Barrier {
       (void)co_await spin_cached_until(
           t, flags_[me][k], [ep](std::uint64_t v) { return v >= ep; });
     }
-    if (sw_half_ > 0) co_await t.compute(sw_half_);
   }
 
- private:
   Mechanism mech_;
   std::uint32_t p_;
-  sim::Cycle sw_half_;
   std::uint32_t rounds_ = 0;
   std::vector<std::vector<sim::Addr>> flags_;  // [thread][round]
-  std::vector<std::uint64_t> episode_;
 };
 
 }  // namespace
 
 std::unique_ptr<Barrier> make_naive_barrier(core::Machine& m, Mechanism mech,
                                             std::uint32_t participants) {
-  return with_episode_hist(
-      m, std::make_unique<NaiveBarrier>(m, mech, participants));
+  return std::make_unique<NaiveBarrier>(m, mech, participants);
 }
 
 std::unique_ptr<Barrier> make_dissemination_barrier(
     core::Machine& m, Mechanism mech, std::uint32_t participants) {
-  return with_episode_hist(
-      m, std::make_unique<DisseminationBarrier>(m, mech, participants));
+  return std::make_unique<DisseminationBarrier>(m, mech, participants);
 }
 
 }  // namespace amo::sync

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "sync/barrier.hpp"
-#include "sync/recording.hpp"
 #include "sync/spin.hpp"
 
 namespace amo::sync {
@@ -27,10 +26,7 @@ class McsTreeBarrier final : public Barrier {
   static constexpr std::uint32_t kArrivalFan = 4;
 
   McsTreeBarrier(core::Machine& m, Mechanism mech, std::uint32_t participants)
-      : mech_(mech),
-        p_(participants),
-        sw_half_(m.config().barrier_sw_overhead / 2),
-        episode_(m.num_cpus(), 0) {
+      : Barrier(m), mech_(mech), p_(participants) {
     assert(participants >= 1 && participants <= m.num_cpus());
     nodes_.resize(p_);
     for (std::uint32_t i = 0; i < p_; ++i) {
@@ -44,9 +40,8 @@ class McsTreeBarrier final : public Barrier {
     }
   }
 
-  sim::Task<void> wait(core::ThreadCtx& t) override {
-    if (sw_half_ > 0) co_await t.compute(sw_half_);
-    const std::uint64_t ep = ++episode_[t.cpu()];
+ private:
+  sim::Task<void> episode(core::ThreadCtx& t, std::uint64_t ep) override {
     const std::uint32_t me = t.cpu();
 
     // ---- arrival phase: 4-ary tree, children signal parents ----
@@ -71,10 +66,8 @@ class McsTreeBarrier final : public Barrier {
       if (child >= p_) continue;
       co_await WordWrite(mech_, t, nodes_[child].wakeup, ep);
     }
-    if (sw_half_ > 0) co_await t.compute(sw_half_);
   }
 
- private:
   struct Node {
     sim::Addr child_arrived[kArrivalFan] = {};
     sim::Addr wakeup = 0;
@@ -82,9 +75,7 @@ class McsTreeBarrier final : public Barrier {
 
   Mechanism mech_;
   std::uint32_t p_;
-  sim::Cycle sw_half_;
   std::vector<Node> nodes_;
-  std::vector<std::uint64_t> episode_;
 };
 
 }  // namespace
@@ -92,8 +83,7 @@ class McsTreeBarrier final : public Barrier {
 std::unique_ptr<Barrier> make_mcs_tree_barrier(core::Machine& m,
                                                Mechanism mech,
                                                std::uint32_t participants) {
-  return with_episode_hist(
-      m, std::make_unique<McsTreeBarrier>(m, mech, participants));
+  return std::make_unique<McsTreeBarrier>(m, mech, participants);
 }
 
 }  // namespace amo::sync

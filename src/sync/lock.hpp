@@ -1,5 +1,5 @@
-// Spin-lock interface + factories (ticket lock and Anderson's array-based
-// queuing lock, each over all five mechanisms).
+// Spin-lock interface + factories: TAS, ticket, Anderson's array, MCS,
+// CNA and HMCS locks, each over all five mechanisms.
 #pragma once
 
 #include <cstdint>
@@ -7,16 +7,32 @@
 
 #include "core/machine.hpp"
 #include "core/thread_ctx.hpp"
+#include "sim/stats.hpp"
 #include "sim/task.hpp"
 #include "sync/mechanism.hpp"
 
 namespace amo::sync {
 
+/// The shell every lock passage runs through. acquire() and release()
+/// each pay half of lock_sw_overhead (a zero half schedules nothing)
+/// around the algorithm's lock() / unlock(); acquire() records its
+/// latency, overhead included, into sync.lock_acquire_hist when
+/// stats.histograms is on.
 class Lock {
  public:
   virtual ~Lock() = default;
-  virtual sim::Task<void> acquire(core::ThreadCtx& t) = 0;
-  virtual sim::Task<void> release(core::ThreadCtx& t) = 0;
+  sim::Task<void> acquire(core::ThreadCtx& t);
+  sim::Task<void> release(core::ThreadCtx& t);
+
+ protected:
+  explicit Lock(core::Machine& m);
+
+ private:
+  virtual sim::Task<void> lock(core::ThreadCtx& t) = 0;
+  virtual sim::Task<void> unlock(core::ThreadCtx& t) = 0;
+
+  sim::Cycle sw_half_;
+  sim::LogHistogram* hist_;  // nullptr when histograms are off
 };
 
 /// Spin policy while waiting for now_serving (ticket lock). MAO always
@@ -38,9 +54,8 @@ std::unique_ptr<Lock> make_ticket_lock(
 std::unique_ptr<Lock> make_array_lock(core::Machine& m, Mechanism mech,
                                       std::uint32_t slots);
 
-/// The slot `cpu`'s latest acquire of `lock` drew. `lock` must come
-/// straight from make_array_lock (histograms off, so it is unwrapped).
-/// For tests: every slot must lie in [0, slots).
+/// The slot `cpu`'s latest acquire of `lock` drew; `lock` must come from
+/// make_array_lock. For tests: every slot must lie in [0, slots).
 std::uint32_t array_lock_slot(const Lock& lock, sim::CpuId cpu);
 
 /// Mellor-Crummey & Scott's MCS queue lock (extension beyond the paper's

@@ -2,7 +2,6 @@
 #include <vector>
 
 #include "sync/lock.hpp"
-#include "sync/recording.hpp"
 #include "sync/spin.hpp"
 
 namespace amo::sync {
@@ -20,9 +19,9 @@ namespace {
 class ArrayLock final : public Lock {
  public:
   ArrayLock(core::Machine& m, Mechanism mech, std::uint32_t slots)
-      : mech_(mech),
+      : Lock(m),
+        mech_(mech),
         nslots_(slots),
-        sw_half_(m.config().lock_sw_overhead / 2),
         my_slot_(m.num_cpus(), 0) {
     assert(slots >= 1);
     sequencer_ = m.galloc().alloc_word_line(0);
@@ -34,12 +33,17 @@ class ArrayLock final : public Lock {
     m.backing().write_word(flags_[0], 1);
   }
 
-  sim::Task<void> acquire(core::ThreadCtx& t) override {
-    if (sw_half_ > 0) co_await t.compute(sw_half_);
+  [[nodiscard]] std::uint32_t slot_of(sim::CpuId cpu) const {
+    return my_slot_[cpu];
+  }
+
+ private:
+  sim::Task<void> lock(core::ThreadCtx& t) override {
     // Keep the co_await in its own statement: GCC 12 with
     // -fsanitize=undefined miscompiles arithmetic applied directly to a
     // co_await result (it yielded s == nslots_ here).
-    const std::uint64_t ticket = co_await fetch_add(mech_, t, sequencer_, 1);
+    const std::uint64_t ticket =
+        co_await rmw(mech_, t, amu::AmoOpcode::kFetchAdd, sequencer_, 1);
     const std::uint64_t s = ticket % nslots_;
     my_slot_[t.cpu()] = static_cast<std::uint32_t>(s);
     (void)co_await spin_cached_until(
@@ -48,20 +52,13 @@ class ArrayLock final : public Lock {
     co_await WordWrite(mech_, t, flags_[s], 0);
   }
 
-  sim::Task<void> release(core::ThreadCtx& t) override {
-    if (sw_half_ > 0) co_await t.compute(sw_half_);
+  sim::Task<void> unlock(core::ThreadCtx& t) override {
     const std::uint32_t next = (my_slot_[t.cpu()] + 1) % nslots_;
     co_await WordWrite(mech_, t, flags_[next], 1);
   }
 
-  [[nodiscard]] std::uint32_t slot_of(sim::CpuId cpu) const {
-    return my_slot_[cpu];
-  }
-
- private:
   Mechanism mech_;
   std::uint32_t nslots_;
-  sim::Cycle sw_half_;
   sim::Addr sequencer_ = 0;
   std::vector<sim::Addr> flags_;
   std::vector<std::uint32_t> my_slot_;
@@ -71,12 +68,12 @@ class ArrayLock final : public Lock {
 
 std::unique_ptr<Lock> make_array_lock(core::Machine& m, Mechanism mech,
                                       std::uint32_t slots) {
-  return with_acquire_hist(m, std::make_unique<ArrayLock>(m, mech, slots));
+  return std::make_unique<ArrayLock>(m, mech, slots);
 }
 
 std::uint32_t array_lock_slot(const Lock& lock, sim::CpuId cpu) {
   const auto* array = dynamic_cast<const ArrayLock*>(&lock);
-  assert(array != nullptr && "not an unwrapped array lock");
+  assert(array != nullptr && "not an array lock");
   return array->slot_of(cpu);
 }
 

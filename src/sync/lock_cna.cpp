@@ -3,7 +3,6 @@
 
 #include "net/topology.hpp"
 #include "sync/lock.hpp"
-#include "sync/recording.hpp"
 #include "sync/spin.hpp"
 
 namespace amo::sync {
@@ -39,8 +38,8 @@ class CnaLock final : public Lock {
  public:
   CnaLock(core::Machine& m, Mechanism mech, std::uint32_t level,
           std::uint32_t threshold)
-      : mech_(mech),
-        sw_half_(m.config().lock_sw_overhead / 2),
+      : Lock(m),
+        mech_(mech),
         threshold_(threshold) {
     assert(threshold_ >= 1);
     const net::Topology& topo = m.network().topology();
@@ -62,32 +61,36 @@ class CnaLock final : public Lock {
     }
   }
 
-  sim::Task<void> acquire(core::ThreadCtx& t) override {
-    if (sw_half_ > 0) co_await t.compute(sw_half_);
+ private:
+  sim::Task<void> lock(core::ThreadCtx& t) override {
     const sim::CpuId me = t.cpu();
     co_await WordWrite(mech_, t, next_[me], 0);
     co_await WordWrite(mech_, t, spin_[me], 0);
-    const std::uint64_t pred = co_await swap(mech_, t, tail_, me + 1);
+    const std::uint64_t pred =
+        co_await rmw(mech_, t, amu::AmoOpcode::kSwap, tail_, me + 1);
     if (pred == 0) co_return;  // lock was free
     co_await WordWrite(mech_, t, next_[pred - 1], me + 1);
     (void)co_await spin_cached_until(
         t, spin_[me], [](std::uint64_t v) { return v != 0; });
   }
 
-  sim::Task<void> release(core::ThreadCtx& t) override {
-    if (sw_half_ > 0) co_await t.compute(sw_half_);
+  sim::Task<void> unlock(core::ThreadCtx& t) override {
     const sim::CpuId me = t.cpu();
     std::uint64_t succ = co_await t.load(next_[me]);
     if (succ == 0) {
       const std::uint64_t sec = co_await t.load(sec_head_);
       if (sec == 0) {
         // Queue truly empty: swing the tail back to nil.
-        if (co_await cas(mech_, t, tail_, me + 1, 0) == me + 1) co_return;
+        if (co_await rmw(mech_, t, amu::AmoOpcode::kCas, tail_, me + 1, 0) ==
+            me + 1) {
+          co_return;
+        }
       } else {
         // Main queue looks empty but remote waiters are parked on the
         // secondary queue: promote it to BE the main queue.
         const std::uint64_t stail = co_await t.load(sec_tail_);
-        if (co_await cas(mech_, t, tail_, me + 1, stail) == me + 1) {
+        if (co_await rmw(mech_, t, amu::AmoOpcode::kCas, tail_, me + 1,
+                         stail) == me + 1) {
           co_await t.store(sec_head_, 0);
           co_await t.store(sec_tail_, 0);
           co_await t.store(streak_, 0);
@@ -169,9 +172,7 @@ class CnaLock final : public Lock {
     co_await WordWrite(mech_, t, spin_[local - 1], 1);
   }
 
- private:
   Mechanism mech_;
-  sim::Cycle sw_half_;
   std::uint32_t threshold_;
   sim::Addr tail_ = 0;
   sim::Addr sec_head_ = 0;  // holder-only words
@@ -187,8 +188,7 @@ class CnaLock final : public Lock {
 std::unique_ptr<Lock> make_cna_lock(core::Machine& m, Mechanism mech,
                                     std::uint32_t level,
                                     std::uint32_t threshold) {
-  return with_acquire_hist(
-      m, std::make_unique<CnaLock>(m, mech, level, threshold));
+  return std::make_unique<CnaLock>(m, mech, level, threshold);
 }
 
 }  // namespace amo::sync

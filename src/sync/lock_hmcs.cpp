@@ -4,7 +4,6 @@
 
 #include "net/topology.hpp"
 #include "sync/lock.hpp"
-#include "sync/recording.hpp"
 #include "sync/spin.hpp"
 
 namespace amo::sync {
@@ -38,8 +37,8 @@ class HmcsLock final : public Lock {
  public:
   HmcsLock(core::Machine& m, Mechanism mech, std::uint32_t levels,
            std::uint32_t threshold)
-      : mech_(mech),
-        sw_half_(m.config().lock_sw_overhead / 2),
+      : Lock(m),
+        mech_(mech),
         cpn_(m.config().cpus_per_node),
         threshold_(threshold),
         topo_(&m.network().topology()) {
@@ -90,8 +89,8 @@ class HmcsLock final : public Lock {
     }
   }
 
-  sim::Task<void> acquire(core::ThreadCtx& t) override {
-    if (sw_half_ > 0) co_await t.compute(sw_half_);
+ private:
+  sim::Task<void> lock(core::ThreadCtx& t) override {
     const sim::CpuId me = t.cpu();
     for (std::uint32_t tier = 0; tier <= top_; ++tier) {
       const Tier& q = tiers_[tier];
@@ -99,7 +98,8 @@ class HmcsLock final : public Lock {
       co_await WordWrite(mech_, t, q.next[slot], 0);
       co_await WordWrite(mech_, t, q.spin[slot], 0);
       const std::uint64_t pred =
-          co_await swap(mech_, t, q.tail[queue_of(me, tier)], slot + 1);
+          co_await rmw(mech_, t, amu::AmoOpcode::kSwap,
+                       q.tail[queue_of(me, tier)], slot + 1);
       if (pred != 0) {
         co_await WordWrite(mech_, t, q.next[pred - 1], slot + 1);
         const std::uint64_t v = co_await spin_cached_until(
@@ -111,12 +111,10 @@ class HmcsLock final : public Lock {
     }
   }
 
-  sim::Task<void> release(core::ThreadCtx& t) override {
-    if (sw_half_ > 0) co_await t.compute(sw_half_);
-    co_await release_tier(t, 0);
+  sim::Task<void> unlock(core::ThreadCtx& t) override {
+    return release_tier(t, 0);
   }
 
- private:
   struct Tier {
     std::vector<sim::Addr> tail;  // one queue per entity at this tier
     std::vector<sim::Addr> next;  // one slot per contender (child entity)
@@ -152,7 +150,8 @@ class HmcsLock final : public Lock {
     if (tier < top_) co_await release_tier(t, tier + 1);
     if (succ == 0) {
       const std::uint32_t queue = queue_of(t.cpu(), tier);
-      if (co_await cas(mech_, t, q.tail[queue], slot + 1, 0) == slot + 1) {
+      if (co_await rmw(mech_, t, amu::AmoOpcode::kCas, q.tail[queue],
+                       slot + 1, 0) == slot + 1) {
         co_return;
       }
       // A contender is between the tail swap and the link: wait it out.
@@ -163,7 +162,6 @@ class HmcsLock final : public Lock {
   }
 
   Mechanism mech_;
-  sim::Cycle sw_half_;
   std::uint32_t cpn_;
   std::uint32_t threshold_;
   const net::Topology* topo_;
@@ -177,8 +175,7 @@ class HmcsLock final : public Lock {
 std::unique_ptr<Lock> make_hmcs_lock(core::Machine& m, Mechanism mech,
                                      std::uint32_t levels,
                                      std::uint32_t threshold) {
-  return with_acquire_hist(
-      m, std::make_unique<HmcsLock>(m, mech, levels, threshold));
+  return std::make_unique<HmcsLock>(m, mech, levels, threshold);
 }
 
 }  // namespace amo::sync

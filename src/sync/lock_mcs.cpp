@@ -2,7 +2,6 @@
 #include <vector>
 
 #include "sync/lock.hpp"
-#include "sync/recording.hpp"
 #include "sync/spin.hpp"
 
 namespace amo::sync {
@@ -24,8 +23,7 @@ namespace {
 class McsLock final : public Lock {
  public:
   McsLock(core::Machine& m, Mechanism mech)
-      : mech_(mech),
-        sw_half_(m.config().lock_sw_overhead / 2) {
+      : Lock(m), mech_(mech) {
     tail_ = m.galloc().alloc_word_line(0);
     const std::uint32_t cpus = m.num_cpus();
     next_.reserve(cpus);
@@ -37,12 +35,13 @@ class McsLock final : public Lock {
     }
   }
 
-  sim::Task<void> acquire(core::ThreadCtx& t) override {
-    if (sw_half_ > 0) co_await t.compute(sw_half_);
+ private:
+  sim::Task<void> lock(core::ThreadCtx& t) override {
     const sim::CpuId me = t.cpu();
     co_await WordWrite(mech_, t, next_[me], 0);
     co_await WordWrite(mech_, t, locked_[me], 1);
-    const std::uint64_t pred = co_await swap(mech_, t, tail_, me + 1);
+    const std::uint64_t pred =
+        co_await rmw(mech_, t, amu::AmoOpcode::kSwap, tail_, me + 1);
     if (pred == 0) co_return;  // lock was free
     // Link behind the predecessor, then spin on our own flag.
     co_await WordWrite(mech_, t, next_[pred - 1], me + 1);
@@ -50,13 +49,15 @@ class McsLock final : public Lock {
         t, locked_[me], [](std::uint64_t v) { return v == 0; });
   }
 
-  sim::Task<void> release(core::ThreadCtx& t) override {
-    if (sw_half_ > 0) co_await t.compute(sw_half_);
+  sim::Task<void> unlock(core::ThreadCtx& t) override {
     const sim::CpuId me = t.cpu();
     std::uint64_t succ = co_await t.load(next_[me]);
     if (succ == 0) {
       // No visible successor: try to swing the tail back to nil.
-      if (co_await cas(mech_, t, tail_, me + 1, 0) == me + 1) co_return;
+      if (co_await rmw(mech_, t, amu::AmoOpcode::kCas, tail_, me + 1, 0) ==
+          me + 1) {
+        co_return;
+      }
       // A contender is between the tail swap and the link: wait for it.
       succ = co_await spin_cached_until(
           t, next_[me], [](std::uint64_t v) { return v != 0; });
@@ -64,9 +65,7 @@ class McsLock final : public Lock {
     co_await WordWrite(mech_, t, locked_[succ - 1], 0);  // hand off
   }
 
- private:
   Mechanism mech_;
-  sim::Cycle sw_half_;
   sim::Addr tail_ = 0;
   std::vector<sim::Addr> next_;
   std::vector<sim::Addr> locked_;
@@ -75,7 +74,7 @@ class McsLock final : public Lock {
 }  // namespace
 
 std::unique_ptr<Lock> make_mcs_lock(core::Machine& m, Mechanism mech) {
-  return with_acquire_hist(m, std::make_unique<McsLock>(m, mech));
+  return std::make_unique<McsLock>(m, mech);
 }
 
 }  // namespace amo::sync

@@ -1,7 +1,6 @@
 #include <algorithm>
 
 #include "sync/lock.hpp"
-#include "sync/recording.hpp"
 #include "sync/spin.hpp"
 
 namespace amo::sync {
@@ -18,12 +17,12 @@ constexpr sim::Cycle kBackoffMax = 8192;  // exponential cap
 class TasLock final : public Lock {
  public:
   TasLock(core::Machine& m, Mechanism mech)
-      : mech_(mech), sw_half_(m.config().lock_sw_overhead / 2) {
+      : Lock(m), mech_(mech) {
     word_ = m.galloc().alloc_word_line(0);
   }
 
-  sim::Task<void> acquire(core::ThreadCtx& t) override {
-    if (sw_half_ > 0) co_await t.compute(sw_half_);
+ private:
+  sim::Task<void> lock(core::ThreadCtx& t) override {
     sim::Cycle backoff = kBackoffMin;
     for (;;) {
       // Test: wait until the lock looks free. MAO variables must never be
@@ -38,14 +37,15 @@ class TasLock final : public Lock {
             t, word_, [](std::uint64_t v) { return v == 0; });
       }
       // Test-and-set: one attempt; on failure, back off exponentially.
-      if (co_await swap(mech_, t, word_, 1) == 0) co_return;
+      if (co_await rmw(mech_, t, amu::AmoOpcode::kSwap, word_, 1) == 0) {
+        co_return;
+      }
       co_await t.delay(t.rng().below(backoff) + 1);
       backoff = std::min<sim::Cycle>(backoff * 2, kBackoffMax);
     }
   }
 
-  sim::Task<void> release(core::ThreadCtx& t) override {
-    if (sw_half_ > 0) co_await t.compute(sw_half_);
+  sim::Task<void> unlock(core::ThreadCtx& t) override {
     switch (mech_) {
       case Mechanism::kAmo:
         // Eager-put release: spinners' copies flip to 0 in place.
@@ -60,16 +60,14 @@ class TasLock final : public Lock {
     }
   }
 
- private:
   Mechanism mech_;
-  sim::Cycle sw_half_;
   sim::Addr word_ = 0;
 };
 
 }  // namespace
 
 std::unique_ptr<Lock> make_tas_lock(core::Machine& m, Mechanism mech) {
-  return with_acquire_hist(m, std::make_unique<TasLock>(m, mech));
+  return std::make_unique<TasLock>(m, mech);
 }
 
 }  // namespace amo::sync

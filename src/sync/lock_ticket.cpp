@@ -1,7 +1,6 @@
 #include <vector>
 
 #include "sync/lock.hpp"
-#include "sync/recording.hpp"
 #include "sync/spin.hpp"
 
 namespace amo::sync {
@@ -28,18 +27,18 @@ constexpr sim::Cycle kBackoffUnit = 400;  // cycles per position in line
 class TicketLock final : public Lock {
  public:
   TicketLock(core::Machine& m, Mechanism mech, TicketBackoff backoff)
-      : mech_(mech),
+      : Lock(m),
+        mech_(mech),
         backoff_(backoff),
-        sw_half_(m.config().lock_sw_overhead / 2),
         my_ticket_(m.num_cpus(), 0) {
     next_ticket_ = m.galloc().alloc_word_line(0);
     now_serving_ = m.galloc().alloc_word_line(0);
   }
 
-  sim::Task<void> acquire(core::ThreadCtx& t) override {
-    if (sw_half_ > 0) co_await t.compute(sw_half_);
+ private:
+  sim::Task<void> lock(core::ThreadCtx& t) override {
     const std::uint64_t my =
-        co_await fetch_add(mech_, t, next_ticket_, 1);
+        co_await rmw(mech_, t, amu::AmoOpcode::kFetchAdd, next_ticket_, 1);
     my_ticket_[t.cpu()] = my;
     if (mech_ == Mechanism::kMao) {
       const auto backoff = [this, my](std::uint64_t v) -> sim::Cycle {
@@ -55,8 +54,7 @@ class TicketLock final : public Lock {
         t, now_serving_, [my](std::uint64_t v) { return v == my; });
   }
 
-  sim::Task<void> release(core::ThreadCtx& t) override {
-    if (sw_half_ > 0) co_await t.compute(sw_half_);
+  sim::Task<void> unlock(core::ThreadCtx& t) override {
     const std::uint64_t next = my_ticket_[t.cpu()] + 1;
     switch (mech_) {
       case Mechanism::kLlSc:
@@ -76,10 +74,8 @@ class TicketLock final : public Lock {
     }
   }
 
- private:
   Mechanism mech_;
   TicketBackoff backoff_;
-  sim::Cycle sw_half_;
   sim::Addr next_ticket_ = 0;
   sim::Addr now_serving_ = 0;
   std::vector<std::uint64_t> my_ticket_;
@@ -89,8 +85,7 @@ class TicketLock final : public Lock {
 
 std::unique_ptr<Lock> make_ticket_lock(core::Machine& m, Mechanism mech,
                                        TicketBackoff backoff) {
-  return with_acquire_hist(m,
-                           std::make_unique<TicketLock>(m, mech, backoff));
+  return std::make_unique<TicketLock>(m, mech, backoff);
 }
 
 }  // namespace amo::sync

@@ -29,9 +29,8 @@ namespace {
 /// calling frame, where every awaiter has a slot of its own.
 cpu::Core::AmoAwaiter memory_side(Mechanism m, core::ThreadCtx& t,
                                   amu::AmoOpcode op, sim::Addr addr,
-                                  std::uint64_t operand,
-                                  std::optional<std::uint64_t> test = {},
-                                  std::uint64_t operand2 = 0) {
+                                  std::uint64_t operand, std::uint64_t operand2,
+                                  std::optional<std::uint64_t> test) {
   if (m == Mechanism::kMao) return t.core().mao(op, addr, operand, operand2);
   return t.amo(op, addr, operand, test, operand2);
 }
@@ -44,64 +43,30 @@ std::variant<cpu::Core::AmoAwaiter, sim::Task<void>> word_write_op(
 
 }  // namespace
 
-sim::Task<std::uint64_t> fetch_add(Mechanism m, core::ThreadCtx& t,
-                                   sim::Addr addr, std::uint64_t delta,
-                                   std::optional<std::uint64_t> test) {
+sim::Task<std::uint64_t> rmw(Mechanism m, core::ThreadCtx& t,
+                             amu::AmoOpcode op, sim::Addr addr,
+                             std::uint64_t operand, std::uint64_t operand2,
+                             std::optional<std::uint64_t> test) {
   switch (m) {
     case Mechanism::kLlSc:
       for (;;) {
         const std::uint64_t v = co_await t.load_linked(addr);
-        if (co_await t.store_conditional(addr, v + delta)) co_return v;
+        if (op == amu::AmoOpcode::kCas && v != operand) {
+          co_return v;  // CAS failure: no write
+        }
+        if (co_await t.store_conditional(
+                addr, amu::apply(op, v, operand, operand2))) {
+          co_return v;
+        }
       }
     case Mechanism::kAtomic:
-      co_return co_await t.atomic_fetch_add(addr, delta);
+      co_return co_await t.core().cache().atomic_rmw(op, addr, operand,
+                                                     operand2);
     case Mechanism::kActMsg:
-      co_return co_await t.am_fetch_add(addr, delta);
+      co_return co_await t.am_rmw(op, addr, operand, operand2);
     case Mechanism::kMao:
     case Mechanism::kAmo:
-      co_return co_await memory_side(m, t, amu::AmoOpcode::kFetchAdd, addr,
-                                     delta, test);
-  }
-  co_return 0;  // unreachable
-}
-
-sim::Task<std::uint64_t> swap(Mechanism m, core::ThreadCtx& t, sim::Addr addr,
-                              std::uint64_t value) {
-  switch (m) {
-    case Mechanism::kLlSc:
-      for (;;) {
-        const std::uint64_t v = co_await t.load_linked(addr);
-        if (co_await t.store_conditional(addr, value)) co_return v;
-      }
-    case Mechanism::kAtomic:
-      co_return co_await t.atomic_swap(addr, value);
-    case Mechanism::kActMsg:
-      co_return co_await t.am_rmw(amu::AmoOpcode::kSwap, addr, value);
-    case Mechanism::kMao:
-    case Mechanism::kAmo:
-      co_return co_await memory_side(m, t, amu::AmoOpcode::kSwap, addr, value);
-  }
-  co_return 0;  // unreachable
-}
-
-sim::Task<std::uint64_t> cas(Mechanism m, core::ThreadCtx& t, sim::Addr addr,
-                             std::uint64_t expected, std::uint64_t desired) {
-  switch (m) {
-    case Mechanism::kLlSc:
-      for (;;) {
-        const std::uint64_t v = co_await t.load_linked(addr);
-        if (v != expected) co_return v;  // CAS failure: no write
-        if (co_await t.store_conditional(addr, desired)) co_return v;
-      }
-    case Mechanism::kAtomic:
-      co_return co_await t.atomic_cas(addr, expected, desired);
-    case Mechanism::kActMsg:
-      co_return co_await t.am_rmw(amu::AmoOpcode::kCas, addr, expected,
-                                  desired);
-    case Mechanism::kMao:
-    case Mechanism::kAmo:
-      co_return co_await memory_side(m, t, amu::AmoOpcode::kCas, addr,
-                                     expected, {}, desired);
+      co_return co_await memory_side(m, t, op, addr, operand, operand2, test);
   }
   co_return 0;  // unreachable
 }

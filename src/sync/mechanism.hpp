@@ -1,5 +1,5 @@
 // The five atomic-operation mechanisms the paper compares, behind one
-// fetch-and-add interface so every synchronization algorithm can be
+// read-modify-write interface so every synchronization algorithm can be
 // instantiated over each of them.
 //
 //   kLlSc   load-linked / store-conditional retry loop (baseline)
@@ -15,6 +15,7 @@
 #include <string_view>
 #include <variant>
 
+#include "amu/amo_ops.hpp"
 #include "core/thread_ctx.hpp"
 #include "sim/task.hpp"
 
@@ -34,21 +35,15 @@ inline constexpr Mechanism kAllMechanisms[] = {
 [[nodiscard]] std::optional<Mechanism> mechanism_from_string(
     std::string_view name);
 
-/// Atomic fetch-and-add through the chosen mechanism. `test` is only
-/// meaningful for kAmo, where it selects the delayed-put policy (the
-/// result is pushed to cached copies when it equals `test`).
-sim::Task<std::uint64_t> fetch_add(Mechanism m, core::ThreadCtx& t,
-                                   sim::Addr addr, std::uint64_t delta,
-                                   std::optional<std::uint64_t> test = {});
-
-/// Atomic exchange through the chosen mechanism; returns the old value.
-sim::Task<std::uint64_t> swap(Mechanism m, core::ThreadCtx& t, sim::Addr addr,
-                              std::uint64_t value);
-
-/// Atomic compare-and-swap; returns the old value (success iff it equals
-/// `expected`).
-sim::Task<std::uint64_t> cas(Mechanism m, core::ThreadCtx& t, sim::Addr addr,
-                             std::uint64_t expected, std::uint64_t desired);
+/// One atomic read-modify-write through the chosen mechanism, with
+/// amu::AmoOpcode semantics (kCas writes `operand2` iff the word equals
+/// `operand`); returns the old value. `test` is only meaningful for kAmo,
+/// where it selects the delayed-put policy (the result is pushed to
+/// cached copies when it equals `test`).
+sim::Task<std::uint64_t> rmw(Mechanism m, core::ThreadCtx& t,
+                             amu::AmoOpcode op, sim::Addr addr,
+                             std::uint64_t operand, std::uint64_t operand2 = 0,
+                             std::optional<std::uint64_t> test = {});
 
 /// A word write through the chosen mechanism: amo.swap under kAmo, whose
 /// eager put patches every cached copy in place, and a coherent store

@@ -76,7 +76,8 @@ TEST_P(FeatureMatrix, BarrierSafetyAndConservation) {
     m.spawn(c, [&, c, mech = mech](core::ThreadCtx& t) -> sim::Task<void> {
       for (int ep = 1; ep <= 4; ++ep) {
         co_await t.compute(t.rng().below(400));
-        (void)co_await sync::fetch_add(mech, t, counter, 1);
+        (void)co_await sync::rmw(mech, t, amu::AmoOpcode::kFetchAdd, counter,
+                                 1);
         arrived[c] = ep;
         co_await barrier->wait(t);
         for (sim::CpuId o = 0; o < kCpus; ++o) {

@@ -70,7 +70,8 @@ TEST_P(IncrementConservation, NoLostUpdates) {
         const std::size_t v = t.rng().below(kVars);
         const std::uint64_t delta = 1 + t.rng().below(4);
         oracle[v] += delta;  // host-side oracle (order-independent sum)
-        (void)co_await sync::fetch_add(mech, t, vars[v], delta);
+        (void)co_await sync::rmw(mech, t, amu::AmoOpcode::kFetchAdd, vars[v],
+                                 delta);
         if (t.rng().below(4) == 0) {
           // Interleave reads to shake the sharer lists. MAO variables
           // must never be cached (the mechanism's contract), so the MAO
@@ -117,7 +118,7 @@ TEST(MixedMechanisms, CoherentAtomicsInteroperate) {
     m.spawn(c, [&, mech = rotation[c % 4]](
                    core::ThreadCtx& t) -> sim::Task<void> {
       for (int i = 0; i < 10; ++i) {
-        (void)co_await sync::fetch_add(mech, t, a, 1);
+        (void)co_await sync::rmw(mech, t, amu::AmoOpcode::kFetchAdd, a, 1);
         co_await t.compute(t.rng().below(100));
       }
     });
@@ -143,7 +144,7 @@ TEST_P(Determinism, SameSeedSameCycles) {
       m.spawn(c, [&, mech](core::ThreadCtx& t) -> sim::Task<void> {
         for (int i = 0; i < 6; ++i) {
           co_await t.compute(t.rng().below(200));
-          (void)co_await sync::fetch_add(mech, t, a, 1);
+          (void)co_await sync::rmw(mech, t, amu::AmoOpcode::kFetchAdd, a, 1);
         }
       });
     }

@@ -185,10 +185,11 @@ TEST(SwapCas, AllMechanismsRoundTrip) {
     const sim::Addr a = m.galloc().alloc_word_line(1);
     std::vector<std::uint64_t> got;
     m.spawn(0, [&, mech](core::ThreadCtx& t) -> sim::Task<void> {
-      got.push_back(co_await sync::swap(mech, t, a, 10));       // 0 -> 10
-      got.push_back(co_await sync::cas(mech, t, a, 10, 20));    // hit
-      got.push_back(co_await sync::cas(mech, t, a, 10, 99));    // miss
-      got.push_back(co_await sync::swap(mech, t, a, 0));        // 20 -> 0
+      using amu::AmoOpcode;
+      got.push_back(co_await sync::rmw(mech, t, AmoOpcode::kSwap, a, 10));
+      got.push_back(co_await sync::rmw(mech, t, AmoOpcode::kCas, a, 10, 20));
+      got.push_back(co_await sync::rmw(mech, t, AmoOpcode::kCas, a, 10, 99));
+      got.push_back(co_await sync::rmw(mech, t, AmoOpcode::kSwap, a, 0));
     });
     m.run();
     ASSERT_EQ(got.size(), 4u) << mech_name(mech);

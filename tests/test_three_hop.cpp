@@ -101,7 +101,8 @@ TEST_P(ThreeHopConservation, NoLostUpdates) {
     m.spawn(c, [&, mech = mech](core::ThreadCtx& t) -> sim::Task<void> {
       for (int i = 0; i < 10; ++i) {
         const sim::Addr target = t.rng().below(2) != 0u ? a : b;
-        (void)co_await sync::fetch_add(mech, t, target, 1);
+        (void)co_await sync::rmw(mech, t, amu::AmoOpcode::kFetchAdd, target,
+                                 1);
         ++expect;  // host-side total across both counters
         co_await t.compute(t.rng().below(120));
       }
