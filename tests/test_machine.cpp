@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/machine.hpp"
+#include "sync/barrier.hpp"
 
 // Footprint tests read resident size from /proc/self/statm, so they need
 // Linux, and they skip under ASan and TSan, whose shadow memory shows up
@@ -252,6 +253,188 @@ TEST(Machine, RegistryIndexesEverySubsystem) {
   EXPECT_EQ(m.registry().value("node0.amu.ops").as_uint() +
                 m.registry().value("node1.amu.ops").as_uint(),
             subsystem_amu_ops);
+}
+
+// Runs a short fixed program on a 4-CPU, two-node machine: every CPU
+// makes two AMO fetch-adds, a MAO fetch-add, an active-message fetch-add
+// and a processor-side atomic fetch-add on words homed at node 1, an
+// LL/SC increment of a word homed at node 0, and two central-barrier
+// episodes. The run
+// leaves counters, Accums and (with stats.histograms on) histograms
+// non-zero across the engine, the network, directories, AMUs, AM
+// servers, cache controllers and L2s.
+std::string stats_dump_after_short_run(bool histograms) {
+  core::SystemConfig cfg;
+  cfg.num_cpus = 4;
+  cfg.stats.histograms = histograms;
+  core::Machine m(cfg);
+  const sim::Addr amo_word = m.galloc().alloc_word_line(1);
+  const sim::Addr mao_word = m.galloc().alloc_word_line(1);
+  const sim::Addr am_word = m.galloc().alloc_word_line(1);
+  const sim::Addr atomic_word = m.galloc().alloc_word_line(1);
+  const sim::Addr llsc_word = m.galloc().alloc_word_line(0);
+  auto barrier = sync::make_central_barrier(m, sync::Mechanism::kAmo, 4);
+  for (sim::CpuId c = 0; c < 4; ++c) {
+    m.spawn(c, [&](core::ThreadCtx& t) -> sim::Task<void> {
+      for (int i = 0; i < 2; ++i) (void)co_await t.amo_fetch_add(amo_word, 1);
+      (void)co_await t.mao_fetch_add(mao_word, 1);
+      (void)co_await t.am_fetch_add(am_word, 1);
+      (void)co_await t.atomic_fetch_add(atomic_word, 1);
+      while (true) {
+        const std::uint64_t v = co_await t.load_linked(llsc_word);
+        if (co_await t.store_conditional(llsc_word, v + 1)) break;
+      }
+      for (int ep = 0; ep < 2; ++ep) {
+        co_await t.compute(t.rng().below(100));
+        co_await barrier->wait(t);
+      }
+    });
+  }
+  m.run();
+  EXPECT_EQ(m.peek_word(amo_word), 8u);
+  EXPECT_EQ(m.peek_word(mao_word), 4u);
+  EXPECT_EQ(m.peek_word(am_word), 4u);
+  EXPECT_EQ(m.peek_word(atomic_word), 4u);
+  EXPECT_EQ(m.peek_word(llsc_word), 4u);
+  return m.stats_json().dump();
+}
+
+// The whole registry dump, byte for byte, with histograms off and on:
+// names, key order and values. Recorded before the stats structs
+// registered as groups (37f82d3).
+TEST(Machine, StatsDumpIsPinned) {
+  EXPECT_EQ(stats_dump_after_short_run(false),
+      R"json({"engine":{"events_executed":322,"now":22004,)json"
+      R"json("queue":{"pushed":322,"pending":0}},"net":{"packets":50,)json"
+      R"json("bytes":2880,"hops":100,"latency":{"count":50,"sum":11962,)json"
+      R"json("min":220,"max":300,"mean":239.24000000000004,)json"
+      R"json("stddev":29.349998296422431},)json"
+      R"json("packets_by_class":{"request":17,"response":17,)json"
+      R"json("intervention":3,"inval":2,"ack":2,"writeback":3,"update":2,)json"
+      R"json("uncached":0,"active_msg":4},)json"
+      R"json("bytes_by_class":{"request":544,"response":1392,)json"
+      R"json("intervention":96,"inval":64,"ack":64,"writeback":480,)json"
+      R"json("update":80,"uncached":0,"active_msg":160}},)json"
+      R"json("local":{"messages":52,"bytes":3072},)json"
+      R"json("node0":{"dir":{"gets":8,"getx":0,"upgrades":3,"putbacks":0,)json"
+      R"json("invals_sent":3,"recalls_sent":3,"overflows":0,)json"
+      R"json("broadcast_invals":0,"word_gets":1,"word_puts":2,)json"
+      R"json("word_updates_sent":4,"uncached_reads":0,"deferred":1},)json"
+      R"json("amu":{"ops":8,"amo_ops":8,"mao_ops":0,"cache_hits":7,)json"
+      R"json("cache_misses":1,"evictions":0,"puts":2,"puts_suppressed":0,)json"
+      R"json("queue_depth":{"count":8,"sum":8,"min":1,"max":1,"mean":1.0,)json"
+      R"json("stddev":0.0}},"am":{"requests":0,"duplicates":0,)json"
+      R"json("replays":0,"handled":0}},"node1":{"dir":{"gets":0,"getx":5,)json"
+      R"json("upgrades":0,"putbacks":0,"invals_sent":0,"recalls_sent":3,)json"
+      R"json("overflows":0,"broadcast_invals":0,"word_gets":1,)json"
+      R"json("word_puts":8,"word_updates_sent":0,"uncached_reads":0,)json"
+      R"json("deferred":0},"amu":{"ops":12,"amo_ops":8,"mao_ops":4,)json"
+      R"json("cache_hits":10,"cache_misses":2,"evictions":0,"puts":8,)json"
+      R"json("puts_suppressed":0,"queue_depth":{"count":12,"sum":12,)json"
+      R"json("min":1,"max":1,"mean":1.0,"stddev":0.0}},)json"
+      R"json("am":{"requests":4,"duplicates":0,"replays":0,"handled":4}},)json"
+      R"json("cpu0":{"cache":{"loads":5,"stores":0,"ll":1,"sc_success":1,)json"
+      R"json("sc_fail":0,"atomics":1,"miss_gets":2,"miss_getx":1,)json"
+      R"json("miss_upgrade":1,"recalls":2,"invals":1,"word_updates":2,)json"
+      R"json("writebacks":0,"l2":{"hits":5,"misses":3,"evictions":0,)json"
+      R"json("dirty_evictions":0,"invals_received":2,"word_updates":2}}},)json"
+      R"json("cpu1":{"cache":{"loads":4,"stores":0,"ll":1,"sc_success":1,)json"
+      R"json("sc_fail":0,"atomics":1,"miss_gets":2,"miss_getx":1,)json"
+      R"json("miss_upgrade":1,"recalls":0,"invals":0,"word_updates":1,)json"
+      R"json("writebacks":0,"l2":{"hits":5,"misses":3,"evictions":0,)json"
+      R"json("dirty_evictions":0,"invals_received":0,"word_updates":1}}},)json"
+      R"json("cpu2":{"cache":{"loads":5,"stores":0,"ll":1,"sc_success":1,)json"
+      R"json("sc_fail":0,"atomics":5,"miss_gets":2,"miss_getx":2,)json"
+      R"json("miss_upgrade":0,"recalls":2,"invals":1,"word_updates":2,)json"
+      R"json("writebacks":0,"l2":{"hits":8,"misses":4,"evictions":0,)json"
+      R"json("dirty_evictions":0,"invals_received":2,"word_updates":2}}},)json"
+      R"json("cpu3":{"cache":{"loads":5,"stores":0,"ll":1,"sc_success":1,)json"
+      R"json("sc_fail":0,"atomics":1,"miss_gets":2,"miss_getx":1,)json"
+      R"json("miss_upgrade":1,"recalls":2,"invals":1,"word_updates":2,)json"
+      R"json("writebacks":0,"l2":{"hits":5,"misses":3,"evictions":0,)json"
+      R"json("dirty_evictions":0,"invals_received":2,"word_updates":2}}}})json");
+}
+
+TEST(Machine, StatsDumpWithHistogramsIsPinned) {
+  EXPECT_EQ(stats_dump_after_short_run(true),
+      R"json({"engine":{"events_executed":322,"now":22004,)json"
+      R"json("queue":{"pushed":322,"pending":0},)json"
+      R"json("dispatch_delay_hist":{"count":322,"sum":120490,"min":0,)json"
+      R"json("max":20000,"mean":374.19254658385091,"p50":24,"p90":415,)json"
+      R"json("p99":20000,"p999":20000}},"net":{"packets":50,"bytes":2880,)json"
+      R"json("hops":100,"latency":{"count":50,"sum":11962,"min":220,)json"
+      R"json("max":300,"mean":239.24000000000004,)json"
+      R"json("stddev":29.349998296422431},)json"
+      R"json("packets_by_class":{"request":17,"response":17,)json"
+      R"json("intervention":3,"inval":2,"ack":2,"writeback":3,"update":2,)json"
+      R"json("uncached":0,"active_msg":4},)json"
+      R"json("bytes_by_class":{"request":544,"response":1392,)json"
+      R"json("intervention":96,"inval":64,"ack":64,"writeback":480,)json"
+      R"json("update":80,"uncached":0,"active_msg":160},)json"
+      R"json("link_latency_hist":{"l0":{"count":100,"sum":10082,)json"
+      R"json("min":100,"max":124,"mean":100.81999999999999,"p50":103,)json"
+      R"json("p90":103,"p99":123,"p999":124}}},"local":{"messages":52,)json"
+      R"json("bytes":3072},"node0":{"dir":{"gets":8,"getx":0,)json"
+      R"json("upgrades":3,"putbacks":0,"invals_sent":3,"recalls_sent":3,)json"
+      R"json("overflows":0,"broadcast_invals":0,"word_gets":1,)json"
+      R"json("word_puts":2,"word_updates_sent":4,"uncached_reads":0,)json"
+      R"json("deferred":1,"occupancy_wait_hist":{"count":21,"sum":4,)json"
+      R"json("min":0,"max":4,"mean":0.19047619047619047,"p50":0,"p90":0,)json"
+      R"json("p99":4,"p999":4}},"amu":{"ops":8,"amo_ops":8,"mao_ops":0,)json"
+      R"json("cache_hits":7,"cache_misses":1,"evictions":0,"puts":2,)json"
+      R"json("puts_suppressed":0,"queue_depth":{"count":8,"sum":8,)json"
+      R"json("min":1,"max":1,"mean":1.0,"stddev":0.0},)json"
+      R"json("queue_wait_hist":{"count":8,"sum":0,"min":0,"max":0,)json"
+      R"json("mean":0.0,"p50":0,"p90":0,"p99":0,"p999":0}},)json"
+      R"json("am":{"requests":0,"duplicates":0,"replays":0,"handled":0}},)json"
+      R"json("node1":{"dir":{"gets":0,"getx":5,"upgrades":0,"putbacks":0,)json"
+      R"json("invals_sent":0,"recalls_sent":3,"overflows":0,)json"
+      R"json("broadcast_invals":0,"word_gets":1,"word_puts":8,)json"
+      R"json("word_updates_sent":0,"uncached_reads":0,"deferred":0,)json"
+      R"json("occupancy_wait_hist":{"count":17,"sum":16,"min":0,"max":8,)json"
+      R"json("mean":0.94117647058823528,"p50":0,"p90":8,"p99":8,)json"
+      R"json("p999":8}},"amu":{"ops":12,"amo_ops":8,"mao_ops":4,)json"
+      R"json("cache_hits":10,"cache_misses":2,"evictions":0,"puts":8,)json"
+      R"json("puts_suppressed":0,"queue_depth":{"count":12,"sum":12,)json"
+      R"json("min":1,"max":1,"mean":1.0,"stddev":0.0},)json"
+      R"json("queue_wait_hist":{"count":12,"sum":144,"min":0,"max":84,)json"
+      R"json("mean":12.0,"p50":0,"p90":61,"p99":84,"p999":84}},)json"
+      R"json("am":{"requests":4,"duplicates":0,"replays":0,"handled":4}},)json"
+      R"json("cpu0":{"cache":{"loads":5,"stores":0,"ll":1,"sc_success":1,)json"
+      R"json("sc_fail":0,"atomics":1,"miss_gets":2,"miss_getx":1,)json"
+      R"json("miss_upgrade":1,"recalls":2,"invals":1,"word_updates":2,)json"
+      R"json("writebacks":0,"l2":{"hits":5,"misses":3,"evictions":0,)json"
+      R"json("dirty_evictions":0,"invals_received":2,"word_updates":2},)json"
+      R"json("mshr_residency_hist":{"count":4,"sum":2684,"min":124,)json"
+      R"json("max":900,"mean":671.0,"p50":767,"p90":900,"p99":900,)json"
+      R"json("p999":900}}},"cpu1":{"cache":{"loads":4,"stores":0,"ll":1,)json"
+      R"json("sc_success":1,"sc_fail":0,"atomics":1,"miss_gets":2,)json"
+      R"json("miss_getx":1,"miss_upgrade":1,"recalls":0,"invals":0,)json"
+      R"json("word_updates":1,"writebacks":0,"l2":{"hits":5,"misses":3,)json"
+      R"json("evictions":0,"dirty_evictions":0,"invals_received":0,)json"
+      R"json("word_updates":1},"mshr_residency_hist":{"count":4,)json"
+      R"json("sum":2384,"min":124,"max":1572,"mean":596.0,"p50":175,)json"
+      R"json("p90":1572,"p99":1572,"p999":1572}}},)json"
+      R"json("cpu2":{"cache":{"loads":5,"stores":0,"ll":1,"sc_success":1,)json"
+      R"json("sc_fail":0,"atomics":5,"miss_gets":2,"miss_getx":2,)json"
+      R"json("miss_upgrade":0,"recalls":2,"invals":1,"word_updates":2,)json"
+      R"json("writebacks":0,"l2":{"hits":8,"misses":4,"evictions":0,)json"
+      R"json("dirty_evictions":0,"invals_received":2,"word_updates":2},)json"
+      R"json("mshr_residency_hist":{"count":4,"sum":1840,"min":124,)json"
+      R"json("max":796,"mean":460.0,"p50":127,"p90":796,"p99":796,)json"
+      R"json("p999":796}}},"cpu3":{"cache":{"loads":5,"stores":0,"ll":1,)json"
+      R"json("sc_success":1,"sc_fail":0,"atomics":1,"miss_gets":2,)json"
+      R"json("miss_getx":1,"miss_upgrade":1,"recalls":2,"invals":1,)json"
+      R"json("word_updates":2,"writebacks":0,"l2":{"hits":5,"misses":3,)json"
+      R"json("evictions":0,"dirty_evictions":0,"invals_received":2,)json"
+      R"json("word_updates":2},"mshr_residency_hist":{"count":4,)json"
+      R"json("sum":3952,"min":228,"max":1572,"mean":988.0,"p50":831,)json"
+      R"json("p90":1572,"p99":1572,"p999":1572}}},)json"
+      R"json("sync":{"lock_acquire_hist":{"count":0,"sum":0,"min":0,)json"
+      R"json("max":0,"mean":0.0,"p50":0,"p90":0,"p99":0,"p999":0},)json"
+      R"json("barrier_episode_hist":{"count":8,"sum":27321,"min":2192,)json"
+      R"json("max":7422,"mean":3415.125,"p50":2815,"p90":7422,"p99":7422,)json"
+      R"json("p999":7422}}})json");
 }
 
 #if defined(AMO_TEST_READS_RSS)
