@@ -5,8 +5,9 @@
 //   ./build/bench/construct_footprint [cpus...]   (default: 256 1024 4096)
 //
 // Prints one line per CPU count: the first constructor's time (it pays
-// the page faults), min and median over five constructions, and the
-// resident memory the first machine added. Later constructions reuse
+// the page faults), min and median over five constructions, the
+// resident memory the first machine added, and min and median of the
+// destructor's time over the five machines. Later constructions reuse
 // memory the allocator kept, as a sweep that builds one machine after
 // another does. Run one size per invocation for figures free of memory
 // kept from a machine built earlier:
@@ -49,6 +50,13 @@ double construct_ms(std::uint32_t cpus,
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
 }
 
+/// Destroys the machine in `m`; returns the destructor's wall time in ms.
+double destruct_ms(std::unique_ptr<amo::core::Machine>& m) {
+  const Clock::time_point t0 = Clock::now();
+  m.reset();
+  return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -66,21 +74,25 @@ int main(int argc, char** argv) {
 
   for (const std::uint32_t cpus : sizes) {
     std::vector<double> ms;
+    std::vector<double> dtor_ms;
     std::unique_ptr<amo::core::Machine> m;
     const double before = resident_mb();
     ms.push_back(construct_ms(cpus, m));
     const double added = resident_mb() - before;
     for (int r = 1; r < kReps; ++r) {
-      m.reset();
+      dtor_ms.push_back(destruct_ms(m));
       ms.push_back(construct_ms(cpus, m));
     }
+    dtor_ms.push_back(destruct_ms(m));
     const double first = ms.front();
     std::sort(ms.begin(), ms.end());
+    std::sort(dtor_ms.begin(), dtor_ms.end());
     std::printf(
         "cpus=%u ctor_ms_first=%.1f ctor_ms_min=%.1f ctor_ms_median=%.1f "
-        "added_rss_mb=%.1f (%.1f KB/cpu)\n",
+        "added_rss_mb=%.1f (%.1f KB/cpu) dtor_ms_min=%.2f "
+        "dtor_ms_median=%.2f\n",
         cpus, first, ms.front(), ms[ms.size() / 2], added,
-        added * 1024.0 / cpus);
+        added * 1024.0 / cpus, dtor_ms.front(), dtor_ms[dtor_ms.size() / 2]);
   }
   return 0;
 }

@@ -1,6 +1,7 @@
 #include "amu/amu.hpp"
 
 #include <cassert>
+#include <cstddef>
 #include <utility>
 
 namespace amo::amu {
@@ -304,17 +305,28 @@ void Amu::drop_block(sim::Addr block) {
   }
 }
 
+namespace {
+
+// AmuStats as the registry reads it, in snapshot order. The aggregation
+// and restart counters stay struct-only.
+constexpr sim::StatField kAmuStatFields[] = {
+    {"ops", offsetof(AmuStats, ops)},
+    {"amo_ops", offsetof(AmuStats, amo_ops)},
+    {"mao_ops", offsetof(AmuStats, mao_ops)},
+    {"cache_hits", offsetof(AmuStats, cache_hits)},
+    {"cache_misses", offsetof(AmuStats, cache_misses)},
+    {"evictions", offsetof(AmuStats, evictions)},
+    {"puts", offsetof(AmuStats, puts)},
+    {"puts_suppressed", offsetof(AmuStats, puts_suppressed)},
+    {"queue_depth", offsetof(AmuStats, queue_depth),
+     sim::StatField::Kind::kAccum},
+};
+
+}  // namespace
+
 void Amu::register_stats(sim::StatsRegistry& reg,
                          const std::string& prefix) {
-  reg.add_counter(prefix + ".ops", &stats_.ops);
-  reg.add_counter(prefix + ".amo_ops", &stats_.amo_ops);
-  reg.add_counter(prefix + ".mao_ops", &stats_.mao_ops);
-  reg.add_counter(prefix + ".cache_hits", &stats_.cache_hits);
-  reg.add_counter(prefix + ".cache_misses", &stats_.cache_misses);
-  reg.add_counter(prefix + ".evictions", &stats_.evictions);
-  reg.add_counter(prefix + ".puts", &stats_.puts);
-  reg.add_counter(prefix + ".puts_suppressed", &stats_.puts_suppressed);
-  reg.add_accum(prefix + ".queue_depth", &stats_.queue_depth);
+  reg.add_group(prefix, &stats_, kAmuStatFields);
   stats_.queue_wait_hist = reg.hist(prefix + ".queue_wait_hist");
 }
 

@@ -1,6 +1,7 @@
 #include "coh/cache_ctrl.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <cassert>
 #include <utility>
 
@@ -408,21 +409,30 @@ void CacheCtrl::on_word_update(sim::Addr addr, std::uint64_t value) {
   notify_line(l2_.line_base(addr));
 }
 
+namespace {
+
+// CacheCtrlStats as the registry reads it, in snapshot order.
+constexpr sim::StatField kCacheCtrlStatFields[] = {
+    {"loads", offsetof(CacheCtrlStats, loads)},
+    {"stores", offsetof(CacheCtrlStats, stores)},
+    {"ll", offsetof(CacheCtrlStats, ll)},
+    {"sc_success", offsetof(CacheCtrlStats, sc_success)},
+    {"sc_fail", offsetof(CacheCtrlStats, sc_fail)},
+    {"atomics", offsetof(CacheCtrlStats, atomics)},
+    {"miss_gets", offsetof(CacheCtrlStats, miss_gets)},
+    {"miss_getx", offsetof(CacheCtrlStats, miss_getx)},
+    {"miss_upgrade", offsetof(CacheCtrlStats, miss_upgrade)},
+    {"recalls", offsetof(CacheCtrlStats, recalls)},
+    {"invals", offsetof(CacheCtrlStats, invals)},
+    {"word_updates", offsetof(CacheCtrlStats, word_updates)},
+    {"writebacks", offsetof(CacheCtrlStats, writebacks)},
+};
+
+}  // namespace
+
 void CacheCtrl::register_stats(sim::StatsRegistry& reg,
                                const std::string& prefix) {
-  reg.add_counter(prefix + ".loads", &stats_.loads);
-  reg.add_counter(prefix + ".stores", &stats_.stores);
-  reg.add_counter(prefix + ".ll", &stats_.ll);
-  reg.add_counter(prefix + ".sc_success", &stats_.sc_success);
-  reg.add_counter(prefix + ".sc_fail", &stats_.sc_fail);
-  reg.add_counter(prefix + ".atomics", &stats_.atomics);
-  reg.add_counter(prefix + ".miss_gets", &stats_.miss_gets);
-  reg.add_counter(prefix + ".miss_getx", &stats_.miss_getx);
-  reg.add_counter(prefix + ".miss_upgrade", &stats_.miss_upgrade);
-  reg.add_counter(prefix + ".recalls", &stats_.recalls);
-  reg.add_counter(prefix + ".invals", &stats_.invals);
-  reg.add_counter(prefix + ".word_updates", &stats_.word_updates);
-  reg.add_counter(prefix + ".writebacks", &stats_.writebacks);
+  reg.add_group(prefix, &stats_, kCacheCtrlStatFields);
   l2_.register_stats(reg, prefix + ".l2");
   stats_.mshr_residency_hist = reg.hist(prefix + ".mshr_residency_hist");
 }

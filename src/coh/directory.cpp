@@ -1,6 +1,7 @@
 #include "coh/directory.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <cassert>
 #include <utility>
 
@@ -637,21 +638,30 @@ bool Directory::coarse(sim::Addr block) const {
   return e != nullptr && e->coarse;
 }
 
+namespace {
+
+// DirStats as the registry reads it, in snapshot order.
+constexpr sim::StatField kDirStatFields[] = {
+    {"gets", offsetof(DirStats, gets)},
+    {"getx", offsetof(DirStats, getx)},
+    {"upgrades", offsetof(DirStats, upgrades)},
+    {"putbacks", offsetof(DirStats, putbacks)},
+    {"invals_sent", offsetof(DirStats, invals_sent)},
+    {"recalls_sent", offsetof(DirStats, recalls_sent)},
+    {"overflows", offsetof(DirStats, overflows)},
+    {"broadcast_invals", offsetof(DirStats, broadcast_invals)},
+    {"word_gets", offsetof(DirStats, word_gets)},
+    {"word_puts", offsetof(DirStats, word_puts)},
+    {"word_updates_sent", offsetof(DirStats, word_updates_sent)},
+    {"uncached_reads", offsetof(DirStats, uncached_reads)},
+    {"deferred", offsetof(DirStats, deferred)},
+};
+
+}  // namespace
+
 void Directory::register_stats(sim::StatsRegistry& reg,
                                const std::string& prefix) {
-  reg.add_counter(prefix + ".gets", &stats_.gets);
-  reg.add_counter(prefix + ".getx", &stats_.getx);
-  reg.add_counter(prefix + ".upgrades", &stats_.upgrades);
-  reg.add_counter(prefix + ".putbacks", &stats_.putbacks);
-  reg.add_counter(prefix + ".invals_sent", &stats_.invals_sent);
-  reg.add_counter(prefix + ".recalls_sent", &stats_.recalls_sent);
-  reg.add_counter(prefix + ".overflows", &stats_.overflows);
-  reg.add_counter(prefix + ".broadcast_invals", &stats_.broadcast_invals);
-  reg.add_counter(prefix + ".word_gets", &stats_.word_gets);
-  reg.add_counter(prefix + ".word_puts", &stats_.word_puts);
-  reg.add_counter(prefix + ".word_updates_sent", &stats_.word_updates_sent);
-  reg.add_counter(prefix + ".uncached_reads", &stats_.uncached_reads);
-  reg.add_counter(prefix + ".deferred", &stats_.deferred);
+  reg.add_group(prefix, &stats_, kDirStatFields);
   stats_.occupancy_wait_hist = reg.hist(prefix + ".occupancy_wait_hist");
 }
 

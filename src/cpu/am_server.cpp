@@ -1,6 +1,7 @@
 #include "cpu/am_server.hpp"
 
 #include <cassert>
+#include <cstddef>
 
 #include "cpu/core.hpp"
 
@@ -79,12 +80,21 @@ void AmServer::send_reply(Core& dst, std::uint32_t token,
                });
 }
 
+namespace {
+
+// AmServerStats as the registry reads it, in snapshot order.
+constexpr sim::StatField kAmServerStatFields[] = {
+    {"requests", offsetof(AmServerStats, requests)},
+    {"duplicates", offsetof(AmServerStats, duplicates)},
+    {"replays", offsetof(AmServerStats, replays)},
+    {"handled", offsetof(AmServerStats, handled)},
+};
+
+}  // namespace
+
 void AmServer::register_stats(sim::StatsRegistry& reg,
                               const std::string& prefix) const {
-  reg.add_counter(prefix + ".requests", &stats_.requests);
-  reg.add_counter(prefix + ".duplicates", &stats_.duplicates);
-  reg.add_counter(prefix + ".replays", &stats_.replays);
-  reg.add_counter(prefix + ".handled", &stats_.handled);
+  reg.add_group(prefix, &stats_, kAmServerStatFields);
 }
 
 }  // namespace amo::cpu

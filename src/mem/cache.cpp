@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstddef>
 
 namespace amo::mem {
 
@@ -177,14 +178,23 @@ void TagCache::invalidate(sim::Addr addr) {
   }
 }
 
+namespace {
+
+// CacheStats as the registry reads it, in snapshot order.
+constexpr sim::StatField kCacheStatFields[] = {
+    {"hits", offsetof(CacheStats, hits)},
+    {"misses", offsetof(CacheStats, misses)},
+    {"evictions", offsetof(CacheStats, evictions)},
+    {"dirty_evictions", offsetof(CacheStats, dirty_evictions)},
+    {"invals_received", offsetof(CacheStats, invals_received)},
+    {"word_updates", offsetof(CacheStats, word_updates)},
+};
+
+}  // namespace
+
 void Cache::register_stats(sim::StatsRegistry& reg,
                            const std::string& prefix) const {
-  reg.add_counter(prefix + ".hits", &stats_.hits);
-  reg.add_counter(prefix + ".misses", &stats_.misses);
-  reg.add_counter(prefix + ".evictions", &stats_.evictions);
-  reg.add_counter(prefix + ".dirty_evictions", &stats_.dirty_evictions);
-  reg.add_counter(prefix + ".invals_received", &stats_.invals_received);
-  reg.add_counter(prefix + ".word_updates", &stats_.word_updates);
+  reg.add_group(prefix, &stats_, kCacheStatFields);
 }
 
 }  // namespace amo::mem

@@ -13,6 +13,14 @@
 // derived counter. InlineFnT keeps the registry on the same allocation
 // discipline as the event queue — no std::function.
 //
+// A subsystem's stats struct registers as one group entry: a base address,
+// its name prefix and a static table of {suffix, offset} fields. The
+// registry builds a field's full name only when a snapshot or value()
+// reads it, so a 1024-CPU machine registers a few thousand entries, not
+// tens of thousands of heap-allocated name strings. A group's fields read
+// in table order at the group's place in registration order, exactly as
+// if each had been added on its own at that point.
+//
 // Registered pointers are read, never written; the pointed-to objects must
 // outlive the registry (core::Machine owns both sides).
 //
@@ -22,11 +30,14 @@
 // and its snapshots are byte-identical to a build without them.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <span>
 #include <string>
 #include <string_view>
-#include <unordered_set>
+#include <type_traits>
+#include <unordered_map>
 #include <utility>
 #include <variant>
 
@@ -35,6 +46,16 @@
 #include "sim/stats.hpp"
 
 namespace amo::sim {
+
+/// One field of a stats struct registered with StatsRegistry::add_group:
+/// its name under the group's prefix and its offsetof() in the struct. A
+/// field is a std::uint64_t counter unless marked as an Accum.
+struct StatField {
+  enum class Kind : std::uint8_t { kCounter, kAccum };
+  std::string_view suffix;
+  std::size_t offset;
+  Kind kind = Kind::kCounter;
+};
 
 class StatsRegistry {
  public:
@@ -62,6 +83,19 @@ class StatsRegistry {
   /// count/sum/min/max/mean/stddev fields.
   void add_accum(const std::string& name, const Accum* accum);
 
+  /// Registers every field of the stats struct at `base` as one entry
+  /// named `prefix`; field f reads as "prefix.f". `fields` must outlive
+  /// the registry (a static table).
+  template <typename S>
+  void add_group(std::string prefix, const S* base,
+                 std::span<const StatField> fields) {
+    static_assert(std::is_standard_layout_v<S>,
+                  "group fields are read at offsetof() offsets");
+    add(std::move(prefix),
+        Source(std::in_place_type<Group>,
+               Group{reinterpret_cast<const std::byte*>(base), fields}));
+  }
+
   /// When histograms are on, allocates a histogram owned by the registry
   /// (its address is stable), registers it here in the entry order and
   /// returns it; it snapshots as an object with count/sum/min/max/mean
@@ -69,10 +103,12 @@ class StatsRegistry {
   /// registers nothing.
   [[nodiscard]] LogHistogram* hist(const std::string& name);
 
+  /// Number of entries; a group counts once.
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
 
-  /// Reads a single entry by its full dotted name.
-  /// Throws std::out_of_range when the name was never registered.
+  /// Reads a single entry, or one field of a group, by its full dotted
+  /// name; a group's prefix reads as an object of the group's fields.
+  /// Throws std::out_of_range when no entry or field has that name.
   [[nodiscard]] Json value(const std::string& name) const;
 
   /// Reads every entry into a nested Json object: dotted-name segments
@@ -80,26 +116,43 @@ class StatsRegistry {
   [[nodiscard]] Json snapshot() const;
 
  private:
+  struct Group {
+    const std::byte* base;
+    std::span<const StatField> fields;
+  };
+
   using Source =
       std::variant<const std::uint64_t*, const Accum*, const LogHistogram*,
-                   InlineFnT<std::uint64_t&>>;
+                   Group, InlineFnT<std::uint64_t&>>;
 
   struct Entry {
-    std::string name;
+    std::string name;  // a group's prefix
     // InlineFnT invocation is non-const; reading an entry is logically
     // const, so the source (never the name) is mutable.
     mutable Source source;
   };
 
-  void add(const std::string& name, Source source);
+  // A group field found by its full name.
+  struct FieldRef {
+    const std::byte* base = nullptr;
+    const StatField* field = nullptr;
+  };
+
+  void add(std::string name, Source source);
+
+  [[nodiscard]] FieldRef find_field(std::string_view name) const;
 
   static Json read(const Entry& e);
 
-  // A deque keeps Entry addresses stable across growth, so the dedup set
+  // A deque keeps Entry addresses stable across growth, so the name index
   // can hold string_views into the stored names instead of duplicating
   // every key string.
   std::deque<Entry> entries_;
-  std::unordered_set<std::string_view> names_;  // views into entries_
+  // Every entry's name (a group's prefix) to its entry, plus the parent
+  // of every single name to nullptr when no entry has that name: a
+  // group registered under such a parent checks its fields against the
+  // names already there.
+  std::unordered_map<std::string_view, const Entry*> names_;
   bool histograms_;
   std::deque<LogHistogram> hists_;  // deque: handed-out addresses stay put
 };

@@ -2,6 +2,7 @@
 // type (dump/parse round-trip, stable key order) and the StatsRegistry.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 
@@ -164,6 +165,112 @@ TEST(StatsRegistry, DuplicateNameThrows) {
 TEST(StatsRegistry, UnknownNameThrows) {
   StatsRegistry reg;
   EXPECT_THROW((void)reg.value("no.such"), std::out_of_range);
+}
+
+// A stats struct as subsystems register it: counters and an Accum, read
+// through a static field table in an order other than declaration order.
+struct DemoStats {
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  Accum depth;
+  std::uint64_t unregistered = 0;
+};
+
+constexpr StatField kDemoFields[] = {
+    {"misses", offsetof(DemoStats, misses)},
+    {"depth", offsetof(DemoStats, depth), StatField::Kind::kAccum},
+    {"hits", offsetof(DemoStats, hits)},
+};
+
+DemoStats demo_stats() {
+  DemoStats s;
+  s.hits = 3;
+  s.misses = 5;
+  s.depth.add(2);
+  s.depth.add(7);
+  s.unregistered = 99;
+  return s;
+}
+
+TEST(StatsRegistry, GroupSnapshotsLikeItsFieldsAddedOneByOne) {
+  const DemoStats s = demo_stats();
+  std::uint64_t before = 1;
+  std::uint64_t after = 2;
+
+  StatsRegistry grouped;
+  grouped.add_counter("x.before", &before);
+  grouped.add_group("x.demo", &s, kDemoFields);
+  grouped.add_counter("x.demo.extra", &after);
+  grouped.add_counter("x.after", &after);
+
+  StatsRegistry single;
+  single.add_counter("x.before", &before);
+  single.add_counter("x.demo.misses", &s.misses);
+  single.add_accum("x.demo.depth", &s.depth);
+  single.add_counter("x.demo.hits", &s.hits);
+  single.add_counter("x.demo.extra", &after);
+  single.add_counter("x.after", &after);
+
+  EXPECT_EQ(grouped.snapshot().dump(), single.snapshot().dump());
+  EXPECT_EQ(grouped.size(), 4u);  // the group is one entry
+}
+
+TEST(StatsRegistry, GroupReadsFieldsLive) {
+  DemoStats s;
+  StatsRegistry reg;
+  reg.add_group("demo", &s, kDemoFields);
+  EXPECT_EQ(reg.snapshot().find_path("demo.hits")->as_uint(), 0u);
+  s.hits = 11;
+  s.depth.add(4);
+  const Json snap = reg.snapshot();
+  EXPECT_EQ(snap.find_path("demo.hits")->as_uint(), 11u);
+  EXPECT_EQ(snap.find_path("demo.depth.count")->as_uint(), 1u);
+  EXPECT_EQ(snap.find_path("demo.unregistered"), nullptr);
+}
+
+TEST(StatsRegistry, ValueReadsGroupFields) {
+  DemoStats s = demo_stats();
+  StatsRegistry reg;
+  reg.add_group("node0.demo", &s, kDemoFields);
+  EXPECT_EQ(reg.value("node0.demo.hits").as_uint(), 3u);
+  EXPECT_EQ(reg.value("node0.demo.misses").as_uint(), 5u);
+  s.misses = 6;
+  EXPECT_EQ(reg.value("node0.demo.misses").as_uint(), 6u);
+  const Json depth = reg.value("node0.demo.depth");
+  EXPECT_EQ(depth.at("count").as_uint(), 2u);
+  EXPECT_EQ(depth.at("sum").as_uint(), 9u);
+  EXPECT_EQ(depth.at("max").as_uint(), 7u);
+  EXPECT_EQ(reg.value("node0.demo").dump(),
+            reg.snapshot().find_path("node0.demo")->dump());
+  EXPECT_THROW((void)reg.value("node0.demo.unregistered"), std::out_of_range);
+  EXPECT_THROW((void)reg.value("node0.demo.hits.x"), std::out_of_range);
+  EXPECT_THROW((void)reg.value("node0.hits"), std::out_of_range);
+}
+
+TEST(StatsRegistry, GroupNamesClashLikeSingleNames) {
+  const DemoStats s = demo_stats();
+  std::uint64_t v = 0;
+  StatsRegistry reg;
+  reg.add_group("p", &s, kDemoFields);
+  // A second group, or a single name, under the same prefix.
+  EXPECT_THROW(reg.add_group("p", &s, kDemoFields), std::logic_error);
+  EXPECT_THROW(reg.add_counter("p", &v), std::logic_error);
+  // A single name that is one of the group's fields.
+  EXPECT_THROW(reg.add_counter("p.hits", &v), std::logic_error);
+  EXPECT_THROW(reg.add_accum("p.depth", &s.depth), std::logic_error);
+  // A group whose prefix is a single name, or whose fields are.
+  reg.add_counter("q", &v);
+  EXPECT_THROW(reg.add_group("q", &s, kDemoFields), std::logic_error);
+  reg.add_counter("r.misses", &v);
+  EXPECT_THROW(reg.add_group("r", &s, kDemoFields), std::logic_error);
+  // Other names under a group's prefix, and groups under a single
+  // name's parent, are fine.
+  reg.add_counter("p.other", &v);
+  reg.add_counter("t.other", &v);
+  reg.add_group("t", &s, kDemoFields);
+  reg.add_group("p.nested", &s, kDemoFields);
+  EXPECT_EQ(reg.value("p.nested.hits").as_uint(), 3u);
+  EXPECT_EQ(reg.value("t.hits").as_uint(), 3u);
 }
 
 }  // namespace
