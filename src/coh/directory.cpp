@@ -1,8 +1,8 @@
 #include "coh/directory.hpp"
 
 #include <algorithm>
-#include <cstddef>
 #include <cassert>
+#include <cstddef>
 #include <utility>
 
 namespace amo::coh {
